@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 from . import gwring, symfunc
 from .gwring import GWElem
 from .lambdaring import (
-    GW, KTH, WITT, SymClass, adams, context_ring, forget, lambda_op,
+    GW, KTH, SymClass, adams, context_ring, forget, lambda_op,
     lambda_series, witt,
 )
 from .polyring import GradingError, MultiPoly, Ring

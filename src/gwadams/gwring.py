@@ -244,14 +244,6 @@ class GWElem:
         return GWElem.from_obj(json.loads(s))
 
 
-def gw_add(x: GWElem, y: GWElem) -> GWElem:
-    return x + y
-
-
-def gw_mul(x: GWElem, y: GWElem) -> GWElem:
-    return x * y
-
-
 def check_coefficient_identities(i_bound: int = 4, mn_bound: int = 6,
                                  loc_bound: int = 9) -> VerificationReport:
     """Defining relations, hyperbolic-unit identities, multiplicativity of

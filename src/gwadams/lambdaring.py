@@ -13,7 +13,7 @@ come out of the Newton recursion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gwring, symfunc
 from .gwring import GWElem

@@ -2,20 +2,19 @@
 
 Reduction of symmetric polynomials to the elementary symmetric basis
 (repeated leading-term elimination in graded-lex order) and the universal
-polynomial families P_n, Q_{i,j}, R_n obtained from products of the shape
-prod(1 + t * monomial) by that reduction, together with a verification
-battery for their closed-form specializations.
+polynomial families P_n, Q_{i,j}, R_n of products of the shape
+prod(1 + t * monomial), together with a verification battery for their
+closed-form specializations.
+
+P_n and Q_{i,j} come from power sums through Newton's identities.  The
+Gauss reduction of the expanded product stays as an independent route:
+it computes universal_R(n, "direct") and P_n, Q_{i,j} at an explicit arity.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-
 from .polyring import ContextError, MultiPoly, Ring, TruncSeries, grlex_key
-from . import report
-from .report import ReportEntry, VerificationReport, check
+from .report import VerificationReport, check
 
 
 class SymmetryError(ValueError):
@@ -181,69 +180,50 @@ def ring_R(n: int) -> Ring:
                        _family_ring("Z", n))
 
 
-_cache_lock = threading.Lock()
-_cache: dict[str, MultiPoly] = {}
-_cache_loaded = False
-
-CACHE_ENV = "GWADAMS_CACHE"
+_memo: dict[str, MultiPoly] = {}
 
 
-def _cache_path():
-    return os.environ.get(CACHE_ENV)
+def _memoized(key: str, compute):
+    got = _memo.get(key)
+    if got is None:
+        got = _memo[key] = compute()
+    return got
 
 
-def _load_cache_locked():
-    global _cache_loaded
-    if _cache_loaded:
-        return
-    _cache_loaded = True
-    path = _cache_path()
-    if not path or not os.path.exists(path):
-        return
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, ValueError):
-        return
-    from . import __version__
-    if obj.get("version") != __version__:
-        return
-    for key, pobj in obj.get("entries", {}).items():
-        _cache[key] = MultiPoly.from_obj(pobj)
+def _exact_div(p: MultiPoly, k: int) -> MultiPoly:
+    """p / k over Z; a coefficient not divisible by k raises ArithmeticError."""
+    out = {}
+    for exps, c in p.terms.items():
+        q, r = divmod(c, k)
+        if r:
+            raise ArithmeticError("coefficient %d of %s not divisible by %d"
+                                  % (c, p, k))
+        out[exps] = q
+    return MultiPoly(p.ring, out)
 
 
-def _save_cache_locked():
-    path = _cache_path()
-    if not path:
-        return
-    from . import __version__
-    obj = {"version": __version__,
-           "entries": {k: v.to_obj() for k, v in sorted(_cache.items())}}
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-    except OSError:
-        pass
+def _power_sums(ring: Ring, prefix: str, n: int) -> list[MultiPoly]:
+    """[p_0, .., p_n] of the alphabet whose e_k is the variable prefix<k>,
+    by Newton: p_k = sum_{i<k} (-1)^{i-1} e_i p_{k-i} + (-1)^{k-1} k e_k."""
+    es = [ring.one()] + [ring.var("%s%d" % (prefix, k)) for k in range(1, n + 1)]
+    ps = [ring.zero()]                  # p_0 is never read
+    for k in range(1, n + 1):
+        acc = (-1) ** (k - 1) * k * es[k]
+        for i in range(1, k):
+            acc = acc + (-1) ** (i - 1) * es[i] * ps[k - i]
+        ps.append(acc)
+    return ps
 
 
-def _cached(key: str, compute):
-    with _cache_lock:
-        _load_cache_locked()
-        got = _cache.get(key)
-    if got is not None:
-        return got
-    value = compute()
-    with _cache_lock:
-        _cache[key] = value
-        _save_cache_locked()
-    return value
-
-
-def clear_cache():
-    global _cache_loaded
-    with _cache_lock:
-        _cache.clear()
-        _cache_loaded = False
+def _elementary_from_power_sums(ps: list[MultiPoly]) -> MultiPoly:
+    """e_n from ps = [p_0, .., p_n] by n e_n = sum_i (-1)^{i-1} e_{n-i} p_i."""
+    es = [ps[0].ring.one()]
+    for k in range(1, len(ps)):
+        acc = ps[0].ring.zero()
+        for i in range(1, k + 1):
+            acc = acc + (-1) ** (i - 1) * es[k - i] * ps[i]
+        es.append(_exact_div(acc, k))
+    return es[-1]
 
 
 def _product_series(factors, ring: Ring, order: int) -> TruncSeries:
@@ -256,68 +236,75 @@ def _product_series(factors, ring: Ring, order: int) -> TruncSeries:
 def universal_P(n: int, m: int | None = None) -> MultiPoly:
     """P_n with prod_{i,j<=m}(1+t U_i V_j) = sum t^n P_n(sigma(U), sigma(V)).
 
-    Computed at arity m (default n) by double symmetric reduction, first in U
-    with V-polynomial coefficients, then in V.  Result lives in ring_P(n).
+    By default P_n = e_n(XY) comes from power sums, p_k(XY) = p_k(X) p_k(Y),
+    through Newton's identities.  Given an arity m >= n, it is instead the
+    expanded product reduced by Gauss's algorithm, first in U with
+    V-polynomial coefficients, then in V.  Result lives in ring_P(n).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ring_P(0).one()
-    mm = n if m is None else m
-    if mm < n:
-        raise ValueError("arity m=%d below n=%d does not determine P_n" % (mm, n))
-
-    def compute():
-        src = _join_rings(_family_ring("U", mm), _family_ring("V", mm))
-        vnames = ["V%d" % j for j in range(1, mm + 1)]
-        sig_v = [elementary(mm, k, src, vnames) for k in range(0, min(mm, n) + 1)]
-        factors = []
-        for i in range(1, mm + 1):
-            ui = src.var("U%d" % i)
-            coeffs = [sig_v[k] * ui ** k for k in range(len(sig_v))]
-            factors.append(TruncSeries(src, n, coeffs))
-        top = _product_series(factors, src, n)[n]
-        unames = ["U%d" % i for i in range(1, mm + 1)]
-        xu = symmetric_reduce(top, unames, ["X%d" % i for i in range(1, mm + 1)])
-        xy = symmetric_reduce(xu, ["V%d" % j for j in range(1, mm + 1)],
-                              ["Y%d" % j for j in range(1, mm + 1)])
-        return xy.rename(ring_P(n))
-
-    if m is not None and m != n:
-        return compute()
-    return _cached("P:%d" % n, compute)
+    if m is None:
+        def newton():
+            ring = ring_P(n)
+            px = _power_sums(ring, "X", n)
+            py = _power_sums(ring, "Y", n)
+            return _elementary_from_power_sums([a * b for a, b in zip(px, py)])
+        return _memoized("P:%d" % n, newton)
+    if m < n:
+        raise ValueError("arity m=%d below n=%d does not determine P_n" % (m, n))
+    src = _join_rings(_family_ring("U", m), _family_ring("V", m))
+    vnames = ["V%d" % j for j in range(1, m + 1)]
+    sig_v = [elementary(m, k, src, vnames) for k in range(0, n + 1)]
+    factors = []
+    for i in range(1, m + 1):
+        ui = src.var("U%d" % i)
+        coeffs = [sig_v[k] * ui ** k for k in range(len(sig_v))]
+        factors.append(TruncSeries(src, n, coeffs))
+    top = _product_series(factors, src, n)[n]
+    unames = ["U%d" % i for i in range(1, m + 1)]
+    xu = symmetric_reduce(top, unames, ["X%d" % i for i in range(1, m + 1)])
+    xy = symmetric_reduce(xu, vnames, ["Y%d" % j for j in range(1, m + 1)])
+    return xy.rename(ring_P(n))
 
 
 def universal_Q(i: int, j: int, m: int | None = None) -> MultiPoly:
     """Q_{i,j} with prod_{a1<..<aj<=m}(1+U_{a1}..U_{aj} t) = sum t^i Q_{i,j}.
 
-    Computed at arity m (default ij).  Result lives in ring_Q(ij).
+    By default Q_{i,j} = e_i(lambda^j X) comes from power sums,
+    p_k(lambda^j X) = e_j(X^k), with e_j(X^k) built by Newton's identities
+    from p_k, p_2k, .., p_jk of X.  Given an arity m >= ij, it is instead the
+    expanded product reduced by Gauss's algorithm.  Result lives in
+    ring_Q(ij).
     """
     if i < 0 or j < 1:
         raise ValueError("need i >= 0 and j >= 1")
     if i == 0:
         return ring_Q(i * j).one()
-    mm = i * j if m is None else m
-    if mm < i * j:
-        raise ValueError("arity m=%d below ij=%d" % (mm, i * j))
-
-    def compute():
-        from itertools import combinations
-        src = _family_ring("U", mm)
-        factors = []
-        for combo in combinations(range(1, mm + 1), j):
-            mono = src.one()
-            for a in combo:
-                mono = mono * src.var("U%d" % a)
-            factors.append(TruncSeries(src, i, [src.one(), mono]))
-        top = _product_series(factors, src, i)[i]
-        unames = ["U%d" % a for a in range(1, mm + 1)]
-        red = symmetric_reduce(top, unames, ["X%d" % a for a in range(1, mm + 1)])
-        return red.rename(ring_Q(i * j))
-
-    if m is not None and m != i * j:
-        return compute()
-    return _cached("Q:%d:%d" % (i, j), compute)
+    if m is None:
+        def newton():
+            ring = ring_Q(i * j)
+            px = _power_sums(ring, "X", i * j)
+            pl = [ring.zero()] + [
+                _elementary_from_power_sums(px[0:j * k + 1:k])
+                for k in range(1, i + 1)]
+            return _elementary_from_power_sums(pl)
+        return _memoized("Q:%d:%d" % (i, j), newton)
+    if m < i * j:
+        raise ValueError("arity m=%d below ij=%d" % (m, i * j))
+    from itertools import combinations
+    src = _family_ring("U", m)
+    factors = []
+    for combo in combinations(range(1, m + 1), j):
+        mono = src.one()
+        for a in combo:
+            mono = mono * src.var("U%d" % a)
+        factors.append(TruncSeries(src, i, [src.one(), mono]))
+    top = _product_series(factors, src, i)[i]
+    unames = ["U%d" % a for a in range(1, m + 1)]
+    red = symmetric_reduce(top, unames, ["X%d" % a for a in range(1, m + 1)])
+    return red.rename(ring_Q(i * j))
 
 
 def universal_R(n: int, method: str = "composed", m: int | None = None) -> MultiPoly:
@@ -370,7 +357,7 @@ def universal_R(n: int, method: str = "composed", m: int | None = None) -> Multi
     compute = compute_direct if method == "direct" else compute_composed
     if m is not None and m != n:
         return compute()
-    return _cached("R:%d:%s" % (n, method), compute)
+    return _memoized("R:%d:%s" % (n, method), compute)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gwadams
 from gwadams.polyring import Ring
 from gwadams import symfunc
 from gwadams.symfunc import (
-    SymmetryError, check_appendix_b, elementary, eval_P, expand_elementary,
-    ring_P, symmetric_reduce, symmetry_witness, universal_P, universal_Q,
-    universal_R,
+    SymmetryError, check_appendix_b, elementary, ell_args, eval_P,
+    expand_elementary, ring_P, rxy_closed, symmetric_reduce, symmetry_witness,
+    universal_P, universal_Q, universal_R,
 )
 
 U2 = Ring([("U1", False), ("U2", False)])
@@ -144,24 +148,65 @@ class TestAppendixB:
         assert entry.rhs == "x^2 + y^2 - 2"
 
 
-class TestCache:
-    def test_cache_file_roundtrip(self, tmp_path, monkeypatch):
-        path = tmp_path / "cache.json"
-        monkeypatch.setenv(symfunc.CACHE_ENV, str(path))
-        symfunc.clear_cache()
-        p3 = universal_P(3)
-        assert os.path.exists(path)
-        data1 = path.read_bytes()
-        symfunc.clear_cache()
-        assert universal_P(3) == p3
-        # recomputing with a warm file must not change the bytes
-        symfunc.clear_cache()
-        universal_P(3)
-        assert path.read_bytes() == data1
-        symfunc.clear_cache()
+def _fresh_process(code, cache_path):
+    """Run python code in a new process whose GWADAMS_CACHE names cache_path,
+    so no in-process state from other tests can hide a file being read."""
+    env = dict(os.environ, GWADAMS_CACHE=str(cache_path),
+               PYTHONPATH=os.path.dirname(os.path.dirname(gwadams.__file__)))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
 
-    def teardown_method(self):
-        symfunc.clear_cache()
+
+CLI = "from gwadams.cli import main; main(%r)"
+P3 = "X1^3*Y3 + X1*X2*Y1*Y2 + X3*Y1^3 - 3*X1*X2*Y3 - 3*X3*Y1*Y2 + 3*X3*Y3"
+
+
+class TestNoDiskCache:
+    """A file named by the former GWADAMS_CACHE variable affects nothing."""
+
+    def test_stale_cache_file_is_ignored(self, tmp_path):
+        wrong = 7 * ring_P(3).var("X3") * ring_P(3).var("Y3")
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"version": gwadams.__version__,
+                                    "entries": {"P:3": wrong.to_obj()}}))
+        assert universal_P(3).text() == P3
+        lib = _fresh_process("from gwadams.symfunc import universal_P; "
+                             "print(universal_P(3).text())", path)
+        assert (lib.returncode, lib.stdout) == (0, P3 + "\n")
+        cli = _fresh_process(CLI % ["universal", "P", "3"], path)
+        assert (cli.returncode, cli.stdout) == (0, P3 + "\n")
+
+    def test_non_json_file_left_untouched(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_bytes(b"not json \x00\xff")
+        cli = _fresh_process(CLI % ["universal", "P", "2"], path)
+        assert cli.returncode == 0
+        assert path.read_bytes() == b"not json \x00\xff"
+
+
+class TestNewtonRoute:
+    """The power-sum route against the Gauss expansion and closed forms."""
+
+    def test_p5_matches_expansion(self):
+        assert universal_P(5) == universal_P(5, m=5)
+
+    def test_q_matches_expansion(self):
+        for i, j in ((i, j) for i in range(1, 9) for j in range(1, 9)
+                     if i * j <= 8):
+            assert universal_Q(i, j) == universal_Q(i, j, m=i * j), (i, j)
+
+    def test_rxy_beyond_four(self):
+        R = Ring([("x", False), ("y", False)])
+        x, y = R.var("x"), R.var("y")
+        for n in range(5, 9):
+            got = eval_P(n, ell_args(x, n), ell_args(y, n), R)
+            assert got == rxy_closed(n, x, y) == R.zero(), n
+
+    def test_exact_div_raises_on_remainder(self):
+        p = 6 * U2.var("U1") + 3 * U2.var("U2")
+        assert symfunc._exact_div(p, 3) == 2 * U2.var("U1") + U2.var("U2")
+        with pytest.raises(ArithmeticError):
+            symfunc._exact_div(p, 2)
 
 
 class TestSeriesGroupBattery:
