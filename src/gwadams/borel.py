@@ -12,6 +12,7 @@ cross-checked against the lambda-engine by the report batteries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
 
 from . import gwring, symfunc
@@ -159,9 +160,10 @@ def _triple_ring() -> Ring:
     return context_ring(GW, _TRIPLE_GENS)
 
 
-def orbit_sum(ring: Ring, names, exps) -> MultiPoly:
+def orbit_sum(ring: Ring, names, *exps) -> MultiPoly:
     """Sum of the distinct monomials in the permutation orbit of the
-    exponent pattern."""
+    exponent pattern, padded with zeros to one exponent per name."""
+    exps = exps + (0,) * (len(names) - len(exps))
     out = ring.zero()
     for perm in sorted(set(permutations(exps))):
         out = out + ring.monomial(1, dict(zip(names, perm)))
@@ -216,10 +218,7 @@ def _explicit_triple_displays() -> dict:
     """The closed forms of lambda^i(u1*u2*u3), i = 1..4."""
     ring = _triple_ring()
     g = ring.var("gamma")
-
-    def S(*exps):
-        return orbit_sum(ring, _TRIPLE_GENS, tuple(exps) + (0,) * (3 - len(exps)))
-
+    S = partial(orbit_sum, ring, _TRIPLE_GENS)
     disp = {
         1: S(1, 1, 1),
         2: S(2, 2) * g - 2 * S(2) * g ** 2 + 4 * g ** 3,
@@ -227,6 +226,23 @@ def _explicit_triple_displays() -> dict:
         4: S(4) * g ** 4 + S(2, 2, 2) * g ** 3 - 4 * S(2) * g ** 5 + 6 * g ** 6,
     }
     return {i: SymClass(p, GW, _TRIPLE_GENS) for i, p in disp.items()}
+
+
+def _borel_from_lambda(lam, gens: tuple) -> dict:
+    """b_1..b_4 of a rank-8 class from lam[1..4] = its lambda^1..lambda^4:
+    the displayed combinations equal to sigma_i(e_j - tau) for a sum of four
+    rank-2 classes e_j."""
+    tau, gamma, eps = (SymClass.gen(v, GW, gens)
+                       for v in ("tau", "gamma", "eps"))
+    e = lam[1]
+    return {
+        1: e - 4 * tau,
+        2: lam[2] - 3 * tau * e + 4 * (2 - 3 * eps) * gamma,
+        3: (lam[3] - 2 * tau * lam[2] + 3 * (1 - 2 * eps) * gamma * e
+            - 8 * tau * gamma),
+        4: (lam[4] - tau * lam[3] - 2 * eps * gamma * lam[2]
+            - tau * gamma * e + 2 * gamma ** 2),
+    }
 
 
 def check_borel_prop() -> VerificationReport:
@@ -280,24 +296,9 @@ def check_borel_prop() -> VerificationReport:
     # Borel classes of the sum: sigma_i(e_j - tau) against the displayed
     # combinations of lambda^k, once with the closed lambda values and
     # once with the engine's
-    tau = SymClass(ring4.var("tau"), GW, gens4)
-    gamma = SymClass(g, GW, gens4)
-    eps = SymClass(ring4.var("eps"), GW, gens4)
-
-    def borel_combo(lam):
-        e = lam[1]
-        return {
-            1: e - 4 * tau,
-            2: lam[2] - 3 * tau * e + 4 * (2 - 3 * eps) * gamma,
-            3: (lam[3] - 2 * tau * lam[2] + 3 * (1 - 2 * eps) * gamma * e
-                - 8 * tau * gamma),
-            4: (lam[4] - tau * lam[3] - 2 * eps * gamma * lam[2]
-                - tau * gamma * e + 2 * gamma ** 2),
-        }
-
     closed_sc = {i: SymClass(lam_closed[i], GW, gens4) for i in range(1, 5)}
-    from_closed = borel_combo(closed_sc)
-    from_engine = borel_combo({i: lam_engine[i] for i in range(1, 5)})
+    from_closed = _borel_from_lambda(closed_sc, gens4)
+    from_engine = _borel_from_lambda(lam_engine, gens4)
     for i in range(1, 5):
         got = borel_sum_classes(4, i)
         rep.add(check("borel", (i,), got == from_closed[i],
@@ -432,21 +433,9 @@ def borel_triple_classes() -> dict:
     """b_i of the rank-8 class gamma^{-1} u1 u2 u3, i = 1..4, before the
     substitution u_j = v_j + tau."""
     ring = _triple_ring()
-    gens = _TRIPLE_GENS
     e = SymClass(ring.var("gamma", -1) * ring.var("u1") * ring.var("u2")
-                 * ring.var("u3"), GW, gens)
-    lam = lambda_series(e, 4)
-    tau = SymClass(ring.var("tau"), GW, gens)
-    gamma = SymClass(ring.var("gamma"), GW, gens)
-    eps = SymClass(ring.var("eps"), GW, gens)
-    return {
-        1: e - 4 * tau,
-        2: lam[2] - 3 * tau * e + 4 * (2 - 3 * eps) * gamma,
-        3: (lam[3] - 2 * tau * lam[2] + 3 * (1 - 2 * eps) * gamma * e
-            - 8 * tau * gamma),
-        4: (lam[4] - tau * lam[3] - 2 * eps * gamma * lam[2]
-            - tau * gamma * e + 2 * gamma ** 2),
-    }
+                 * ring.var("u3"), GW, _TRIPLE_GENS)
+    return _borel_from_lambda(lambda_series(e, 4), _TRIPLE_GENS)
 
 
 def _gw_laws() -> list:
@@ -483,11 +472,7 @@ def _expected_b_u() -> dict:
     tau = ring.var("tau")
     eps = ring.var("eps")
     one = ring.one()
-
-    def S(*exps):
-        return orbit_sum(ring, _TRIPLE_GENS,
-                         tuple(exps) + (0,) * (3 - len(exps)))
-
+    S = partial(orbit_sum, ring, _TRIPLE_GENS)
     disp = {
         1: g1 * S(1, 1, 1) - 4 * tau,
         2: (g1 * S(2, 2) - 2 * S(2) - 3 * tau * g1 * S(1, 1, 1)
@@ -512,11 +497,7 @@ def expected_laws(theory: str = "gw") -> dict:
         tau = ring.var("tau")
         eps = ring.var("eps")
         one = ring.one()
-
-        def S(*exps):
-            return orbit_sum(ring, _LAW_GENS,
-                             tuple(exps) + (0,) * (3 - len(exps)))
-
+        S = partial(orbit_sum, ring, _LAW_GENS)
         disp = {
             1: 2 * (one - eps) * S(1) + tau * g1 * S(1, 1) + g1 * S(1, 1, 1),
             2: (2 * (one - 2 * eps) * S(2) + 2 * (one - eps) * S(1, 1)
@@ -536,11 +517,7 @@ def expected_laws(theory: str = "gw") -> dict:
         ring = context_ring(KTH, _LAW_GENS)
         b2 = ring.var("beta", -2)
         b4 = ring.var("beta", -4)
-
-        def S(*exps):
-            return orbit_sum(ring, _LAW_GENS,
-                             tuple(exps) + (0,) * (3 - len(exps)))
-
+        S = partial(orbit_sum, ring, _LAW_GENS)
         disp = {
             1: 4 * S(1) + 2 * b2 * S(1, 1) + b4 * S(1, 1, 1),
             2: (6 * S(2) + 4 * S(1, 1) + 4 * b2 * S(2, 1)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
+from math import comb, prod
 
 from .report import VerificationReport, check
 
@@ -269,15 +269,10 @@ def check_congruence(B, f: GramForm, g: GramForm) -> bool:
 # ---------------------------------------------------------------------------
 # invariants over Q
 
-def squarefree(a) -> int:
-    """Signed squarefree representative of the square class of a."""
-    a = _frac(a)
-    n = a.numerator * a.denominator
-    if n == 0:
-        raise ValueError("zero has no square class")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
+def _odd_primes(n: int) -> list:
+    """The primes dividing the positive integer n to an odd power, ascending
+    (trial division)."""
+    out = []
     d = 2
     while d * d <= n:
         e = 0
@@ -285,9 +280,20 @@ def squarefree(a) -> int:
             n //= d
             e += 1
         if e % 2:
-            out *= d
+            out.append(d)
         d += 1 if d == 2 else 2
-    return sign * out * n
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def squarefree(a) -> int:
+    """Signed squarefree representative of the square class of a."""
+    a = _frac(a)
+    n = a.numerator * a.denominator
+    if n == 0:
+        raise ValueError("zero has no square class")
+    return (-1 if n < 0 else 1) * prod(_odd_primes(abs(n)))
 
 
 def _legendre(u: int, p: int) -> int:
@@ -393,23 +399,19 @@ def _place_key(p):
 def invariants(f: GramForm) -> GWQInvariants:
     if f.sym != 1:
         raise TypeError("invariants require a symmetric form")
-    diag = [squarefree(d) for d in _diagonalize(f)]
-    signature = sum(1 if d > 0 else -1 for d in diag)
-    disc = squarefree(f.det()) if f.rank else 1
-    places = {2, "inf"}
-    for d in diag:
-        m = abs(d)
-        while m % 2 == 0:
-            m //= 2
-        q = 3
-        while q * q <= m:
-            if m % q == 0:
-                places.add(q)
-                while m % q == 0:
-                    m //= q
-            q += 2
-        if m > 1:
-            places.add(m)
+    # each pivot is factored once; the diagonalization is a congruence by a
+    # matrix of determinant +-1, so det(f) is the product of the pivots and
+    # its square class comes from theirs
+    pivots = _diagonalize(f)
+    signs = [1 if d > 0 else -1 for d in pivots]
+    primes = [_odd_primes(abs(d.numerator * d.denominator)) for d in pivots]
+    diag = [s * prod(ps) for s, ps in zip(signs, primes)]
+    signature = sum(signs)
+    odd = set()
+    for ps in primes:
+        odd.symmetric_difference_update(ps)
+    disc = prod(signs) * prod(odd)
+    places = {2, "inf"}.union(*primes)
     hasse = []
     for v in sorted(places, key=_place_key):
         s = 1

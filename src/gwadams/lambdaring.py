@@ -1,13 +1,16 @@
 """Lambda-operation engine over the coefficient ring extended by rank-2
 symplectic generators u_1..u_k.
 
-The lambda-series of a sum is the product of the series; a rank-2 generator
-u (and likewise tau) has series 1 + u*t + det*t^2; products of rank-2
+The lambda-series of a class is a polyring.TruncSeries over its context
+ring, with every coefficient put in normal form once per series product.
+The series of a sum is the product of the series; a rank-2 generator u
+(and likewise tau) has series 1 + u*t + det*t^2; products of rank-2
 primitives are folded in through the universal product identity, expanding
-prod_i(1 + U_i*y*t + U_i^2*det*t^2) and substituting sigma_k(U) by the
-already-known lambda^k of the other factor; line factors (the class <-1>
-and powers of the periodicity unit) act coefficientwise.  Adams operations
-come out of the Newton recursion.
+prod_i(1 + U_i*y*t + U_i^2*det*t^2) and reducing it by symfunc's Gauss
+algorithm before substituting sigma_k(U) by the already-known lambda^k of
+the other factor; line factors (the class <-1> and powers of the
+periodicity unit) act coefficientwise.  Adams operations are the power
+sums of the lambda-series, from symfunc.power_sums (Newton's identities).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 from . import gwring, symfunc
 from .gwring import GWElem
-from .polyring import GradingError, MultiPoly, Ring, grlex_key
+from .polyring import GradingError, MultiPoly, Ring, TruncSeries, grlex_key
 from .report import MISMATCH, PASS, ReportEntry, VerificationReport, check
 
 
@@ -45,8 +48,17 @@ WITT = Theory("witt", (("gamma", True),), {"gamma": 4},
 THEORIES = {t.name: t for t in (GW, KTH, WITT)}
 
 
+_RINGS: dict[tuple, Ring] = {}
+
+
 def context_ring(theory: Theory, gens: tuple) -> Ring:
-    return Ring(list(theory.base) + [(g, False) for g in gens])
+    """theory.base_ring()[gens], one shared instance per context."""
+    key = (theory.name, tuple(gens))
+    ring = _RINGS.get(key)
+    if ring is None:
+        ring = _RINGS[key] = Ring(list(theory.base)
+                                  + [(g, False) for g in gens])
+    return ring
 
 
 class SymClass:
@@ -225,13 +237,26 @@ class SymClass:
 
     @staticmethod
     def from_obj(obj: dict) -> "SymClass":
+        if not isinstance(obj, dict):
+            raise ValueError("a class document must be a JSON object")
         theory = THEORIES[obj.get("theory", "gw")]
-        gens = tuple(obj.get("gens", ()))
+        gens = obj.get("gens", [])
+        if (not isinstance(gens, list)
+                or not all(isinstance(g, str) for g in gens)):
+            raise ValueError("gens must be a list of names")
+        gens = tuple(gens)
         quotient = bool(obj.get("quotient", False))
         ring = context_ring(theory, gens)
         total = ring.zero()
+        if not isinstance(obj["components"], list):
+            raise ValueError("components must be a list")
         for comp in obj["components"]:
+            if not isinstance(comp, dict):
+                raise ValueError("each component must be a JSON object")
             ue = comp.get("u_exps", [0] * len(gens))
+            if (not isinstance(ue, list) or len(ue) != len(gens)
+                    or not all(type(e) is int for e in ue)):
+                raise ValueError("u_exps must list one integer per generator")
             umono = ring.monomial(1, dict(zip(gens, ue)))
             if theory.name == "gw":
                 base = GWElem.from_obj({"components": [comp]})
@@ -275,153 +300,68 @@ def _quotient_rewrite(poly: MultiPoly, gens: tuple) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# series helpers over SymClass coefficient lists
+# lambda-series
 
-def _series_one(ctx: SymClass, N: int) -> list:
-    one = SymClass.const(1, ctx.theory, ctx.gens, ctx.quotient)
-    zero = SymClass.const(0, ctx.theory, ctx.gens, ctx.quotient)
-    return [one] + [zero] * N
-
-
-def _series_mul(f: list, g: list, N: int) -> list:
-    out = []
-    for k in range(N + 1):
-        acc = None
-        for i in range(k + 1):
-            term = f[i] * g[k - i]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+def _normal(s: TruncSeries, ctx: SymClass) -> TruncSeries:
+    """s with every coefficient in the normal form of ctx's context."""
+    return TruncSeries(s.ring, s.order, [ctx._lift(c).poly for c in s.coeffs])
 
 
-def _series_inverse(f: list, N: int) -> list:
-    if f[0] != 1:
-        raise ValueError("series inverse needs constant term 1")
-    inv = [f[0]]
-    for k in range(1, N + 1):
-        acc = None
-        for i in range(1, k + 1):
-            term = f[i] * inv[k - i]
-            acc = term if acc is None else acc + term
-        inv.append(-acc)
-    return inv
-
-
-def _series_pow(f: list, c: int, N: int) -> list:
-    base = f if c >= 0 else _series_inverse(f, N)
-    c = abs(c)
-    result = None
-    while c:
-        if c & 1:
-            result = base if result is None else _series_mul(result, base, N)
-        c >>= 1
-        if c:
-            base = _series_mul(base, base, N)
-    if result is None:
-        zero_ctx = f[0]
-        result = _series_one(zero_ctx, N)
-    return result
-
-
-def _det_class(ctx: SymClass) -> SymClass:
-    t = ctx.theory
-    ring = context_ring(t, ctx.gens)
-    return SymClass(ring.var(t.twist, t.det_power), t, ctx.gens, ctx.quotient)
-
-
-def _rank2_series(prim: SymClass, N: int) -> list:
-    s = _series_one(prim, N)
-    if N >= 1:
-        s[1] = prim
-    if N >= 2:
-        s[2] = _det_class(prim)
-    return s
-
-
-def _fold_rank2(series: list, prim_name: str, ctx: SymClass, N: int,
-                rank_bound: int | None = None) -> list:
+def _fold_rank2(series: TruncSeries, prim_name: str, ctx: SymClass,
+                rank_bound: int) -> TruncSeries:
     """Lambda-series of x*y from the series of x, for y a rank-2 primitive
     (a generator or tau) with determinant class twist**det_power.
 
-    rank_bound may be passed when lambda^j(x) is known to vanish for
-    j > rank_bound (true for genuine classes of that rank); the expansion
-    then only needs that many symmetric roots, which keeps high truncation
-    orders cheap."""
-    theory, gens = ctx.theory, ctx.gens
-    base = context_ring(theory, gens)
-    M = max(N, 1) if rank_bound is None else max(1, min(N, rank_bound))
+    lambda^j(x) must vanish for j > rank_bound (true for genuine classes
+    of that rank); the expansion then only needs that many symmetric
+    roots, which keeps high truncation orders cheap."""
+    theory, base, N = ctx.theory, series.ring, series.order
+    M = max(1, min(N, rank_bound))
     unames = ["UF%d" % i for i in range(1, M + 1)]
-    ext = Ring([(n, l) for n, l in zip(base.names, base.laurent)]
+    targets = ["XF%d" % i for i in range(1, M + 1)]
+    ext = Ring(list(zip(base.names, base.laurent))
                + [(u, False) for u in unames])
     y = ext.var(prim_name)
     det = ext.var(theory.twist, theory.det_power)
-    from .polyring import TruncSeries
     prod = TruncSeries.one(ext, N)
     for u in unames:
         uv = ext.var(u)
         prod = prod * TruncSeries(ext, N, [ext.one(), uv * y, uv * uv * det])
-    out = []
-    targets = ["XF%d" % i for i in range(1, M + 1)]
-    for k in range(N + 1):
-        red = symfunc.symmetric_reduce(prod[k], unames, targets)
-        bind = {targets[j - 1]: series[j].poly for j in range(1, M + 1)
-                if j <= N}
-        for j in range(N + 1, M + 1):
-            bind[targets[j - 1]] = base.zero()
-        val = red.substitute(bind, base)
-        out.append(SymClass(val, theory, gens, ctx.quotient))
-    return out
+    lam = TruncSeries(base, M, series.coeffs)   # zero-padded when N < M
+    bind = {t: lam[j] for j, t in enumerate(targets, 1)}
+    out = [symfunc.symmetric_reduce(prod[k], unames, targets)
+           .substitute(bind, base) for k in range(N + 1)]
+    return _normal(TruncSeries(base, N, out), ctx)
 
 
 def lambda_series(x: SymClass, N: int) -> list:
     """[lambda^0(x), ..., lambda^N(x)], exact."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    theory = x.theory
-    ring = x.poly.ring
-    it_twist = ring.index(theory.twist)
-    ie = ring.index("eps") if theory.name == "gw" else None
-    itau = ring.index("tau") if theory.name == "gw" else None
-    gidx = [(g, ring.index(g)) for g in x.gens]
-    twist_cache: dict[int, SymClass] = {}
-
-    def twist_power(k: int) -> SymClass:
-        got = twist_cache.get(k)
-        if got is None:
-            got = twist_cache[k] = SymClass(
-                ring.var(theory.twist, k), theory, x.gens, x.quotient)
-        return got
-
-    minus_eps = None
-    if theory.name == "gw":
-        minus_eps = SymClass(-ring.var("eps"), theory, x.gens, x.quotient)
-
-    result = _series_one(x, N)
+    theory, ring = x.theory, x.poly.ring
+    gw = theory.name == "gw"
+    one = ring.one()
+    result = TruncSeries.one(ring, N)
     for exps, c in sorted(x.poly.terms.items(), key=lambda kv: grlex_key(kv[0])):
-        d = exps[it_twist]
-        a = exps[ie] if ie is not None else 0
-        b = exps[itau] if itau is not None else 0
-        prims = ["tau"] * b + [g for g, i in gidx for _ in range(exps[i])]
+        prims = (["tau"] * exps[ring.index("tau")] if gw else []) + [
+            g for g in x.gens for _ in range(exps[ring.index(g)])]
         if prims:
-            s = _rank2_series(SymClass.gen(prims[0], theory, x.gens, x.quotient), N)
-            folded = 1
-            for p in prims[1:]:
-                s = _fold_rank2(s, p, x, N, rank_bound=2 ** folded)
-                folded += 1
+            det = ring.var(theory.twist, theory.det_power)
+            s = TruncSeries(ring, N, [one, ring.var(prims[0]), det])
+            for folded, p in enumerate(prims[1:], 1):
+                s = _fold_rank2(s, p, x, rank_bound=2 ** folded)
         else:
-            s = _series_one(x, N)
-            if N >= 1:
-                s[1] = SymClass.const(1, theory, x.gens, x.quotient)
-        mult = c
-        if a:
-            # eps * rho = -(<-1> * rho); <-1> is a line, so it scales
-            # lambda^n by <-1>^n = (-eps)^n
-            mult = -mult
-            s = [s[n] * minus_eps ** n for n in range(N + 1)]
-        if d:
-            s = [s[n] * twist_power(d * n) for n in range(N + 1)]
-        result = _series_mul(result, _series_pow(s, mult, N), N)
-    return result
+            s = TruncSeries(ring, N, [one, one])
+        # twist powers and <-1> = -eps are lines: they scale lambda^n by
+        # their n-th power, and eps * rho = -(<-1> * rho)
+        unit = ring.var(theory.twist, exps[ring.index(theory.twist)])
+        if gw and exps[ring.index("eps")]:
+            unit, c = -ring.var("eps") * unit, -c
+        if unit != one:
+            s = TruncSeries(ring, N, [a * unit ** n
+                                      for n, a in enumerate(s.coeffs)])
+        result = _normal(result * _normal(s ** c, x), x)
+    return [x._lift(a) for a in result.coeffs]
 
 
 def lambda_op(n: int, x: SymClass) -> SymClass:
@@ -444,24 +384,15 @@ def _assert_degree_law(x: SymClass, out: SymClass, n: int):
 
 
 def adams(n: int, x: SymClass) -> SymClass:
-    """psi^n via the Newton recursion from lambda^1..lambda^n."""
+    """psi^n: the n-th power sum of the lambda-series (Newton's identities)."""
     if n < 0:
         return adams_negative(n, x)
     if not x.is_homogeneous():
         raise GradingError("adams requires homogeneous input: %s" % x)
     if n == 0:
         return SymClass.const(x.rank(), x.theory, x.gens, x.quotient)
-    lam = lambda_series(x, n)
-    psi = [None] * (n + 1)
-    psi[1] = x
-    for k in range(2, n + 1):
-        acc = (-1) ** (k - 1) * k * lam[k]
-        for i in range(1, k):
-            acc = acc + (-1) ** (i - 1) * (lam[i] * psi[k - i])
-        psi[k] = acc
-    out = psi[n]
-    dx = x.degree()
-    if not out.is_zero() and out.degree() != n * dx:
+    out = symfunc.power_sums(lambda_series(x, n))[n]
+    if not out.is_zero() and out.degree() != n * x.degree():
         raise GradingError("psi^%d broke the grading" % n)
     return out
 
@@ -477,10 +408,6 @@ def adams_negative(n: int, x: SymClass) -> SymClass:
     if x.degree() % 4 == 2:
         return -pos
     return pos
-
-
-def rank_op(x: SymClass) -> SymClass:
-    return SymClass.const(x.rank(), x.theory, x.gens, x.quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -592,19 +519,6 @@ def check_adams_hyperbolic(n_max: int = 5, i_values=(0, 1, 2),
 # ---------------------------------------------------------------------------
 # axiom battery
 
-def _eval_universal(poly: MultiPoly, bind: dict, ctx: SymClass) -> SymClass:
-    """Evaluate a universal polynomial with SymClass arguments."""
-    base = context_ring(ctx.theory, ctx.gens)
-    pbind = {}
-    for name in poly.ring.names:
-        if name in bind:
-            pbind[name] = bind[name].poly
-        else:
-            pbind[name] = base.zero()
-    return SymClass(poly.substitute(pbind, base), ctx.theory, ctx.gens,
-                    ctx.quotient)
-
-
 def l1_samples() -> dict:
     gens = ("u1", "u2")
     u1 = SymClass.gen("u1", gens=gens)
@@ -639,9 +553,10 @@ def check_lambda_axioms(l1_max: int = 6, l2_max: int = 8,
             for n in range(1, l1_max + 1):
                 bind = {}
                 for k in range(1, n + 1):
-                    bind["X%d" % k] = lx[k]
-                    bind["Y%d" % k] = ly[k]
-                rhs = _eval_universal(symfunc.universal_P(n), bind, x)
+                    bind["X%d" % k] = lx[k].poly
+                    bind["Y%d" % k] = ly[k].poly
+                rhs = x._lift(symfunc.evaluate(symfunc.universal_P(n), bind,
+                                               x.poly.ring))
                 rep.add(check("L1", (n, xn, yn), lxy[n] == rhs,
                               lxy[n].text(), rhs.text()))
 
@@ -651,8 +566,9 @@ def check_lambda_axioms(l1_max: int = 6, l2_max: int = 8,
         for j in range(1, l2_max + 1):
             for i in range(1, l2_max // j + 1):
                 lhs = lambda_op(i, lz[j])
-                bind = {"X%d" % k: lz[k] for k in range(1, i * j + 1)}
-                rhs = _eval_universal(symfunc.universal_Q(i, j), bind, z)
+                bind = {"X%d" % k: lz[k].poly for k in range(1, i * j + 1)}
+                rhs = z._lift(symfunc.evaluate(symfunc.universal_Q(i, j), bind,
+                                               z.poly.ring))
                 rep.add(check("L2", (i, j, zn), lhs == rhs,
                               lhs.text(), rhs.text()))
 

@@ -543,11 +543,3 @@ class TruncSeries:
     def __repr__(self):
         return "TruncSeries([%s]; O(t^%d))" % (
             ", ".join(str(c) for c in self.coeffs), self.order + 1)
-
-
-def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f * g
-
-
-def series_inverse(f: TruncSeries) -> TruncSeries:
-    return f.inverse()

@@ -202,17 +202,24 @@ def _exact_div(p: MultiPoly, k: int) -> MultiPoly:
     return MultiPoly(p.ring, out)
 
 
-def _power_sums(ring: Ring, prefix: str, n: int) -> list[MultiPoly]:
-    """[p_0, .., p_n] of the alphabet whose e_k is the variable prefix<k>,
-    by Newton: p_k = sum_{i<k} (-1)^{i-1} e_i p_{k-i} + (-1)^{k-1} k e_k."""
-    es = [ring.one()] + [ring.var("%s%d" % (prefix, k)) for k in range(1, n + 1)]
-    ps = [ring.zero()]                  # p_0 is never read
-    for k in range(1, n + 1):
+def power_sums(es: list) -> list:
+    """[p_0, .., p_n] from es = [1, e_1, .., e_n], elements of any commutative
+    ring, by Newton: p_k = sum_{i<k} (-1)^{i-1} e_i p_{k-i} + (-1)^{k-1} k e_k.
+    p_0 is never read and is returned as 0."""
+    ps = [0 * es[0]]
+    for k in range(1, len(es)):
         acc = (-1) ** (k - 1) * k * es[k]
         for i in range(1, k):
-            acc = acc + (-1) ** (i - 1) * es[i] * ps[k - i]
+            term = es[i] * ps[k - i]
+            acc = acc + term if i % 2 else acc - term
         ps.append(acc)
     return ps
+
+
+def _alphabet(ring: Ring, prefix: str, n: int) -> list[MultiPoly]:
+    """[1, prefix1, .., prefix<n>]: the e_k of a generic alphabet."""
+    return [ring.one()] + [ring.var("%s%d" % (prefix, k))
+                           for k in range(1, n + 1)]
 
 
 def _elementary_from_power_sums(ps: list[MultiPoly]) -> MultiPoly:
@@ -248,8 +255,8 @@ def universal_P(n: int, m: int | None = None) -> MultiPoly:
     if m is None:
         def newton():
             ring = ring_P(n)
-            px = _power_sums(ring, "X", n)
-            py = _power_sums(ring, "Y", n)
+            px = power_sums(_alphabet(ring, "X", n))
+            py = power_sums(_alphabet(ring, "Y", n))
             return _elementary_from_power_sums([a * b for a, b in zip(px, py)])
         return _memoized("P:%d" % n, newton)
     if m < n:
@@ -285,7 +292,7 @@ def universal_Q(i: int, j: int, m: int | None = None) -> MultiPoly:
     if m is None:
         def newton():
             ring = ring_Q(i * j)
-            px = _power_sums(ring, "X", i * j)
+            px = power_sums(_alphabet(ring, "X", i * j))
             pl = [ring.zero()] + [
                 _elementary_from_power_sums(px[0:j * k + 1:k])
                 for k in range(1, i + 1)]

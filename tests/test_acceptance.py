@@ -4,6 +4,7 @@ Each test asserts the full contract for its guarantee, so `pytest -v` on
 this file reads as a one-line pass/fail checklist.
 """
 
+import hashlib
 import time
 
 from click.testing import CliRunner
@@ -112,3 +113,5 @@ def test_criterion_9_end_to_end_verify_all():
     assert elapsed < 120
     second = runner.invoke(main, ["verify", "all"])
     assert second.output == first.output
+    assert hashlib.sha256(first.output.encode()).hexdigest() == (
+        "3d034ef28e340c336f47eb0f9defc3481657589e613f613abfb94c3b617c6e8b")

@@ -89,6 +89,13 @@ class TestAdams:
 
     def test_parse_error(self, runner):
         assert run(runner, "adams", "2", "--target", "{broken").exit_code == 2
+        # valid JSON that is not a class document
+        for doc in ('[]', '"abc"', '{"gens":["u"],"components":[5]}',
+                    '{"components":{}}', '{"gens":"u","components":[]}',
+                    '{"gens":["u"],"components":[{"a":[1],"u_exps":[1,2]}]}'):
+            r = run(runner, "adams", "2", "--target", doc)
+            assert r.exit_code == 2, doc
+            assert "cannot parse target" in r.output
 
 
 class TestTernary:
