@@ -3,13 +3,14 @@ verification suites.
 
 Exit codes: 0 all checks pass (documented mismatches allowed), 1 at least
 one failure, 2 usage or parse error.  Stdout is deterministic for a fixed
-invocation; timestamps appear only in --json report files and are
-suppressed by --no-timestamp.
+invocation; the timestamp and the per-suite elapsed_s times appear only in
+--json report files and are suppressed by --no-timestamp.
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 import click
 
@@ -284,17 +285,20 @@ SUITE_ORDER = list(SUITES) + ["all"]
 @click.option("--json", "json_path", type=click.Path(dir_okay=False),
               default=None, help="Also write the report as JSON.")
 @click.option("--no-timestamp", is_flag=True,
-              help="Omit the timestamp from the JSON report.")
+              help="Omit the timestamp and elapsed times from the JSON report.")
 def cmd_verify(suite, json_path, no_timestamp):
     """Run a verification suite and report pass/fail per identity."""
-    if suite == "all":
-        rep = merge("all", [run() for run in SUITES.values()])
-    else:
-        rep = SUITES[suite]()
+    names = list(SUITES) if suite == "all" else [suite]
+    reports, elapsed = [], {}
+    for name in names:
+        start = time.perf_counter()
+        reports.append(SUITES[name]())
+        elapsed[name] = round(time.perf_counter() - start, 6)
+    rep = merge("all", reports) if suite == "all" else reports[0]
     click.echo(rep.render_text(), nl=False)
     if json_path is not None:
         if not no_timestamp:
-            rep.stamp()
+            rep.stamp(elapsed)
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(rep.to_json())
     if not rep.ok:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .polyring import GradingError, MultiPoly, Ring
+from .polyring import GradingError, MultiPoly, Ring, read_int
 from .report import VerificationReport, check
 
 COEFF_VARS = [("eps", False), ("tau", False), ("gamma", True)]
@@ -231,12 +231,13 @@ class GWElem:
     def from_obj(obj: dict) -> "GWElem":
         poly = COEFF_RING.zero()
         for comp in obj["components"]:
-            gmin = int(comp.get("gmin", 0))
+            gmin = read_int(comp.get("gmin", 0), "gmin")
             for key, (ea, eb) in (("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1))):
                 for k, coeff in enumerate(comp.get(key, [])):
+                    coeff = read_int(coeff, "a coefficient")
                     if coeff:
                         poly = poly + MultiPoly(
-                            COEFF_RING, {(ea, eb, gmin + k): int(coeff)})
+                            COEFF_RING, {(ea, eb, gmin + k): coeff})
         return GWElem(poly)
 
     @staticmethod

@@ -9,8 +9,13 @@ primitives are folded in through the universal product identity, expanding
 prod_i(1 + U_i*y*t + U_i^2*det*t^2) and reducing it by symfunc's Gauss
 algorithm before substituting sigma_k(U) by the already-known lambda^k of
 the other factor; line factors (the class <-1> and powers of the
-periodicity unit) act coefficientwise.  Adams operations are the power
-sums of the lambda-series, from symfunc.power_sums (Newton's identities).
+periodicity unit) act coefficientwise.
+
+Adams operations do not go through the lambda-series.  In a special
+lambda-ring each psi^k is a ring endomorphism, so psi^k(x) is x with every
+generator replaced by its image: psi^k(twist) = twist^k, psi^k(eps) =
+-(-eps)^k, and for tau and each u_i the k-th power sum of the two roots of
+1 + y*t + det*t^2.
 """
 
 from __future__ import annotations
@@ -33,13 +38,17 @@ class Theory:
     det_power: int      # lambda^2 of a rank-2 generator is twist**det_power
     rank_subs: dict
     normalizes: bool    # whether the gwring rewrite system applies
+    line: str | None = None   # base variable that is -(a line class): eps
+    rank2: tuple = ()         # base variables of rank 2 with determinant
+                              # twist**det_power: tau
 
     def base_ring(self) -> Ring:
         return Ring(self.base)
 
 
 GW = Theory("gw", tuple(gwring.COEFF_VARS), dict(gwring.WEIGHTS),
-            "gamma", 1, {"eps": -1, "tau": 2, "gamma": 1}, True)
+            "gamma", 1, {"eps": -1, "tau": 2, "gamma": 1}, True,
+            line="eps", rank2=("tau",))
 KTH = Theory("k", (("beta", True),), {"beta": 1},
              "beta", 4, {"beta": 1}, False)
 WITT = Theory("witt", (("gamma", True),), {"gamma": 4},
@@ -339,12 +348,11 @@ def lambda_series(x: SymClass, N: int) -> list:
     if N < 0:
         raise ValueError("N must be >= 0")
     theory, ring = x.theory, x.poly.ring
-    gw = theory.name == "gw"
     one = ring.one()
     result = TruncSeries.one(ring, N)
     for exps, c in sorted(x.poly.terms.items(), key=lambda kv: grlex_key(kv[0])):
-        prims = (["tau"] * exps[ring.index("tau")] if gw else []) + [
-            g for g in x.gens for _ in range(exps[ring.index(g)])]
+        prims = [g for g in theory.rank2 + x.gens
+                 for _ in range(exps[ring.index(g)])]
         if prims:
             det = ring.var(theory.twist, theory.det_power)
             s = TruncSeries(ring, N, [one, ring.var(prims[0]), det])
@@ -355,8 +363,8 @@ def lambda_series(x: SymClass, N: int) -> list:
         # twist powers and <-1> = -eps are lines: they scale lambda^n by
         # their n-th power, and eps * rho = -(<-1> * rho)
         unit = ring.var(theory.twist, exps[ring.index(theory.twist)])
-        if gw and exps[ring.index("eps")]:
-            unit, c = -ring.var("eps") * unit, -c
+        if theory.line and exps[ring.index(theory.line)]:
+            unit, c = -ring.var(theory.line) * unit, -c
         if unit != one:
             s = TruncSeries(ring, N, [a * unit ** n
                                       for n, a in enumerate(s.coeffs)])
@@ -383,15 +391,36 @@ def _assert_degree_law(x: SymClass, out: SymClass, n: int):
                 "degree %s" % (n, dx, dout))
 
 
+def _adams_images(k: int, x: SymClass) -> dict:
+    """psi^k of the twist and of every other variable occurring in x, in
+    normal form."""
+    theory, ring = x.theory, x.poly.ring
+    used = {n for i, n in enumerate(ring.names)
+            if any(e[i] for e in x.poly.terms)}
+    det = ring.var(theory.twist, theory.det_power)
+    images = {theory.twist: ring.var(theory.twist, k)}
+    if theory.line in used:
+        images[theory.line] = -((-ring.var(theory.line)) ** k)
+    for name in used.intersection(theory.rank2 + x.gens):
+        # p_k of the roots of 1 + y*t + det*t^2: p_k = y*p_{k-1} - det*p_{k-2}
+        y = ring.var(name)
+        prev, cur = ring.const(2), y
+        for _ in range(k - 1):
+            prev, cur = cur, y * cur - det * prev
+        images[name] = cur
+    return {n: x._lift(v).poly for n, v in images.items()}
+
+
 def adams(n: int, x: SymClass) -> SymClass:
-    """psi^n: the n-th power sum of the lambda-series (Newton's identities)."""
+    """psi^n, a ring endomorphism: x with each generator replaced by its
+    image under psi^n (see the module docstring)."""
     if n < 0:
         return adams_negative(n, x)
     if not x.is_homogeneous():
         raise GradingError("adams requires homogeneous input: %s" % x)
     if n == 0:
         return SymClass.const(x.rank(), x.theory, x.gens, x.quotient)
-    out = symfunc.power_sums(lambda_series(x, n))[n]
+    out = x._lift(x.poly.substitute(_adams_images(n, x), x.poly.ring))
     if not out.is_zero() and out.degree() != n * x.degree():
         raise GradingError("psi^%d broke the grading" % n)
     return out

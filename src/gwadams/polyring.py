@@ -12,6 +12,7 @@ with MultiPoly coefficients, exact modulo t^(N+1).
 from __future__ import annotations
 
 import json
+import re
 from typing import Iterable, Mapping
 
 
@@ -33,6 +34,19 @@ class InvertibilityError(ValueError):
 
 class GradingError(ValueError):
     """Operation required a homogeneous element."""
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def read_int(value, what: str, decimal_str: bool = False) -> int:
+    """A JSON integer: a true int (not a bool or a float), or with
+    decimal_str also a decimal-integer string such as to_obj writes."""
+    if type(value) is int:
+        return value
+    if decimal_str and isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError("%s must be an integer, got %s" % (what, json.dumps(value)))
 
 
 class Ring:
@@ -431,10 +445,11 @@ class MultiPoly:
         ring = Ring((v["name"], bool(v["laurent"])) for v in obj["vars"])
         terms: dict = {}
         for t in obj["terms"]:
-            exps = tuple(int(e) for e in t["exps"])
+            exps = tuple(read_int(e, "an exponent") for e in t["exps"])
             if len(exps) != ring.nvars:
                 raise ValueError("exponent array length mismatch")
-            terms[exps] = terms.get(exps, 0) + int(t["coeff"])
+            coeff = read_int(t["coeff"], "a coefficient", decimal_str=True)
+            terms[exps] = terms.get(exps, 0) + coeff
         return MultiPoly(ring, terms)
 
     @staticmethod

@@ -48,6 +48,7 @@ class VerificationReport:
     entries: list = field(default_factory=list)
     version: str = __version__
     timestamp: str | None = None
+    elapsed_s: dict | None = None   # suite -> wall-clock seconds
 
     def add(self, entry: ReportEntry):
         self.entries.append(entry)
@@ -69,8 +70,9 @@ class VerificationReport:
             c[e.status] = c.get(e.status, 0) + 1
         return c
 
-    def stamp(self):
+    def stamp(self, elapsed_s: dict | None = None):
         self.timestamp = datetime.now(timezone.utc).isoformat()
+        self.elapsed_s = elapsed_s
         return self
 
     def to_obj(self) -> dict:
@@ -83,6 +85,8 @@ class VerificationReport:
         }
         if self.timestamp is not None:
             obj["timestamp"] = self.timestamp
+        if self.elapsed_s is not None:
+            obj["elapsed_s"] = self.elapsed_s
         return obj
 
     def to_json(self) -> str:

@@ -92,7 +92,17 @@ class TestAdams:
         # valid JSON that is not a class document
         for doc in ('[]', '"abc"', '{"gens":["u"],"components":[5]}',
                     '{"components":{}}', '{"gens":"u","components":[]}',
-                    '{"gens":["u"],"components":[{"a":[1],"u_exps":[1,2]}]}'):
+                    '{"gens":["u"],"components":[{"a":[1],"u_exps":[1,2]}]}',
+                    # numbers that are not integers
+                    '{"components":[{"a":[1.5]}]}',
+                    '{"components":[{"a":[true]}]}',
+                    '{"components":[{"a":[1],"gmin":0.5}]}',
+                    '{"theory":"k","components":[{"poly":{"vars":[{"name":'
+                    '"beta","laurent":true}],"terms":[{"coeff":2.7,'
+                    '"exps":[1]}]}}]}',
+                    '{"theory":"k","components":[{"poly":{"vars":[{"name":'
+                    '"beta","laurent":true}],"terms":[{"coeff":"2",'
+                    '"exps":[1.0]}]}}]}'):
             r = run(runner, "adams", "2", "--target", doc)
             assert r.exit_code == 2, doc
             assert "cannot parse target" in r.output
@@ -190,6 +200,17 @@ class TestVerify:
         obj = json.loads(out.read_text())
         assert obj["suite"] == "borel" and "timestamp" in obj
         assert obj["summary"]["fail"] == 0
+
+    def test_elapsed_only_with_timestamp(self, runner, tmp_path):
+        out = tmp_path / "rep.json"
+        r = run(runner, "verify", "omega", "--json", str(out))
+        assert r.exit_code == 0 and "elapsed" not in r.output
+        elapsed = json.loads(out.read_text())["elapsed_s"]
+        assert list(elapsed) == ["omega"] and elapsed["omega"] >= 0
+        r2 = run(runner, "verify", "omega", "--json", str(out),
+                 "--no-timestamp")
+        assert r2.output == r.output
+        assert "elapsed_s" not in json.loads(out.read_text())
 
     def test_no_timestamp_golden(self, runner, tmp_path):
         a = tmp_path / "a.json"

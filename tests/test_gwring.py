@@ -112,6 +112,12 @@ class TestJson:
         assert obj == {"components": [
             {"deg": -2, "gmin": -1, "a": [0], "b": [0], "c": [1]}]}
 
+    def test_integers_only(self):
+        for comp in ({"a": [1.5]}, {"a": [True]}, {"a": [2.0]}, {"b": ["1"]},
+                     {"a": [1], "gmin": 0.5}, {"c": [1], "gmin": "1"}):
+            with pytest.raises(ValueError):
+                GWElem.from_obj({"components": [comp]})
+
 
 class TestBattery:
     def test_report_ok(self):

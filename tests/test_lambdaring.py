@@ -1,5 +1,6 @@
 import pytest
 
+from gwadams import lambdaring, symfunc
 from gwadams.gwring import GWElem
 from gwadams.lambdaring import (
     KTH, SymClass, adams, adams_negative, check_adams_hyperbolic,
@@ -98,6 +99,69 @@ class TestAdams:
     def test_inhomogeneous_rejected(self):
         with pytest.raises(GradingError):
             adams(2, u(1) + 1)
+
+
+def oracle_samples() -> dict:
+    """Classes over every engine path: lines, rank-2 primitives and their
+    products, Laurent twists, quotient mode and the K/Witt images."""
+    g3 = ("u1", "u2", "u3")
+    v = [SymClass.gen(g, gens=g3) for g in g3]
+    tau = SymClass.from_gw(GWElem.tau(), gens=g3)
+    uq = SymClass.gen("u", gens=("u",), quotient=True)
+    tq = SymClass.from_gw(GWElem.tau(), gens=("u",), quotient=True)
+    return {
+        "u1": v[0], "tau": tau,
+        "<-1>": SymClass.from_gw(GWElem.minus_one_class(), gens=g3),
+        "eps*u1": SymClass.from_gw(GWElem.eps(), gens=g3) * v[0],
+        "gamma^-1*u1*u2": SymClass.from_gw(GWElem.gamma(-1), gens=g3)
+        * v[0] * v[1],
+        "u1*u2*u3": v[0] * v[1] * v[2], "tau*u1": tau * v[0],
+        "u (quotient)": uq, "u-tau (quotient)": uq - tq,
+        "u^2 (quotient)": uq * uq,
+        "forget(u1*u2)": forget(u(1) * u(2)),
+        "witt(u1*u2)": witt(u(1) * u(2)),
+    }
+
+
+class TestAdamsOracle:
+    """psi^n against the n-th power sum of the lambda-series (Newton's
+    identities), a route that shares no code with the substitution."""
+
+    @pytest.mark.parametrize("name", sorted(oracle_samples()))
+    def test_power_sums_of_lambda_series(self, name):
+        x = oracle_samples()[name]
+        p = symfunc.power_sums(lambda_series(x, 8))
+        for n in range(1, 9):
+            assert adams(n, x) == p[n], (name, n)
+        sign = -1 if x.degree() % 4 == 2 else 1
+        for n in range(1, 5):
+            assert adams_negative(-n, x) == sign * p[n], (name, -n)
+
+
+class TestAdamsWellDefined:
+    """psi^k substitutes into normal forms, so it must respect the
+    relations of the coefficient ring and of the quotient."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_relations(self, k):
+        e = adams(k, SymClass.from_gw(GWElem.eps()))
+        t = adams(k, SymClass.from_gw(GWElem.tau()))
+        g = adams(k, SymClass.from_gw(GWElem.gamma()))
+        assert e * e == 1
+        assert e * t == -t
+        assert t * t == 2 * g * (1 - e)
+        uq = SymClass.gen("u", gens=("u",), quotient=True)
+        tq = SymClass.from_gw(GWElem.tau(), gens=("u",), quotient=True)
+        assert ((adams(k, uq) - adams(k, tq)) ** 2).is_zero()
+
+    def test_no_lambda_series(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("adams went through the lambda-series")
+        monkeypatch.setattr(lambdaring, "lambda_series", refuse)
+        monkeypatch.setattr(symfunc, "power_sums", refuse)
+        x = oracle_samples()["u1*u2*u3"]
+        got = adams(16, x)
+        assert got.degree() == 16 * x.degree() and got.rank() == 8
 
 
 class TestTheoryMaps:

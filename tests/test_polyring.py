@@ -151,6 +151,18 @@ class TestJson:
         p = R6.var("x") + R6.var("y") ** 2 - 5
         assert p.to_json() == MultiPoly.from_json(p.to_json()).to_json()
 
+    def test_integers_only(self):
+        def doc(coeff, exps=(1,)):
+            return {"vars": [{"name": "x", "laurent": True}],
+                    "terms": [{"coeff": coeff, "exps": list(exps)}]}
+        x = Ring([("x", True)]).var("x")
+        assert MultiPoly.from_obj(doc(-3)) == -3 * x
+        assert MultiPoly.from_obj(doc("-3")) == -3 * x
+        for bad in (doc(2.7), doc(True), doc("2.7"), doc(" 3"), doc("3_0"),
+                    doc(None), doc(2, [1.0]), doc(2, [True]), doc(2, ["1"])):
+            with pytest.raises(ValueError):
+                MultiPoly.from_obj(bad)
+
 
 class TestRendering:
     def test_text(self):
