@@ -16,11 +16,8 @@ from functools import partial
 from itertools import combinations, permutations
 
 from . import gwring, symfunc
-from .gwring import GWElem
-from .lambdaring import (
-    GW, KTH, SymClass, adams, context_ring, forget, lambda_op,
-    lambda_series, witt,
-)
+from .gwring import GW, KTH, GWElem, SymClass, context_ring
+from .lambdaring import adams, forget, lambda_op, lambda_series, witt
 from .polyring import GradingError, MultiPoly, Ring
 from .report import VerificationReport, check
 
@@ -51,10 +48,6 @@ class OmegaClass:
         return self.value.latex()
 
 
-def _psi_tau(k: int) -> GWElem:
-    return adams(k, SymClass.from_gw(GWElem.tau())).to_gw()
-
-
 _omega_memo = [GWElem.from_int(0), GWElem.from_int(1)]
 
 
@@ -64,7 +57,7 @@ def omega_recursive(n: int) -> GWElem:
     while len(_omega_memo) <= n:
         k = len(_omega_memo)
         w = (tau * _omega_memo[k - 1] - gamma * _omega_memo[k - 2]
-             + _psi_tau(k - 1))
+             + adams(k - 1, tau))
         _omega_memo.append(w)
     return _omega_memo[n]
 
@@ -107,7 +100,7 @@ def check_omega_laws(max_m: int = 5, max_n: int = 10, quotient_max: int = 8,
     for m in range(2, max_m + 1):
         for n in range(2, max_m + 1):
             lhs = omega_recursive(m * n)
-            psi_wm = adams(n, SymClass.from_gw(omega_recursive(m))).to_gw()
+            psi_wm = adams(n, omega_recursive(m))
             rhs = omega_recursive(n) * psi_wm
             rep.add(check("omega_psi", (m, n), lhs == rhs,
                           lhs.text(), rhs.text()))

@@ -27,9 +27,11 @@ class WitnessError(ValueError):
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, str):
+    """An exact rational from an int, a Fraction or a string such as "3/4";
+    floats and booleans are refused."""
+    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
         return Fraction(x)
-    return Fraction(x)
+    raise ValueError("not an exact rational: %r" % (x,))
 
 
 class GramForm:

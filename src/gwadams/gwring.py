@@ -2,15 +2,23 @@
 
     eps^2 = 1,   eps*tau = -tau,   tau^2 = 2*gamma*(1 - eps),
 
-with grading weights eps -> 0, tau -> 2, gamma -> 4.  Elements are kept in
-the canonical normal form a(gamma) + b(gamma)*eps + c(gamma)*tau.
+with grading weights eps -> 0, tau -> 2, gamma -> 4, and the classes of the
+three theories (GW, K, Witt) over their base rings extended by rank-2
+generators u_1..u_k of weight 2.
+
+SymClass is a normal-form element of theory.base_ring()[gens]; in quotient
+mode every generator also obeys (u - tau)^2 = 0.  GWElem is a SymClass of
+theory GW with no generators, whose normal form is the canonical
+a(gamma) + b(gamma)*eps + c(gamma)*tau; it adds the coefficient-ring
+constructors and the dense JSON format of such elements.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
-from .polyring import GradingError, MultiPoly, Ring, read_int
+from .polyring import GradingError, MultiPoly, Ring, read_bool, read_int
 from .report import VerificationReport, check
 
 COEFF_VARS = [("eps", False), ("tau", False), ("gamma", True)]
@@ -19,55 +27,319 @@ COEFF_RING = Ring(COEFF_VARS)
 WEIGHTS = {"eps": 0, "tau": 2, "gamma": 4}
 
 
-def normalize(poly: MultiPoly) -> MultiPoly:
+def normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
     """Rewrite to normal form in any ring containing eps, tau, gamma.
 
-    Extra variables (u-generators etc.) ride along untouched.  The rewrite
-    system {eps^2 -> 1, tau^2 -> 2*gamma - 2*eps*gamma, eps*tau -> -tau}
-    terminates because each step lowers (tau-exponent, eps-exponent)
+    Extra variables (u-generators etc.) ride along untouched, except those
+    named in square_zero, which obey (u - tau)^2 = 0.  The rewrite system
+    {u^2 -> 2*tau*u - tau^2 for u in square_zero, eps^2 -> 1,
+    tau^2 -> 2*gamma - 2*eps*gamma, eps*tau -> -tau} terminates because each
+    step lowers (total square_zero exponent, tau-exponent, eps-exponent)
     lexicographically.
     """
     ring = poly.ring
     ie, it, ig = ring.index("eps"), ring.index("tau"), ring.index("gamma")
+    iu = [ring.index(u) for u in square_zero]
     out: dict = {}
     stack = list(poly.terms.items())
     while stack:
         exps, c = stack.pop()
-        a, b = exps[ie], exps[it]
-        if a >= 2:
-            e = list(exps)
-            e[ie] = a % 2
-            stack.append((tuple(e), c))
-        elif b >= 2:
-            e = list(exps)
-            e[it] = b - 2
-            e[ig] += 1
-            stack.append((tuple(e), 2 * c))
-            e2 = list(e)
-            e2[ie] += 1
-            stack.append((tuple(e2), -2 * c))
-        elif a == 1 and b == 1:
-            e = list(exps)
-            e[ie] = 0
-            stack.append((tuple(e), -c))
+        for i in iu:
+            if exps[i] >= 2:
+                e = list(exps)
+                e[i] -= 1
+                e[it] += 1
+                stack.append((tuple(e), 2 * c))
+                e[i] -= 1
+                e[it] += 1
+                stack.append((tuple(e), -c))
+                break
         else:
-            s = out.get(exps, 0) + c
-            if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
+            a, b = exps[ie], exps[it]
+            if a >= 2:
+                e = list(exps)
+                e[ie] = a % 2
+                stack.append((tuple(e), c))
+            elif b >= 2:
+                e = list(exps)
+                e[it] = b - 2
+                e[ig] += 1
+                stack.append((tuple(e), 2 * c))
+                e2 = list(e)
+                e2[ie] += 1
+                stack.append((tuple(e2), -2 * c))
+            elif a == 1 and b == 1:
+                e = list(exps)
+                e[ie] = 0
+                stack.append((tuple(e), -c))
+            else:
+                s = out.get(exps, 0) + c
+                if s:
+                    out[exps] = s
+                elif exps in out:
+                    del out[exps]
     return MultiPoly(ring, out)
 
 
-class GWElem:
-    """Coefficient-ring element in canonical normal form."""
+@dataclass(frozen=True)
+class Theory:
+    name: str
+    base: tuple
+    weights: dict
+    twist: str          # unit variable implementing the determinant twist
+    det_power: int      # lambda^2 of a rank-2 generator is twist**det_power
+    rank_subs: dict
+    normalizes: bool    # whether the rewrite system of normalize applies
+    line: str | None = None   # base variable that is -(a line class): eps
+    rank2: tuple = ()         # base variables of rank 2 with determinant
+                              # twist**det_power: tau
 
-    __slots__ = ("poly",)
+    def base_ring(self) -> Ring:
+        return Ring(self.base)
 
-    def __init__(self, poly: MultiPoly):
-        if poly.ring != COEFF_RING:
-            poly = poly.rename(COEFF_RING)
-        self.poly = normalize(poly)
+
+GW = Theory("gw", tuple(COEFF_VARS), dict(WEIGHTS),
+            "gamma", 1, {"eps": -1, "tau": 2, "gamma": 1}, True,
+            line="eps", rank2=("tau",))
+KTH = Theory("k", (("beta", True),), {"beta": 1},
+             "beta", 4, {"beta": 1}, False)
+WITT = Theory("witt", (("gamma", True),), {"gamma": 4},
+              "gamma", 1, {"gamma": 1}, False)
+
+THEORIES = {t.name: t for t in (GW, KTH, WITT)}
+
+
+_RINGS: dict[tuple, Ring] = {}
+
+
+def context_ring(theory: Theory, gens: tuple) -> Ring:
+    """theory.base_ring()[gens], one shared instance per context."""
+    key = (theory.name, tuple(gens))
+    ring = _RINGS.get(key)
+    if ring is None:
+        ring = _RINGS[key] = Ring(list(theory.base)
+                                  + [(g, False) for g in gens])
+    return ring
+
+
+class SymClass:
+    """Normal-form element of theory.base_ring()[gens].  Arithmetic keeps
+    the class of the left operand, so subclasses stay closed."""
+
+    __slots__ = ("theory", "gens", "quotient", "poly")
+
+    def __init__(self, poly: MultiPoly, theory: Theory = GW,
+                 gens: tuple = (), quotient: bool = False):
+        gens = tuple(gens)
+        ring = context_ring(theory, gens)
+        if poly.ring != ring:
+            poly = poly.rename(ring)
+        if theory.normalizes:
+            poly = normalize(poly, gens if quotient else ())
+        self.theory = theory
+        self.gens = gens
+        self.quotient = quotient
+        self.poly = poly
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def const(cls, c: int, theory=GW, gens=(), quotient=False) -> "SymClass":
+        ring = context_ring(theory, tuple(gens))
+        return cls(ring.const(c), theory, gens, quotient)
+
+    @classmethod
+    def gen(cls, name: str, theory=GW, gens=(), quotient=False) -> "SymClass":
+        ring = context_ring(theory, tuple(gens))
+        return cls(ring.var(name), theory, gens, quotient)
+
+    @classmethod
+    def from_gw(cls, x: "GWElem", gens=(), quotient=False) -> "SymClass":
+        return cls(x.poly, GW, gens, quotient)
+
+    def to_gw(self) -> "GWElem":
+        if self.theory.name != "gw":
+            raise ValueError("not a gw-theory class")
+        if any(any(e[self.poly.ring.index(g)] for e in self.poly.terms)
+               for g in self.gens):
+            raise ValueError("element involves generators: %s" % self)
+        return GWElem(self.poly.rename(COEFF_RING))
+
+    def _same_context(self, other: "SymClass"):
+        if (self.theory.name != other.theory.name or self.gens != other.gens
+                or self.quotient != other.quotient):
+            raise ValueError("mixed SymClass contexts")
+
+    def _lift(self, poly: MultiPoly) -> "SymClass":
+        return type(self)(poly, self.theory, self.gens, self.quotient)
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return self._lift(self.poly.ring.const(other))
+        if isinstance(other, SymClass):
+            self._same_context(other)
+            return other
+        return NotImplemented
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._lift(self.poly + other.poly)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._lift(-self.poly)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._lift(self.poly - other.poly)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._lift(self.poly * other.poly)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers not supported")
+        out = self._lift(self.poly.ring.one())
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = self._lift(self.poly.ring.const(other))
+        return (isinstance(other, SymClass)
+                and self.theory.name == other.theory.name
+                and self.gens == other.gens and self.quotient == other.quotient
+                and self.poly == other.poly)
+
+    def __hash__(self):
+        return hash((self.theory.name, self.gens, self.quotient, self.poly))
+
+    def is_zero(self) -> bool:
+        return self.poly.is_zero()
+
+    # -- grading / rank -----------------------------------------------------
+
+    def weights(self) -> dict:
+        w = dict(self.theory.weights)
+        for g in self.gens:
+            w[g] = 2
+        return w
+
+    def degree(self):
+        """Common weighted degree, or None when inhomogeneous."""
+        return self.poly.graded_degree(self.weights())
+
+    def is_homogeneous(self) -> bool:
+        return self.degree() is not None
+
+    def rank(self) -> int:
+        if not self.is_homogeneous():
+            raise GradingError("rank requires homogeneous input: %s" % self)
+        z = Ring([])
+        subs = {n: z.const(v) for n, v in self.theory.rank_subs.items()}
+        subs |= {g: z.const(2) for g in self.gens}
+        return self.poly.substitute(subs, z).const_value()
+
+    # -- rendering / JSON ---------------------------------------------------
+
+    def text(self) -> str:
+        return self.poly.text()
+
+    def latex(self) -> str:
+        return self.poly.latex()
+
+    def __str__(self):
+        return self.text()
+
+    def __repr__(self):
+        return "%s(%s; %s%s)" % (type(self).__name__, self.text(),
+                                 self.theory.name,
+                                 " quotient" if self.quotient else "")
+
+    def to_obj(self) -> dict:
+        ring = self.poly.ring
+        gidx = [ring.index(g) for g in self.gens]
+        groups: dict[tuple, dict] = {}
+        for exps, c in self.poly.terms.items():
+            ue = tuple(exps[i] for i in gidx)
+            base = tuple(0 if i in gidx else e for i, e in enumerate(exps))
+            groups.setdefault(ue, {})[base] = c
+        components = []
+        for ue in sorted(groups):
+            if self.theory.name == "gw":
+                base_elem = GWElem(MultiPoly(ring, groups[ue]).rename(
+                    COEFF_RING))
+                for comp in base_elem.to_obj()["components"]:
+                    comp["u_exps"] = list(ue)
+                    components.append(comp)
+            else:
+                poly = MultiPoly(ring, groups[ue]).rename(
+                    self.theory.base_ring())
+                components.append({"u_exps": list(ue),
+                                   "poly": poly.to_obj()})
+        return {"theory": self.theory.name, "gens": list(self.gens),
+                "quotient": self.quotient, "components": components}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+
+    @staticmethod
+    def from_obj(obj: dict) -> "SymClass":
+        if not isinstance(obj, dict):
+            raise ValueError("a class document must be a JSON object")
+        theory = THEORIES[obj.get("theory", "gw")]
+        gens = obj.get("gens", [])
+        if (not isinstance(gens, list)
+                or not all(isinstance(g, str) for g in gens)):
+            raise ValueError("gens must be a list of names")
+        gens = tuple(gens)
+        quotient = read_bool(obj.get("quotient", False), "quotient")
+        ring = context_ring(theory, gens)
+        total = ring.zero()
+        if not isinstance(obj["components"], list):
+            raise ValueError("components must be a list")
+        for comp in obj["components"]:
+            if not isinstance(comp, dict):
+                raise ValueError("each component must be a JSON object")
+            ue = comp.get("u_exps", [0] * len(gens))
+            if (not isinstance(ue, list) or len(ue) != len(gens)
+                    or not all(type(e) is int for e in ue)):
+                raise ValueError("u_exps must list one integer per generator")
+            umono = ring.monomial(1, dict(zip(gens, ue)))
+            if theory.name == "gw":
+                base = GWElem.from_obj({"components": [comp]})
+                total = total + base.poly.rename(ring) * umono
+            else:
+                total = total + MultiPoly.from_obj(comp["poly"]).rename(ring) * umono
+        return SymClass(total, theory, gens, quotient)
+
+    @classmethod
+    def from_json(cls, s: str) -> "SymClass":
+        return cls.from_obj(json.loads(s))
+
+
+class GWElem(SymClass):
+    """Coefficient-ring element: a SymClass of theory GW with no generators,
+    in the dense JSON format {"components": [{"deg", "gmin", "a", "b",
+    "c"}]}."""
+
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------------
 
@@ -111,92 +383,7 @@ class GWElem:
             return GWElem.from_int(n)
         return GWElem.from_int(n // 2) * GWElem.h()
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return GWElem.from_int(other)
-        if isinstance(other, GWElem):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GWElem(self.poly + other.poly)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GWElem(-self.poly)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GWElem(self.poly - other.poly)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GWElem(self.poly * other.poly)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        out = GWElem.from_int(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = GWElem.from_int(other)
-        return isinstance(other, GWElem) and self.poly == other.poly
-
-    def __hash__(self):
-        return hash(self.poly)
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    # -- grading and rank ---------------------------------------------------
-
-    def degree(self):
-        """Common weighted degree, or None when inhomogeneous."""
-        return self.poly.graded_degree(WEIGHTS)
-
-    def is_homogeneous(self) -> bool:
-        return self.degree() is not None
-
-    def rank(self) -> int:
-        if not self.is_homogeneous():
-            raise GradingError("rank requires a homogeneous element: %s" % self)
-        z = Ring([])
-        img = self.poly.substitute(
-            {"eps": z.const(-1), "tau": z.const(2), "gamma": z.one()}, z)
-        return img.const_value()
-
-    # -- rendering / JSON ---------------------------------------------------
-
-    def text(self) -> str:
-        return self.poly.text()
-
-    def latex(self) -> str:
-        return self.poly.latex()
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return "GWElem(%s)" % self.text()
+    # -- dense JSON ---------------------------------------------------------
 
     def components(self) -> dict:
         """Split into homogeneous components, degree -> GWElem."""
@@ -224,9 +411,6 @@ class GWElem:
             comps.append(comp)
         return {"components": comps}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
-
     @staticmethod
     def from_obj(obj: dict) -> "GWElem":
         poly = COEFF_RING.zero()
@@ -239,10 +423,6 @@ class GWElem:
                         poly = poly + MultiPoly(
                             COEFF_RING, {(ea, eb, gmin + k): coeff})
         return GWElem(poly)
-
-    @staticmethod
-    def from_json(s: str) -> "GWElem":
-        return GWElem.from_obj(json.loads(s))
 
 
 def check_coefficient_identities(i_bound: int = 4, mn_bound: int = 6,

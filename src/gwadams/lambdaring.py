@@ -1,5 +1,7 @@
-"""Lambda-operation engine over the coefficient ring extended by rank-2
-symplectic generators u_1..u_k.
+"""Lambda-operation engine on gwring.SymClass: classes over the coefficient
+ring (or the K-theory and Witt base rings) extended by rank-2 symplectic
+generators u_1..u_k.  The class types live in gwring; this module computes
+lambda-series and Adams operations of them and maps GW to K and Witt.
 
 The lambda-series of a class is a polyring.TruncSeries over its context
 ring, with every coefficient put in normal form once per series product.
@@ -20,292 +22,12 @@ generator replaced by its image: psi^k(twist) = twist^k, psi^k(eps) =
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from . import gwring, symfunc
-from .gwring import GWElem
-from .polyring import GradingError, MultiPoly, Ring, TruncSeries, grlex_key
+from . import symfunc
+from .gwring import KTH, WITT, GWElem, SymClass, context_ring
+from .polyring import GradingError, Ring, TruncSeries, grlex_key
 from .report import MISMATCH, PASS, ReportEntry, VerificationReport, check
-
-
-@dataclass(frozen=True)
-class Theory:
-    name: str
-    base: tuple
-    weights: dict
-    twist: str          # unit variable implementing the determinant twist
-    det_power: int      # lambda^2 of a rank-2 generator is twist**det_power
-    rank_subs: dict
-    normalizes: bool    # whether the gwring rewrite system applies
-    line: str | None = None   # base variable that is -(a line class): eps
-    rank2: tuple = ()         # base variables of rank 2 with determinant
-                              # twist**det_power: tau
-
-    def base_ring(self) -> Ring:
-        return Ring(self.base)
-
-
-GW = Theory("gw", tuple(gwring.COEFF_VARS), dict(gwring.WEIGHTS),
-            "gamma", 1, {"eps": -1, "tau": 2, "gamma": 1}, True,
-            line="eps", rank2=("tau",))
-KTH = Theory("k", (("beta", True),), {"beta": 1},
-             "beta", 4, {"beta": 1}, False)
-WITT = Theory("witt", (("gamma", True),), {"gamma": 4},
-              "gamma", 1, {"gamma": 1}, False)
-
-THEORIES = {t.name: t for t in (GW, KTH, WITT)}
-
-
-_RINGS: dict[tuple, Ring] = {}
-
-
-def context_ring(theory: Theory, gens: tuple) -> Ring:
-    """theory.base_ring()[gens], one shared instance per context."""
-    key = (theory.name, tuple(gens))
-    ring = _RINGS.get(key)
-    if ring is None:
-        ring = _RINGS[key] = Ring(list(theory.base)
-                                  + [(g, False) for g in gens])
-    return ring
-
-
-class SymClass:
-    """Normal-form element of theory.base_ring()[gens]."""
-
-    __slots__ = ("theory", "gens", "quotient", "poly")
-
-    def __init__(self, poly: MultiPoly, theory: Theory = GW,
-                 gens: tuple = (), quotient: bool = False):
-        gens = tuple(gens)
-        ring = context_ring(theory, gens)
-        if poly.ring != ring:
-            poly = poly.rename(ring)
-        if quotient and theory.name == "gw":
-            poly = _quotient_rewrite(poly, gens)
-        if theory.normalizes:
-            poly = gwring.normalize(poly)
-        self.theory = theory
-        self.gens = gens
-        self.quotient = quotient
-        self.poly = poly
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def const(cls, c: int, theory=GW, gens=(), quotient=False) -> "SymClass":
-        ring = context_ring(theory, tuple(gens))
-        return cls(ring.const(c), theory, gens, quotient)
-
-    @classmethod
-    def gen(cls, name: str, theory=GW, gens=(), quotient=False) -> "SymClass":
-        ring = context_ring(theory, tuple(gens))
-        return cls(ring.var(name), theory, gens, quotient)
-
-    @classmethod
-    def from_gw(cls, x: GWElem, gens=(), quotient=False) -> "SymClass":
-        return cls(x.poly, GW, gens, quotient)
-
-    def to_gw(self) -> GWElem:
-        if self.theory.name != "gw":
-            raise ValueError("not a gw-theory class")
-        if any(any(e[self.poly.ring.index(g)] for e in self.poly.terms)
-               for g in self.gens):
-            raise ValueError("element involves generators: %s" % self)
-        return GWElem(self.poly.rename(gwring.COEFF_RING))
-
-    def _same_context(self, other: "SymClass"):
-        if (self.theory.name != other.theory.name or self.gens != other.gens
-                or self.quotient != other.quotient):
-            raise ValueError("mixed SymClass contexts")
-
-    def _lift(self, poly: MultiPoly) -> "SymClass":
-        return SymClass(poly, self.theory, self.gens, self.quotient)
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return SymClass.const(other, self.theory, self.gens, self.quotient)
-        if isinstance(other, SymClass):
-            self._same_context(other)
-            return other
-        return NotImplemented
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._lift(self.poly + other.poly)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._lift(-self.poly)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._lift(self.poly - other.poly)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._lift(self.poly * other.poly)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = SymClass.const(1, self.theory, self.gens, self.quotient)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = SymClass.const(other, self.theory, self.gens, self.quotient)
-        return (isinstance(other, SymClass)
-                and self.theory.name == other.theory.name
-                and self.gens == other.gens and self.quotient == other.quotient
-                and self.poly == other.poly)
-
-    def __hash__(self):
-        return hash((self.theory.name, self.gens, self.quotient, self.poly))
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    # -- grading / rank -----------------------------------------------------
-
-    def weights(self) -> dict:
-        w = dict(self.theory.weights)
-        for g in self.gens:
-            w[g] = 2
-        return w
-
-    def degree(self):
-        return self.poly.graded_degree(self.weights())
-
-    def is_homogeneous(self) -> bool:
-        return self.degree() is not None
-
-    def rank(self) -> int:
-        if not self.is_homogeneous():
-            raise GradingError("rank requires homogeneous input: %s" % self)
-        z = Ring([])
-        subs = {n: z.const(v) for n, v in self.theory.rank_subs.items()}
-        subs |= {g: z.const(2) for g in self.gens}
-        return self.poly.substitute(subs, z).const_value()
-
-    # -- rendering / JSON ---------------------------------------------------
-
-    def text(self) -> str:
-        return self.poly.text()
-
-    def latex(self) -> str:
-        return self.poly.latex()
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return "SymClass(%s; %s%s)" % (self.text(), self.theory.name,
-                                       " quotient" if self.quotient else "")
-
-    def to_obj(self) -> dict:
-        ring = self.poly.ring
-        gidx = [ring.index(g) for g in self.gens]
-        groups: dict[tuple, dict] = {}
-        for exps, c in self.poly.terms.items():
-            ue = tuple(exps[i] for i in gidx)
-            base = tuple(0 if i in gidx else e for i, e in enumerate(exps))
-            groups.setdefault(ue, {})[base] = c
-        components = []
-        for ue in sorted(groups):
-            if self.theory.name == "gw":
-                base_elem = GWElem(MultiPoly(ring, groups[ue]).rename(
-                    gwring.COEFF_RING))
-                for comp in base_elem.to_obj()["components"]:
-                    comp["u_exps"] = list(ue)
-                    components.append(comp)
-            else:
-                poly = MultiPoly(ring, groups[ue]).rename(
-                    self.theory.base_ring())
-                components.append({"u_exps": list(ue),
-                                   "poly": poly.to_obj()})
-        return {"theory": self.theory.name, "gens": list(self.gens),
-                "quotient": self.quotient, "components": components}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_obj(obj: dict) -> "SymClass":
-        if not isinstance(obj, dict):
-            raise ValueError("a class document must be a JSON object")
-        theory = THEORIES[obj.get("theory", "gw")]
-        gens = obj.get("gens", [])
-        if (not isinstance(gens, list)
-                or not all(isinstance(g, str) for g in gens)):
-            raise ValueError("gens must be a list of names")
-        gens = tuple(gens)
-        quotient = bool(obj.get("quotient", False))
-        ring = context_ring(theory, gens)
-        total = ring.zero()
-        if not isinstance(obj["components"], list):
-            raise ValueError("components must be a list")
-        for comp in obj["components"]:
-            if not isinstance(comp, dict):
-                raise ValueError("each component must be a JSON object")
-            ue = comp.get("u_exps", [0] * len(gens))
-            if (not isinstance(ue, list) or len(ue) != len(gens)
-                    or not all(type(e) is int for e in ue)):
-                raise ValueError("u_exps must list one integer per generator")
-            umono = ring.monomial(1, dict(zip(gens, ue)))
-            if theory.name == "gw":
-                base = GWElem.from_obj({"components": [comp]})
-                total = total + base.poly.rename(ring) * umono
-            else:
-                total = total + MultiPoly.from_obj(comp["poly"]).rename(ring) * umono
-        return SymClass(total, theory, gens, quotient)
-
-    @staticmethod
-    def from_json(s: str) -> "SymClass":
-        return SymClass.from_obj(json.loads(s))
-
-
-def _quotient_rewrite(poly: MultiPoly, gens: tuple) -> MultiPoly:
-    """Impose (u - tau)^2 = 0 for every generator: u^2 -> 2*tau*u - tau^2."""
-    ring = poly.ring
-    it = ring.index("tau")
-    gidx = [ring.index(g) for g in gens]
-    out: dict = {}
-    stack = list(poly.terms.items())
-    while stack:
-        exps, c = stack.pop()
-        for i in gidx:
-            if exps[i] >= 2:
-                e1 = list(exps)
-                e1[i] -= 1
-                e1[it] += 1
-                stack.append((tuple(e1), 2 * c))
-                e2 = list(exps)
-                e2[i] -= 2
-                e2[it] += 2
-                stack.append((tuple(e2), -c))
-                break
-        else:
-            s = out.get(exps, 0) + c
-            if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
-    return MultiPoly(ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +141,7 @@ def adams(n: int, x: SymClass) -> SymClass:
     if not x.is_homogeneous():
         raise GradingError("adams requires homogeneous input: %s" % x)
     if n == 0:
-        return SymClass.const(x.rank(), x.theory, x.gens, x.quotient)
+        return type(x).const(x.rank(), x.theory, x.gens, x.quotient)
     out = x._lift(x.poly.substitute(_adams_images(n, x), x.poly.ring))
     if not out.is_zero() and out.degree() != n * x.degree():
         raise GradingError("psi^%d broke the grading" % n)
@@ -469,10 +191,6 @@ def witt(x: SymClass) -> SymClass:
 # ---------------------------------------------------------------------------
 # hyperbolic classes and the documented comparison
 
-def hyperbolic_sym(i: int) -> SymClass:
-    return SymClass.from_gw(GWElem.hyperbolic_unit(i))
-
-
 def psi_h_closed(n: int, i: int) -> GWElem:
     """The literature's closed form for psi^n(h_{2i}(1))."""
     if n % 2:
@@ -503,7 +221,7 @@ class HyperbolicComparison:
 def adams_on_hyperbolic(n: int, i: int) -> HyperbolicComparison:
     if n < 0:
         raise ValueError("n must be >= 0")
-    engine = adams(n, hyperbolic_sym(i)).to_gw()
+    engine = adams(n, GWElem.hyperbolic_unit(i))
     closed = psi_h_closed(n, i) if n else GWElem.from_int(2)
     in_span = None
     if n % 2:
@@ -522,7 +240,7 @@ def check_adams_hyperbolic(n_max: int = 5, i_values=(0, 1, 2),
     regardless of incidental agreement."""
     rep = VerificationReport("adams-hyperbolic")
     for n in range(0, tau_max + 1):
-        got = adams(n, SymClass.from_gw(GWElem.tau())).to_gw()
+        got = adams(n, GWElem.tau())
         want = psi_tau_closed(n)
         rep.add(check("psi_tau", (n,), got == want, got.text(), want.text()))
     for n in range(0, n_max + 1):

@@ -49,6 +49,13 @@ def read_int(value, what: str, decimal_str: bool = False) -> int:
     raise ValueError("%s must be an integer, got %s" % (what, json.dumps(value)))
 
 
+def read_bool(value, what: str) -> bool:
+    """A JSON boolean: true or false, not a number or a string."""
+    if type(value) is bool:
+        return value
+    raise ValueError("%s must be true or false, got %s" % (what, json.dumps(value)))
+
+
 class Ring:
     """Ordered variable context.  Immutable; equality by variable data."""
 
@@ -86,9 +93,6 @@ class Ring:
             return self._index[name]
         except KeyError:
             raise ContextError("no variable %r in %r" % (name, self)) from None
-
-    def is_laurent(self, name: str) -> bool:
-        return self.laurent[self.index(name)]
 
     def zero(self) -> "MultiPoly":
         return MultiPoly(self, {})
@@ -442,7 +446,8 @@ class MultiPoly:
 
     @staticmethod
     def from_obj(obj: dict) -> "MultiPoly":
-        ring = Ring((v["name"], bool(v["laurent"])) for v in obj["vars"])
+        ring = Ring((v["name"], read_bool(v["laurent"], "laurent"))
+                    for v in obj["vars"])
         terms: dict = {}
         for t in obj["terms"]:
             exps = tuple(read_int(e, "an exponent") for e in t["exps"])

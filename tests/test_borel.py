@@ -6,8 +6,7 @@ from gwadams.borel import (
     lambda_triple_product, omega, omega_closed, omega_recursive,
     ternary_laws, triple_product_closed,
 )
-from gwadams.gwring import GWElem
-from gwadams.lambdaring import GW, SymClass, context_ring
+from gwadams.gwring import GW, GWElem, SymClass, context_ring
 from gwadams.polyring import GradingError
 
 

@@ -102,10 +102,35 @@ class TestAdams:
                     '"exps":[1]}]}}]}',
                     '{"theory":"k","components":[{"poly":{"vars":[{"name":'
                     '"beta","laurent":true}],"terms":[{"coeff":"2",'
-                    '"exps":[1.0]}]}}]}'):
+                    '"exps":[1.0]}]}}]}',
+                    # flags that are not JSON booleans
+                    '{"gens":["u"],"quotient":"no",'
+                    '"components":[{"c":[1],"u_exps":[1]}]}',
+                    '{"theory":"k","components":[{"poly":{"vars":[{"name":'
+                    '"beta","laurent":"false"}],"terms":[{"coeff":"1",'
+                    '"exps":[-1]}]}}]}'):
             r = run(runner, "adams", "2", "--target", doc)
             assert r.exit_code == 2, doc
             assert "cannot parse target" in r.output
+
+
+class TestJsonShape:
+    @pytest.mark.parametrize("args, out", [
+        (("adams", "2", "--target", "tau"),
+         '{"components":[{"a":[0],"b":[-2],"c":[0],"deg":4,"gmin":1,'
+         '"u_exps":[]}],"gens":[],"quotient":false,"theory":"gw"}'),
+        (("omega", "4"),
+         '{"components":[{"a":[0],"b":[0],"c":[8],"deg":6,"gmin":1}]}'),
+        (("adams", "2", "--target", "u"),
+         '{"components":[{"a":[-4],"b":[2],"c":[0],"deg":4,"gmin":1,'
+         '"u_exps":[0]},{"a":[0],"b":[0],"c":[2],"deg":2,"gmin":0,'
+         '"u_exps":[1]}],"gens":["u"],"quotient":true,"theory":"gw"}'),
+    ])
+    def test_json_shape(self, runner, args, out):
+        # a named target is a full class document; omega is a bare
+        # coefficient-ring element
+        r = run(runner, *args, "--format", "json")
+        assert r.exit_code == 0 and r.output == out + "\n"
 
 
 class TestTernary:
@@ -171,6 +196,13 @@ class TestForm:
         assert run(runner, "form", "invariants", str(p)).exit_code == 2
         assert run(runner, "form", "invariants",
                    str(tmp_path / "missing.json")).exit_code == 2
+        # entries that are not exact rationals
+        for i, entry in enumerate(("0.1", "1.5", "true")):
+            p = tmp_path / ("inexact%d.json" % i)
+            p.write_text('{"sym":"symmetric","matrix":[[%s]]}' % entry)
+            r = run(runner, "form", "invariants", str(p))
+            assert r.exit_code == 2, entry
+            assert "cannot read Gram form" in r.output
 
 
 class TestVerify:

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from gwadams.gwring import (
-    COEFF_RING, GWElem, check_coefficient_identities, normalize,
+    COEFF_RING, GW, GWElem, SymClass, check_coefficient_identities,
+    context_ring, normalize,
 )
+from gwadams.lambdaring import adams
 from gwadams.polyring import GradingError, MultiPoly
 
 
@@ -49,6 +51,30 @@ class TestNormalForm:
             assert a == b == c
             assert normalize(p + q) == normalize(normalize(p) + normalize(q))
 
+    @pytest.mark.parametrize("gens", [("u",), ("u1", "u2")])
+    def test_quotient_confluence_random(self, gens):
+        # the same for the ring relations together with (u - tau)^2 = 0
+        ring = context_ring(GW, gens)
+        ie, it = ring.index("eps"), ring.index("tau")
+        iu = [ring.index(g) for g in gens]
+        rng = random.Random(20261018)
+
+        def rand_poly():
+            return MultiPoly(ring, {
+                tuple([rng.randrange(3), rng.randrange(3),
+                       rng.randrange(-2, 3)]
+                      + [rng.randrange(4) for _ in gens]): rng.randrange(-9, 10)
+                for _ in range(rng.randrange(1, 4))})
+
+        for _ in range(200):
+            p, q = rand_poly(), rand_poly()
+            a = normalize(p * q, gens)
+            b = normalize(normalize(p, gens) * normalize(q, gens), gens)
+            assert a == b
+            for exps in a.terms:
+                assert all(exps[i] <= 1 for i in iu + [ie, it])
+                assert not (exps[ie] and exps[it])
+
 
 class TestConstructors:
     def test_h(self):
@@ -69,6 +95,15 @@ class TestConstructors:
         assert GWElem.n_star(4) == 2 * GWElem.h()
         with pytest.raises(ValueError):
             GWElem.n_star(-1)
+
+
+class TestSubclass:
+    def test_arithmetic_keeps_type(self):
+        t = GWElem.tau()
+        for x in (t + 1, 1 - t, -t, 2 * t, t * t, t ** 3, adams(0, t),
+                  adams(2, t), adams(-1, t)):
+            assert type(x) is GWElem
+        assert type(SymClass.from_gw(t)) is SymClass
 
 
 class TestGrading:

@@ -184,6 +184,14 @@ class TestTheoryMaps:
             forget(beta)
 
 
+class TestArithmetic:
+    def test_negative_power(self):
+        for x in (u(1), SymClass.gen("u", gens=("u",), quotient=True),
+                  GWElem.gamma()):
+            with pytest.raises(ValueError):
+                x ** -2
+
+
 class TestQuotient:
     def test_square_rewrite(self):
         uq = SymClass.gen("u", gens=("u",), quotient=True)

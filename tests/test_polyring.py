@@ -163,6 +163,15 @@ class TestJson:
             with pytest.raises(ValueError):
                 MultiPoly.from_obj(bad)
 
+    def test_laurent_flag_boolean_only(self):
+        def doc(laurent):
+            return {"vars": [{"name": "x", "laurent": laurent}],
+                    "terms": [{"coeff": "1", "exps": [-1]}]}
+        assert MultiPoly.from_obj(doc(True)).ring.laurent == (True,)
+        for bad in ("false", "true", 0, 1, None):
+            with pytest.raises(ValueError):
+                MultiPoly.from_obj(doc(bad))
+
 
 class TestRendering:
     def test_text(self):
