@@ -32,6 +32,10 @@ from .symfunc import (
 
 FORMAT = click.Choice(["text", "latex", "json"])
 
+# input bounds: each call at the bound finishes in about a second
+ADAMS_MAX = 256     # |n| in `adams n`
+OMEGA_MAX = 96      # n in `omega n` and `omega --table n`
+
 
 def _render_poly(poly, fmt: str) -> str:
     if fmt == "latex":
@@ -108,13 +112,13 @@ def cmd_omega(n, table_max, fmt):
     if (n is None) == (table_max is None):
         raise click.UsageError("give either N or --table N")
     if table_max is not None:
-        if table_max < 0:
-            raise click.UsageError("--table must be >= 0")
+        if not 0 <= table_max <= OMEGA_MAX:
+            raise click.UsageError("--table must be in 0..%d" % OMEGA_MAX)
         for k in range(table_max + 1):
             click.echo("%d: %s" % (k, _render_poly(omega(k).value, fmt)))
         return
-    if n < 0:
-        raise click.UsageError("n must be >= 0")
+    if not 0 <= n <= OMEGA_MAX:
+        raise click.UsageError("n must be in 0..%d" % OMEGA_MAX)
     click.echo(_render_poly(omega(n).value, fmt))
 
 
@@ -140,6 +144,8 @@ _NAMED_TARGETS = {
               show_default=True)
 def cmd_adams(n, target, fmt):
     """Apply the n-th Adams operation to a class."""
+    if abs(n) > ADAMS_MAX:
+        raise click.UsageError("|n| must be at most %d" % ADAMS_MAX)
     if target in _NAMED_TARGETS:
         x = _NAMED_TARGETS[target]()
     else:

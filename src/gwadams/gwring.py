@@ -6,17 +6,22 @@ with grading weights eps -> 0, tau -> 2, gamma -> 4, and the classes of the
 three theories (GW, K, Witt) over their base rings extended by rank-2
 generators u_1..u_k of weight 2.
 
-SymClass is a normal-form element of theory.base_ring()[gens]; in quotient
-mode every generator also obeys (u - tau)^2 = 0.  GWElem is a SymClass of
-theory GW with no generators, whose normal form is the canonical
-a(gamma) + b(gamma)*eps + c(gamma)*tau; it adds the coefficient-ring
-constructors and the dense JSON format of such elements.
+normalize maps each term straight to its normal form by closed formulas
+for the powers of eps, tau and, in quotient mode, the generators, so its
+cost grows with the number of terms, not with their exponents.  SymClass
+is a normal-form element of theory.base_ring()[gens]; in quotient mode
+(only for a theory with tau) every generator also obeys (u - tau)^2 = 0.
+GWElem is a SymClass of theory GW with no generators, whose normal form
+is the canonical a(gamma) + b(gamma)*eps + c(gamma)*tau; it adds the
+coefficient-ring constructors and the dense JSON format of such elements.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import product
 
 from .polyring import GradingError, MultiPoly, Ring, read_bool, read_int
 from .report import VerificationReport, check
@@ -28,56 +33,46 @@ WEIGHTS = {"eps": 0, "tau": 2, "gamma": 4}
 
 
 def normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
-    """Rewrite to normal form in any ring containing eps, tau, gamma.
+    """Normal form in any ring containing eps, tau, gamma: every term has
+    eps- plus tau-exponent at most 1, and exponent at most 1 in each
+    variable named in square_zero, which obeys (u - tau)^2 = 0.  Other
+    variables (u-generators etc.) ride along untouched.
 
-    Extra variables (u-generators etc.) ride along untouched, except those
-    named in square_zero, which obey (u - tau)^2 = 0.  The rewrite system
-    {u^2 -> 2*tau*u - tau^2 for u in square_zero, eps^2 -> 1,
-    tau^2 -> 2*gamma - 2*eps*gamma, eps*tau -> -tau} terminates because each
-    step lowers (total square_zero exponent, tau-exponent, eps-exponent)
-    lexicographically.
+    Each term maps straight to its normal form, then equal terms merge:
+    u^k = k*tau^(k-1)*u - (k-1)*tau^k (u = tau + d with d^2 = 0),
+    eps^a = eps^(a mod 2), tau^(2m+1) = 4^m*gamma^m*tau and
+    tau^(2m) = 2^(2m-1)*gamma^m*(1 - eps) for m >= 1, and eps^a beside a
+    tau-power is the sign (-1)^a.  So one term gives at most
+    2^(len(square_zero)+1) terms, whatever its exponents.
     """
     ring = poly.ring
     ie, it, ig = ring.index("eps"), ring.index("tau"), ring.index("gamma")
     iu = [ring.index(u) for u in square_zero]
-    out: dict = {}
-    stack = list(poly.terms.items())
-    while stack:
-        exps, c = stack.pop()
-        for i in iu:
-            if exps[i] >= 2:
-                e = list(exps)
-                e[i] -= 1
-                e[it] += 1
-                stack.append((tuple(e), 2 * c))
-                e[i] -= 1
-                e[it] += 1
-                stack.append((tuple(e), -c))
-                break
-        else:
-            a, b = exps[ie], exps[it]
-            if a >= 2:
-                e = list(exps)
+    out: dict = defaultdict(int)    # MultiPoly drops the zero sums
+    for exps, c in poly.terms.items():
+        if exps[ie] + exps[it] <= 1 and all(exps[i] <= 1 for i in iu):
+            out[exps] += c
+            continue
+        # the two terms of each u^k, k >= 2:
+        # (index of u, its new exponent, extra tau-exponent, factor)
+        choices = [((i, 1, k - 1, k), (i, 0, k, 1 - k))
+                   for i in iu if (k := exps[i]) >= 2]
+        for pick in product(*choices):
+            e, cc = list(exps), c
+            for i, ue, dt, f in pick:
+                e[i], e[it], cc = ue, e[it] + dt, cc * f
+            a, b = e[ie], e[it]
+            if not b:
                 e[ie] = a % 2
-                stack.append((tuple(e), c))
-            elif b >= 2:
-                e = list(exps)
-                e[it] = b - 2
-                e[ig] += 1
-                stack.append((tuple(e), 2 * c))
-                e2 = list(e)
-                e2[ie] += 1
-                stack.append((tuple(e2), -2 * c))
-            elif a == 1 and b == 1:
-                e = list(exps)
-                e[ie] = 0
-                stack.append((tuple(e), -c))
-            else:
-                s = out.get(exps, 0) + c
-                if s:
-                    out[exps] = s
-                elif exps in out:
-                    del out[exps]
+                out[tuple(e)] += cc
+                continue
+            m, odd = divmod(b, 2)
+            cc *= (-1) ** a * (4 ** m if odd else 2 ** (2 * m - 1))
+            e[ie], e[it], e[ig] = 0, odd, e[ig] + m
+            out[tuple(e)] += cc
+            if not odd:
+                e[ie] = 1
+                out[tuple(e)] -= cc
     return MultiPoly(ring, out)
 
 
@@ -89,22 +84,22 @@ class Theory:
     twist: str          # unit variable implementing the determinant twist
     det_power: int      # lambda^2 of a rank-2 generator is twist**det_power
     rank_subs: dict
-    normalizes: bool    # whether the rewrite system of normalize applies
     line: str | None = None   # base variable that is -(a line class): eps
     rank2: tuple = ()         # base variables of rank 2 with determinant
-                              # twist**det_power: tau
+                              # twist**det_power: tau; where there is one,
+                              # normalize imposes the relations
 
     def base_ring(self) -> Ring:
         return Ring(self.base)
 
 
 GW = Theory("gw", tuple(COEFF_VARS), dict(WEIGHTS),
-            "gamma", 1, {"eps": -1, "tau": 2, "gamma": 1}, True,
+            "gamma", 1, {"eps": -1, "tau": 2, "gamma": 1},
             line="eps", rank2=("tau",))
 KTH = Theory("k", (("beta", True),), {"beta": 1},
-             "beta", 4, {"beta": 1}, False)
+             "beta", 4, {"beta": 1})
 WITT = Theory("witt", (("gamma", True),), {"gamma": 4},
-              "gamma", 1, {"gamma": 1}, False)
+              "gamma", 1, {"gamma": 1})
 
 THEORIES = {t.name: t for t in (GW, KTH, WITT)}
 
@@ -131,10 +126,13 @@ class SymClass:
     def __init__(self, poly: MultiPoly, theory: Theory = GW,
                  gens: tuple = (), quotient: bool = False):
         gens = tuple(gens)
+        if quotient and not theory.rank2:
+            raise ValueError("quotient mode (u - tau)^2 = 0 needs a rank-2 "
+                             "base class; theory %s has none" % theory.name)
         ring = context_ring(theory, gens)
         if poly.ring != ring:
             poly = poly.rename(ring)
-        if theory.normalizes:
+        if theory.rank2:
             poly = normalize(poly, gens if quotient else ())
         self.theory = theory
         self.gens = gens

@@ -5,11 +5,17 @@ this file reads as a one-line pass/fail checklist.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
 
 from click.testing import CliRunner
 
-from gwadams.borel import check_borel_prop, check_omega_laws, check_ternary
+import gwadams
+from gwadams.borel import (
+    check_borel_prop, check_omega_laws, check_ternary, omega_closed,
+)
 from gwadams.cli import main
 from gwadams.forms import check_section2_and_hyp
 from gwadams.gwring import GWElem, check_coefficient_identities
@@ -115,3 +121,32 @@ def test_criterion_9_end_to_end_verify_all():
     assert second.output == first.output
     assert hashlib.sha256(first.output.encode()).hexdigest() == (
         "3d034ef28e340c336f47eb0f9defc3481657589e613f613abfb94c3b617c6e8b")
+
+
+def _fresh_cli(*args):
+    """Run the CLI in a new interpreter; return (stdout, wall seconds)."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(gwadams.__file__)))
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "gwadams.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, elapsed
+
+
+def test_criterion_10_high_degree_cli():
+    n = 64
+    out, elapsed = _fresh_cli("adams", str(n), "--target", "u")
+    gens = ("u",)
+    u = SymClass.gen("u", gens=gens, quotient=True)
+    tau = SymClass.from_gw(GWElem.tau(), gens=gens, quotient=True)
+    want = (SymClass.from_gw(psi_tau_closed(n), gens=gens, quotient=True)
+            + SymClass.from_gw(omega_closed(n), gens=gens, quotient=True)
+            * (u - tau))
+    assert out == want.text() + "\n"
+    assert elapsed < 10
+    out, elapsed = _fresh_cli("omega", "--table", str(n))
+    assert out.splitlines() == ["%d: %s" % (k, omega_closed(k).text())
+                                for k in range(n + 1)]
+    assert elapsed < 10

@@ -67,6 +67,19 @@ class TestOmega:
         assert run(runner, "omega", "2", "--table", "3").exit_code == 2
         assert run(runner, "omega", "-1").exit_code == 2
 
+    def test_size_bound(self, runner):
+        from gwadams.borel import omega_closed
+        from gwadams.cli import OMEGA_MAX
+        r = run(runner, "omega", str(OMEGA_MAX))
+        assert r.exit_code == 0
+        assert r.output == omega_closed(OMEGA_MAX).text() + "\n"
+        r = run(runner, "omega", "--table", str(OMEGA_MAX))
+        assert r.exit_code == 0 and len(r.output.splitlines()) == OMEGA_MAX + 1
+        for args in ((str(OMEGA_MAX + 1),), ("--table", str(OMEGA_MAX + 1))):
+            r = run(runner, "omega", *args)
+            assert r.exit_code == 2
+            assert "0..%d" % OMEGA_MAX in r.output
+
 
 class TestAdams:
     def test_tau(self, runner):
@@ -86,6 +99,15 @@ class TestAdams:
         doc = SymClass.from_gw(GWElem.h()).to_json()
         r = run(runner, "adams", "2", "--target", doc)
         assert r.exit_code == 0 and r.output == "2\n"
+
+    def test_size_bound(self, runner):
+        from gwadams.cli import ADAMS_MAX
+        for n in (ADAMS_MAX, -ADAMS_MAX):
+            assert run(runner, "adams", str(n), "--target", "u").exit_code == 0
+        for n in (ADAMS_MAX + 1, -ADAMS_MAX - 1):
+            r = run(runner, "adams", str(n), "--target", "u")
+            assert r.exit_code == 2
+            assert "at most %d" % ADAMS_MAX in r.output
 
     def test_parse_error(self, runner):
         assert run(runner, "adams", "2", "--target", "{broken").exit_code == 2
@@ -108,7 +130,15 @@ class TestAdams:
                     '"components":[{"c":[1],"u_exps":[1]}]}',
                     '{"theory":"k","components":[{"poly":{"vars":[{"name":'
                     '"beta","laurent":"false"}],"terms":[{"coeff":"1",'
-                    '"exps":[-1]}]}}]}'):
+                    '"exps":[-1]}]}}]}',
+                    # quotient mode in a theory without tau
+                    '{"theory":"k","gens":["u"],"quotient":true,"components":'
+                    '[{"u_exps":[2],"poly":{"vars":[{"name":"beta","laurent":'
+                    'true}],"terms":[{"coeff":"1","exps":[0]}]}}]}',
+                    '{"theory":"witt","gens":["u"],"quotient":true,'
+                    '"components":[{"u_exps":[2],"poly":{"vars":[{"name":'
+                    '"gamma","laurent":true}],"terms":[{"coeff":"1",'
+                    '"exps":[0]}]}}]}'):
             r = run(runner, "adams", "2", "--target", doc)
             assert r.exit_code == 2, doc
             assert "cannot parse target" in r.output

@@ -2,16 +2,70 @@ import random
 
 import pytest
 
+from gwadams.borel import omega_closed, omega_recursive
 from gwadams.gwring import (
     COEFF_RING, GW, GWElem, SymClass, check_coefficient_identities,
     context_ring, normalize,
 )
-from gwadams.lambdaring import adams
+from gwadams.lambdaring import adams, psi_tau_closed
 from gwadams.polyring import GradingError, MultiPoly
 
 
 def raw(terms):
     return MultiPoly(COEFF_RING, terms)
+
+
+def stack_normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
+    """Reference oracle for gwring.normalize, one rewrite step at a time.
+
+    The rewrite system {u^2 -> 2*tau*u - tau^2 for u in square_zero,
+    eps^2 -> 1, tau^2 -> 2*gamma - 2*eps*gamma, eps*tau -> -tau} terminates
+    because each step lowers (total square_zero exponent, tau-exponent,
+    eps-exponent) lexicographically.  Equal terms merge only at the end, so
+    the stack grows exponentially in the exponents: keep them small.
+    """
+    ring = poly.ring
+    ie, it, ig = ring.index("eps"), ring.index("tau"), ring.index("gamma")
+    iu = [ring.index(u) for u in square_zero]
+    out: dict = {}
+    stack = list(poly.terms.items())
+    while stack:
+        exps, c = stack.pop()
+        for i in iu:
+            if exps[i] >= 2:
+                e = list(exps)
+                e[i] -= 1
+                e[it] += 1
+                stack.append((tuple(e), 2 * c))
+                e[i] -= 1
+                e[it] += 1
+                stack.append((tuple(e), -c))
+                break
+        else:
+            a, b = exps[ie], exps[it]
+            if a >= 2:
+                e = list(exps)
+                e[ie] = a % 2
+                stack.append((tuple(e), c))
+            elif b >= 2:
+                e = list(exps)
+                e[it] = b - 2
+                e[ig] += 1
+                stack.append((tuple(e), 2 * c))
+                e2 = list(e)
+                e2[ie] += 1
+                stack.append((tuple(e2), -2 * c))
+            elif a == 1 and b == 1:
+                e = list(exps)
+                e[ie] = 0
+                stack.append((tuple(e), -c))
+            else:
+                s = out.get(exps, 0) + c
+                if s:
+                    out[exps] = s
+                elif exps in out:
+                    del out[exps]
+    return MultiPoly(ring, out)
 
 
 class TestNormalForm:
@@ -74,6 +128,60 @@ class TestNormalForm:
             for exps in a.terms:
                 assert all(exps[i] <= 1 for i in iu + [ie, it])
                 assert not (exps[ie] and exps[it])
+
+
+    @pytest.mark.parametrize("gens", [(), ("u",), ("u1", "u2")])
+    def test_matches_stack_oracle(self, gens):
+        ring = context_ring(GW, gens)
+        rng = random.Random(20261019)
+        for _ in range(1000):
+            p = MultiPoly(ring, {
+                tuple([rng.randrange(5), rng.randrange(8),
+                       rng.randrange(-3, 4)]
+                      + [rng.randrange(6) for _ in gens]): rng.randrange(-9, 10)
+                for _ in range(rng.randrange(1, 5))})
+            for square_zero in {(), gens}:
+                assert normalize(p, square_zero) == stack_normalize(
+                    p, square_zero), (p, square_zero)
+
+    @pytest.mark.parametrize("gens, square_zero, exps", [
+        ((), (), (0, 200, 0)),
+        ((), (), (3, 201, -2)),
+        (("u1", "u2"), ("u1", "u2"), (0, 0, 0, 50, 40)),
+    ])
+    def test_large_exponent_bound(self, gens, square_zero, exps):
+        # one term gives at most 2^(len(square_zero) + 1) terms
+        ring = context_ring(GW, gens)
+        out = normalize(MultiPoly(ring, {exps: 1}), square_zero)
+        assert 0 < len(out.terms) <= 2 ** (len(square_zero) + 1)
+        assert SymClass(out, GW, gens, bool(square_zero)).degree() == (
+            2 * exps[1] + 4 * exps[2] + 2 * sum(exps[3:]))
+
+    def test_large_tau_power(self):
+        # tau^(2m) = 2^(2m-1) gamma^m (1 - eps), tau^(2m+1) = 4^m gamma^m tau
+        tau, gamma = GWElem.tau(), GWElem.gamma()
+        assert GWElem(raw({(0, 200, 0): 1})) == (
+            2 ** 199 * gamma ** 100 * GWElem.h())
+        assert GWElem(raw({(3, 201, -2): 1})) == (
+            -(4 ** 100) * gamma ** 98 * tau)
+
+
+class TestHighDegree:
+    """Degrees that the one-step rewrite oracle cannot reach."""
+
+    @pytest.mark.parametrize("n", [16, 40, 64])
+    def test_adams_u_closed(self, n):
+        # psi^n(u) = psi^n(tau) + omega(n)*(u - tau) in the quotient
+        gens = ("u",)
+        u = SymClass.gen("u", gens=gens, quotient=True)
+        tau = SymClass.from_gw(GWElem.tau(), gens=gens, quotient=True)
+        want = (SymClass.from_gw(psi_tau_closed(n), gens=gens, quotient=True)
+                + SymClass.from_gw(omega_closed(n), gens=gens, quotient=True)
+                * (u - tau))
+        assert adams(n, u) == want
+
+    def test_omega_recursive_64(self):
+        assert omega_recursive(64) == omega_closed(64)
 
 
 class TestConstructors:
