@@ -25,6 +25,7 @@ from .lambdaring import (
     SymClass, adams, adams_negative, check_adams_hyperbolic,
     check_lambda_axioms,
 )
+from .polyring import GradingError
 from .report import merge
 from .symfunc import (
     check_appendix_a, check_appendix_b, universal_P, universal_Q, universal_R,
@@ -32,9 +33,35 @@ from .symfunc import (
 
 FORMAT = click.Choice(["text", "latex", "json"])
 
-# input bounds: each call at the bound finishes in about a second
+# input bounds: each call at the bound finishes in about a second (cold
+# process, 2 vCPU, Python 3.11)
 ADAMS_MAX = 256     # |n| in `adams n`
+# |n|^k in `adams n`, k the number of generators occurring in the target;
+# the output grows like |n|^k: u1*u2*u3 at n = 64 takes 0.55 s (2 MB out),
+# at n = 128 4.0 s (23 MB out)
+ADAMS_SIZE_MAX = 64 ** 3
 OMEGA_MAX = 96      # n in `omega n` and `omega --table n`
+# limits of `universal` whatever --max says:
+# P_12 0.63 s, P_13 1.1 s
+UNIVERSAL_P_MAX = 13
+# composed R_8 0.30 s, R_9 0.63 s, R_10 1.8 s
+UNIVERSAL_R_MAX = 9
+# direct (and both) R_4 1.5 s; R_5 did not finish in 60 s
+UNIVERSAL_R_DIRECT_MAX = 4
+# i*j in Q_{i,j}; the slowest shape at i*j = 28 is Q_{14,2} at 0.93 s,
+# at i*j = 30 Q_{15,2} at 1.8 s
+UNIVERSAL_Q_MAX = 28
+
+
+def _check_size(what: str, size: int, max_override, default: int,
+                limit: int, kind: str):
+    if size > limit:
+        raise click.UsageError("%s = %d exceeds the limit %d of universal %s"
+                               % (what, size, limit, kind))
+    bound = max_override if max_override is not None else default
+    if size > bound:
+        raise click.UsageError("%s = %d exceeds bound %d; pass --max"
+                               % (what, size, bound))
 
 
 def _render_poly(poly, fmt: str) -> str:
@@ -57,7 +84,10 @@ def main():
 @click.option("--format", "fmt", type=FORMAT, default="text",
               show_default=True, help="Output rendering.")
 @click.option("--max", "max_override", type=int, default=None,
-              help="Raise the default index bound (P/R: n <= 4, Q: ij <= 6).")
+              help="Raise the default index bound (P/R: n <= 4, Q: ij <= 6) "
+                   "up to the fixed limits (P: %d, R: %d, direct R: %d, "
+                   "Q: ij <= %d)." % (UNIVERSAL_P_MAX, UNIVERSAL_R_MAX,
+                                      UNIVERSAL_R_DIRECT_MAX, UNIVERSAL_Q_MAX))
 @click.option("--method", type=click.Choice(["direct", "composed", "both"]),
               default="composed", show_default=True,
               help="Construction route for R.")
@@ -69,10 +99,7 @@ def cmd_universal(kind, indices, fmt, max_override, method):
         i, j = indices
         if i < 1 or j < 1:
             raise click.UsageError("indices must be >= 1")
-        bound = max_override if max_override is not None else 6
-        if i * j > bound:
-            raise click.UsageError(
-                "i*j = %d exceeds bound %d; pass --max" % (i * j, bound))
+        _check_size("i*j", i * j, max_override, 6, UNIVERSAL_Q_MAX, kind)
         click.echo(_render_poly(universal_Q(i, j), fmt))
         return
     if len(indices) != 1:
@@ -80,10 +107,14 @@ def cmd_universal(kind, indices, fmt, max_override, method):
     n = indices[0]
     if n < 1:
         raise click.UsageError("n must be >= 1")
-    bound = max_override if max_override is not None else 4
-    if n > bound:
-        raise click.UsageError("n = %d exceeds bound %d; pass --max"
-                               % (n, bound))
+    if kind == "P":
+        limit = UNIVERSAL_P_MAX
+    elif method == "composed":
+        limit = UNIVERSAL_R_MAX
+    else:
+        limit = UNIVERSAL_R_DIRECT_MAX
+    _check_size("n", n, max_override, 4, limit,
+                kind if kind == "P" else "R --method " + method)
     if kind == "P":
         click.echo(_render_poly(universal_P(n), fmt))
         return
@@ -153,7 +184,16 @@ def cmd_adams(n, target, fmt):
             x = SymClass.from_json(target)
         except (ValueError, KeyError, TypeError) as exc:
             raise click.UsageError("cannot parse target: %s" % exc)
-    got = adams_negative(n, x) if n < 0 else adams(n, x)
+    ring = x.poly.ring
+    k = sum(any(e[ring.index(g)] for e in x.poly.terms) for g in x.gens)
+    if abs(n) ** k > ADAMS_SIZE_MAX:
+        raise click.UsageError(
+            "|n|^k = %d^%d exceeds %d, k the number of generators in the "
+            "target" % (abs(n), k, ADAMS_SIZE_MAX))
+    try:
+        got = adams_negative(n, x) if n < 0 else adams(n, x)
+    except GradingError as exc:
+        raise click.UsageError(str(exc))
     click.echo(_render_poly(got, fmt))
 
 

@@ -7,11 +7,16 @@ order used everywhere is graded lexicographic by declared variable order.
 
 TruncSeries is a truncated power series in a distinguished formal variable t
 with MultiPoly coefficients, exact modulo t^(N+1).
+
+The public constructors validate their terms.  Results of ring operations
+are valid by construction and skip re-validation (MultiPoly._trusted); every
+product goes through one multiply-accumulate kernel, _mul_into.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 from typing import Iterable, Mapping
 
@@ -147,6 +152,15 @@ class MultiPoly:
         self.ring = ring
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, ring: Ring, terms: dict) -> "MultiPoly":
+        """Wrap a fresh dict that already holds no zero coefficient and no
+        negative exponent on a non-Laurent variable, without re-checking it."""
+        self = cls.__new__(cls)
+        self.ring = ring
+        self.terms = terms
+        return self
+
     # -- basics -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -199,12 +213,13 @@ class MultiPoly:
                 out[exps] = s
             elif exps in out:
                 del out[exps]
-        return MultiPoly(self.ring, out)
+        return MultiPoly._trusted(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.ring,
+                                  {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -219,20 +234,9 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
         out: dict = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return MultiPoly(self.ring, out)
+        _mul_into(out, self.terms, other.terms)
+        return MultiPoly._trusted(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -334,18 +338,20 @@ class MultiPoly:
             powcache[key] = r
             return r
 
-        result = target.zero()
+        # each term is piece * last, accumulated into one output dict
+        one = target.one()
+        out: dict = {}
         for exps, c in self.terms.items():
             te = [0] * target.nvars
             for i, j in passthrough.items():
                 te[j] += exps[i]
-            piece = MultiPoly(target, {tuple(te): c})
+            piece, last = MultiPoly(target, {tuple(te): c}), one
             for i in bound:
                 k = exps[i]
                 if k:
-                    piece = piece * power(i, k)
-            result = result + piece
-        return result
+                    piece, last = piece * last, power(i, k)
+            _mul_into(out, piece.terms, last.terms)
+        return MultiPoly._trusted(target, out)
 
     def rename(self, target: Ring,
                mapping: Mapping[str, str] | None = None) -> "MultiPoly":
@@ -478,6 +484,22 @@ def _default_latex_symbol(name: str) -> str:
     return name
 
 
+def _mul_into(out: dict, a: dict, b: dict) -> None:
+    """out += a*b on term dicts, deleting the terms that cancel to zero.
+    The shorter operand drives the outer loop."""
+    if len(a) > len(b):
+        a, b = b, a
+    add, get = operator.add, out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:           # c1*c2 != 0, so e was present
+                del out[e]
+
+
 def _unit_monomial_inverse(v: MultiPoly) -> MultiPoly:
     if len(v.terms) != 1:
         raise SubstitutionError("need a unit monomial, got %s" % v)
@@ -528,12 +550,12 @@ class TruncSeries:
         n = min(self.order, other.order)
         out = []
         for k in range(n + 1):
-            acc = self.ring.zero()
+            acc: dict = {}
             for i in range(k + 1):
                 a, b = self.coeffs[i], other.coeffs[k - i]
                 if a and b:
-                    acc = acc + a * b
-            out.append(acc)
+                    _mul_into(acc, a.terms, b.terms)
+            out.append(MultiPoly._trusted(self.ring, acc))
         return TruncSeries(self.ring, n, out)
 
     def inverse(self) -> "TruncSeries":
@@ -541,11 +563,12 @@ class TruncSeries:
             raise InvertibilityError("constant coefficient must be 1")
         inv = [self.ring.one()]
         for k in range(1, self.order + 1):
-            acc = self.ring.zero()
+            acc: dict = {}
             for i in range(1, k + 1):
                 if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * inv[k - i]
-            inv.append(-acc)
+                    _mul_into(acc, self.coeffs[i].terms, inv[k - i].terms)
+            inv.append(MultiPoly._trusted(
+                self.ring, {e: -c for e, c in acc.items()}))
         return TruncSeries(self.ring, self.order, inv)
 
     def __pow__(self, n: int) -> "TruncSeries":

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -44,6 +45,33 @@ class TestUniversal:
     def test_latex(self, runner):
         r = run(runner, "universal", "P", "1", "--format", "latex")
         assert r.exit_code == 0 and "X_{1}" in r.output
+
+    @pytest.mark.parametrize("name, args", [
+        ("UNIVERSAL_P_MAX", ("P",)),
+        ("UNIVERSAL_R_MAX", ("R", "--method", "composed")),
+        ("UNIVERSAL_R_DIRECT_MAX", ("R", "--method", "direct")),
+        ("UNIVERSAL_R_DIRECT_MAX", ("R", "--method", "both")),
+    ])
+    def test_size_limit(self, runner, name, args):
+        import gwadams.cli
+        limit = getattr(gwadams.cli, name)
+        kind, opts = args[0], args[1:]
+        r = run(runner, "universal", kind, str(limit + 1), "--max", "99",
+                *opts)
+        assert r.exit_code == 2 and "exceeds the limit %d" % limit in r.output
+        r = run(runner, "universal", kind, str(limit), "--max", "99", *opts)
+        assert r.exit_code == 0 and r.output
+
+    def test_q_size_limit(self, runner):
+        from gwadams.cli import UNIVERSAL_Q_MAX
+        r = run(runner, "universal", "Q", str(UNIVERSAL_Q_MAX + 1), "1",
+                "--max", "99")
+        assert r.exit_code == 2
+        assert "exceeds the limit %d" % UNIVERSAL_Q_MAX in r.output
+        i, j = UNIVERSAL_Q_MAX // 2, 2        # the slowest shape measured
+        assert i * j == UNIVERSAL_Q_MAX
+        r = run(runner, "universal", "Q", str(i), str(j), "--max", "99")
+        assert r.exit_code == 0 and r.output
 
     def test_arity_errors(self, runner):
         assert run(runner, "universal", "P", "1", "2").exit_code == 2
@@ -109,6 +137,20 @@ class TestAdams:
             assert r.exit_code == 2
             assert "at most %d" % ADAMS_MAX in r.output
 
+    def test_generator_size_bound(self, runner):
+        from gwadams.cli import ADAMS_SIZE_MAX
+        u123 = ('{"theory":"gw","gens":["u1","u2","u3"],"quotient":false,'
+                '"components":[{"deg":0,"gmin":0,"a":[1],"b":[0],"c":[0],'
+                '"u_exps":[1,1,1]}]}')
+        assert ADAMS_SIZE_MAX == 64 ** 3
+        r = run(runner, "adams", "64", "--target", u123)
+        assert r.exit_code == 0 and r.output.startswith("u1^64*u2^64*u3^64 ")
+        for n in ("65", "-65", "128"):
+            start = time.perf_counter()
+            r = run(runner, "adams", n, "--target", u123)
+            assert time.perf_counter() - start < 1
+            assert r.exit_code == 2 and "exceeds %d" % ADAMS_SIZE_MAX in r.output
+
     def test_parse_error(self, runner):
         assert run(runner, "adams", "2", "--target", "{broken").exit_code == 2
         # valid JSON that is not a class document
@@ -142,6 +184,14 @@ class TestAdams:
             r = run(runner, "adams", "2", "--target", doc)
             assert r.exit_code == 2, doc
             assert "cannot parse target" in r.output
+        # inhomogeneous classes parse but have no Adams image
+        for n, doc in (("2", '{"components":[{"a":[1,1]}]}'),
+                       ("-3", '{"components":[{"a":[1,1]}]}'),
+                       ("2", '{"gens":["u"],"components":[{"a":[1],'
+                             '"u_exps":[1]},{"a":[1],"u_exps":[0]}]}')):
+            r = run(runner, "adams", n, "--target", doc)
+            assert r.exit_code == 2, doc
+            assert "homogeneous" in r.output
 
 
 class TestJsonShape:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,3 +221,175 @@ def test_series_group_structure(p, q):
 def test_canonical_idempotence(p):
     assert MultiPoly(p.ring, dict(p.terms)) == p
     assert all(c != 0 for c in p.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# the multiply-accumulate kernel against a schoolbook oracle
+
+RL = Ring([("x", False), ("g", True), ("y", False), ("h", True)])
+R1 = Ring([("x", False), ("g", True)])
+
+
+def schoolbook_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Reference product: list every pair of terms, merge once at the end,
+    and let the validating constructor drop the zero sums."""
+    pairs = [(tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+             for e1, c1 in p.terms.items() for e2, c2 in q.terms.items()]
+    out: dict = {}
+    for e, c in pairs:
+        out[e] = out.get(e, 0) + c
+    return MultiPoly(p.ring, out)
+
+
+def schoolbook_sum(ring: Ring, polys) -> MultiPoly:
+    out: dict = {}
+    for p in polys:
+        for e, c in p.terms.items():
+            out[e] = out.get(e, 0) + c
+    return MultiPoly(ring, out)
+
+
+def random_poly(rng, ring=RL, maxterms=5, maxexp=2, coeff=3):
+    terms: dict = {}
+    for _ in range(rng.randint(0, maxterms)):
+        e = tuple(rng.randint(-maxexp if laur else 0, maxexp)
+                  for laur in ring.laurent)
+        terms[e] = terms.get(e, 0) + rng.randint(-coeff, coeff)
+    return MultiPoly(ring, terms)
+
+
+def assert_clean(p: MultiPoly):
+    assert all(p.terms.values())
+    for e in p.terms:
+        assert all(k >= 0 for k, laur in zip(e, p.ring.laurent) if not laur)
+
+
+class TestKernel:
+    def test_mul(self):
+        rng = random.Random(7)
+        cancelled = 0
+        for i in range(3000):
+            # a small ring, where terms collide and cancel often
+            ring, coeff = (RL, 3) if i % 2 else (R1, 1)
+            p, q = (random_poly(rng, ring, coeff=coeff),
+                    random_poly(rng, ring, coeff=coeff))
+            got = p * q
+            assert_clean(got)
+            assert got == schoolbook_mul(p, q)
+            sums = {tuple(x + y for x, y in zip(e1, e2))
+                    for e1 in p.terms for e2 in q.terms}
+            cancelled += len(got.terms) < len(sums)
+        assert cancelled > 20       # some products lose terms to cancellation
+
+    def test_accumulation_cancels_to_zero(self):
+        rng = random.Random(8)
+        T = Ring([("s", False), ("d", True)])
+        x, y = RL.var("x"), RL.var("y")
+        for _ in range(300):
+            q = random_poly(rng)
+            b = random_poly(rng, T)
+            bind = {"x": b, "y": b, "g": T.var("d"), "h": T.var("d", -1)}
+            got = (x * q - y * q).substitute(bind, T)
+            assert got.terms == {}
+            f = TruncSeries(RL, 2, [q, x * q])
+            g = TruncSeries(RL, 2, [q, -x * q])
+            assert (f * g)[1].terms == {}
+
+    def test_series_mul_and_inverse(self):
+        rng = random.Random(9)
+        for _ in range(600):
+            n = rng.randint(0, 4)
+            a = [random_poly(rng, maxterms=3) for _ in range(n + 1)]
+            b = [random_poly(rng, maxterms=3) for _ in range(n + 1)]
+            got = TruncSeries(RL, n, a) * TruncSeries(RL, n, b)
+            for k in range(n + 1):
+                want = schoolbook_sum(RL, (schoolbook_mul(a[i], b[k - i])
+                                           for i in range(k + 1)))
+                assert_clean(got[k])
+                assert got[k] == want
+            f = TruncSeries(RL, n, [RL.one()] + a[1:])
+            inv = f.inverse()
+            want = [RL.one()]
+            for k in range(1, n + 1):
+                want.append(-schoolbook_sum(RL, (
+                    schoolbook_mul(f[i], want[k - i]) for i in range(1, k + 1))))
+            for k in range(n + 1):
+                assert_clean(inv[k])
+            assert list(inv.coeffs) == want
+
+    def test_series_coefficient_cancels(self):
+        a = RL.var("x") * RL.var("g", -1) + RL.var("h")
+        f = TruncSeries(RL, 3, [RL.one(), a])
+        g = TruncSeries(RL, 3, [RL.one(), -a])
+        prod = f * g
+        assert prod[1].terms == {} and prod[3].terms == {}
+        assert prod[2] == -(a * a)
+
+    def test_substitute(self):
+        rng = random.Random(10)
+        T = Ring([("s", False), ("d", True)])
+        for _ in range(600):
+            p = random_poly(rng, maxterms=4)
+            bind = {"x": random_poly(rng, T, maxterms=3),
+                    "y": random_poly(rng, T, maxterms=3),
+                    # Laurent bindings: unit monomials
+                    "g": rng.choice((1, -1)) * T.var("d", rng.randint(-2, 2)),
+                    "h": rng.choice((1, -1)) * T.var("d", rng.randint(-2, 2))}
+            got = p.substitute(bind, T)
+            pieces = []
+            for exps, c in p.terms.items():
+                piece = T.const(c)
+                for name, k in zip(RL.names, exps):
+                    v = bind[name]
+                    if k < 0:
+                        (e, u), = v.terms.items()
+                        v = MultiPoly(T, {tuple(-x for x in e): u})
+                    for _ in range(abs(k)):
+                        piece = schoolbook_mul(piece, v)
+                pieces.append(piece)
+            assert_clean(got)
+            assert got == schoolbook_sum(T, pieces)
+
+
+class TestValidationRoutes:
+    """The public constructors keep validating their terms."""
+
+    def test_constructor(self):
+        assert MultiPoly(R2, {(1, 0): 0}).terms == {}
+        with pytest.raises(ExponentError):
+            MultiPoly(R2, {(-1, 0): 1})
+
+    def test_from_obj(self):
+        doc = {"vars": [{"name": "x", "laurent": False}],
+               "terms": [{"coeff": "1", "exps": [-1]}]}
+        with pytest.raises(ExponentError):
+            MultiPoly.from_obj(doc)
+        doc["terms"] = [{"coeff": "2", "exps": [1]}, {"coeff": "-2", "exps": [1]}]
+        assert MultiPoly.from_obj(doc).terms == {}
+
+    def test_ring_constructors(self):
+        with pytest.raises(ExponentError):
+            R2.var("y", -2)
+        with pytest.raises(ExponentError):
+            R2.monomial(3, {"x": 1, "y": -1})
+        assert R2.monomial(0, {"x": 1}).terms == {}
+        assert R2.const(0).terms == {}
+
+    def test_rename_to_non_laurent_target(self):
+        src = Ring([("x", True)])
+        with pytest.raises(ExponentError):
+            src.var("x", -1).rename(Ring([("x", False)]))
+
+    def test_substitute_passthrough(self):
+        src = Ring([("x", True), ("y", False)])
+        T = Ring([("x", False), ("s", False)])
+        with pytest.raises(ExponentError):
+            (src.var("x", -1) * src.var("y")).substitute({"y": T.var("s")}, T)
+
+    def test_substitute_unit_inverse(self):
+        src = Ring([("g", True)])
+        T = Ring([("s", False)])
+        with pytest.raises(SubstitutionError):
+            src.var("g", -1).substitute({"g": 2 * T.var("s")})
+        with pytest.raises(ExponentError):
+            src.var("g", -1).substitute({"g": T.var("s")})
