@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from math import comb
 
 import click
 
@@ -41,6 +42,18 @@ ADAMS_MAX = 256     # |n| in `adams n`
 # at n = 128 4.0 s (23 MB out)
 ADAMS_SIZE_MAX = 64 ** 3
 OMEGA_MAX = 96      # n in `omega n` and `omega --table n`
+# rank of the form printed by `form ext-power`, `sym-power` and `tensor`:
+# C(r, n), C(r+n-1, n) or r_a*r_b.  At or near the bound: ext-power of a
+# rank-10 form n = 4 (210) 0.71 s, rank-12 n = 3 (220) 0.48 s; sym-power
+# rank-7 n = 4 (210) 0.99 s, rank-10 n = 3 (220) 0.50 s; the slowest shape
+# inside it is sym-power rank-5 n = 5 (126) at 1.7 s, since a permanent
+# costs n!*n.  ext-power rank-10 n = 5 (252) takes 1.9 s.
+FORM_RANK_MAX = 220
+# n in `form ext-power n`: each output entry is an n x n minor, so the
+# output rank alone does not bound the time (rank-20 n = 18 has output rank
+# 190 and takes 19.7 s); rank-10 n = 6 (210) takes 1.4 s.  sym-power needs
+# no such bound: n <= r and C(2n-1, n) > FORM_RANK_MAX for n > 5.
+FORM_MINOR_MAX = 6
 # limits of `universal` whatever --max says:
 # P_12 0.63 s, P_13 1.1 s
 UNIVERSAL_P_MAX = 13
@@ -240,16 +253,30 @@ def _read_form(path: str) -> GramForm:
         raise click.UsageError("cannot read Gram form %s: %s" % (path, exc))
 
 
+def _check_form_rank(rank: int):
+    if rank > FORM_RANK_MAX:
+        raise click.UsageError("output rank %d exceeds the limit %d"
+                               % (rank, FORM_RANK_MAX))
+
+
+def _read_power(path: str, n: int) -> GramForm:
+    f = _read_form(path)
+    if not 0 <= n <= f.rank:
+        raise click.UsageError("n out of range 0..%d" % f.rank)
+    return f
+
+
 @cmd_form.command("ext-power")
 @click.argument("path")
 @click.argument("n", type=int)
 def form_ext_power(path, n):
     """n-th exterior power of the Gram form in PATH."""
-    f = _read_form(path)
-    try:
-        click.echo(ext_power(f, n).to_json())
-    except IndexError:
-        raise click.UsageError("n out of range 0..%d" % f.rank)
+    f = _read_power(path, n)
+    _check_form_rank(comb(f.rank, n))
+    if n > FORM_MINOR_MAX:
+        raise click.UsageError("n = %d exceeds the limit %d of ext-power"
+                               % (n, FORM_MINOR_MAX))
+    click.echo(ext_power(f, n).to_json())
 
 
 @cmd_form.command("sym-power")
@@ -257,11 +284,9 @@ def form_ext_power(path, n):
 @click.argument("n", type=int)
 def form_sym_power(path, n):
     """n-th symmetric power (unnormalized) of the Gram form in PATH."""
-    f = _read_form(path)
-    try:
-        click.echo(sym_power(f, n).to_json())
-    except IndexError:
-        raise click.UsageError("n out of range 0..%d" % f.rank)
+    f = _read_power(path, n)
+    _check_form_rank(comb(f.rank + n - 1, n) if n else 1)
+    click.echo(sym_power(f, n).to_json())
 
 
 @cmd_form.command("tensor")
@@ -269,7 +294,9 @@ def form_sym_power(path, n):
 @click.argument("path_b")
 def form_tensor(path_a, path_b):
     """Tensor product of two Gram forms."""
-    click.echo(tensor(_read_form(path_a), _read_form(path_b)).to_json())
+    a, b = _read_form(path_a), _read_form(path_b)
+    _check_form_rank(a.rank * b.rank)
+    click.echo(tensor(a, b).to_json())
 
 
 @cmd_form.command("hyperbolic")

@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, prod
+from math import comb, lcm, prod
+from operator import getitem, mul
 
 from .report import VerificationReport, check
 
@@ -28,9 +29,14 @@ class WitnessError(ValueError):
 
 def _frac(x) -> Fraction:
     """An exact rational from an int, a Fraction or a string such as "3/4";
-    floats and booleans are refused."""
-    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
-        return Fraction(x)
+    floats, booleans and zero denominators are refused."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator: %r" % (x,))
     raise ValueError("not an exact rational: %r" % (x,))
 
 
@@ -42,13 +48,17 @@ class GramForm:
     def __init__(self, matrix, sym: int = 1):
         if sym not in (1, -1):
             raise ValueError("sym must be +1 or -1")
+        if not isinstance(matrix, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in matrix):
+            raise ValueError("matrix must be a list of rows")
         rows = tuple(tuple(_frac(x) for x in row) for row in matrix)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if rows[j][i] != sym * rows[i][j]:
+        for i, row in enumerate(rows):
+            for j in range(i, n):
+                x = row[j]
+                if rows[j][i] != (x if sym == 1 else -x):
                     raise ValueError("matrix is not %s-symmetric" % sym)
         self.matrix = rows
         self.sym = sym
@@ -105,35 +115,76 @@ class GramForm:
 
 # ---------------------------------------------------------------------------
 # matrix helpers
+#
+# Determinants, minors, permanents and products run on integers: a rational
+# matrix is scaled once by the least common denominator of its entries and
+# Fractions are built only for the results.
+
+def _integral(m):
+    """(integer rows, d) with d the least common denominator of the entries
+    of m, so that m = rows / d."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
+def _int_det(m) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: every division by the previous pivot is exact."""
+    sign, prev = 1, 1
+    while len(m) > 1:
+        for r, row in enumerate(m):
+            if row[0]:
+                break
+        else:
+            return 0
+        if r:
+            m = m[:]
+            m[0], m[r] = m[r], m[0]
+            sign = -sign
+        top = m[0]
+        p, t = top[0], top[1:]
+        rest = []
+        for row in m[1:]:
+            a = row[0]
+            rest.append([(p * x - a * y) // prev for x, y in zip(row[1:], t)])
+        m, prev = rest, p
+    return sign * m[0][0] if m else 1
+
+
+def _int_permanent(m) -> int:
+    return sum(prod(map(getitem, m, perm))
+               for perm in permutations(range(len(m))))
+
 
 def _det(m) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    out = Fraction(1)
-    for i in range(n):
-        pivot = None
-        for r in range(i, n):
-            if m[r][i] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != i:
-            m[i], m[pivot] = m[pivot], m[i]
-            out = -out
-        out *= m[i][i]
-        inv = 1 / m[i][i]
-        for r in range(i + 1, n):
-            c = m[r][i] * inv
-            if c:
-                m[r] = [a - c * b for a, b in zip(m[r], m[i])]
+    mi, d = _integral(m)
+    return Fraction(_int_det(mi), d ** len(m))
+
+
+def _minors(M, subsets, n: int, fn):
+    """[[fn(M[S][T]) for T in subsets] for S in subsets] for an integer
+    function fn of n x n matrices that is homogeneous of degree n in the
+    entries (determinant, permanent); M is scaled to integers once."""
+    Mi, d = _integral(M)
+    den = d ** n
+    out = []
+    for S in subsets:
+        rows = [Mi[i] for i in S]
+        out.append([Fraction(fn([[r[j] for j in T] for r in rows]), den)
+                    for T in subsets])
     return out
 
 
+def _int_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
 def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+    ai, da = _integral(a)
+    bi, db = _integral(b)
+    d = da * db
+    return [[Fraction(x, d) for x in row] for row in _int_mul(ai, bi)]
 
 
 def _transpose(a):
@@ -162,15 +213,17 @@ def _mat_inv(a):
     return [row[n:] for row in m]
 
 
-def _permanent(rows) -> Fraction:
-    n = len(rows)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        p = Fraction(1)
-        for i, j in enumerate(perm):
-            p *= rows[i][j]
-        total += p
-    return total
+def _congruent(B, F, G) -> bool:
+    """B^T * F * B == G for rational matrices, in integers: with B = Bi/dB,
+    F = Fi/dF and G = Gi/dG this is Bi^T * Fi * Bi * dG == Gi * dB^2 * dF.
+    Different shapes compare unequal."""
+    Bi, dB = _integral(B)
+    Fi, dF = _integral(F)
+    Gi, dG = _integral(G)
+    got = _int_mul(_transpose(Bi), _int_mul(Fi, Bi))
+    s = dB * dB * dF
+    return ([[x * dG for x in row] for row in got]
+            == [[y * s for y in row] for row in Gi])
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +234,7 @@ def ext_power(f: GramForm, n: int) -> GramForm:
     if not 0 <= n <= f.rank:
         raise IndexError("n out of range")
     basis = list(combinations(range(f.rank), n))
-    M = f.matrix
-    rows = []
-    for S in basis:
-        row = []
-        for T in basis:
-            row.append(_det([[M[i][j] for j in T] for i in S]))
-        rows.append(row)
-    return GramForm(rows, f.sym ** n)
+    return GramForm(_minors(f.matrix, basis, n, _int_det), f.sym ** n)
 
 
 def sym_power(f: GramForm, n: int) -> GramForm:
@@ -197,14 +243,7 @@ def sym_power(f: GramForm, n: int) -> GramForm:
     if not 0 <= n <= f.rank:
         raise IndexError("n out of range")
     basis = list(combinations_with_replacement(range(f.rank), n))
-    M = f.matrix
-    rows = []
-    for S in basis:
-        row = []
-        for T in basis:
-            row.append(_permanent([[M[i][j] for j in T] for i in S]))
-        rows.append(row)
-    return GramForm(rows, f.sym ** n)
+    return GramForm(_minors(f.matrix, basis, n, _int_permanent), f.sym ** n)
 
 
 def tensor(f: GramForm, g: GramForm) -> GramForm:
@@ -264,8 +303,7 @@ def check_congruence(B, f: GramForm, g: GramForm) -> bool:
         return False
     if f.rank and _det(B) == 0:
         raise WitnessError("singular congruence witness")
-    got = _mat_mul(_transpose(B), _mat_mul([list(r) for r in f.matrix], B))
-    return got == [list(r) for r in g.matrix]
+    return _congruent(B, f.matrix, g.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -642,15 +680,12 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
 def ext_matrix(B, n: int):
     """n-th exterior power (compound matrix) of a square matrix."""
     B = [[_frac(x) for x in row] for row in B]
-    basis = list(combinations(range(len(B)), n))
-    return [[_det([[B[i][j] for j in T] for i in S]) for T in basis]
-            for S in basis]
+    return _minors(B, list(combinations(range(len(B)), n)), n, _int_det)
 
 
 def _rect_congruence(J, big: GramForm, small: GramForm) -> bool:
     """J^T * Gram(big) * J = Gram(small) for a full-rank rectangular J."""
-    got = _mat_mul(_transpose(J), _mat_mul([list(r) for r in big.matrix], J))
-    return got == [list(r) for r in small.matrix]
+    return _congruent(J, big.matrix, small.matrix)
 
 
 def _random_symplectic(rng) -> GramForm:

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import time
 
 import pytest
 from click.testing import CliRunner
 
+from gwadams import cli
 from gwadams.cli import main
 from gwadams.forms import GramForm
 
@@ -276,13 +278,138 @@ class TestForm:
         assert run(runner, "form", "invariants", str(p)).exit_code == 2
         assert run(runner, "form", "invariants",
                    str(tmp_path / "missing.json")).exit_code == 2
-        # entries that are not exact rationals
-        for i, entry in enumerate(("0.1", "1.5", "true")):
-            p = tmp_path / ("inexact%d.json" % i)
-            p.write_text('{"sym":"symmetric","matrix":[[%s]]}' % entry)
+        # entries that are not exact rationals, a zero denominator, and a
+        # matrix or rows that are strings rather than lists
+        docs = ['{"sym":"symmetric","matrix":[[%s]]}' % entry
+                for entry in ("0.1", "1.5", "true", '"1/0"')]
+        docs += ['{"sym":"symmetric","matrix":["12","21"]}',
+                 '{"sym":"symmetric","matrix":"1"}',
+                 '{"sym":"symmetric","matrix":[["1","2"],"21"]}']
+        for i, doc in enumerate(docs):
+            p = tmp_path / ("bad%d.json" % i)
+            p.write_text(doc)
             r = run(runner, "form", "invariants", str(p))
-            assert r.exit_code == 2, entry
-            assert "cannot read Gram form" in r.output
+            assert r.exit_code == 2, doc
+            assert "cannot read Gram form" in r.output, doc
+
+    # sha256 of "<exit code>\n<stdout>" of `form ...` on the forms below,
+    # recorded before the integer matrix kernel replaced the Fraction one
+    GOLDEN_FORMS = {
+        "a": {"sym": "symmetric", "matrix": [
+            ["1/2", "1/3", "0", "2"], ["1/3", "-3/4", "5/6", "1"],
+            ["0", "5/6", "7", "-1/5"], ["2", "1", "-1/5", "1/9"]]},
+        "b": {"sym": "symmetric", "matrix": [
+            ["2", "1/3", "0"], ["1/3", "-1/5", "1/7"], ["0", "1/7", "3/11"]]},
+        "s": {"sym": "skew", "matrix": [
+            ["0", "1/2", "-2/3", "1"], ["-1/2", "0", "3/7", "0"],
+            ["2/3", "-3/7", "0", "-5/4"], ["-1", "0", "5/4", "0"]]},
+        "d": {"sym": "symmetric", "matrix": [["1/2", "0"], ["0", "2"]]},
+        "e": {"sym": "symmetric", "matrix": [["1", "0"], ["0", "1"]]},
+        "g": {"sym": "symmetric", "matrix": [["3", "0"], ["0", "3"]]},
+    }
+    GOLDEN = {
+        "ext-power a 0":
+            "3d83217f7d1d0072f6c0674bfbb8d620e6a94469ff920fc59208e28fda365c5c",
+        "ext-power a 1":
+            "36c3dfad7b7e8d98204f5bd0d23f6385163b290333677ed1912d38d32b4b45f9",
+        "ext-power a 2":
+            "ecfbcca728c083c9eb2036ee268a04b007c53954a9c06865f843e6125f17858d",
+        "ext-power a 3":
+            "b045ba903e816b5de6b9c793afd5ac4aaa4331c5ee5a4c8e9a86f596f09869dc",
+        "ext-power a 4":
+            "61103323072017789c8715f9866087b2ca596792972be18133401f0f31ef1e91",
+        "ext-power b 2":
+            "28b33a08ec5bf294a07d2b16f14c0a7d1cb4da70f1ee23acaa7a5fe3a35f06fa",
+        "ext-power b 3":
+            "1d7e7f580d1e71a95a1704dccd2aa4411a8b70acb86cfa9811b6c50a7dea89f8",
+        "ext-power s 0":
+            "3d83217f7d1d0072f6c0674bfbb8d620e6a94469ff920fc59208e28fda365c5c",
+        "ext-power s 1":
+            "cfddd7aa9ad758400c1ba29c0ec91607d30e406dccf72a4aeda7165936250712",
+        "ext-power s 2":
+            "2e261bb35d804a9891c061a9882c80a8ea03c7cd5aa3afe270305a3ba9c8608e",
+        "ext-power s 3":
+            "b23eb34a290c7d7eab25e324a76b7672024d5cbe51cea2366c8f5410b16d33c8",
+        "ext-power s 4":
+            "e2774580df741a199f5f70642a1850c31ff3ed9fa16afc500823398eb806d6db",
+        "sym-power a 2":
+            "90ff9cf91204f2bfbad32073c8f9c752138a86d4e4a30de77e43503b0f8d7f81",
+        "sym-power a 3":
+            "230a016db91f4f0986a1f76d68731a7a565b22fe24f9a77b44245c59cdc903c3",
+        "sym-power b 1":
+            "e43a351b756228ff94315586b37ce96289d6d89f73dcb4b66bdb4cfd238f7f1c",
+        "sym-power b 2":
+            "5f4c02f1c892b576b9a86aa34d170de7e27352700e52dbe37eea450abca0b01c",
+        "sym-power b 3":
+            "16b238e06d6537fa5d74db7c8068d50099507ddbcb5bdfea3f60af082e2cc371",
+        "sym-power s 2":
+            "75d6063a44477c9d87edbc28920544df4b4c61d6e5b5e2ac1861826a811e6987",
+        "sym-power s 3":
+            "bdabff0c6eff3e23b644bfa8c43e1d558836dfb7ccf852675b7173a7b273dc29",
+        "tensor a b":
+            "f4021eb270406b767ee226db15ce170941fb432c78abd1cc5a33e493d2127a68",
+        "tensor s s":
+            "37cd72792687f272f627075b86c1e97a34ba4ef48c8d24119f8f00c93404ce65",
+        "tensor a s":
+            "a283b5806fdd302d30963094dd501bcfe70182f5bc8fdac2184bd7ebac288345",
+        "tensor b d":
+            "8beb7c234bfe080a22c48b230ccbcaa4e70a17b0953b675124a0499b0a4756a7",
+        "invariants a":
+            "ac8b564342b8ab57167f24b0d16f3a831b3e03d6b3ae1e11399c53b7a3582539",
+        "invariants b":
+            "663610e4705d9dd256cc9c6c45d7fdd1fbc953919b5298f1d425e8e3274b4f4b",
+        "invariants d":
+            "c5b9d9cf01fc212e24b98c9aadf94bc8278aa9e45bc3b207b0f6dde7ca7c97b8",
+        "invariants g":
+            "28641bfbce869ffd9b8821db6d9b0212127098ca8f8fef23aef315933527204b",
+        "gw-equal d e":
+            "e20a306f1249a6487e3bc8b83c1c24e39e2e6f2fda167f2b1fbc0afe82e0b327",
+        "gw-equal e g":
+            "8015455fc740222ccb76e927621f41d393798ecd68bce67fa44d7e02004b9c5b",
+        "gw-equal a b":
+            "8015455fc740222ccb76e927621f41d393798ecd68bce67fa44d7e02004b9c5b",
+        "gw-equal b b":
+            "e20a306f1249a6487e3bc8b83c1c24e39e2e6f2fda167f2b1fbc0afe82e0b327",
+    }
+
+    def test_golden(self, runner, tmp_path):
+        for name, doc in self.GOLDEN_FORMS.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        for call, want in self.GOLDEN.items():
+            cmd, *args = call.split()
+            args = [str(tmp_path / a) if a in self.GOLDEN_FORMS else a
+                    for a in args]
+            r = run(runner, "form", cmd, *args)
+            got = "%d\n%s" % (r.exit_code, r.output)
+            assert hashlib.sha256(got.encode()).hexdigest() == want, call
+
+    def test_size_bound(self, runner, tmp_path):
+        def diag(rank):
+            p = tmp_path / ("diag%d.json" % rank)
+            p.write_text(GramForm.diagonal(range(1, rank + 1)).to_json())
+            return str(p)
+
+        def rank_of(*args):
+            r = run(runner, "form", *args)
+            assert r.exit_code == 0, r.output
+            return GramForm.from_json(r.output).rank
+
+        R, M = cli.FORM_RANK_MAX, cli.FORM_MINOR_MAX
+        assert rank_of("ext-power", diag(R), "1") == R
+        assert rank_of("sym-power", diag(R), "1") == R
+        assert rank_of("ext-power", diag(M), str(M)) == 1
+        a, b = 11, 20   # 11 * 20 = 220, 13 * 17 = 221
+        assert a * b == R
+        assert rank_of("tensor", diag(a), diag(b)) == R
+        for args in (("ext-power", diag(R + 1), "1"),
+                     ("sym-power", diag(R + 1), "1"),
+                     ("tensor", diag(13), diag(17))):
+            r = run(runner, "form", *args)
+            assert r.exit_code == 2, args
+            assert "exceeds the limit %d" % R in r.output
+        r = run(runner, "form", "ext-power", diag(M + 1), str(M + 1))
+        assert r.exit_code == 2
+        assert "exceeds the limit %d" % M in r.output
 
 
 class TestVerify:

@@ -1,13 +1,99 @@
+import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gwadams.forms import (
-    DegeneracyError, GramForm, WitnessError, check_congruence,
-    check_section2_and_hyp, direct_sum, dual, ext_matrix, ext_power,
-    gw_identity_check, hilbert_symbol, hyperbolic, invariants, scale,
-    squarefree, sym_power, symplectic_plane, tensor,
+    DegeneracyError, GramForm, WitnessError, _det, _mat_mul,
+    _rect_congruence, _transpose, check_congruence, check_section2_and_hyp,
+    direct_sum, dual, ext_matrix, ext_power, gw_identity_check,
+    hilbert_symbol, hyperbolic, invariants, scale, squarefree, sym_power,
+    symplectic_plane, tensor,
 )
+
+
+# -- reference oracles: the Fraction matrix kernel that forms.py used
+# before its integer kernel
+
+def fraction_det(m) -> Fraction:
+    n = len(m)
+    m = [row[:] for row in m]
+    out = Fraction(1)
+    for i in range(n):
+        pivot = None
+        for r in range(i, n):
+            if m[r][i] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            out = -out
+        out *= m[i][i]
+        inv = 1 / m[i][i]
+        for r in range(i + 1, n):
+            c = m[r][i] * inv
+            if c:
+                m[r] = [a - c * b for a, b in zip(m[r], m[i])]
+    return out
+
+
+def fraction_mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
+
+
+def fraction_permanent(rows) -> Fraction:
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        p = Fraction(1)
+        for i, j in enumerate(perm):
+            p *= rows[i][j]
+        total += p
+    return total
+
+
+def oracle_minors(M, basis, fn):
+    return [[fn([[M[i][j] for j in T] for i in S]) for T in basis]
+            for S in basis]
+
+
+# -- seeded rational matrices: denominators 1..12, many zero entries (so
+# elimination swaps rows), zero, singular and repeated rows
+
+def rand_entry(rng) -> Fraction:
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def rand_matrix(rng, n: int, m: int = None):
+    m = n if m is None else m
+    rows = [[rand_entry(rng) for _ in range(m)] for _ in range(n)]
+    kind = rng.random()
+    if n >= 2 and kind < 0.15:
+        rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+    elif n >= 1 and kind < 0.25:
+        rows[rng.randrange(n)] = [Fraction(0)] * m
+    elif n >= 2 and kind < 0.35:
+        i, j = rng.sample(range(n), 2)
+        c = rand_entry(rng)
+        rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+def rand_gram(rng, n: int, sym: int) -> GramForm:
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = rand_entry(rng) if i != j or sym == 1 else Fraction(0)
+            m[i][j], m[j][i] = x, sym * x
+    return GramForm(m, sym)
 
 
 class TestGramForm:
@@ -190,3 +276,121 @@ class TestBattery:
     def test_ext_matrix(self):
         B = [[1, 2], [3, 4]]
         assert ext_matrix(B, 2) == [[Fraction(-2)]]
+
+
+class TestIntegerKernel:
+    def test_det(self):
+        rng = random.Random(901)
+        for _ in range(3000):
+            m = rand_matrix(rng, rng.randint(0, 6))
+            assert _det(m) == fraction_det(m), m
+
+    def test_mat_mul(self):
+        rng = random.Random(902)
+        for _ in range(1500):
+            n, k, m = (rng.randint(0, 4) for _ in range(3))
+            a, b = rand_matrix(rng, n, k), rand_matrix(rng, k, m)
+            got = _mat_mul(a, b)
+            assert got == fraction_mat_mul(a, b), (a, b)
+            assert all(type(x) is Fraction for row in got for x in row)
+        assert _mat_mul([], []) == []
+        assert _mat_mul([[], []], []) == [[], []]
+        assert _mat_mul([[1, 2]], [[3], [4]]) == [[11]]
+
+    def test_ext_power(self):
+        rng = random.Random(903)
+        for _ in range(400):
+            f = rand_gram(rng, rng.randint(0, 5), rng.choice((1, -1)))
+            n = rng.randint(0, f.rank)
+            basis = list(combinations(range(f.rank), n))
+            want = oracle_minors(f.matrix, basis, fraction_det)
+            assert ext_power(f, n) == GramForm(want, f.sym ** n)
+
+    def test_sym_power(self):
+        rng = random.Random(904)
+        for _ in range(300):
+            f = rand_gram(rng, rng.randint(0, 4), rng.choice((1, -1)))
+            n = rng.randint(0, min(f.rank, 3))
+            basis = list(combinations_with_replacement(range(f.rank), n))
+            want = oracle_minors(f.matrix, basis, fraction_permanent)
+            assert sym_power(f, n) == GramForm(want, f.sym ** n)
+
+    def test_ext_matrix(self):
+        rng = random.Random(905)
+        for _ in range(600):
+            B = rand_matrix(rng, rng.randint(0, 5))
+            n = rng.randint(0, len(B) + 1)
+            basis = list(combinations(range(len(B)), n))
+            assert ext_matrix(B, n) == oracle_minors(B, basis, fraction_det)
+
+    def test_congruence(self):
+        rng = random.Random(906)
+        checked = 0
+        while checked < 300:
+            sym = rng.choice((1, -1))
+            f = rand_gram(rng, rng.randint(1, 5), sym)
+            B = rand_matrix(rng, f.rank)
+            if fraction_det(B) == 0:
+                continue
+            checked += 1
+            g = fraction_mat_mul(_transpose(B),
+                                 fraction_mat_mul([list(r) for r in f.matrix],
+                                                  B))
+            assert check_congruence(B, f, GramForm(g, sym))
+            i = rng.randrange(f.rank)
+            j = i if sym == 1 else rng.choice(
+                [k for k in range(f.rank) if k != i] or [i])
+            if i == j and sym == -1:
+                continue  # a skew form of rank 1 has no entry to perturb
+            delta = Fraction(rng.choice((-1, 1)), rng.randint(1, 12))
+            g[i][j] += delta
+            if i != j:
+                g[j][i] += sym * delta
+            assert not check_congruence(B, f, GramForm(g, sym))
+
+    def test_congruence_rank_mismatch(self):
+        f = GramForm.diagonal([1, 2])
+        g = GramForm.diagonal([1, 2, 3])
+        assert not check_congruence([[1, 0, 0], [0, 1, 0]], f, g)
+
+    def test_rect_congruence(self):
+        rng = random.Random(907)
+        for _ in range(300):
+            sym = rng.choice((1, -1))
+            big = rand_gram(rng, rng.randint(1, 5), sym)
+            k = rng.randint(1, big.rank)
+            J = rand_matrix(rng, big.rank, k)
+            small = fraction_mat_mul(
+                _transpose(J),
+                fraction_mat_mul([list(r) for r in big.matrix], J))
+            assert _rect_congruence(J, big, GramForm(small, sym))
+            i = rng.randrange(k)
+            if sym == 1:
+                small[i][i] += Fraction(1, rng.randint(1, 12))
+                assert not _rect_congruence(J, big, GramForm(small, sym))
+            other = GramForm.diagonal([1] * (k + 1))
+            assert not _rect_congruence(J, big, other)
+
+
+@st.composite
+def congruent_pair(draw):
+    n = draw(st.integers(1, 4))
+    ints = st.integers(-6, 6)
+    dens = st.integers(1, 6)
+    upper = {(i, j): Fraction(draw(ints), draw(dens))
+             for i in range(n) for j in range(i, n)}
+    f = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    B = [[Fraction(draw(ints), draw(dens)) for _ in range(n)]
+         for _ in range(n)]
+    return f, B
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(congruent_pair())
+def test_congruent_forms_have_equal_invariants(pair):
+    f, B = pair
+    assume(fraction_det(f) != 0 and fraction_det(B) != 0)
+    g = fraction_mat_mul(_transpose(B), fraction_mat_mul(f, B))
+    a, b = invariants(GramForm(f)), invariants(GramForm(g))
+    assert a.same_class(b) and b.same_class(a)
+    assert (a.rank, a.signature, a.disc) == (b.rank, b.signature, b.disc)
