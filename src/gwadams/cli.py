@@ -3,8 +3,9 @@ verification suites.
 
 Exit codes: 0 all checks pass (documented mismatches allowed), 1 at least
 one failure, 2 usage or parse error.  Stdout is deterministic for a fixed
-invocation; the timestamp and the per-suite elapsed_s times appear only in
---json report files and are suppressed by --no-timestamp.
+invocation; the timestamp, the per-suite elapsed_s and the per-lemma
+lemma_elapsed_s times appear only in --json report files and are suppressed
+by --no-timestamp.
 """
 
 from __future__ import annotations
@@ -54,15 +55,25 @@ FORM_RANK_MAX = 220
 # 190 and takes 19.7 s); rank-10 n = 6 (210) takes 1.4 s.  sym-power needs
 # no such bound: n <= r and C(2n-1, n) > FORM_RANK_MAX for n > 5.
 FORM_MINOR_MAX = 6
+# rank of each form read by `form invariants` and `gw-equal`: symmetric
+# Gauss diagonalization costs rank^3 rational operations.  On seeded dense
+# integer forms B^T*D*B (B unit upper triangular with entries in -2..2, D
+# diagonal with entries in +-1..30) `invariants` takes 0.8-1.0 s at rank 64,
+# 1.1-1.3 s at rank 70 and 1.7-1.8 s at rank 80; `gw-equal` of two rank-64
+# forms takes 1.9-2.0 s.  Factoring the pivots is not bounded by the rank.
+FORM_INPUT_RANK_MAX = 64
 # limits of `universal` whatever --max says:
-# P_12 0.63 s, P_13 1.1 s
+# P_12 0.4 s, P_13 0.9 s (0.6 s and 1.2 s while Newton's identities
+# copied the accumulator per term)
 UNIVERSAL_P_MAX = 13
 # composed R_8 0.30 s, R_9 0.63 s, R_10 1.8 s
 UNIVERSAL_R_MAX = 9
-# direct (and both) R_4 1.5 s; R_5 did not finish in 60 s
+# direct (and both) R_4 0.7 s (1.5 s while the Gauss reduction rescanned
+# every term); R_5 takes 61 s in process
 UNIVERSAL_R_DIRECT_MAX = 4
-# i*j in Q_{i,j}; the slowest shape at i*j = 28 is Q_{14,2} at 0.93 s,
-# at i*j = 30 Q_{15,2} at 1.8 s
+# i*j in Q_{i,j}; the slowest shape at i*j = 28 is Q_{14,2} at 0.8-1.0 s
+# (1.0-1.1 s while Newton's identities copied the accumulator per term),
+# at i*j = 30 Q_{15,2} at about 1.4 s
 UNIVERSAL_Q_MAX = 28
 
 
@@ -253,6 +264,14 @@ def _read_form(path: str) -> GramForm:
         raise click.UsageError("cannot read Gram form %s: %s" % (path, exc))
 
 
+def _read_input_form(path: str) -> GramForm:
+    f = _read_form(path)
+    if f.rank > FORM_INPUT_RANK_MAX:
+        raise click.UsageError("input rank %d exceeds the limit %d"
+                               % (f.rank, FORM_INPUT_RANK_MAX))
+    return f
+
+
 def _check_form_rank(rank: int):
     if rank > FORM_RANK_MAX:
         raise click.UsageError("output rank %d exceeds the limit %d"
@@ -314,7 +333,7 @@ def form_hyperbolic(r, delta):
 @click.argument("path")
 def form_invariants(path):
     """Rank, signature, discriminant and Hasse symbols over Q."""
-    f = _read_form(path)
+    f = _read_input_form(path)
     try:
         inv = invariants(f)
     except (TypeError, ValueError) as exc:
@@ -328,7 +347,7 @@ def form_invariants(path):
 @click.argument("path_b")
 def form_gw_equal(path_a, path_b):
     """Compare the classes of two symmetric forms via invariants."""
-    a, b = _read_form(path_a), _read_form(path_b)
+    a, b = _read_input_form(path_a), _read_input_form(path_b)
     try:
         same = gw_identity_check([(1, a)], [(1, b)])
     except (TypeError, ValueError) as exc:
@@ -371,7 +390,9 @@ def cmd_verify(suite, json_path, no_timestamp):
     click.echo(rep.render_text(), nl=False)
     if json_path is not None:
         if not no_timestamp:
-            rep.stamp(elapsed)
+            rep.stamp(elapsed, {
+                name: {k: round(v, 6) for k, v in r.lemma_s.items()}
+                for name, r in zip(names, reports)})
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(rep.to_json())
     if not rep.ok:

@@ -447,17 +447,21 @@ def invariants(f: GramForm) -> GWQInvariants:
     primes = [_odd_primes(abs(d.numerator * d.denominator)) for d in pivots]
     diag = [s * prod(ps) for s, ps in zip(signs, primes)]
     signature = sum(signs)
-    odd = set()
-    for ps in primes:
+    # the Hilbert symbol is bimultiplicative and sees only square classes,
+    # so prod_{i<j} (d_i, d_j) = prod_j (d_1 ... d_{j-1}, d_j), each prefix
+    # product kept as a sign times the primes it holds to an odd power
+    sign, odd, prefixes = 1, set(), []
+    for s, ps in zip(signs, primes):
+        prefixes.append(sign * prod(odd))
+        sign *= s
         odd.symmetric_difference_update(ps)
-    disc = prod(signs) * prod(odd)
+    disc = sign * prod(odd)
     places = {2, "inf"}.union(*primes)
     hasse = []
     for v in sorted(places, key=_place_key):
         s = 1
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                s *= hilbert_symbol(diag[i], diag[j], v)
+        for a, b in zip(prefixes[1:], diag[1:]):
+            s *= hilbert_symbol(a, b, v)
         hasse.append((v, s))
     return GWQInvariants(f.rank, signature, disc, tuple(hasse))
 

@@ -10,7 +10,8 @@ with MultiPoly coefficients, exact modulo t^(N+1).
 
 The public constructors validate their terms.  Results of ring operations
 are valid by construction and skip re-validation (MultiPoly._trusted); every
-product goes through one multiply-accumulate kernel, _mul_into.
+product goes through one multiply-accumulate kernel, _mul_into, which
+sum_of_products also uses to accumulate a sum of products in place.
 """
 
 from __future__ import annotations
@@ -498,6 +499,22 @@ def _mul_into(out: dict, a: dict, b: dict) -> None:
                 out[e] = s
             else:           # c1*c2 != 0, so e was present
                 del out[e]
+
+
+def sum_of_products(ring: Ring, triples) -> MultiPoly:
+    """sum of c * a * b over (c, a, b) in triples, c an int and a, b
+    polynomials of the ring, accumulated into one term dict."""
+    out: dict = {}
+    for c, a, b in triples:
+        if a.ring != ring or b.ring != ring:
+            raise ContextError("product of %r and %r outside %r"
+                               % (a.ring, b.ring, ring))
+        if c:
+            at, bt = sorted((a.terms, b.terms), key=len)
+            if c != 1:      # scale the shorter operand
+                at = {e: c * x for e, x in at.items()}
+            _mul_into(out, at, bt)
+    return MultiPoly._trusted(ring, out)
 
 
 def _unit_monomial_inverse(v: MultiPoly) -> MultiPoly:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -49,12 +50,24 @@ class VerificationReport:
     version: str = __version__
     timestamp: str | None = None
     elapsed_s: dict | None = None   # suite -> wall-clock seconds
+    lemma_elapsed_s: dict | None = None     # suite -> lemma -> seconds
+    # lemma -> wall-clock seconds; each entry is charged the time since the
+    # previous entry (or since the report was made)
+    lemma_s: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+    _last: float = field(default_factory=time.perf_counter, init=False,
+                         repr=False, compare=False)
 
     def add(self, entry: ReportEntry):
+        now = time.perf_counter()
+        self.lemma_s[entry.lemma] = (self.lemma_s.get(entry.lemma, 0.0)
+                                     + now - self._last)
+        self._last = now
         self.entries.append(entry)
 
     def extend(self, entries):
-        self.entries.extend(entries)
+        for e in entries:
+            self.add(e)
 
     def sort(self):
         self.entries.sort(key=lambda e: (e.lemma, e.params_str()))
@@ -70,9 +83,11 @@ class VerificationReport:
             c[e.status] = c.get(e.status, 0) + 1
         return c
 
-    def stamp(self, elapsed_s: dict | None = None):
+    def stamp(self, elapsed_s: dict | None = None,
+              lemma_elapsed_s: dict | None = None):
         self.timestamp = datetime.now(timezone.utc).isoformat()
         self.elapsed_s = elapsed_s
+        self.lemma_elapsed_s = lemma_elapsed_s
         return self
 
     def to_obj(self) -> dict:
@@ -87,6 +102,8 @@ class VerificationReport:
             obj["timestamp"] = self.timestamp
         if self.elapsed_s is not None:
             obj["elapsed_s"] = self.elapsed_s
+        if self.lemma_elapsed_s is not None:
+            obj["lemma_elapsed_s"] = self.lemma_elapsed_s
         return obj
 
     def to_json(self) -> str:

@@ -13,7 +13,9 @@ it computes universal_R(n, "direct") and P_n, Q_{i,j} at an explicit arity.
 
 from __future__ import annotations
 
-from .polyring import ContextError, MultiPoly, Ring, TruncSeries, grlex_key
+from .polyring import (
+    ContextError, MultiPoly, Ring, TruncSeries, grlex_key, sum_of_products,
+)
 from .report import VerificationReport, check
 
 
@@ -87,7 +89,10 @@ def symmetric_reduce(p: MultiPoly, family: list[str] | None = None,
 
     Classical Gauss algorithm: repeatedly eliminate the graded-lex leading
     family monomial by the matching product of elementary symmetric
-    polynomials.
+    polynomials.  Every intermediate polynomial stays symmetric, so it is
+    zero exactly when its dominant part (the terms whose family exponent is
+    a partition) is zero, and its leading monomial is dominant: only the
+    dominant terms are tracked.
     """
     ring = p.ring
     if family is None:
@@ -108,50 +113,49 @@ def symmetric_reduce(p: MultiPoly, family: list[str] | None = None,
                    else (nm, ring.laurent[i])
                    for i, nm in enumerate(ring.names)])
 
-    sigma = [None] + [elementary(m, k, ring, family) for k in range(1, m + 1)]
-    sig_pow: dict[tuple[int, int], MultiPoly] = {}
+    # work[a] = {exponents with the family positions zeroed: coeff} for each
+    # dominant family exponent a
+    work: dict = {}
+    for exps, c in p.terms.items():
+        a = tuple(map(exps.__getitem__, fam_idx))
+        if _is_partition(a):
+            rest = tuple(0 if i in fam_set else e for i, e in enumerate(exps))
+            work.setdefault(a, {})[rest] = c
 
-    def sigma_power(k: int, d: int) -> MultiPoly:
-        got = sig_pow.get((k, d))
-        if got is None:
-            got = sig_pow[(k, d)] = sigma[k] ** d
-        return got
-
-    work = dict(p.terms)
+    sigma = [elementary(m, k) for k in range(1, m + 1)]
     out: dict = {}
     while work:
-        a = max((tuple(e[i] for i in fam_idx) for e in work), key=grlex_key)
-        if any(a[k] < a[k + 1] for k in range(m - 1)):
-            raise SymmetryError("leading exponent not a partition: %r" % (a,), None)
-        d = [a[k] - a[k + 1] for k in range(m - 1)] + [a[m - 1]]
-        coeff_terms = {}
-        for exps, c in work.items():
-            if tuple(exps[i] for i in fam_idx) == a:
-                key = tuple(0 if i in fam_set else e
-                            for i, e in enumerate(exps))
-                coeff_terms[key] = coeff_terms.get(key, 0) + c
-        for key, c in coeff_terms.items():
-            te = list(key)
-            for k in range(m):
-                te[fam_idx[k]] = d[k]
-            tk = tuple(te)
-            s = out.get(tk, 0) + c
-            if s:
-                out[tk] = s
-            elif tk in out:
-                del out[tk]
-        # subtract coeff * prod sigma_k^{d_k} from the worklist
-        eprod = MultiPoly(ring, coeff_terms)
-        for k in range(1, m + 1):
-            if d[k - 1]:
-                eprod = eprod * sigma_power(k, d[k - 1])
-        for exps, c in eprod.terms.items():
-            s = work.get(exps, 0) - c
-            if s:
-                work[exps] = s
-            elif exps in work:
-                del work[exps]
+        a = max(work, key=grlex_key)
+        coeffs = work.pop(a)
+        d = [x - y for x, y in zip(a, a[1:] + (0,))]
+        for rest, c in coeffs.items():
+            te = list(rest)
+            for i, dk in zip(fam_idx, d):
+                te[i] = dk
+            out[tuple(te)] = c
+        # subtract coeffs * prod sigma_k^{d_k} on its dominant monomials;
+        # its coefficient at a is 1, so the pop already did so at a
+        s = elementary(m, 0)
+        for sk, dk in zip(sigma, d):
+            if dk:
+                s = s * sk ** dk
+        for b, sb in s.terms.items():
+            if b == a or not _is_partition(b):
+                continue
+            group = work.setdefault(b, {})
+            for rest, c in coeffs.items():
+                v = group.get(rest, 0) - c * sb
+                if v:
+                    group[rest] = v
+                else:
+                    del group[rest]
+            if not group:
+                del work[b]
     return MultiPoly(target, out)
+
+
+def _is_partition(a: tuple) -> bool:
+    return a == tuple(sorted(a, reverse=True))
 
 
 def expand_elementary(p: MultiPoly, family: list[str],
@@ -224,11 +228,11 @@ def _alphabet(ring: Ring, prefix: str, n: int) -> list[MultiPoly]:
 
 def _elementary_from_power_sums(ps: list[MultiPoly]) -> MultiPoly:
     """e_n from ps = [p_0, .., p_n] by n e_n = sum_i (-1)^{i-1} e_{n-i} p_i."""
-    es = [ps[0].ring.one()]
+    ring = ps[0].ring
+    es = [ring.one()]
     for k in range(1, len(ps)):
-        acc = ps[0].ring.zero()
-        for i in range(1, k + 1):
-            acc = acc + (-1) ** (i - 1) * es[k - i] * ps[i]
+        acc = sum_of_products(ring, (((-1) ** (i - 1), es[k - i], ps[i])
+                                     for i in range(1, k + 1)))
         es.append(_exact_div(acc, k))
     return es[-1]
 
@@ -238,6 +242,15 @@ def _product_series(factors, ring: Ring, order: int) -> TruncSeries:
     for f in factors:
         prod = prod * f
     return prod
+
+
+def _scaled_product(coeffs, names: list[str], ring: Ring,
+                    order: int) -> TruncSeries:
+    """prod over x in names of f(t x), f(s) = sum_k coeffs[k] s^k."""
+    return _product_series(
+        [TruncSeries(ring, order, [c * ring.var(x) ** k
+                                   for k, c in enumerate(coeffs)])
+         for x in names], ring, order)
 
 
 def universal_P(n: int, m: int | None = None) -> MultiPoly:
@@ -262,15 +275,10 @@ def universal_P(n: int, m: int | None = None) -> MultiPoly:
     if m < n:
         raise ValueError("arity m=%d below n=%d does not determine P_n" % (m, n))
     src = _join_rings(_family_ring("U", m), _family_ring("V", m))
+    unames = ["U%d" % i for i in range(1, m + 1)]
     vnames = ["V%d" % j for j in range(1, m + 1)]
     sig_v = [elementary(m, k, src, vnames) for k in range(0, n + 1)]
-    factors = []
-    for i in range(1, m + 1):
-        ui = src.var("U%d" % i)
-        coeffs = [sig_v[k] * ui ** k for k in range(len(sig_v))]
-        factors.append(TruncSeries(src, n, coeffs))
-    top = _product_series(factors, src, n)[n]
-    unames = ["U%d" % i for i in range(1, m + 1)]
+    top = _scaled_product(sig_v, unames, src, n)[n]
     xu = symmetric_reduce(top, unames, ["X%d" % i for i in range(1, m + 1)])
     xy = symmetric_reduce(xu, vnames, ["Y%d" % j for j in range(1, m + 1)])
     return xy.rename(ring_P(n))
@@ -317,7 +325,8 @@ def universal_Q(i: int, j: int, m: int | None = None) -> MultiPoly:
 def universal_R(n: int, method: str = "composed", m: int | None = None) -> MultiPoly:
     """R_n for triple products, in ring_R(n).
 
-    method "direct": expand prod_{i,j,k<=m}(1+t U_i V_j W_k) and reduce in all
+    method "direct": expand prod_{i,j,k<=m}(1+t U_i V_j W_k), grouped as
+    prod_i F(t U_i) with F(s) = prod_{j,k}(1+s V_j W_k), and reduce in all
     three families.  method "composed": R_n = P_n(X, P_1(Y,Z), ..., P_n(Y,Z)).
     """
     if n < 0:
@@ -333,20 +342,15 @@ def universal_R(n: int, method: str = "composed", m: int | None = None) -> Multi
     def compute_direct():
         src = _join_rings(_family_ring("U", mm), _family_ring("V", mm),
                           _family_ring("W", mm))
-        wnames = ["W%d" % k for k in range(1, mm + 1)]
-        sig_w = [elementary(mm, k, src, wnames) for k in range(0, min(mm, n) + 1)]
-        factors = []
-        for i in range(1, mm + 1):
-            for j in range(1, mm + 1):
-                uv = src.var("U%d" % i) * src.var("V%d" % j)
-                coeffs = [sig_w[k] * uv ** k for k in range(len(sig_w))]
-                factors.append(TruncSeries(src, n, coeffs))
-        top = _product_series(factors, src, n)
-        p = top[n]
-        for prefix, out in (("U", "X"), ("V", "Y"), ("W", "Z")):
-            fam = ["%s%d" % (prefix, k) for k in range(1, mm + 1)]
-            tgt = ["%s%d" % (out, k) for k in range(1, mm + 1)]
-            p = symmetric_reduce(p, fam, tgt)
+        names = {x: ["%s%d" % (x, k) for k in range(1, mm + 1)]
+                 for x in "UVWXYZ"}
+        sig_w = [elementary(mm, k, src, names["W"])
+                 for k in range(0, min(mm, n) + 1)]
+        # prod_{i,j} f(t U_i V_j) = prod_i F(t U_i), F(s) = prod_j f(s V_j)
+        F = _scaled_product(sig_w, names["V"], src, n)
+        p = _scaled_product(F.coeffs, names["U"], src, n)[n]
+        for fam, tgt in ("UX", "VY", "WZ"):
+            p = symmetric_reduce(p, names[fam], names[tgt])
         return p.rename(ring_R(n))
 
     def compute_composed():

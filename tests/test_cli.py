@@ -80,6 +80,245 @@ class TestUniversal:
         assert run(runner, "universal", "Q", "1").exit_code == 2
         assert run(runner, "universal", "P", "0").exit_code == 2
 
+    # sha256 of "<exit code>\n<stdout>" of `universal ... --max 8`, recorded
+    # before the Gauss reduction tracked dominant monomials only
+    GOLDEN = {
+        "P 1 --format text":
+            "fcb9120de8f3e3964c1dc1aa143ee85d77cd6f92a07b32ff2aec659305d6ccf8",
+        "P 1 --format latex":
+            "f1c45d79a16caae52a738da40307b596b266e8dd514266b2bec44f258e926398",
+        "P 1 --format json":
+            "62495e3ce46c5c0628743936238009339465cc6f94c2a146285fece5649d461d",
+        "P 2 --format text":
+            "3dbf5ff1add36210acbacb6044b361464a449aaac3d1a978f61b740745f36bd8",
+        "P 2 --format latex":
+            "7890c11b35b83b0866aaaa4031ad3a5f4fa59aa28a8345fed93610c06c96d1ae",
+        "P 2 --format json":
+            "2fcbdcbb0cdee5d08fa0ff967e8b7bb839584c06656a877e66228fdeb1447302",
+        "P 3 --format text":
+            "fc85a3d18cc77de012330b0d6c573aa62f82f4a6fa02dcf701e3709745195367",
+        "P 3 --format latex":
+            "a13fcee4529946529f692e688c4f1fa769bb691523ccf5d598d9075c3f7add9d",
+        "P 3 --format json":
+            "1c48bdb25d645cfca3dbac0da78282f3be9d1b051e7c3199ce3e2fc65a027154",
+        "P 4 --format text":
+            "4ec89ef84fefc00e0a2e47bacc6d3c581aee308ec2c322bb53fa2eec16e0cb85",
+        "P 4 --format latex":
+            "75c4920ecb0abfcf3c0149f103bf29ee942ea07b4daef9a9321c544353a5981a",
+        "P 4 --format json":
+            "0ede42452327d26e5ff334dd7aa15f197d1b5d96bd2fa02845787c2442990d1e",
+        "P 5 --format text":
+            "7fc2248036f737fb2584a2adb4b7df2264316a4eec81d17d8609e074e8db7274",
+        "P 5 --format latex":
+            "948b9b10102a8d47b7d55bb9edaa61cd6e8032d78bada8cdc1ecb1af901cec7f",
+        "P 5 --format json":
+            "ee1cda010a810d462c925f5455c454b04999da3da60aa624fdf9a401244ecf7a",
+        "P 6 --format text":
+            "717ee669da94f4844262be7d5acd97243c5e644324885d152c86843ddc72ad97",
+        "P 6 --format latex":
+            "45ff5409e2e3b39802883f6c1cd6ef22516271c948fef4a574b0e67d1eab56d0",
+        "P 6 --format json":
+            "fa35c28ccc0d41799deff290886d0ce0d9de29dcf07d9b499b3fa9f2df9f297d",
+        "Q 1 1 --format text":
+            "2e7703a783ecd8a22bd2aaf089435a46bc1625e2ad5d8f7ec9ae282fccd366af",
+        "Q 1 1 --format latex":
+            "f014b817779223ffc10e4979f34886ff07cf49a5c3394b5d8d455e13132db913",
+        "Q 1 1 --format json":
+            "c28a20b669030b638a11a0e0799d541c58eefd2f0eeb9525f0d3e773fd7ccd35",
+        "Q 1 2 --format text":
+            "14328dc89b28516fed2d54fd4ae5d70d30fbd85eeb8ef076b275c806d57a8e5b",
+        "Q 1 2 --format latex":
+            "fb31c44ee1565e2864eadaebb45a1dc555a224bb2df86e45ae379e8bfd1f4618",
+        "Q 1 2 --format json":
+            "3d32ba106a9dd7ac0af4700025748b50b8a7c203da8840e2516c26964ef1eb61",
+        "Q 1 3 --format text":
+            "945b72eb48f5c8ba9706a7d2be8621816b02d6936d65a029a6f7c12e099b65e9",
+        "Q 1 3 --format latex":
+            "d5a84dfcad73bc95034bafaebf86e0ed32ee89182126f2dd0a2c3a0bec5f8d45",
+        "Q 1 3 --format json":
+            "7c9ed016d44a290fe6eeb83edaec0b7e3c051160742e4ad3135b670b3f7694a0",
+        "Q 1 4 --format text":
+            "a2aabb93909150eb923180d34d2a120772e6e9842dc583be772911e7e2ff152a",
+        "Q 1 4 --format latex":
+            "66c670d3824ea1727c039c26913732342e80c2214eb8234d8ab1d33f02e462c8",
+        "Q 1 4 --format json":
+            "041bb24ecfd631d2ba5531aed3dc3077bd18b0ce3bf04af486e87652408dce82",
+        "Q 1 5 --format text":
+            "435ac5979ec05e09cd51e5d524d13edf498587dfe4834d16ac58b7c3ed114499",
+        "Q 1 5 --format latex":
+            "7a3ad5fed70e66032c4cc4360bdd5d1fbe2d472bd4536d3c3bd6c5ad7d51bc03",
+        "Q 1 5 --format json":
+            "7d77da8d472867e0e871832451d62b2a7785282ea4a1fcbf9586b9974f57649e",
+        "Q 1 6 --format text":
+            "8c0373fa24913045ac93f7ad8b0d81b98c53b59b42aa3296581d655ef310b7da",
+        "Q 1 6 --format latex":
+            "0174d5be179a4a48ee526d225cc84b37ea0e91a5e3d22dec62746cf21779619b",
+        "Q 1 6 --format json":
+            "df83aaa3303fefd7e594983b1dcb8b8047d42d8ddcda6e7f9cac5cbb0d8884b0",
+        "Q 1 7 --format text":
+            "7cf79c53f947dfbc7207a725d69724eacb49274180724046c6de2a547a6a7466",
+        "Q 1 7 --format latex":
+            "8a17a5f584534723b0a413a4599f1e83b8f5c4317b79983c15d4c205cd577cac",
+        "Q 1 7 --format json":
+            "bdea1666dffb2322a0c86d182d5f8bb936eb65530626162bb0f156689c5800ba",
+        "Q 1 8 --format text":
+            "1b6f9cdb530bf3c6e0d300f1500412edcbcfd156277931af588ace799565183c",
+        "Q 1 8 --format latex":
+            "efe4c46e63b28ad9fddb1b31b23c351ce4847743ee65a7afd823956f9670b80a",
+        "Q 1 8 --format json":
+            "2e55dfe144eb2a0ca131bc9ef0ef1dddc94e9427996676b233ee1a365799c5ce",
+        "Q 2 1 --format text":
+            "14328dc89b28516fed2d54fd4ae5d70d30fbd85eeb8ef076b275c806d57a8e5b",
+        "Q 2 1 --format latex":
+            "fb31c44ee1565e2864eadaebb45a1dc555a224bb2df86e45ae379e8bfd1f4618",
+        "Q 2 1 --format json":
+            "3d32ba106a9dd7ac0af4700025748b50b8a7c203da8840e2516c26964ef1eb61",
+        "Q 2 2 --format text":
+            "4b96ce14ad0ac356aceb1f37597a356ba15d92902e6f55b23deccec626e270c9",
+        "Q 2 2 --format latex":
+            "1a7b0581175a3b370819b0edab0d33cbe03b7643718d498d5d1411762025fb2b",
+        "Q 2 2 --format json":
+            "783a88a176aa28594fc356147c7f68d0ea6d44cf590e6c171577af426dbe6cb0",
+        "Q 2 3 --format text":
+            "aab09095d97590a6444042848c8a3de73ed680401bb86789527fe012a1df74d8",
+        "Q 2 3 --format latex":
+            "cb81d45f033f2be439ea8eda105fcad079b5763df81c6f24cda10a3fb39d3eac",
+        "Q 2 3 --format json":
+            "675087d0c54f924dad3ea8070ed7212d0c6cba07ee9ab708fc79843ef4a55f10",
+        "Q 2 4 --format text":
+            "3295c03cf7aaf120e3dbaf054fb6758971915b74ef19e1ec8838237ed07599ab",
+        "Q 2 4 --format latex":
+            "54ad716a66063cbba624b335f5a675aa43b7abdde1b2143f5e659df7bbec6a77",
+        "Q 2 4 --format json":
+            "94d2c3adc94bd51e6bc3e1019d4d4420e3a4a0d65ca6a4bc3b3c3a25e29f15d3",
+        "Q 3 1 --format text":
+            "945b72eb48f5c8ba9706a7d2be8621816b02d6936d65a029a6f7c12e099b65e9",
+        "Q 3 1 --format latex":
+            "d5a84dfcad73bc95034bafaebf86e0ed32ee89182126f2dd0a2c3a0bec5f8d45",
+        "Q 3 1 --format json":
+            "7c9ed016d44a290fe6eeb83edaec0b7e3c051160742e4ad3135b670b3f7694a0",
+        "Q 3 2 --format text":
+            "163f13a9770edf7eb828511f0b13c93ac79bf1480ce072cbb11a216cc7675bfe",
+        "Q 3 2 --format latex":
+            "fd49e27de17630f080af1118369db569def497a85eb7ddb4b7826295a184f4c3",
+        "Q 3 2 --format json":
+            "35060f53391c735a94ceaf081db35ba351378a7c6eaa58116c19befbee96cd32",
+        "Q 4 1 --format text":
+            "a2aabb93909150eb923180d34d2a120772e6e9842dc583be772911e7e2ff152a",
+        "Q 4 1 --format latex":
+            "66c670d3824ea1727c039c26913732342e80c2214eb8234d8ab1d33f02e462c8",
+        "Q 4 1 --format json":
+            "041bb24ecfd631d2ba5531aed3dc3077bd18b0ce3bf04af486e87652408dce82",
+        "Q 4 2 --format text":
+            "62ab140944ab31d6c53a364adb8752425a8ba3c576a8173a5c3105f42883cbdf",
+        "Q 4 2 --format latex":
+            "96945e864b7c508db5ebaa449c403cf08dfa1e70bfef5050e58033fb75469462",
+        "Q 4 2 --format json":
+            "8081ac46972fa6dcfc7846c1230117b2c91a84ab1c004adcfa803332725038ec",
+        "Q 5 1 --format text":
+            "435ac5979ec05e09cd51e5d524d13edf498587dfe4834d16ac58b7c3ed114499",
+        "Q 5 1 --format latex":
+            "7a3ad5fed70e66032c4cc4360bdd5d1fbe2d472bd4536d3c3bd6c5ad7d51bc03",
+        "Q 5 1 --format json":
+            "7d77da8d472867e0e871832451d62b2a7785282ea4a1fcbf9586b9974f57649e",
+        "Q 6 1 --format text":
+            "8c0373fa24913045ac93f7ad8b0d81b98c53b59b42aa3296581d655ef310b7da",
+        "Q 6 1 --format latex":
+            "0174d5be179a4a48ee526d225cc84b37ea0e91a5e3d22dec62746cf21779619b",
+        "Q 6 1 --format json":
+            "df83aaa3303fefd7e594983b1dcb8b8047d42d8ddcda6e7f9cac5cbb0d8884b0",
+        "Q 7 1 --format text":
+            "7cf79c53f947dfbc7207a725d69724eacb49274180724046c6de2a547a6a7466",
+        "Q 7 1 --format latex":
+            "8a17a5f584534723b0a413a4599f1e83b8f5c4317b79983c15d4c205cd577cac",
+        "Q 7 1 --format json":
+            "bdea1666dffb2322a0c86d182d5f8bb936eb65530626162bb0f156689c5800ba",
+        "Q 8 1 --format text":
+            "1b6f9cdb530bf3c6e0d300f1500412edcbcfd156277931af588ace799565183c",
+        "Q 8 1 --format latex":
+            "efe4c46e63b28ad9fddb1b31b23c351ce4847743ee65a7afd823956f9670b80a",
+        "Q 8 1 --format json":
+            "2e55dfe144eb2a0ca131bc9ef0ef1dddc94e9427996676b233ee1a365799c5ce",
+        "R 1 --method composed --format text":
+            "416831ac510830b467c5928116e22894e41f30adc4015673a26b41c996497964",
+        "R 1 --method composed --format latex":
+            "327f4e54edcfadb7277ac6ff99e5977a8b3addd845fa2a040c2ff31f7375c392",
+        "R 1 --method composed --format json":
+            "73daac9ccc599b35b88f5d6fe7fc565226b720cc807b81a6a60431f3afa24bba",
+        "R 1 --method direct --format text":
+            "416831ac510830b467c5928116e22894e41f30adc4015673a26b41c996497964",
+        "R 1 --method direct --format latex":
+            "327f4e54edcfadb7277ac6ff99e5977a8b3addd845fa2a040c2ff31f7375c392",
+        "R 1 --method direct --format json":
+            "73daac9ccc599b35b88f5d6fe7fc565226b720cc807b81a6a60431f3afa24bba",
+        "R 1 --method both --format text":
+            "bdd10d26c766ca74d5658aff72f9f6094442ee83c74f57b16bbcc2921aa0e5a7",
+        "R 1 --method both --format latex":
+            "33dde11ea64cc6f8e102069f6b540a942dcc0222239803a758f6495be1c0c0bd",
+        "R 1 --method both --format json":
+            "b0e92c1028c7e70021bb58c8b805144c955489f16828e7dd4819588d5303e409",
+        "R 2 --method composed --format text":
+            "2c5cba71373db5e8af749defff1591da84df3fa5dd5c9b5c1696390ed0b9b2b9",
+        "R 2 --method composed --format latex":
+            "2f07486ea75da6e8f2d4b8ededf77e80aa23d3527ded32cda4cd0164cdb1cfbc",
+        "R 2 --method composed --format json":
+            "ac11f712efcaa7ea586ee02dd0924ab8d3d41c02139e4cdaa4d0055cf62fb2a5",
+        "R 2 --method direct --format text":
+            "2c5cba71373db5e8af749defff1591da84df3fa5dd5c9b5c1696390ed0b9b2b9",
+        "R 2 --method direct --format latex":
+            "2f07486ea75da6e8f2d4b8ededf77e80aa23d3527ded32cda4cd0164cdb1cfbc",
+        "R 2 --method direct --format json":
+            "ac11f712efcaa7ea586ee02dd0924ab8d3d41c02139e4cdaa4d0055cf62fb2a5",
+        "R 2 --method both --format text":
+            "06498928d506cc7558b1863cc8f7ca12ac6578e28063f7d4157c187a09f2ae05",
+        "R 2 --method both --format latex":
+            "4735ed0b16162a559e39c34bb64062212e7a241451a5bcbd42e0156d6ac5949d",
+        "R 2 --method both --format json":
+            "e9ff3aab7b72514f1a629c5ddd06c290b2f79263dafcd5cc3512dc66fa49152b",
+        "R 3 --method composed --format text":
+            "9d987c66f8735dbdb290654e085d00d63386249125a2e8408fc80596b1b382de",
+        "R 3 --method composed --format latex":
+            "6f72031308e4343865241c0fc67ce49929d434cf7e71d9977979696d6fe9019b",
+        "R 3 --method composed --format json":
+            "b4ff7c81ba486e8a28c7d417bd7c7ab4987be91983f2b30e5f432a0b54b50356",
+        "R 3 --method direct --format text":
+            "9d987c66f8735dbdb290654e085d00d63386249125a2e8408fc80596b1b382de",
+        "R 3 --method direct --format latex":
+            "6f72031308e4343865241c0fc67ce49929d434cf7e71d9977979696d6fe9019b",
+        "R 3 --method direct --format json":
+            "b4ff7c81ba486e8a28c7d417bd7c7ab4987be91983f2b30e5f432a0b54b50356",
+        "R 3 --method both --format text":
+            "a1b4894817a9bc3db3f6e889c9d6ea1d40f1bf2b98c36ede495ed09404cef80b",
+        "R 3 --method both --format latex":
+            "69ce6c67c4b8cb2969fb4a835fd13d1667dbf8102a3b14ec004808be2fc37e69",
+        "R 3 --method both --format json":
+            "5cff46911dda50959c9e43ee10215bf402669efe667b9c3bf034866acdd80b1d",
+        "R 4 --method composed --format text":
+            "c1c63dd1a4c8219f8deebc25bcdf92f4fe35a6cc146b3c6130cbaf3a95e25aa6",
+        "R 4 --method composed --format latex":
+            "bea883e98c2cafde48b1ea5ee6963b6a96f1b785eb292db8f8f3b11819bc412c",
+        "R 4 --method composed --format json":
+            "612d729bc5110427e65354bf0fee7c101dcedc7c4c3afe6f7ab181019eb1a8e0",
+        "R 4 --method direct --format text":
+            "c1c63dd1a4c8219f8deebc25bcdf92f4fe35a6cc146b3c6130cbaf3a95e25aa6",
+        "R 4 --method direct --format latex":
+            "bea883e98c2cafde48b1ea5ee6963b6a96f1b785eb292db8f8f3b11819bc412c",
+        "R 4 --method direct --format json":
+            "612d729bc5110427e65354bf0fee7c101dcedc7c4c3afe6f7ab181019eb1a8e0",
+        "R 4 --method both --format text":
+            "a4342871311fbb5e06ba41be015bf1e7d8b8aabb551dcc1c5cd37eca52b16e35",
+        "R 4 --method both --format latex":
+            "5a138a84519ba9d5dbf5d78dc7197022b7d212aea8632c46537fa9ef3cbad1eb",
+        "R 4 --method both --format json":
+            "badcb14edc6c6db338adc9bab8916a61eb05fb5d16237159b977fa4878ac0382",
+    }
+
+    def test_golden(self, runner):
+        for call, want in self.GOLDEN.items():
+            r = run(runner, "universal", *call.split(), "--max", "8")
+            got = "%d\n%s" % (r.exit_code, r.output)
+            assert hashlib.sha256(got.encode()).hexdigest() == want, call
+
 
 class TestOmega:
     def test_value(self, runner):
@@ -411,6 +650,21 @@ class TestForm:
         assert r.exit_code == 2
         assert "exceeds the limit %d" % M in r.output
 
+    def test_input_rank_bound(self, runner, tmp_path):
+        K = cli.FORM_INPUT_RANK_MAX
+        inside, outside = tmp_path / "in.json", tmp_path / "out.json"
+        inside.write_text(GramForm.diagonal(range(1, K + 1)).to_json())
+        outside.write_text(GramForm.diagonal(range(1, K + 2)).to_json())
+        r = run(runner, "form", "invariants", str(inside))
+        assert r.exit_code == 0 and json.loads(r.output)["rank"] == K
+        r = run(runner, "form", "gw-equal", str(inside), str(inside))
+        assert (r.exit_code, r.output) == (0, "equal\n")
+        for args in (("invariants", outside), ("gw-equal", inside, outside),
+                     ("gw-equal", outside, inside)):
+            r = run(runner, "form", *map(str, args))
+            assert r.exit_code == 2, args
+            assert "input rank %d exceeds the limit %d" % (K + 1, K) in r.output
+
 
 class TestVerify:
     def test_omega_suite(self, runner):
@@ -444,12 +698,19 @@ class TestVerify:
         out = tmp_path / "rep.json"
         r = run(runner, "verify", "omega", "--json", str(out))
         assert r.exit_code == 0 and "elapsed" not in r.output
-        elapsed = json.loads(out.read_text())["elapsed_s"]
+        obj = json.loads(out.read_text())
+        elapsed = obj["elapsed_s"]
         assert list(elapsed) == ["omega"] and elapsed["omega"] >= 0
+        lemmas = obj["lemma_elapsed_s"]
+        assert list(lemmas) == ["omega"]
+        assert set(lemmas["omega"]) == {e["lemma"] for e in obj["entries"]}
+        assert all(t >= 0 for t in lemmas["omega"].values())
+        assert sum(lemmas["omega"].values()) <= elapsed["omega"] + 1e-3
         r2 = run(runner, "verify", "omega", "--json", str(out),
                  "--no-timestamp")
         assert r2.output == r.output
-        assert "elapsed_s" not in json.loads(out.read_text())
+        obj = json.loads(out.read_text())
+        assert "elapsed_s" not in obj and "lemma_elapsed_s" not in obj
 
     def test_no_timestamp_golden(self, runner, tmp_path):
         a = tmp_path / "a.json"

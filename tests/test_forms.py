@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gwadams.forms import (
-    DegeneracyError, GramForm, WitnessError, _det, _mat_mul,
-    _rect_congruence, _transpose, check_congruence, check_section2_and_hyp,
-    direct_sum, dual, ext_matrix, ext_power, gw_identity_check,
-    hilbert_symbol, hyperbolic, invariants, scale, squarefree, sym_power,
-    symplectic_plane, tensor,
+    DegeneracyError, GramForm, GWQInvariants, WitnessError, _det,
+    _diagonalize, _mat_mul, _odd_primes, _place_key, _rect_congruence,
+    _transpose, check_congruence, check_section2_and_hyp, direct_sum, dual,
+    ext_matrix, ext_power, gw_identity_check, hilbert_symbol, hyperbolic,
+    invariants, scale, squarefree, sym_power, symplectic_plane, tensor,
 )
 
 
@@ -56,6 +57,28 @@ def fraction_permanent(rows) -> Fraction:
             p *= rows[i][j]
         total += p
     return total
+
+
+def pairwise_invariants(f: GramForm) -> GWQInvariants:
+    """The invariants with each Hasse symbol a product of Hilbert symbols
+    over all pairs of diagonal entries, as forms.invariants took it before
+    the prefix-product form."""
+    pivots = _diagonalize(f)
+    signs = [1 if d > 0 else -1 for d in pivots]
+    primes = [_odd_primes(abs(d.numerator * d.denominator)) for d in pivots]
+    diag = [s * prod(ps) for s, ps in zip(signs, primes)]
+    odd = set()
+    for ps in primes:
+        odd.symmetric_difference_update(ps)
+    hasse = []
+    for v in sorted({2, "inf"}.union(*primes), key=_place_key):
+        s = 1
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                s *= hilbert_symbol(diag[i], diag[j], v)
+        hasse.append((v, s))
+    return GWQInvariants(f.rank, sum(signs), prod(signs) * prod(odd),
+                         tuple(hasse))
 
 
 def oracle_minors(M, basis, fn):
@@ -225,6 +248,31 @@ class TestInvariants:
         g = GramForm(_mat_mul(_transpose(B),
                               _mat_mul([list(r) for r in f.matrix], B)))
         assert invariants(f).same_class(invariants(g))
+
+    def test_matches_pairwise_product(self):
+        rng = random.Random(20261018)
+        forms = [GramForm.diagonal(range(1, 41)),
+                 GramForm.diagonal(range(-20, 0))]
+        # dense forms keep small entries: trial division factors each pivot
+        while len(forms) < 1500:
+            n = 1 + len(forms) % 6
+            kind = rng.randrange(3)
+            if kind == 0 and n <= 3:
+                f = rand_gram(rng, n, 1)
+            elif kind == 1:
+                upper = {(i, j): rng.randint(-4, 4)
+                         for i in range(n) for j in range(i, n)}
+                f = GramForm([[upper[min(i, j), max(i, j)] for j in range(n)]
+                              for i in range(n)])
+            else:
+                f = GramForm.diagonal(
+                    [rng.choice((-1, 1)) * rng.randint(1, 60)
+                     * rng.choice((1, 1, 4, 9, Fraction(1, 4)))
+                     for _ in range(n)])
+            if f.det() != 0:
+                forms.append(f)
+        for f in forms:
+            assert invariants(f) == pairwise_invariants(f), f
 
     def test_distinguishes(self):
         a = invariants(GramForm.diagonal([1, 1]))

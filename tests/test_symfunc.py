@@ -1,20 +1,145 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations, permutations
 
 import pytest
 
 import gwadams
-from gwadams.polyring import Ring
+from gwadams.polyring import MultiPoly, Ring, TruncSeries, grlex_key
 from gwadams import symfunc
 from gwadams.symfunc import (
     SymmetryError, check_appendix_b, elementary, ell_args, eval_P,
-    expand_elementary, ring_P, rxy_closed, symmetric_reduce, symmetry_witness,
-    universal_P, universal_Q, universal_R,
+    expand_elementary, ring_P, ring_Q, ring_R, rxy_closed, symmetric_reduce,
+    symmetry_witness, universal_P, universal_Q, universal_R,
 )
 
 U2 = Ring([("U1", False), ("U2", False)])
+
+
+# -- reference oracles: Gauss's reduction over the whole worklist and the
+# expansion of each defining product one factor (1 + t*monomial) at a time,
+# as symfunc computed them before the reduction kept to dominant monomials
+
+
+def worklist_reduce(p, family=None, targets=None):
+    """Gauss's algorithm on every term: find the graded-lex leading family
+    exponent, write its term, subtract coeff * prod sigma_k^{d_k} from the
+    whole polynomial."""
+    ring = p.ring
+    if family is None:
+        family = list(ring.names)
+    m = len(family)
+    if targets is None:
+        targets = ["X%d" % k for k in range(1, m + 1)]
+    w = symmetry_witness(p, family)
+    if w is not None:
+        raise SymmetryError("not symmetric", w)
+    fam_idx = [ring.index(n) for n in family]
+    fam_set = set(fam_idx)
+    target = Ring([(targets[fam_idx.index(i)], False) if i in fam_set
+                   else (nm, ring.laurent[i])
+                   for i, nm in enumerate(ring.names)])
+    sigma = [None] + [elementary(m, k, ring, family) for k in range(1, m + 1)]
+    work = dict(p.terms)
+    out = {}
+    while work:
+        a = max((tuple(e[i] for i in fam_idx) for e in work), key=grlex_key)
+        assert all(a[k] >= a[k + 1] for k in range(m - 1)), a
+        d = [a[k] - a[k + 1] for k in range(m - 1)] + [a[m - 1]]
+        coeff_terms = {}
+        for exps, c in work.items():
+            if tuple(exps[i] for i in fam_idx) == a:
+                key = tuple(0 if i in fam_set else e
+                            for i, e in enumerate(exps))
+                coeff_terms[key] = coeff_terms.get(key, 0) + c
+        for key, c in coeff_terms.items():
+            te = list(key)
+            for k in range(m):
+                te[fam_idx[k]] = d[k]
+            out[tuple(te)] = out.get(tuple(te), 0) + c
+        eprod = MultiPoly(ring, coeff_terms)
+        for k in range(1, m + 1):
+            eprod = eprod * sigma[k] ** d[k - 1]
+        for exps, c in eprod.terms.items():
+            work[exps] = work.get(exps, 0) - c
+            if not work[exps]:
+                del work[exps]
+    return MultiPoly(target, out)
+
+
+def expanded_product(monomials, ring, order):
+    """prod (1 + t*mono) over the monomials, one factor at a time."""
+    prod = TruncSeries.one(ring, order)
+    for mono in monomials:
+        prod = prod * TruncSeries(ring, order, [ring.one(), mono])
+    return prod
+
+
+def family(prefix, m):
+    return ["%s%d" % (prefix, k) for k in range(1, m + 1)]
+
+
+def oracle_P(n, m):
+    src = Ring([(x, False) for x in family("U", m) + family("V", m)])
+    top = expanded_product([src.var(u) * src.var(v) for u in family("U", m)
+                            for v in family("V", m)], src, n)[n]
+    xu = worklist_reduce(top, family("U", m), family("X", m))
+    return worklist_reduce(xu, family("V", m), family("Y", m)).rename(ring_P(n))
+
+
+def oracle_Q(i, j, m):
+    src = Ring([(x, False) for x in family("U", m)])
+    monos = []
+    for combo in combinations(family("U", m), j):
+        mono = src.one()
+        for u in combo:
+            mono = mono * src.var(u)
+        monos.append(mono)
+    top = expanded_product(monos, src, i)[i]
+    return worklist_reduce(top, family("U", m), family("X", m)).rename(
+        ring_Q(i * j))
+
+
+def oracle_R(n, m):
+    """The direct route with the m^2 factors f(t U_i V_j), f(s) =
+    sum_k sigma_k(W) s^k, multiplied in (i, j) order."""
+    src = Ring([(x, False) for p in "UVW" for x in family(p, m)])
+    sig_w = [elementary(m, k, src, family("W", m))
+             for k in range(0, min(m, n) + 1)]
+    prod = TruncSeries.one(src, n)
+    for u in family("U", m):
+        for v in family("V", m):
+            uv = src.var(u) * src.var(v)
+            prod = prod * TruncSeries(src, n, [c * uv ** k
+                                               for k, c in enumerate(sig_w)])
+    p = prod[n]
+    for fam, tgt in ("UX", "VY", "WZ"):
+        p = worklist_reduce(p, family(fam, m), family(tgt, m))
+    return p.rename(ring_R(n))
+
+
+def random_symmetric(rng, m, max_carries=2):
+    """A random polynomial symmetric in U1..Um, in a ring that also holds
+    up to max_carries carry variables (c Laurent, d not) at random
+    positions."""
+    carries = [("c", True), ("d", False)][:rng.randrange(max_carries + 1)]
+    names = [(u, False) for u in family("U", m)] + carries
+    rng.shuffle(names)
+    ring = Ring(names)
+    fam = family("U", m)
+    terms = {}
+    for _ in range(rng.randrange(1, 5)):
+        a = [rng.randrange(4) for _ in fam]
+        rest = {"c": rng.randrange(-2, 3), "d": rng.randrange(3)}
+        c = rng.randrange(-5, 6)
+        for perm in set(permutations(a)):
+            e = dict(zip(fam, perm))
+            exps = tuple(e[x] if x in e else rest[x] for x in ring.names)
+            terms[exps] = terms.get(exps, 0) + c
+    return MultiPoly(ring, terms), fam
 
 
 class TestElementary:
@@ -75,6 +200,57 @@ class TestReduce:
         p = (U2.var("U1") + U2.var("U2")).rename(R) * R.var("c", -1)
         r = symmetric_reduce(p, ["U1", "U2"])
         assert r.text() == "X1*c^-1"
+
+
+class TestReduceOracle:
+    """symmetric_reduce and the arity-m routes against the oracles above."""
+
+    def test_random_symmetric(self):
+        rng = random.Random(20261018)
+        for trial in range(400):
+            m = 1 + trial % 4
+            p, fam = random_symmetric(rng, m)
+            tgt = family("E", m)
+            assert symmetric_reduce(p, fam, tgt) == worklist_reduce(
+                p, fam, tgt), p
+
+    def test_whole_ring_default_names(self):
+        rng = random.Random(7)
+        for m in (1, 2, 3, 4):
+            for _ in range(10):
+                p, _ = random_symmetric(rng, m, max_carries=0)
+                assert symmetric_reduce(p) == worklist_reduce(p)
+
+    def test_non_symmetric_witness(self):
+        rng = random.Random(11)
+        for m in (2, 3, 4):
+            for _ in range(20):
+                p, fam = random_symmetric(rng, m)
+                exps = tuple(rng.randrange(1, 4) if x == "U1" else 0
+                             for x in p.ring.names)
+                q = p + MultiPoly(p.ring, {exps: 1})
+                with pytest.raises(SymmetryError) as got:
+                    symmetric_reduce(q, fam)
+                with pytest.raises(SymmetryError) as want:
+                    worklist_reduce(q, fam)
+                assert got.value.witness == want.value.witness
+                assert got.value.witness == symmetry_witness(q, fam)
+
+    def test_universal_P(self):
+        for n in range(1, 5):
+            for m in range(n, n + 3):
+                assert universal_P(n, m) == oracle_P(n, m), (n, m)
+
+    def test_universal_Q(self):
+        for i, j in ((i, j) for i in range(1, 7) for j in range(1, 7)
+                     if i * j <= 6):
+            for m in (i * j, i * j + 1):
+                assert universal_Q(i, j, m) == oracle_Q(i, j, m), (i, j, m)
+
+    def test_universal_R_direct(self):
+        for n in range(1, 4):
+            for m in range(n, n + 2):
+                assert universal_R(n, "direct", m) == oracle_R(n, m), (n, m)
 
 
 class TestUniversalP:
