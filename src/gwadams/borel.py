@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 
 from . import gwring, symfunc
 from .gwring import GW, KTH, GWElem, SymClass, context_ring
-from .lambdaring import adams, forget, lambda_op, lambda_series, witt
+from .lambdaring import adams, forget, lambda_series, witt
 from .polyring import GradingError, MultiPoly, Ring
 from .report import VerificationReport, check
 
@@ -191,20 +191,6 @@ def triple_product_closed(i: int) -> SymClass:
         e[ig] += d // 4
         out[tuple(e)] = c
     return SymClass(MultiPoly(ring, out), GW, _TRIPLE_GENS)
-
-
-def lambda_triple_product(i: int, cross_check: bool = True) -> SymClass:
-    """lambda^i(u1*u2*u3) from the engine; for i <= 4 the universal
-    triple-product polynomial route must agree."""
-    if i < 0:
-        raise ValueError("i must be >= 0")
-    ring = _triple_ring()
-    x = SymClass(ring.var("u1") * ring.var("u2") * ring.var("u3"),
-                 GW, _TRIPLE_GENS)
-    out = lambda_op(i, x)
-    if cross_check and 1 <= i <= 4 and out != _triple_via_R(i):
-        raise ValueError("triple-product routes disagree at i=%d" % i)
-    return out
 
 
 def _explicit_triple_displays() -> dict:

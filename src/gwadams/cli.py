@@ -68,9 +68,9 @@ FORM_INPUT_RANK_MAX = 64
 UNIVERSAL_P_MAX = 13
 # composed R_8 0.30 s, R_9 0.63 s, R_10 1.8 s
 UNIVERSAL_R_MAX = 9
-# direct (and both) R_4 0.7 s (1.5 s while the Gauss reduction rescanned
-# every term); R_5 takes 61 s in process
-UNIVERSAL_R_DIRECT_MAX = 4
+# direct (and both) R_6 0.23 s, R_7 0.55-0.58 s, R_8 2.8-3.2 s (R_4 took
+# 0.7 s and R_5 61 s while the defining product was expanded as a series)
+UNIVERSAL_R_DIRECT_MAX = 7
 # i*j in Q_{i,j}; the slowest shape at i*j = 28 is Q_{14,2} at 0.8-1.0 s
 # (1.0-1.1 s while Newton's identities copied the accumulator per term),
 # at i*j = 30 Q_{15,2} at about 1.4 s

@@ -155,14 +155,6 @@ class SymClass:
     def from_gw(cls, x: "GWElem", gens=(), quotient=False) -> "SymClass":
         return cls(x.poly, GW, gens, quotient)
 
-    def to_gw(self) -> "GWElem":
-        if self.theory.name != "gw":
-            raise ValueError("not a gw-theory class")
-        if any(any(e[self.poly.ring.index(g)] for e in self.poly.terms)
-               for g in self.gens):
-            raise ValueError("element involves generators: %s" % self)
-        return GWElem(self.poly.rename(COEFF_RING))
-
     def _same_context(self, other: "SymClass"):
         if (self.theory.name != other.theory.name or self.gens != other.gens
                 or self.quotient != other.quotient):

@@ -7,11 +7,12 @@ The lambda-series of a class is a polyring.TruncSeries over its context
 ring, with every coefficient put in normal form once per series product.
 The series of a sum is the product of the series; a rank-2 generator u
 (and likewise tau) has series 1 + u*t + det*t^2; products of rank-2
-primitives are folded in through the universal product identity, expanding
-prod_i(1 + U_i*y*t + U_i^2*det*t^2) and reducing it by symfunc's Gauss
-algorithm before substituting sigma_k(U) by the already-known lambda^k of
-the other factor; line factors (the class <-1> and powers of the
-periodicity unit) act coefficientwise.
+primitives are folded in through the universal product identity: the
+dominant part of prod_i(1 + U_i*y*t + U_i^2*det*t^2), whose U^lambda
+coefficient is y^b * det^a for lambda = (2^a 1^b), is built directly and
+reduced by symfunc's Gauss algorithm before substituting sigma_k(U) by the
+already-known lambda^k of the other factor; line factors (the class <-1>
+and powers of the periodicity unit) act coefficientwise.
 
 Adams operations do not go through the lambda-series.  In a special
 lambda-ring each psi^k is a ring endomorphism, so psi^k(x) is x with every
@@ -41,27 +42,25 @@ def _normal(s: TruncSeries, ctx: SymClass) -> TruncSeries:
 def _fold_rank2(series: TruncSeries, prim_name: str, ctx: SymClass,
                 rank_bound: int) -> TruncSeries:
     """Lambda-series of x*y from the series of x, for y a rank-2 primitive
-    (a generator or tau) with determinant class twist**det_power.
+    (a generator or tau) with determinant class twist**det_power: Gauss's
+    reduction of the dominant part of prod_i F(t U_i), F(s) = 1 + y*s +
+    det*s^2, then sigma_j(U) replaced by lambda^j(x).
 
     lambda^j(x) must vanish for j > rank_bound (true for genuine classes
-    of that rank); the expansion then only needs that many symmetric
-    roots, which keeps high truncation orders cheap."""
+    of that rank); then only that many roots U_i are needed, which keeps
+    high truncation orders cheap."""
     theory, base, N = ctx.theory, series.ring, series.order
     M = max(1, min(N, rank_bound))
     unames = ["UF%d" % i for i in range(1, M + 1)]
     targets = ["XF%d" % i for i in range(1, M + 1)]
     ext = Ring(list(zip(base.names, base.laurent))
                + [(u, False) for u in unames])
-    y = ext.var(prim_name)
-    det = ext.var(theory.twist, theory.det_power)
-    prod = TruncSeries.one(ext, N)
-    for u in unames:
-        uv = ext.var(u)
-        prod = prod * TruncSeries(ext, N, [ext.one(), uv * y, uv * uv * det])
+    F = [ext.one(), ext.var(prim_name), ext.var(theory.twist, theory.det_power)]
     lam = TruncSeries(base, M, series.coeffs)   # zero-padded when N < M
     bind = {t: lam[j] for j, t in enumerate(targets, 1)}
-    out = [symfunc.symmetric_reduce(prod[k], unames, targets)
-           .substitute(bind, base) for k in range(N + 1)]
+    out = [symfunc._reduce_dominant(symfunc._dominant_product(F, ext, unames, k),
+                                    ext, unames, targets).substitute(bind, base)
+           for k in range(N + 1)]
     return _normal(TruncSeries(base, N, out), ctx)
 
 

@@ -7,8 +7,10 @@ prod(1 + t * monomial), together with a verification battery for their
 closed-form specializations.
 
 P_n and Q_{i,j} come from power sums through Newton's identities.  The
-Gauss reduction of the expanded product stays as an independent route:
+Gauss reduction of the defining product stays as an independent route:
 it computes universal_R(n, "direct") and P_n, Q_{i,j} at an explicit arity.
+For P_n and R_n it reads the dominant part of prod_i F(t U_i), U^lambda
+carrying prod_i F_{lambda_i}, built without expanding the series.
 """
 
 from __future__ import annotations
@@ -69,15 +71,17 @@ def symmetry_witness(p: MultiPoly, family: list[str]):
     """Return an adjacent transposition (name_k, name_{k+1}) under which p is
     not invariant, or None if p passes all adjacent-transposition checks."""
     idx = [p.ring.index(n) for n in family]
+    get = p.terms.get
     for k in range(len(idx) - 1):
         i, j = idx[k], idx[k + 1]
-        swapped = {}
+        # the swap is a bijection, so p is invariant iff every term's image
+        # carries the same coefficient
         for exps, c in p.terms.items():
-            e = list(exps)
-            e[i], e[j] = e[j], e[i]
-            swapped[tuple(e)] = c
-        if swapped != p.terms:
-            return (family[k], family[k + 1])
+            if exps[i] != exps[j]:
+                e = list(exps)
+                e[i], e[j] = e[j], e[i]
+                if get(tuple(e)) != c:
+                    return (family[k], family[k + 1])
     return None
 
 
@@ -109,10 +113,6 @@ def symmetric_reduce(p: MultiPoly, family: list[str] | None = None,
 
     fam_idx = [ring.index(n) for n in family]
     fam_set = set(fam_idx)
-    target = Ring([(targets[fam_idx.index(i)], False) if i in fam_set
-                   else (nm, ring.laurent[i])
-                   for i, nm in enumerate(ring.names)])
-
     # work[a] = {exponents with the family positions zeroed: coeff} for each
     # dominant family exponent a
     work: dict = {}
@@ -121,8 +121,21 @@ def symmetric_reduce(p: MultiPoly, family: list[str] | None = None,
         if _is_partition(a):
             rest = tuple(0 if i in fam_set else e for i, e in enumerate(exps))
             work.setdefault(a, {})[rest] = c
+    return _reduce_dominant(work, ring, family, targets)
 
-    sigma = [elementary(m, k) for k in range(1, m + 1)]
+
+def _reduce_dominant(work: dict, ring: Ring, family: list[str],
+                     targets: list[str]) -> MultiPoly:
+    """Gauss's algorithm on the dominant part `work` of a symmetric
+    polynomial of `ring`: work[a] = {exponents with the family positions
+    zeroed: coeff} for each partition a.  Consumes `work`."""
+    m = len(family)
+    fam_idx = [ring.index(n) for n in family]
+    fam_set = set(fam_idx)
+    target = Ring([(targets[fam_idx.index(i)], False) if i in fam_set
+                   else (nm, ring.laurent[i])
+                   for i, nm in enumerate(ring.names)])
+    sigma: dict = {}
     out: dict = {}
     while work:
         a = max(work, key=grlex_key)
@@ -136,9 +149,11 @@ def symmetric_reduce(p: MultiPoly, family: list[str] | None = None,
         # subtract coeffs * prod sigma_k^{d_k} on its dominant monomials;
         # its coefficient at a is 1, so the pop already did so at a
         s = elementary(m, 0)
-        for sk, dk in zip(sigma, d):
+        for k, dk in enumerate(d, 1):
             if dk:
-                s = s * sk ** dk
+                if k not in sigma:
+                    sigma[k] = elementary(m, k)
+                s = s * sigma[k] ** dk
         for b, sb in s.terms.items():
             if b == a or not _is_partition(b):
                 continue
@@ -158,14 +173,29 @@ def _is_partition(a: tuple) -> bool:
     return a == tuple(sorted(a, reverse=True))
 
 
-def expand_elementary(p: MultiPoly, family: list[str],
-                      values: list[str], target: Ring) -> MultiPoly:
-    """Inverse of symmetric_reduce for round-trip checks: substitute
-    family variable k by sigma_k of the `values` variables of `target`."""
-    m = len(values)
-    bind = {family[k - 1]: elementary(m, k, target, values)
-            for k in range(1, len(family) + 1)}
-    return p.substitute(bind, target)
+def _dominant_product(coeffs: list, ring: Ring, family: list[str],
+                      n: int) -> dict:
+    """The dominant part of the t^n coefficient of prod_i F(t U_i), U_i the
+    `family` variables of `ring` and F(s) = sum_k coeffs[k] s^k with
+    coeffs[0] = 1 and no coeffs[k] involving the family: {lambda: terms of
+    prod_i coeffs[lambda_i]} over the partitions lambda of n with at most
+    len(family) parts, each at most len(coeffs) - 1, in the layout
+    _reduce_dominant reads.  Symmetric by construction."""
+    if coeffs[0] != 1:
+        raise ValueError("F(0) must be 1")
+    m = len(family)
+    out: dict = {}
+
+    def grow(parts: tuple, left: int, largest: int, prod: MultiPoly):
+        if not left:
+            out[parts + (0,) * (m - len(parts))] = prod.terms
+        elif len(parts) < m:
+            for k in range(min(left, largest), 0, -1):
+                if coeffs[k]:
+                    grow(parts + (k,), left - k, k, prod * coeffs[k])
+
+    grow((), n, len(coeffs) - 1, ring.one())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +274,15 @@ def _product_series(factors, ring: Ring, order: int) -> TruncSeries:
     return prod
 
 
-def _scaled_product(coeffs, names: list[str], ring: Ring,
-                    order: int) -> TruncSeries:
-    """prod over x in names of f(t x), f(s) = sum_k coeffs[k] s^k."""
-    return _product_series(
-        [TruncSeries(ring, order, [c * ring.var(x) ** k
-                                   for k, c in enumerate(coeffs)])
-         for x in names], ring, order)
-
-
 def universal_P(n: int, m: int | None = None) -> MultiPoly:
     """P_n with prod_{i,j<=m}(1+t U_i V_j) = sum t^n P_n(sigma(U), sigma(V)).
 
     By default P_n = e_n(XY) comes from power sums, p_k(XY) = p_k(X) p_k(Y),
-    through Newton's identities.  Given an arity m >= n, it is instead the
-    expanded product reduced by Gauss's algorithm, first in U with
-    V-polynomial coefficients, then in V.  Result lives in ring_P(n).
+    through Newton's identities.  Given an arity m >= n, it is instead
+    Gauss's reduction in U of the product's dominant part: the factor
+    F(s) = prod_j (1+s V_j) has coefficients sigma_k(V), which reduce to
+    Y_k, so U^lambda carries prod_i Y_{lambda_i}.  Result lives in
+    ring_P(n).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -274,13 +297,10 @@ def universal_P(n: int, m: int | None = None) -> MultiPoly:
         return _memoized("P:%d" % n, newton)
     if m < n:
         raise ValueError("arity m=%d below n=%d does not determine P_n" % (m, n))
-    src = _join_rings(_family_ring("U", m), _family_ring("V", m))
+    src = _join_rings(_family_ring("U", m), _family_ring("Y", m))
     unames = ["U%d" % i for i in range(1, m + 1)]
-    vnames = ["V%d" % j for j in range(1, m + 1)]
-    sig_v = [elementary(m, k, src, vnames) for k in range(0, n + 1)]
-    top = _scaled_product(sig_v, unames, src, n)[n]
-    xu = symmetric_reduce(top, unames, ["X%d" % i for i in range(1, m + 1)])
-    xy = symmetric_reduce(xu, vnames, ["Y%d" % j for j in range(1, m + 1)])
+    work = _dominant_product(_alphabet(src, "Y", n), src, unames, n)
+    xy = _reduce_dominant(work, src, unames, ["X%d" % i for i in range(1, m + 1)])
     return xy.rename(ring_P(n))
 
 
@@ -325,9 +345,11 @@ def universal_Q(i: int, j: int, m: int | None = None) -> MultiPoly:
 def universal_R(n: int, method: str = "composed", m: int | None = None) -> MultiPoly:
     """R_n for triple products, in ring_R(n).
 
-    method "direct": expand prod_{i,j,k<=m}(1+t U_i V_j W_k), grouped as
-    prod_i F(t U_i) with F(s) = prod_{j,k}(1+s V_j W_k), and reduce in all
-    three families.  method "composed": R_n = P_n(X, P_1(Y,Z), ..., P_n(Y,Z)).
+    method "direct": prod_{i,j,k<=m}(1+t U_i V_j W_k) = prod_i F(t U_i) with
+    F(s) = prod_{j,k}(1+s V_j W_k), whose coefficient F_k reduces in V and
+    W to universal_P(k, m) in (Y, Z); Gauss's reduction in U of the dominant
+    part, U^lambda carrying prod_i F_{lambda_i}.  method "composed":
+    R_n = P_n(X, P_1(Y,Z), ..., P_n(Y,Z)).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -338,19 +360,19 @@ def universal_R(n: int, method: str = "composed", m: int | None = None) -> Multi
     mm = n if m is None else m
     if mm < n:
         raise ValueError("arity m=%d below n=%d" % (mm, n))
+    # P_k(X, Y) as a polynomial in (Y, Z)
+    yz = {"X%d" % s: "Y%d" % s for s in range(1, n + 1)} | {
+        "Y%d" % s: "Z%d" % s for s in range(1, n + 1)}
 
     def compute_direct():
-        src = _join_rings(_family_ring("U", mm), _family_ring("V", mm),
-                          _family_ring("W", mm))
-        names = {x: ["%s%d" % (x, k) for k in range(1, mm + 1)]
-                 for x in "UVWXYZ"}
-        sig_w = [elementary(mm, k, src, names["W"])
-                 for k in range(0, min(mm, n) + 1)]
-        # prod_{i,j} f(t U_i V_j) = prod_i F(t U_i), F(s) = prod_j f(s V_j)
-        F = _scaled_product(sig_w, names["V"], src, n)
-        p = _scaled_product(F.coeffs, names["U"], src, n)[n]
-        for fam, tgt in ("UX", "VY", "WZ"):
-            p = symmetric_reduce(p, names[fam], names[tgt])
+        src = _join_rings(_family_ring("U", mm), _family_ring("Y", mm),
+                          _family_ring("Z", mm))
+        F = [src.one()] + [universal_P(k, mm).rename(src, yz)
+                           for k in range(1, n + 1)]
+        unames = ["U%d" % i for i in range(1, mm + 1)]
+        work = _dominant_product(F, src, unames, n)
+        p = _reduce_dominant(work, src, unames,
+                             ["X%d" % i for i in range(1, mm + 1)])
         return p.rename(ring_R(n))
 
     def compute_composed():
@@ -358,10 +380,7 @@ def universal_R(n: int, method: str = "composed", m: int | None = None) -> Multi
         pn = universal_P(n)
         bindings = {}
         for k in range(1, n + 1):
-            pk = universal_P(k).rename(
-                target, {"X%d" % s: "Y%d" % s for s in range(1, k + 1)}
-                | {"Y%d" % s: "Z%d" % s for s in range(1, k + 1)})
-            bindings["Y%d" % k] = pk
+            bindings["Y%d" % k] = universal_P(k).rename(target, yz)
             bindings["X%d" % k] = target.var("X%d" % k)
         return pn.substitute(bindings, target)
 

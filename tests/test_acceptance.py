@@ -63,10 +63,10 @@ def test_criterion_3_omega_laws():
     assert "omega_loc_odd" in by and "omega_sq" in by
 
 
-def test_criterion_4_adams_on_tau():
+def test_criterion_4_adams_on_tau(to_gw):
     tau = SymClass.from_gw(GWElem.tau())
     for n in range(0, 11):
-        assert adams(n, tau).to_gw() == psi_tau_closed(n)
+        assert to_gw(adams(n, tau)) == psi_tau_closed(n)
 
 
 def test_criterion_5_lambda_axioms():

@@ -2,12 +2,27 @@ import pytest
 
 from gwadams.borel import (
     OmegaClass, TernaryLaw, borel_sum_classes, borel_triple_classes,
-    check_borel_prop, check_omega_laws, check_ternary, expected_laws,
-    lambda_triple_product, omega, omega_closed, omega_recursive,
-    ternary_laws, triple_product_closed,
+    _TRIPLE_GENS, _triple_ring, _triple_via_R, check_borel_prop,
+    check_omega_laws, check_ternary, expected_laws, omega, omega_closed,
+    omega_recursive, ternary_laws, triple_product_closed,
 )
 from gwadams.gwring import GW, GWElem, SymClass, context_ring
+from gwadams.lambdaring import lambda_op
 from gwadams.polyring import GradingError
+
+
+def lambda_triple_product(i: int, cross_check: bool = True) -> SymClass:
+    """lambda^i(u1*u2*u3) from the engine; for i <= 4 the universal
+    triple-product polynomial route must agree."""
+    if i < 0:
+        raise ValueError("i must be >= 0")
+    ring = _triple_ring()
+    x = SymClass(ring.var("u1") * ring.var("u2") * ring.var("u3"),
+                 GW, _TRIPLE_GENS)
+    out = lambda_op(i, x)
+    if cross_check and 1 <= i <= 4 and out != _triple_via_R(i):
+        raise ValueError("triple-product routes disagree at i=%d" % i)
+    return out
 
 
 class TestOmega:

@@ -4,9 +4,9 @@ from gwadams import lambdaring, symfunc
 from gwadams.gwring import GWElem
 from gwadams.lambdaring import (
     KTH, SymClass, adams, adams_negative, check_adams_hyperbolic,
-    check_lambda_axioms, forget, lambda_op, lambda_series, witt,
+    check_lambda_axioms, forget, l1_samples, lambda_op, lambda_series, witt,
 )
-from gwadams.polyring import GradingError
+from gwadams.polyring import GradingError, Ring, TruncSeries
 
 
 GENS = ("u1", "u2")
@@ -75,24 +75,24 @@ class TestLambdaSeries:
 
 
 class TestAdams:
-    def test_psi_tau(self):
+    def test_psi_tau(self, to_gw):
         tau = SymClass.from_gw(GWElem.tau())
-        assert adams(2, tau).to_gw() == -2 * GWElem.eps() * GWElem.gamma()
-        assert adams(3, tau).to_gw() == GWElem.tau() * GWElem.gamma()
+        assert to_gw(adams(2, tau)) == -2 * GWElem.eps() * GWElem.gamma()
+        assert to_gw(adams(3, tau)) == GWElem.tau() * GWElem.gamma()
 
-    def test_psi_h(self):
+    def test_psi_h(self, to_gw):
         h = SymClass.from_gw(GWElem.h())
-        assert adams(2, h).to_gw() == GWElem.from_int(2)
-        assert adams(3, h).to_gw() == GWElem.h()
+        assert to_gw(adams(2, h)) == GWElem.from_int(2)
+        assert to_gw(adams(3, h)) == GWElem.h()
 
     def test_psi0_is_rank(self):
         x = u(1) * u(2)
         assert adams(0, x) == x.rank() == 4
 
-    def test_negative(self):
+    def test_negative(self, to_gw):
         tau = SymClass.from_gw(GWElem.tau())
-        assert adams_negative(-1, tau).to_gw() == -GWElem.tau()
-        assert adams_negative(-2, tau).to_gw() == 2 * GWElem.eps() * GWElem.gamma()
+        assert to_gw(adams_negative(-1, tau)) == -GWElem.tau()
+        assert to_gw(adams_negative(-2, tau)) == 2 * GWElem.eps() * GWElem.gamma()
         g = SymClass.from_gw(GWElem.gamma())
         assert adams_negative(-1, g) == adams(1, g)
 
@@ -136,6 +136,58 @@ class TestAdamsOracle:
         sign = -1 if x.degree() % 4 == 2 else 1
         for n in range(1, 5):
             assert adams_negative(-n, x) == sign * p[n], (name, -n)
+
+
+def series_fold_rank2(series, prim_name, ctx, rank_bound):
+    """The fold as a series product: expand prod_i(1 + U_i*y*t +
+    U_i^2*det*t^2) over the roots U_i and reduce each coefficient by the
+    public symmetric_reduce, as lambdaring did before it built the dominant
+    part directly."""
+    theory, base, N = ctx.theory, series.ring, series.order
+    M = max(1, min(N, rank_bound))
+    unames = ["UF%d" % i for i in range(1, M + 1)]
+    targets = ["XF%d" % i for i in range(1, M + 1)]
+    ext = Ring(list(zip(base.names, base.laurent))
+               + [(u, False) for u in unames])
+    y = ext.var(prim_name)
+    det = ext.var(theory.twist, theory.det_power)
+    prod = TruncSeries.one(ext, N)
+    for name in unames:
+        uv = ext.var(name)
+        prod = prod * TruncSeries(ext, N, [ext.one(), uv * y, uv * uv * det])
+    lam = TruncSeries(base, M, series.coeffs)
+    bind = {t: lam[j] for j, t in enumerate(targets, 1)}
+    out = [symfunc.symmetric_reduce(prod[k], unames, targets)
+           .substitute(bind, base) for k in range(N + 1)]
+    return lambdaring._normal(TruncSeries(base, N, out), ctx)
+
+
+class TestFoldOracle:
+    """lambda_series with the fold built from the dominant part against the
+    same series with the fold expanded as a series product."""
+
+    def both_folds(self, monkeypatch, x, N):
+        got = lambda_series(x, N)
+        monkeypatch.setattr(lambdaring, "_fold_rank2", series_fold_rank2)
+        want = lambda_series(x, N)
+        monkeypatch.undo()
+        return got, want
+
+    def test_l1_products(self, monkeypatch):
+        samples = l1_samples()
+        names = sorted(samples)
+        for i, a in enumerate(names):
+            for b in names[i:]:
+                got, want = self.both_folds(monkeypatch,
+                                            samples[a] * samples[b], 6)
+                assert got == want, (a, b)
+
+    def test_generic_sums(self, monkeypatch):
+        gens = ("u1", "u2", "v1", "v2")
+        g = {n: SymClass.gen(n, gens=gens) for n in gens}
+        x = (g["u1"] + g["u2"]) * (g["v1"] + g["v2"])
+        got, want = self.both_folds(monkeypatch, x, 8)
+        assert got == want
 
 
 class TestAdamsWellDefined:

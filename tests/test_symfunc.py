@@ -11,9 +11,9 @@ import gwadams
 from gwadams.polyring import MultiPoly, Ring, TruncSeries, grlex_key
 from gwadams import symfunc
 from gwadams.symfunc import (
-    SymmetryError, check_appendix_b, elementary, ell_args, eval_P,
-    expand_elementary, ring_P, ring_Q, ring_R, rxy_closed, symmetric_reduce,
-    symmetry_witness, universal_P, universal_Q, universal_R,
+    SymmetryError, check_appendix_b, elementary, ell_args, eval_P, ring_P,
+    ring_Q, ring_R, rxy_closed, symmetric_reduce, symmetry_witness,
+    universal_P, universal_Q, universal_R,
 )
 
 U2 = Ring([("U1", False), ("U2", False)])
@@ -68,6 +68,15 @@ def worklist_reduce(p, family=None, targets=None):
             if not work[exps]:
                 del work[exps]
     return MultiPoly(target, out)
+
+
+def expand_elementary(p, family, values, target):
+    """Inverse of symmetric_reduce for round-trip checks: substitute
+    family variable k by sigma_k of the `values` variables of `target`."""
+    m = len(values)
+    bind = {family[k - 1]: elementary(m, k, target, values)
+            for k in range(1, len(family) + 1)}
+    return p.substitute(bind, target)
 
 
 def expanded_product(monomials, ring, order):
@@ -236,6 +245,46 @@ class TestReduceOracle:
                 assert got.value.witness == want.value.witness
                 assert got.value.witness == symmetry_witness(q, fam)
 
+    def test_dominant_product(self):
+        """The built dominant part of prod_i F(t U_i) against the dominant
+        part of the expanded series, and both reductions."""
+        rng = random.Random(20261019)
+        for trial in range(240):
+            m = 1 + trial % 4
+            carries = [("c", True), ("d", False)][:rng.randrange(3)]
+            names = [(u, False) for u in family("U", m)] + carries
+            rng.shuffle(names)
+            ring = Ring(names)
+            fam = family("U", m)
+            coeffs = [ring.one()]
+            for _ in range(rng.randrange(1, 5)):
+                terms = {}
+                # a zero coefficient one time in six
+                for _ in range(rng.choice([0, 1, 1, 2, 2, 3])):
+                    e = {"c": rng.randrange(-2, 3), "d": rng.randrange(3)}
+                    exps = tuple(e.get(x, 0) for x in ring.names)
+                    terms[exps] = terms.get(exps, 0) + rng.choice([-2, -1, 1, 3])
+                coeffs.append(MultiPoly(ring, terms))
+            # now and then above the largest degree m * (len(coeffs) - 1)
+            n = rng.randrange(min(6, m * (len(coeffs) - 1) + 1) + 1)
+            series = TruncSeries.one(ring, n)
+            for u in fam:
+                series = series * TruncSeries(
+                    ring, n, [c * ring.var(u) ** k for k, c in enumerate(coeffs)])
+            fam_idx = [ring.index(u) for u in fam]
+            want = {}
+            for exps, c in series[n].terms.items():
+                a = tuple(exps[i] for i in fam_idx)
+                if a == tuple(sorted(a, reverse=True)):
+                    rest = tuple(0 if i in fam_idx else e
+                                 for i, e in enumerate(exps))
+                    want.setdefault(a, {})[rest] = c
+            got = symfunc._dominant_product(coeffs, ring, fam, n)
+            assert got == want, (coeffs, n)
+            tgt = family("E", m)
+            assert symfunc._reduce_dominant(got, ring, fam, tgt) == \
+                worklist_reduce(series[n], fam, tgt), (coeffs, n)
+
     def test_universal_P(self):
         for n in range(1, 5):
             for m in range(n, n + 3):
@@ -300,7 +349,7 @@ class TestUniversalR:
         assert universal_R(1).text() == "X1*Y1*Z1"
 
     def test_methods_agree(self):
-        for n in (1, 2):
+        for n in range(1, 7):
             assert universal_R(n, "direct") == universal_R(n, "composed")
 
     def test_bad_method(self):
