@@ -37,12 +37,16 @@ FORMAT = click.Choice(["text", "latex", "json"])
 
 # input bounds: each call at the bound finishes in about a second (cold
 # process, 2 vCPU, Python 3.11)
-ADAMS_MAX = 256     # |n| in `adams n`
+# |n| in `adams n`: `adams 256 --target u` and `--target u-tau` take
+# 0.17-0.18 s, most of it process start and import
+ADAMS_MAX = 256
 # |n|^k in `adams n`, k the number of generators occurring in the target;
-# the output grows like |n|^k: u1*u2*u3 at n = 64 takes 0.55 s (2 MB out),
-# at n = 128 4.0 s (23 MB out)
+# the output grows like |n|^k: u1*u2*u3 at n = 64 takes 0.6 s (2 MB out,
+# two thirds of it rendering), at n = 128 3.2-3.6 s in process (23 MB out)
 ADAMS_SIZE_MAX = 64 ** 3
-OMEGA_MAX = 96      # n in `omega n` and `omega --table n`
+# n in `omega n` and `omega --table n`: `omega --table 96` takes 0.2 s
+# (0.4-0.5 s while psi^n of each generator ran the k - 1 step recurrence)
+OMEGA_MAX = 96
 # rank of the form printed by `form ext-power`, `sym-power` and `tensor`:
 # C(r, n), C(r+n-1, n) or r_a*r_b.  At or near the bound: ext-power of a
 # rank-10 form n = 4 (210) 0.71 s, rank-12 n = 3 (220) 0.48 s; sym-power

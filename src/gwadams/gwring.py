@@ -43,14 +43,21 @@ def normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
     eps^a = eps^(a mod 2), tau^(2m+1) = 4^m*gamma^m*tau and
     tau^(2m) = 2^(2m-1)*gamma^m*(1 - eps) for m >= 1, and eps^a beside a
     tau-power is the sign (-1)^a.  So one term gives at most
-    2^(len(square_zero)+1) terms, whatever its exponents.
+    2^(len(square_zero)+1) terms, whatever its exponents.  A poly whose
+    terms are all in normal form is returned as it is.
     """
     ring = poly.ring
     ie, it, ig = ring.index("eps"), ring.index("tau"), ring.index("gamma")
     iu = [ring.index(u) for u in square_zero]
+
+    def normal(exps):
+        return exps[ie] + exps[it] <= 1 and all(exps[i] <= 1 for i in iu)
+
+    if all(map(normal, poly.terms)):
+        return poly
     out: dict = defaultdict(int)    # MultiPoly drops the zero sums
     for exps, c in poly.terms.items():
-        if exps[ie] + exps[it] <= 1 and all(exps[i] <= 1 for i in iu):
+        if normal(exps):
             out[exps] += c
             continue
         # the two terms of each u^k, k >= 2:

@@ -11,7 +11,8 @@ with MultiPoly coefficients, exact modulo t^(N+1).
 The public constructors validate their terms.  Results of ring operations
 are valid by construction and skip re-validation (MultiPoly._trusted); every
 product goes through one multiply-accumulate kernel, _mul_into, which
-sum_of_products also uses to accumulate a sum of products in place.
+sum_of_products also uses to accumulate a sum of products in place, and
+substitute to multiply out its multi-term bindings.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ class Ring:
         raise AttributeError("Ring is immutable")
 
     def __eq__(self, other):
-        return (isinstance(other, Ring) and self.names == other.names
-                and self.laurent == other.laurent)
+        return self is other or (
+            isinstance(other, Ring) and self.names == other.names
+            and self.laurent == other.laurent)
 
     def __hash__(self):
         return hash((self.names, self.laurent))
@@ -305,6 +307,12 @@ class MultiPoly:
         target ring); unbound variables must exist in the target ring by name.
         A variable carrying a negative exponent may only be bound to a unit
         monomial (single term, coefficient ±1, Laurent-variable support).
+
+        A zero binding drops every term that uses its variable, a
+        single-term binding acts on the exponent vector and the
+        coefficient, and only the multi-term bindings are multiplied out:
+        once per distinct exponent vector on their variables, sharing the
+        products over common prefixes of those vectors.
         """
         if target is None:
             for v in bindings.values():
@@ -312,46 +320,120 @@ class MultiPoly:
                 break
             else:
                 target = self.ring
-        bound: dict[int, MultiPoly] = {}
-        passthrough: dict[int, int] = {}
-        for i, name in enumerate(self.ring.names):
-            if name in bindings:
+        src = self.ring
+        passthrough = []    # (source index, target index)
+        zero = []           # variables bound to 0
+        mono = []           # (index, nonzero (target index, exponent)s, coeff)
+        multi = []          # (index, binding terms)
+        bad = {}            # Laurent variable -> error for a negative exponent
+        for i, name in enumerate(src.names):
+            err = None
+            if name not in bindings:
+                j = target.index(name)
+                passthrough.append((i, j))
+                if not target.laurent[j]:
+                    err = ExponentError(
+                        "variable %r is not Laurent in the target" % name)
+            else:
                 v = bindings[name]
                 if v.ring != target:
-                    raise ContextError("binding for %r not in target ring" % name)
-                bound[i] = v
-            else:
-                passthrough[i] = target.index(name)
+                    raise ContextError("binding for %r not in target ring"
+                                       % name)
+                if len(v.terms) == 1:
+                    (e, c), = v.terms.items()
+                    mono.append((i, [(j, x) for j, x in enumerate(e) if x], c))
+                    if c not in (1, -1):
+                        err = SubstitutionError(
+                            "unit monomial must have coefficient ±1")
+                    elif any(x > 0 and not target.laurent[j]
+                             for j, x in enumerate(e)):
+                        err = ExponentError("inverse of the binding for %r "
+                                            "is not Laurent" % name)
+                else:
+                    if v.terms:
+                        multi.append((i, v.terms))
+                    else:
+                        zero.append(i)
+                    err = SubstitutionError(
+                        "need a unit monomial for %r, got %d terms"
+                        % (name, len(v.terms)))
+            if err and src.laurent[i]:  # only these have negative exponents
+                bad[i] = err
+        terms = self.terms
+        if any(e[i] < 0 for i in bad for e in terms):
+            # the first offending term, passthrough variables before bound ones
+            order = sorted(bad, key=lambda i: (src.names[i] in bindings, i))
+            for e in terms:
+                for i in order:
+                    if e[i] < 0:
+                        raise bad[i]
 
-    # cache powers of each binding as we go; exponents repeat heavily
-        powcache: dict[tuple[int, int], MultiPoly] = {}
-
-        def power(i: int, k: int) -> MultiPoly:
-            key = (i, k)
-            got = powcache.get(key)
-            if got is not None:
-                return got
-            v = bound[i]
-            if k >= 0:
-                r = v ** k
-            else:
-                r = _unit_monomial_inverse(v) ** (-k)
-            powcache[key] = r
-            return r
-
-        # each term is piece * last, accumulated into one output dict
-        one = target.one()
-        out: dict = {}
-        for exps, c in self.terms.items():
-            te = [0] * target.nvars
-            for i, j in passthrough.items():
-                te[j] += exps[i]
-            piece, last = MultiPoly(target, {tuple(te): c}), one
-            for i in bound:
+        # each term's monomial image, grouped by its exponents on `multi`
+        nt = target.nvars
+        groups: dict = {}
+        for exps, c in terms.items():
+            if zero and any(exps[i] for i in zero):
+                continue
+            te = [0] * nt
+            for i, j in passthrough:
+                te[j] = exps[i]
+            for i, ev, cv in mono:
                 k = exps[i]
                 if k:
-                    piece, last = piece * last, power(i, k)
-            _mul_into(out, piece.terms, last.terms)
+                    for j, x in ev:
+                        te[j] += k * x
+                    if cv != 1:     # a unit when k < 0
+                        c *= cv ** abs(k)
+            key = tuple([exps[i] for i, _ in multi])
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = {}
+            te = tuple(te)
+            s = group.get(te, 0) + c
+            if s:
+                group[te] = s
+            else:
+                del group[te]
+        if not multi:
+            return MultiPoly._trusted(target, groups.get((), {}))
+
+        # powers of each multi-term binding, grown one factor at a time
+        one = {(0,) * nt: 1}
+        powers = [[one, v] for _, v in multi]
+
+        def power(p: int, k: int) -> dict:
+            table = powers[p]
+            while len(table) <= k:
+                nxt: dict = {}
+                _mul_into(nxt, table[-1], table[1])
+                table.append(nxt)
+            return table[k]
+
+        # depth-first over the sorted exponent vectors: stack[d] is the
+        # product of the first d factors of the previous vector
+        out: dict = {}
+        prev: tuple = ()
+        stack = [one]
+        for key in sorted(groups):
+            group = groups[key]
+            if not group:
+                continue
+            d = 0
+            while d < len(prev) and key[d] == prev[d]:
+                d += 1
+            del stack[d + 1:]
+            for p in range(d, len(key)):
+                k, base = key[p], stack[-1]
+                if k:
+                    f = power(p, k)
+                    if base is not one:
+                        acc: dict = {}
+                        _mul_into(acc, base, f)
+                        f = acc
+                    base = f
+                stack.append(base)
+            prev = key
+            _mul_into(out, group, stack[-1])
         return MultiPoly._trusted(target, out)
 
     def rename(self, target: Ring,
@@ -515,16 +597,6 @@ def sum_of_products(ring: Ring, triples) -> MultiPoly:
                 at = {e: c * x for e, x in at.items()}
             _mul_into(out, at, bt)
     return MultiPoly._trusted(ring, out)
-
-
-def _unit_monomial_inverse(v: MultiPoly) -> MultiPoly:
-    if len(v.terms) != 1:
-        raise SubstitutionError("need a unit monomial, got %s" % v)
-    (exps, c), = v.terms.items()
-    if c not in (1, -1):
-        raise SubstitutionError("unit monomial must have coefficient ±1")
-    inv = tuple(-e for e in exps)
-    return MultiPoly(v.ring, {inv: c})
 
 
 class TruncSeries:

@@ -132,8 +132,11 @@ class TestNormalForm:
 
     @pytest.mark.parametrize("gens", [(), ("u",), ("u1", "u2")])
     def test_matches_stack_oracle(self, gens):
+        # normalize returns its input object exactly when that input is
+        # already its own normal form
         ring = context_ring(GW, gens)
         rng = random.Random(20261019)
+        kept = 0
         for _ in range(1000):
             p = MultiPoly(ring, {
                 tuple([rng.randrange(5), rng.randrange(8),
@@ -141,8 +144,13 @@ class TestNormalForm:
                       + [rng.randrange(6) for _ in gens]): rng.randrange(-9, 10)
                 for _ in range(rng.randrange(1, 5))})
             for square_zero in {(), gens}:
-                assert normalize(p, square_zero) == stack_normalize(
-                    p, square_zero), (p, square_zero)
+                want = stack_normalize(p, square_zero)
+                for q in (p, want, MultiPoly(ring, dict(want.terms))):
+                    got = normalize(q, square_zero)
+                    assert got == want, (q, square_zero)
+                    assert (got is q) == (q == want), (q, square_zero)
+                    kept += got is q
+        assert kept > 2000
 
     @pytest.mark.parametrize("gens, square_zero, exps", [
         ((), (), (0, 200, 0)),

@@ -190,6 +190,49 @@ class TestFoldOracle:
         assert got == want
 
 
+def recurrence_adams_images(k: int, x) -> dict:
+    """Reference generator images for psi^k: p_k of the roots of
+    1 + y*t + det*t^2 by k - 1 steps of p_k = y*p_{k-1} - det*p_{k-2}."""
+    theory, ring = x.theory, x.poly.ring
+    used = {n for i, n in enumerate(ring.names)
+            if any(e[i] for e in x.poly.terms)}
+    det = ring.var(theory.twist, theory.det_power)
+    images = {theory.twist: ring.var(theory.twist, k)}
+    if theory.line in used:
+        images[theory.line] = -((-ring.var(theory.line)) ** k)
+    for name in used.intersection(theory.rank2 + x.gens):
+        y = ring.var(name)
+        prev, cur = ring.const(2), y
+        for _ in range(k - 1):
+            prev, cur = cur, y * cur - det * prev
+        images[name] = cur
+    return {n: x._lift(v).poly for n, v in images.items()}
+
+
+def images_samples() -> dict:
+    """A class using every generator and base variable, per theory."""
+    gens = ("u1", "u2")
+    v = [SymClass.gen(g, gens=gens) for g in gens]
+    gw = (v[0] * v[1] + SymClass.from_gw(GWElem.tau(), gens=gens)
+          + SymClass.from_gw(GWElem.eps(), gens=gens) * v[0])
+    vq = [SymClass.gen(g, gens=gens, quotient=True) for g in gens]
+    tq = SymClass.from_gw(GWElem.tau(), gens=gens, quotient=True)
+    return {"gw": gw, "gw quotient": vq[0] * vq[1] + tq * vq[0] + tq,
+            "k": forget(gw), "witt": witt(gw) + witt(v[1])}
+
+
+class TestAdamsImagesOracle:
+    """Waring's formula for the generator images against the recurrence."""
+
+    @pytest.mark.parametrize("name", sorted(images_samples()))
+    def test_waring_matches_recurrence(self, name):
+        x = images_samples()[name]
+        for k in range(1, 41):
+            got = lambdaring._adams_images(k, x)
+            assert got == recurrence_adams_images(k, x), (name, k)
+        assert set(x.gens) <= set(got)
+
+
 class TestAdamsWellDefined:
     """psi^k substitutes into normal forms, so it must respect the
     relations of the coefficient ring and of the quotient."""

@@ -393,3 +393,189 @@ class TestValidationRoutes:
             src.var("g", -1).substitute({"g": 2 * T.var("s")})
         with pytest.raises(ExponentError):
             src.var("g", -1).substitute({"g": T.var("s")})
+
+
+# ---------------------------------------------------------------------------
+# the evaluation-homomorphism kernel against the term-by-term substitution
+
+
+def _unit_monomial_inverse(v: MultiPoly) -> MultiPoly:
+    if len(v.terms) != 1:
+        raise SubstitutionError("need a unit monomial, got %s" % v)
+    (exps, c), = v.terms.items()
+    if c not in (1, -1):
+        raise SubstitutionError("unit monomial must have coefficient ±1")
+    inv = tuple(-e for e in exps)
+    return MultiPoly(v.ring, {inv: c})
+
+
+def termwise_substitute(p: MultiPoly, bindings, target=None) -> MultiPoly:
+    """Reference substitution: each term is the product of its coefficient,
+    its passthrough monomial and the powers of its bindings, multiplied out
+    one MultiPoly product at a time."""
+    if target is None:
+        for v in bindings.values():
+            target = v.ring
+            break
+        else:
+            target = p.ring
+    bound: dict[int, MultiPoly] = {}
+    passthrough: dict[int, int] = {}
+    for i, name in enumerate(p.ring.names):
+        if name in bindings:
+            v = bindings[name]
+            if v.ring != target:
+                raise ContextError("binding for %r not in target ring" % name)
+            bound[i] = v
+        else:
+            passthrough[i] = target.index(name)
+
+    powcache: dict[tuple[int, int], MultiPoly] = {}
+
+    def power(i: int, k: int) -> MultiPoly:
+        key = (i, k)
+        got = powcache.get(key)
+        if got is not None:
+            return got
+        v = bound[i]
+        if k >= 0:
+            r = v ** k
+        else:
+            r = _unit_monomial_inverse(v) ** (-k)
+        powcache[key] = r
+        return r
+
+    one = target.one()
+    out = target.zero()
+    for exps, c in p.terms.items():
+        te = [0] * target.nvars
+        for i, j in passthrough.items():
+            te[j] += exps[i]
+        piece, last = MultiPoly(target, {tuple(te): c}), one
+        for i in bound:
+            k = exps[i]
+            if k:
+                piece, last = piece * last, power(i, k)
+        out = out + piece * last
+    return out
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the substitution error it raised."""
+    try:
+        return f(*args)
+    except (ContextError, ExponentError, SubstitutionError) as exc:
+        return type(exc)
+
+
+# g, h, k are Laurent in the source; unbound, g lands on a non-Laurent
+# variable of SUB_T, and y, z are absent from SUB_T
+SUB_S = Ring([("x", False), ("g", True), ("y", False), ("h", True),
+              ("z", False), ("k", True)])
+SUB_T = Ring([("x", False), ("g", False), ("h", True), ("s", False),
+              ("d", True), ("k", True)])
+
+
+def random_binding(rng, ring, name):
+    """A binding of one of the shapes the kernel tells apart, or None to
+    leave the variable unbound (passed through by name)."""
+    kind = rng.choices(("pass", "zero", "const", "unit", "mono", "rename",
+                        "multi", "foreign"), (3, 1, 2, 3, 1, 2, 4, 0.2))[0]
+    if kind == "pass":
+        return None
+    if kind == "zero":
+        return ring.zero()
+    if kind == "const":
+        return ring.const(rng.choice((1, -1, 2, -3)))
+    if kind in ("unit", "mono"):
+        c = rng.choice((1, -1)) if kind == "unit" else rng.choice((2, -1, 3))
+        exps = {n: rng.randint(-2 if laur else 0, 2)
+                for n, laur in zip(ring.names, ring.laurent)
+                if rng.random() < 0.5}
+        return ring.monomial(c, exps)
+    if kind == "rename":
+        return ring.var(rng.choice(ring.names))
+    if kind == "foreign":
+        return R2.var("x") if name == "x" else R2.one()
+    return random_poly(rng, ring, maxterms=3, coeff=2)
+
+
+class TestSubstituteOracle:
+    def test_mixed_bindings(self):
+        rng = random.Random(12)
+        seen: dict = {}
+        for it in range(3000):
+            # into another ring, or a permutation/rename within the source
+            target = SUB_T if it % 3 else SUB_S
+            p = random_poly(rng, SUB_S, maxterms=6, maxexp=3)
+            bind = {}
+            for name in SUB_S.names:
+                v = random_binding(rng, target, name)
+                if v is not None:
+                    bind[name] = v
+            if it % 3 == 2:
+                # a permutation of the source variables of equal Laurentness
+                names = list(SUB_S.names)
+                for laur in (False, True):
+                    grp = [n for n, l in zip(names, SUB_S.laurent) if l == laur]
+                    perm = rng.sample(grp, len(grp))
+                    bind.update({a: SUB_S.var(b) for a, b in zip(grp, perm)})
+            tgt = target if rng.random() < 0.8 or not bind else None
+            want = outcome(termwise_substitute, p, bind, tgt)
+            got = outcome(p.substitute, bind, tgt)
+            key = want if isinstance(want, type) else "poly"
+            seen[key] = seen.get(key, 0) + 1
+            if isinstance(want, type):
+                assert got is want, (p, bind)
+            else:
+                assert isinstance(got, MultiPoly), (p, bind, got)
+                assert_clean(got)
+                assert got == want and got.ring == want.ring
+        assert seen["poly"] > 500, seen
+        for exc in (ContextError, ExponentError, SubstitutionError):
+            assert seen.get(exc, 0) > 200, seen
+
+    def test_negative_exponent_errors(self):
+        """Each binding that cannot take a negative exponent, alone."""
+        p = SUB_S.var("g", -2) * SUB_S.var("x") + SUB_S.var("h")
+        T = SUB_T
+        cases = [({"g": T.zero()}, SubstitutionError),
+                 ({"g": T.var("s") + 1}, SubstitutionError),
+                 ({"g": 2 * T.var("d")}, SubstitutionError),
+                 ({"g": T.const(2)}, SubstitutionError),
+                 ({"g": T.var("s")}, ExponentError),
+                 ({}, ExponentError),      # g passes through, not Laurent
+                 ({"g": -T.var("d", -3)}, None),
+                 ({"g": T.const(-1)}, None)]
+        for bind, exc in cases:
+            bind = bind | {"y": T.one(), "z": T.one()}
+            want = outcome(termwise_substitute, p, bind, T)
+            got = outcome(p.substitute, bind, T)
+            if exc is None:
+                assert isinstance(got, MultiPoly) and got == want
+            else:
+                assert got is exc and want is exc, bind
+
+    def test_unbound_name_absent_from_target(self):
+        p = SUB_S.var("x")
+        bind = {"g": SUB_T.one(), "h": SUB_T.one(), "k": SUB_T.one(),
+                "y": SUB_T.one()}
+        for f in (termwise_substitute, MultiPoly.substitute):
+            assert outcome(f, p, bind, SUB_T) is ContextError  # z unbound
+        bind["z"] = SUB_T.zero()
+        assert p.substitute(bind, SUB_T) == SUB_T.var("x")
+
+    def test_shared_prefix_products(self):
+        """Many exponent vectors on several multi-term bindings, and groups
+        that cancel to zero (y -> -1)."""
+        rng = random.Random(13)
+        src = Ring([("a", False), ("b", False), ("c", False), ("x", True),
+                    ("y", True)])
+        T = Ring([("s", False), ("x", True)])
+        bind = {"a": T.var("s") + 1, "b": T.var("s") - T.var("x", -1),
+                "c": 2 * T.var("x") - 3, "y": T.const(-1)}
+        for _ in range(200):
+            p = random_poly(rng, src, maxterms=12, maxexp=3)
+            q = p * (src.var("a") - src.var("b"))
+            assert q.substitute(bind, T) == termwise_substitute(q, bind, T)
+            assert (p * (src.var("y") + 1)).substitute(bind, T).terms == {}
