@@ -384,6 +384,11 @@ SUITE_ORDER = list(SUITES) + ["all"]
               help="Omit the timestamp and elapsed times from the JSON report.")
 def cmd_verify(suite, json_path, no_timestamp):
     """Run a verification suite and report pass/fail per identity."""
+    try:    # opened before any suite runs: a bad path costs no run
+        fh = json_path if json_path is None else open(
+            json_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise click.UsageError("cannot write --json: %s" % exc)
     names = list(SUITES) if suite == "all" else [suite]
     reports, elapsed = [], {}
     for name in names:
@@ -392,12 +397,12 @@ def cmd_verify(suite, json_path, no_timestamp):
         elapsed[name] = round(time.perf_counter() - start, 6)
     rep = merge("all", reports) if suite == "all" else reports[0]
     click.echo(rep.render_text(), nl=False)
-    if json_path is not None:
+    if fh is not None:
         if not no_timestamp:
             rep.stamp(elapsed, {
                 name: {k: round(v, 6) for k, v in r.lemma_s.items()}
                 for name, r in zip(names, reports)})
-        with open(json_path, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(rep.to_json())
     if not rep.ok:
         raise SystemExit(1)

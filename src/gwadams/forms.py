@@ -563,13 +563,14 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
             V = direct_sum(V, symplectic_plane())
         image = s_v_matrix(m)
         n = 2 * m
+        powers = [ext_power(V, k) for k in range(n + 1)]
         for i in range(0, n + 1):
             src = list(combinations(range(n), i))
             dst = list(combinations(range(n), n - i))
             B = [[Fraction(0)] * len(src) for _ in range(len(dst))]
             for col, S in enumerate(src):
                 B[dst.index(image(S))][col] = Fraction(1)
-            ok = check_congruence(B, ext_power(V, n - i), ext_power(V, i))
+            ok = check_congruence(B, powers[n - i], powers[i])
             rep.add(check("lambda_n_rank_n", (m, i), ok))
 
     # tensor-square splitting into scaled Sym^2 and ext^2

@@ -7,12 +7,11 @@ The lambda-series of a class is a polyring.TruncSeries over its context
 ring, with every coefficient put in normal form once per series product.
 The series of a sum is the product of the series; a rank-2 generator u
 (and likewise tau) has series 1 + u*t + det*t^2; products of rank-2
-primitives are folded in through the universal product identity: the
-dominant part of prod_i(1 + U_i*y*t + U_i^2*det*t^2), whose U^lambda
-coefficient is y^b * det^a for lambda = (2^a 1^b), is built directly and
-reduced by symfunc's Gauss algorithm before substituting sigma_k(U) by the
-already-known lambda^k of the other factor; line factors (the class <-1>
-and powers of the periodicity unit) act coefficientwise.
+primitives are folded in by the symplectic splitting principle: y splits
+as a sum of line classes a + b with a*b = det, so lambda^k(x*y) is a closed
+form in the lambda^i(x), det and the power sums a^m + b^m (see
+_fold_rank2); line factors (the class <-1> and powers of the periodicity
+unit) act coefficientwise.
 
 Adams operations do not go through the lambda-series.  In a special
 lambda-ring each psi^k is a ring endomorphism, so psi^k(x) is x with every
@@ -28,7 +27,9 @@ from math import comb
 
 from . import symfunc
 from .gwring import KTH, WITT, GWElem, SymClass, context_ring
-from .polyring import GradingError, MultiPoly, Ring, TruncSeries, grlex_key
+from .polyring import (
+    GradingError, MultiPoly, Ring, TruncSeries, grlex_key, sum_of_products,
+)
 from .report import MISMATCH, PASS, ReportEntry, VerificationReport, check
 
 
@@ -40,29 +41,23 @@ def _normal(s: TruncSeries, ctx: SymClass) -> TruncSeries:
     return TruncSeries(s.ring, s.order, [ctx._lift(c).poly for c in s.coeffs])
 
 
-def _fold_rank2(series: TruncSeries, prim_name: str, ctx: SymClass,
-                rank_bound: int) -> TruncSeries:
-    """Lambda-series of x*y from the series of x, for y a rank-2 primitive
-    (a generator or tau) with determinant class twist**det_power: Gauss's
-    reduction of the dominant part of prod_i F(t U_i), F(s) = 1 + y*s +
-    det*s^2, then sigma_j(U) replaced by lambda^j(x).
-
-    lambda^j(x) must vanish for j > rank_bound (true for genuine classes
-    of that rank); then only that many roots U_i are needed, which keeps
-    high truncation orders cheap."""
-    theory, base, N = ctx.theory, series.ring, series.order
-    M = max(1, min(N, rank_bound))
-    unames = ["UF%d" % i for i in range(1, M + 1)]
-    targets = ["XF%d" % i for i in range(1, M + 1)]
-    ext = Ring(list(zip(base.names, base.laurent))
-               + [(u, False) for u in unames])
-    F = [ext.one(), ext.var(prim_name), ext.var(theory.twist, theory.det_power)]
-    lam = TruncSeries(base, M, series.coeffs)   # zero-padded when N < M
-    bind = {t: lam[j] for j, t in enumerate(targets, 1)}
-    out = [symfunc._reduce_dominant(symfunc._dominant_product(F, ext, unames, k),
-                                    ext, unames, targets).substitute(bind, base)
-           for k in range(N + 1)]
-    return _normal(TruncSeries(base, N, out), ctx)
+def _fold_rank2(series: TruncSeries, prim_name: str,
+                ctx: SymClass) -> TruncSeries:
+    """Lambda-series of x*y from the series of x, y a rank-2 primitive (a
+    generator or tau) with det = twist**det_power.  By the splitting
+    principle y = a + b, a*b = det, for line classes a, b, and
+    lambda^j(x*a) = a^j lambda^j(x); so, with p_m = a^m + b^m, lambda^k(xy) =
+    sum_{i<j, i+j=k} det^i p_{j-i} lambda^i(x) lambda^j(x)
+    + [k even] det^(k/2) lambda^(k/2)(x)^2, for any series of x."""
+    ring, theory, lam = series.ring, ctx.theory, series.coeffs
+    out = []
+    for k in range(series.order + 1):
+        w = [_waring(ring, prim_name, theory, k - 2 * i, i) if 2 * i < k
+             else ring.var(theory.twist, theory.det_power * i)
+             for i in range(k // 2 + 1)]
+        out.append(sum_of_products(ring, ((1, c * lam[i], lam[k - i])
+                                          for i, c in enumerate(w))))
+    return _normal(TruncSeries(ring, series.order, out), ctx)
 
 
 def lambda_series(x: SymClass, N: int) -> list:
@@ -75,13 +70,9 @@ def lambda_series(x: SymClass, N: int) -> list:
     for exps, c in sorted(x.poly.terms.items(), key=lambda kv: grlex_key(kv[0])):
         prims = [g for g in theory.rank2 + x.gens
                  for _ in range(exps[ring.index(g)])]
-        if prims:
-            det = ring.var(theory.twist, theory.det_power)
-            s = TruncSeries(ring, N, [one, ring.var(prims[0]), det])
-            for folded, p in enumerate(prims[1:], 1):
-                s = _fold_rank2(s, p, x, rank_bound=2 ** folded)
-        else:
-            s = TruncSeries(ring, N, [one, one])
+        s = TruncSeries(ring, N, [one, one])
+        for p in prims:     # the series of y is that of 1*y
+            s = _fold_rank2(s, p, x)
         # twist powers and <-1> = -eps are lines: they scale lambda^n by
         # their n-th power, and eps * rho = -(<-1> * rho)
         unit = ring.var(theory.twist, exps[ring.index(theory.twist)])
@@ -113,6 +104,18 @@ def _assert_degree_law(x: SymClass, out: SymClass, n: int):
                 "degree %s" % (n, dx, dout))
 
 
+def _waring(ring: Ring, name: str, theory, k: int, shift: int = 0):
+    """det^shift * p_k, p_k (k >= 1) the k-th power sum of the roots of
+    1 + y*t + det*t^2, y the variable `name` and det = twist**det_power, by
+    Waring's formula: p_k = sum_j (-1)^j k/(k-j) C(k-j, j) y^(k-2j) det^j."""
+    iy, iw, terms = ring.index(name), ring.index(theory.twist), {}
+    for j in range(k // 2 + 1):
+        e = [0] * ring.nvars
+        e[iy], e[iw] = k - 2 * j, theory.det_power * (j + shift)
+        terms[tuple(e)] = (-1) ** j * k * comb(k - j, j) // (k - j)
+    return MultiPoly(ring, terms)
+
+
 def _adams_images(k: int, x: SymClass) -> dict:
     """psi^k of the twist and of every other variable occurring in x, in
     normal form."""
@@ -122,16 +125,8 @@ def _adams_images(k: int, x: SymClass) -> dict:
     images = {theory.twist: ring.var(theory.twist, k)}
     if theory.line in used:
         images[theory.line] = -((-ring.var(theory.line)) ** k)
-    iw = ring.index(theory.twist)
     for name in used.intersection(theory.rank2 + x.gens):
-        # p_k of the roots of 1 + y*t + det*t^2, by Waring's formula:
-        # p_k = sum_j (-1)^j k/(k-j) C(k-j, j) y^(k-2j) det^j
-        iy, terms = ring.index(name), {}
-        for j in range(k // 2 + 1):
-            e = [0] * ring.nvars
-            e[iy], e[iw] = k - 2 * j, theory.det_power * j
-            terms[tuple(e)] = (-1) ** j * k * comb(k - j, j) // (k - j)
-        images[name] = MultiPoly(ring, terms)
+        images[name] = _waring(ring, name, theory, k)
     return {n: x._lift(v).poly for n, v in images.items()}
 
 
@@ -315,8 +310,10 @@ def check_lambda_axioms(l1_max: int = 6, l2_max: int = 8,
     for zn, z in sorted(l2_samples().items()):
         lz = lambda_series(z, l2_max)
         for j in range(1, l2_max + 1):
+            llz = lambda_series(lz[j], l2_max // j)
             for i in range(1, l2_max // j + 1):
-                lhs = lambda_op(i, lz[j])
+                lhs = llz[i]
+                _assert_degree_law(lz[j], lhs, i)
                 bind = {"X%d" % k: lz[k].poly for k in range(1, i * j + 1)}
                 rhs = z._lift(symfunc.evaluate(symfunc.universal_Q(i, j), bind,
                                                z.poly.ring))

@@ -8,12 +8,15 @@ closed-form specializations.
 
 P_n and Q_{i,j} come from power sums through Newton's identities.  The
 Gauss reduction of the defining product stays as an independent route:
-it computes universal_R(n, "direct") and P_n, Q_{i,j} at an explicit arity.
-For P_n and R_n it reads the dominant part of prod_i F(t U_i), U^lambda
-carrying prod_i F_{lambda_i}, built without expanding the series.
+it computes universal_R(n, "direct") and P_n, Q_{i,j} at an explicit arity,
+each from the dominant part of its defining product, which is built
+directly (_dominant_product, _dominant_Q) and never expanded.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import combinations
 
 from .polyring import (
     ContextError, MultiPoly, Ring, TruncSeries, grlex_key, sum_of_products,
@@ -56,7 +59,6 @@ def elementary(m: int, n: int, ring: Ring | None = None,
         return ring.zero()
     if n == 0:
         return ring.one()
-    from itertools import combinations
     idx = [ring.index(nm) for nm in names]
     terms = {}
     for combo in combinations(idx, n):
@@ -309,9 +311,9 @@ def universal_Q(i: int, j: int, m: int | None = None) -> MultiPoly:
 
     By default Q_{i,j} = e_i(lambda^j X) comes from power sums,
     p_k(lambda^j X) = e_j(X^k), with e_j(X^k) built by Newton's identities
-    from p_k, p_2k, .., p_jk of X.  Given an arity m >= ij, it is instead the
-    expanded product reduced by Gauss's algorithm.  Result lives in
-    ring_Q(ij).
+    from p_k, p_2k, .., p_jk of X.  Given an arity m >= ij, it is instead
+    Gauss's reduction of the product's dominant part (_dominant_Q).  Result
+    lives in ring_Q(ij).
     """
     if i < 0 or j < 1:
         raise ValueError("need i >= 0 and j >= 1")
@@ -328,18 +330,22 @@ def universal_Q(i: int, j: int, m: int | None = None) -> MultiPoly:
         return _memoized("Q:%d:%d" % (i, j), newton)
     if m < i * j:
         raise ValueError("arity m=%d below ij=%d" % (m, i * j))
-    from itertools import combinations
     src = _family_ring("U", m)
-    factors = []
-    for combo in combinations(range(1, m + 1), j):
-        mono = src.one()
-        for a in combo:
-            mono = mono * src.var("U%d" % a)
-        factors.append(TruncSeries(src, i, [src.one(), mono]))
-    top = _product_series(factors, src, i)[i]
-    unames = ["U%d" % a for a in range(1, m + 1)]
-    red = symmetric_reduce(top, unames, ["X%d" % a for a in range(1, m + 1)])
+    red = _reduce_dominant(_dominant_Q(i, j, m), src, src.names,
+                           ring_Q(m).names)
     return red.rename(ring_Q(i * j))
+
+
+def _dominant_Q(i: int, j: int, m: int) -> dict:
+    """The dominant part of the t^i coefficient of prod_S(1 + U^S t), S over
+    the j-subsets of U_1..U_m, in _reduce_dominant's layout: one monomial
+    per i-set of j-subsets, kept and counted where it is a partition."""
+    base = i + 1    # an exponent is at most i: digits in this base never carry
+    codes = [sum(base ** a for a in s) for s in combinations(range(m), j)]
+    count = Counter(map(sum, combinations(codes, i)))
+    exps = ((tuple(c // base ** k % base for k in range(m)), n)
+            for c, n in count.items())
+    return {a: {(0,) * m: n} for a, n in exps if _is_partition(a)}
 
 
 def universal_R(n: int, method: str = "composed", m: int | None = None) -> MultiPoly:

@@ -694,6 +694,15 @@ class TestVerify:
         assert obj["suite"] == "borel" and "timestamp" in obj
         assert obj["summary"]["fail"] == 0
 
+    def test_json_path_unwritable(self, runner, tmp_path):
+        # refused before any suite runs, not after it with a traceback
+        bad = tmp_path / "missing" / "x.json"
+        r = run(runner, "verify", "all", "--json", str(bad))
+        assert r.exit_code == 2
+        assert "cannot write --json" in r.output and str(bad) in r.output
+        assert "suite:" not in r.output
+        assert not bad.parent.exists()
+
     def test_elapsed_only_with_timestamp(self, runner, tmp_path):
         out = tmp_path / "rep.json"
         r = run(runner, "verify", "omega", "--json", str(out))

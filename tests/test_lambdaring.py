@@ -138,13 +138,33 @@ class TestAdamsOracle:
             assert adams_negative(-n, x) == sign * p[n], (name, -n)
 
 
-def series_fold_rank2(series, prim_name, ctx, rank_bound):
-    """The fold as a series product: expand prod_i(1 + U_i*y*t +
-    U_i^2*det*t^2) over the roots U_i and reduce each coefficient by the
-    public symmetric_reduce, as lambdaring did before it built the dominant
-    part directly."""
+def gauss_fold_rank2(series, prim_name, ctx, rank_bound):
+    """The fold as symfunc's Gauss reduction of the dominant part of
+    prod_i F(t U_i), F(s) = 1 + y*s + det*s^2, then sigma_j(U) replaced by
+    lambda^j(x), as lambdaring computed it before the splitting-principle
+    closed form.  Exact when lambda^j(x) = 0 for j > rank_bound."""
     theory, base, N = ctx.theory, series.ring, series.order
     M = max(1, min(N, rank_bound))
+    unames = ["UF%d" % i for i in range(1, M + 1)]
+    targets = ["XF%d" % i for i in range(1, M + 1)]
+    ext = Ring(list(zip(base.names, base.laurent))
+               + [(u, False) for u in unames])
+    F = [ext.one(), ext.var(prim_name), ext.var(theory.twist, theory.det_power)]
+    lam = TruncSeries(base, M, series.coeffs)   # zero-padded when N < M
+    bind = {t: lam[j] for j, t in enumerate(targets, 1)}
+    out = [symfunc._reduce_dominant(symfunc._dominant_product(F, ext, unames, k),
+                                    ext, unames, targets).substitute(bind, base)
+           for k in range(N + 1)]
+    return lambdaring._normal(TruncSeries(base, N, out), ctx)
+
+
+def series_fold_rank2(series, prim_name, ctx):
+    """The fold as a series product: expand prod_i(1 + U_i*y*t +
+    U_i^2*det*t^2) over M = N roots U_i and reduce each coefficient by the
+    public symmetric_reduce.  N roots carry every lambda^j(x), j <= N, so
+    no rank assumption is made."""
+    theory, base, N = ctx.theory, series.ring, series.order
+    M = max(1, N)
     unames = ["UF%d" % i for i in range(1, M + 1)]
     targets = ["XF%d" % i for i in range(1, M + 1)]
     ext = Ring(list(zip(base.names, base.laurent))
@@ -162,32 +182,70 @@ def series_fold_rank2(series, prim_name, ctx, rank_bound):
     return lambdaring._normal(TruncSeries(base, N, out), ctx)
 
 
-class TestFoldOracle:
-    """lambda_series with the fold built from the dominant part against the
-    same series with the fold expanded as a series product."""
+def fold_samples() -> dict:
+    """Products that reach the fold, beyond the L1 sample products: line
+    factors, quotient mode and the K/Witt images."""
+    g3 = ("u1", "u2", "u3")
+    v = [SymClass.gen(g, gens=g3) for g in g3]
+    line = {"<-1>": SymClass.from_gw(GWElem.minus_one_class(), gens=g3),
+            "gamma": SymClass.from_gw(GWElem.gamma(), gens=g3),
+            "gamma^-1": SymClass.from_gw(GWElem.gamma(-1), gens=g3)}
+    uq = SymClass.gen("u", gens=("u",), quotient=True)
+    tq = SymClass.from_gw(GWElem.tau(), gens=("u",), quotient=True)
+    out = {"%s*u1*u2" % n: c * v[0] * v[1] for n, c in line.items()}
+    out.update({"<-1>*tau*u3": line["<-1>"] * SymClass.from_gw(
+        GWElem.tau(), gens=g3) * v[2],
+        "gamma^-1*u1*u2*u3": line["gamma^-1"] * v[0] * v[1] * v[2],
+        "u^2 (quotient)": uq * uq, "u*tau (quotient)": uq * tq,
+        "(u-tau)*u (quotient)": (uq - tq) * uq})
+    samples = l1_samples()
+    names = sorted(samples)
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            xy = samples[a] * samples[b]
+            out["forget(%s*%s)" % (a, b)] = forget(xy)
+            out["witt(%s*%s)" % (a, b)] = witt(xy)
+    return out
 
-    def both_folds(self, monkeypatch, x, N):
+
+class TestFoldOracle:
+    """lambda_series with the splitting-principle fold against the same
+    series with the fold as the Gauss reduction (rank bound: the degree of
+    the series, which every series meets) and as an expanded product."""
+
+    ORACLES = {
+        "gauss": lambda s, p, ctx: gauss_fold_rank2(
+            s, p, ctx, max(j for j, c in enumerate(s.coeffs) if c)),
+        "series": series_fold_rank2,
+    }
+
+    def check_folds(self, monkeypatch, x, N):
         got = lambda_series(x, N)
-        monkeypatch.setattr(lambdaring, "_fold_rank2", series_fold_rank2)
-        want = lambda_series(x, N)
-        monkeypatch.undo()
-        return got, want
+        for name, fold in self.ORACLES.items():
+            monkeypatch.setattr(lambdaring, "_fold_rank2", fold)
+            assert lambda_series(x, N) == got, (name, x, N)
+            monkeypatch.undo()
 
     def test_l1_products(self, monkeypatch):
         samples = l1_samples()
         names = sorted(samples)
         for i, a in enumerate(names):
             for b in names[i:]:
-                got, want = self.both_folds(monkeypatch,
-                                            samples[a] * samples[b], 6)
-                assert got == want, (a, b)
+                self.check_folds(monkeypatch, samples[a] * samples[b], 6)
 
     def test_generic_sums(self, monkeypatch):
-        gens = ("u1", "u2", "v1", "v2")
-        g = {n: SymClass.gen(n, gens=gens) for n in gens}
-        x = (g["u1"] + g["u2"]) * (g["v1"] + g["v2"])
-        got, want = self.both_folds(monkeypatch, x, 8)
-        assert got == want
+        # (u1+u2)(v1+v2) to N = 8 and (u1+u2+u3)(v1+v2) to N = 10
+        for a, b, N in ((2, 2, 8), (3, 2, 10)):
+            us = ["u%d" % k for k in range(1, a + 1)]
+            vs = ["v%d" % k for k in range(1, b + 1)]
+            g = {n: SymClass.gen(n, gens=tuple(us + vs)) for n in us + vs}
+            x = sum((g[n] for n in us), 0 * g["u1"]) * sum(
+                (g[n] for n in vs), 0 * g["u1"])
+            self.check_folds(monkeypatch, x, N)
+
+    def test_lines_quotient_k_witt(self, monkeypatch):
+        for name, x in sorted(fold_samples().items()):
+            self.check_folds(monkeypatch, x, 6)
 
 
 def recurrence_adams_images(k: int, x) -> dict:

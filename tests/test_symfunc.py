@@ -99,7 +99,9 @@ def oracle_P(n, m):
     return worklist_reduce(xu, family("V", m), family("Y", m)).rename(ring_P(n))
 
 
-def oracle_Q(i, j, m):
+def q_product(i, j, m):
+    """The t^i coefficient of prod_S(1 + U^S t) over the j-subsets S of
+    U_1..U_m, expanded."""
     src = Ring([(x, False) for x in family("U", m)])
     monos = []
     for combo in combinations(family("U", m), j):
@@ -107,9 +109,25 @@ def oracle_Q(i, j, m):
         for u in combo:
             mono = mono * src.var(u)
         monos.append(mono)
-    top = expanded_product(monos, src, i)[i]
-    return worklist_reduce(top, family("U", m), family("X", m)).rename(
-        ring_Q(i * j))
+    return expanded_product(monos, src, i)[i]
+
+
+def oracle_Q(i, j, m):
+    return worklist_reduce(q_product(i, j, m), family("U", m),
+                           family("X", m)).rename(ring_Q(i * j))
+
+
+def dominant_part(p, fam):
+    """{partition a: {exponents with the fam positions zeroed: coeff}} of
+    the terms of p whose fam exponent is a partition."""
+    fam_idx = [p.ring.index(u) for u in fam]
+    out = {}
+    for exps, c in p.terms.items():
+        a = tuple(exps[i] for i in fam_idx)
+        if a == tuple(sorted(a, reverse=True)):
+            rest = tuple(0 if i in fam_idx else e for i, e in enumerate(exps))
+            out.setdefault(a, {})[rest] = c
+    return out
 
 
 def oracle_R(n, m):
@@ -271,14 +289,7 @@ class TestReduceOracle:
             for u in fam:
                 series = series * TruncSeries(
                     ring, n, [c * ring.var(u) ** k for k, c in enumerate(coeffs)])
-            fam_idx = [ring.index(u) for u in fam]
-            want = {}
-            for exps, c in series[n].terms.items():
-                a = tuple(exps[i] for i in fam_idx)
-                if a == tuple(sorted(a, reverse=True)):
-                    rest = tuple(0 if i in fam_idx else e
-                                 for i, e in enumerate(exps))
-                    want.setdefault(a, {})[rest] = c
+            want = dominant_part(series[n], fam)
             got = symfunc._dominant_product(coeffs, ring, fam, n)
             assert got == want, (coeffs, n)
             tgt = family("E", m)
@@ -293,7 +304,9 @@ class TestReduceOracle:
     def test_universal_Q(self):
         for i, j in ((i, j) for i in range(1, 7) for j in range(1, 7)
                      if i * j <= 6):
-            for m in (i * j, i * j + 1):
+            for m in (i * j, i * j + 1, i * j + 2):
+                assert symfunc._dominant_Q(i, j, m) == dominant_part(
+                    q_product(i, j, m), family("U", m)), (i, j, m)
                 assert universal_Q(i, j, m) == oracle_Q(i, j, m), (i, j, m)
 
     def test_universal_R_direct(self):
