@@ -12,12 +12,12 @@ cross-checked against the lambda-engine by the report batteries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, permutations
 
 from . import gwring, symfunc
-from .gwring import GW, KTH, GWElem, SymClass, context_ring
-from .lambdaring import adams, forget, lambda_series, witt
+from .gwring import GW, KTH, THEORIES, GWElem, SymClass, context_ring
+from .lambdaring import adams, lambda_series
 from .polyring import GradingError, MultiPoly, Ring
 from .report import VerificationReport, check
 
@@ -166,8 +166,8 @@ def orbit_sum(ring: Ring, names, *exps) -> MultiPoly:
 def _triple_via_R(n: int) -> SymClass:
     ring = _triple_ring()
     gamma = ring.var("gamma")
-    args = [[ring.var(g), gamma] for g in _TRIPLE_GENS]
-    val = symfunc.eval_R(n, *args, ring)
+    x, y, z = ([ring.var(g), gamma] for g in _TRIPLE_GENS)
+    val = symfunc.evaluate(symfunc.universal_R(n), ring, X=x, Y=y, Z=z)
     return SymClass(val, GW, _TRIPLE_GENS)
 
 
@@ -405,9 +405,6 @@ def _orbit_term(coeff: MultiPoly, key: tuple, gens: tuple, latex: bool) -> str:
     return cs + mono if latex else cs + "*" + mono
 
 
-_gw_laws_cache: list | None = None
-
-
 def borel_triple_classes() -> dict:
     """b_i of the rank-8 class gamma^{-1} u1 u2 u3, i = 1..4, before the
     substitution u_j = v_j + tau."""
@@ -417,31 +414,25 @@ def borel_triple_classes() -> dict:
     return _borel_from_lambda(lambda_series(e, 4), _TRIPLE_GENS)
 
 
-def _gw_laws() -> list:
-    global _gw_laws_cache
-    if _gw_laws_cache is None:
-        b = borel_triple_classes()
-        vring = context_ring(GW, _LAW_GENS)
-        tau = vring.var("tau")
-        subs = {"u%d" % j: vring.var("v%d" % j) + tau for j in (1, 2, 3)}
-        laws = []
-        for i in range(1, 5):
-            img = b[i].poly.substitute(subs, vring)
-            laws.append(TernaryLaw(i, "gw", SymClass(img, GW, _LAW_GENS)))
-        _gw_laws_cache = laws
-    return _gw_laws_cache
+@cache
+def _gw_values() -> tuple:
+    """F_1..F_4 of GW: b_i with u_j = v_j + tau."""
+    b = borel_triple_classes()
+    vring = context_ring(GW, _LAW_GENS)
+    tau = vring.var("tau")
+    subs = {"u%d" % j: vring.var("v%d" % j) + tau for j in (1, 2, 3)}
+    return tuple(SymClass(b[i].poly.substitute(subs, vring), GW, _LAW_GENS)
+                 for i in range(1, 5))
 
 
 def ternary_laws(theory: str = "gw") -> list:
-    """The four ternary laws of the requested theory."""
-    laws = _gw_laws()
-    if theory == "gw":
-        return list(laws)
-    if theory == "k":
-        return [TernaryLaw(l.index, "k", forget(l.value)) for l in laws]
-    if theory == "witt":
-        return [TernaryLaw(l.index, "witt", witt(l.value)) for l in laws]
-    raise ValueError("unknown theory %r" % theory)
+    """The four ternary laws of the requested theory: the images of the GW
+    laws under the ring map GW -> theory."""
+    if theory not in THEORIES:
+        raise ValueError("unknown theory %r" % theory)
+    target = THEORIES[theory]
+    return [TernaryLaw(i, theory, v.specialize(target))
+            for i, v in enumerate(_gw_values(), 1)]
 
 
 def _expected_b_u() -> dict:
@@ -468,7 +459,7 @@ def _expected_b_u() -> dict:
 def expected_laws(theory: str = "gw") -> dict:
     """Hard-coded displayed F_i, index -> TernaryLaw."""
     if theory == "witt":
-        return {i: TernaryLaw(i, "witt", witt(l.value))
+        return {i: TernaryLaw(i, theory, l.value.specialize(THEORIES[theory]))
                 for i, l in expected_laws("gw").items()}
     if theory == "gw":
         ring = context_ring(GW, _LAW_GENS)

@@ -22,10 +22,9 @@ from .borel import (
 )
 from .forms import GramForm, check_section2_and_hyp, ext_power, \
     gw_identity_check, hyperbolic, invariants, sym_power, tensor
-from .gwring import GWElem, check_coefficient_identities
+from .gwring import THEORIES, GWElem, check_coefficient_identities
 from .lambdaring import (
-    SymClass, adams, adams_negative, check_adams_hyperbolic,
-    check_lambda_axioms,
+    SymClass, adams, check_adams_hyperbolic, check_lambda_axioms,
 )
 from .polyring import GradingError
 from .report import merge
@@ -219,14 +218,14 @@ def cmd_adams(n, target, fmt):
             "|n|^k = %d^%d exceeds %d, k the number of generators in the "
             "target" % (abs(n), k, ADAMS_SIZE_MAX))
     try:
-        got = adams_negative(n, x) if n < 0 else adams(n, x)
+        got = adams(n, x)
     except GradingError as exc:
         raise click.UsageError(str(exc))
     click.echo(_render_poly(got, fmt))
 
 
 @main.command("ternary")
-@click.option("--theory", type=click.Choice(["gw", "k", "witt"]),
+@click.option("--theory", type=click.Choice(list(THEORIES)),
               default="gw", show_default=True)
 @click.option("--class", "index", type=int, default=None,
               help="Single class index 1..4 (default: all four).")

@@ -585,14 +585,14 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
         for col, (i, j) in enumerate(ext_basis):
             J_ext[i * r + j][col] = Fraction(1)
             J_ext[j * r + i][col] = Fraction(-1)
-        ok = _rect_congruence(J_ext, t2, scale(2, ext_power(V, 2)))
+        ok = _congruent(J_ext, t2.matrix, scale(2, ext_power(V, 2)).matrix)
         rep.add(check("pm_symlambda", (name, "ext"), ok))
         sym_basis = list(combinations_with_replacement(range(r), 2))
         J_sym = [[Fraction(0)] * len(sym_basis) for _ in range(r * r)]
         for col, (i, j) in enumerate(sym_basis):
             J_sym[i * r + j][col] += Fraction(1)
             J_sym[j * r + i][col] += Fraction(1)
-        ok = _rect_congruence(J_sym, t2, scale(2, sym_power(V, 2)))
+        ok = _congruent(J_sym, t2.matrix, scale(2, sym_power(V, 2)).matrix)
         rep.add(check("pm_symlambda", (name, "sym"), ok))
         B = [row_s + row_e for row_s, row_e in
              zip(J_sym, J_ext)]
@@ -686,11 +686,6 @@ def ext_matrix(B, n: int):
     """n-th exterior power (compound matrix) of a square matrix."""
     B = [[_frac(x) for x in row] for row in B]
     return _minors(B, list(combinations(range(len(B)), n)), n, _int_det)
-
-
-def _rect_congruence(J, big: GramForm, small: GramForm) -> bool:
-    """J^T * Gram(big) * J = Gram(small) for a full-rank rectangular J."""
-    return _congruent(J, big.matrix, small.matrix)
 
 
 def _random_symplectic(rng) -> GramForm:

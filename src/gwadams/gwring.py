@@ -14,14 +14,19 @@ is a normal-form element of theory.base_ring()[gens]; in quotient mode
 GWElem is a SymClass of theory GW with no generators, whose normal form
 is the canonical a(gamma) + b(gamma)*eps + c(gamma)*tau; it adds the
 coefficient-ring constructors and the dense JSON format of such elements.
+The ring maps between the theories (GW -> K, GW -> Witt) are data: each
+Theory lists the monomial image of every base variable per target, and
+SymClass.specialize applies it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
+from math import prod
 
 from .polyring import GradingError, MultiPoly, Ring, read_bool, read_int
 from .report import VerificationReport, check
@@ -83,7 +88,7 @@ def normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
     return MultiPoly(ring, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # a theory equals only itself
 class Theory:
     name: str
     base: tuple
@@ -95,6 +100,10 @@ class Theory:
     rank2: tuple = ()         # base variables of rank 2 with determinant
                               # twist**det_power: tau; where there is one,
                               # normalize imposes the relations
+    dense_json: bool = False  # components in GWElem's dense JSON format
+    # ring maps: target theory name -> {base variable: (coeff, {target base
+    # variable: exponent})}, the monomial image of each base variable
+    maps: dict = field(default_factory=dict)
 
     def base_ring(self) -> Ring:
         return Ring(self.base)
@@ -102,7 +111,11 @@ class Theory:
 
 GW = Theory("gw", tuple(COEFF_VARS), dict(WEIGHTS),
             "gamma", 1, {"eps": -1, "tau": 2, "gamma": 1},
-            line="eps", rank2=("tau",))
+            line="eps", rank2=("tau",), dense_json=True,
+            maps={"k": {"eps": (-1, {}), "tau": (2, {"beta": 2}),
+                        "gamma": (1, {"beta": 4})},
+                  "witt": {"eps": (1, {}), "tau": (0, {}),
+                           "gamma": (1, {"gamma": 1})}})
 KTH = Theory("k", (("beta", True),), {"beta": 1},
              "beta", 4, {"beta": 1})
 WITT = Theory("witt", (("gamma", True),), {"gamma": 4},
@@ -111,17 +124,10 @@ WITT = Theory("witt", (("gamma", True),), {"gamma": 4},
 THEORIES = {t.name: t for t in (GW, KTH, WITT)}
 
 
-_RINGS: dict[tuple, Ring] = {}
-
-
+@cache
 def context_ring(theory: Theory, gens: tuple) -> Ring:
     """theory.base_ring()[gens], one shared instance per context."""
-    key = (theory.name, tuple(gens))
-    ring = _RINGS.get(key)
-    if ring is None:
-        ring = _RINGS[key] = Ring(list(theory.base)
-                                  + [(g, False) for g in gens])
-    return ring
+    return Ring(list(theory.base) + [(g, False) for g in gens])
 
 
 class SymClass:
@@ -163,7 +169,7 @@ class SymClass:
         return cls(x.poly, GW, gens, quotient)
 
     def _same_context(self, other: "SymClass"):
-        if (self.theory.name != other.theory.name or self.gens != other.gens
+        if (self.theory is not other.theory or self.gens != other.gens
                 or self.quotient != other.quotient):
             raise ValueError("mixed SymClass contexts")
 
@@ -220,12 +226,12 @@ class SymClass:
         if isinstance(other, int):
             other = self._lift(self.poly.ring.const(other))
         return (isinstance(other, SymClass)
-                and self.theory.name == other.theory.name
+                and self.theory is other.theory
                 and self.gens == other.gens and self.quotient == other.quotient
                 and self.poly == other.poly)
 
     def __hash__(self):
-        return hash((self.theory.name, self.gens, self.quotient, self.poly))
+        return hash((self.theory, self.gens, self.quotient, self.poly))
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -248,10 +254,32 @@ class SymClass:
     def rank(self) -> int:
         if not self.is_homogeneous():
             raise GradingError("rank requires homogeneous input: %s" % self)
-        z = Ring([])
-        subs = {n: z.const(v) for n, v in self.theory.rank_subs.items()}
-        subs |= {g: z.const(2) for g in self.gens}
-        return self.poly.substitute(subs, z).const_value()
+        ring = self.poly.ring
+        # v ** e only where v != 1: 1 ** -1 is the float 1.0
+        subs = [(ring.index(n), v) for n, v in self.theory.rank_subs.items()
+                if v != 1] + [(ring.index(g), 2) for g in self.gens]
+        return sum(c * prod(v ** e[i] for i, v in subs)
+                   for e, c in self.poly.terms.items())
+
+    # -- ring maps ----------------------------------------------------------
+
+    def specialize(self, target: Theory) -> "SymClass":
+        """The image under the ring map theory -> target of theory.maps:
+        each base variable goes to its monomial, the generators pass
+        through.  The identity when target is this class's theory."""
+        if target is self.theory:
+            return self
+        images = self.theory.maps.get(target.name)
+        if images is None:
+            raise ValueError("no ring map from theory %s to %s"
+                             % (self.theory.name, target.name))
+        if self.quotient:
+            raise ValueError("the map %s -> %s is not a ring map on quotient-"
+                             "mode classes: %s has no (u - tau)^2 = 0"
+                             % (self.theory.name, target.name, target.name))
+        ring = context_ring(target, self.gens)
+        subs = {v: ring.monomial(c, e) for v, (c, e) in images.items()}
+        return SymClass(self.poly.substitute(subs, ring), target, self.gens)
 
     # -- rendering / JSON ---------------------------------------------------
 
@@ -279,7 +307,7 @@ class SymClass:
             groups.setdefault(ue, {})[base] = c
         components = []
         for ue in sorted(groups):
-            if self.theory.name == "gw":
+            if self.theory.dense_json:
                 base_elem = GWElem(MultiPoly(ring, groups[ue]).rename(
                     COEFF_RING))
                 for comp in base_elem.to_obj()["components"]:
@@ -319,7 +347,7 @@ class SymClass:
                     or not all(type(e) is int for e in ue)):
                 raise ValueError("u_exps must list one integer per generator")
             umono = ring.monomial(1, dict(zip(gens, ue)))
-            if theory.name == "gw":
+            if theory.dense_json:
                 base = GWElem.from_obj({"components": [comp]})
                 total = total + base.poly.rename(ring) * umono
             else:

@@ -1,7 +1,7 @@
 """Lambda-operation engine on gwring.SymClass: classes over the coefficient
 ring (or the K-theory and Witt base rings) extended by rank-2 symplectic
-generators u_1..u_k.  The class types live in gwring; this module computes
-lambda-series and Adams operations of them and maps GW to K and Witt.
+generators u_1..u_k.  The class types and the maps between the theories
+live in gwring; this module computes lambda-series and Adams operations.
 
 The lambda-series of a class is a polyring.TruncSeries over its context
 ring, with every coefficient put in normal form once per series product.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import symfunc
-from .gwring import KTH, WITT, GWElem, SymClass, context_ring
+from .gwring import KTH, GWElem, SymClass
 from .polyring import (
     GradingError, MultiPoly, Ring, TruncSeries, grlex_key, sum_of_products,
 )
@@ -132,57 +132,18 @@ def _adams_images(k: int, x: SymClass) -> dict:
 
 def adams(n: int, x: SymClass) -> SymClass:
     """psi^n, a ring endomorphism: x with each generator replaced by its
-    image under psi^n (see the module docstring)."""
-    if n < 0:
-        return adams_negative(n, x)
+    image under psi^n (see the module docstring).  Negative n is the
+    duality extension: psi^n = psi^{-n} in degrees 0 mod 4, -psi^{-n} in
+    degrees 2 mod 4."""
     if not x.is_homogeneous():
         raise GradingError("adams requires homogeneous input: %s" % x)
-    if n == 0:
+    k = abs(n)
+    if k == 0:
         return type(x).const(x.rank(), x.theory, x.gens, x.quotient)
-    out = x._lift(x.poly.substitute(_adams_images(n, x), x.poly.ring))
-    if not out.is_zero() and out.degree() != n * x.degree():
-        raise GradingError("psi^%d broke the grading" % n)
-    return out
-
-
-def adams_negative(n: int, x: SymClass) -> SymClass:
-    """Duality extension: psi^n = psi^{-n} in degrees 0 mod 4, -psi^{-n}
-    in degrees 2 mod 4."""
-    if n >= 0:
-        return adams(n, x)
-    if not x.is_homogeneous():
-        raise GradingError("adams requires homogeneous input: %s" % x)
-    pos = adams(-n, x)
-    if x.degree() % 4 == 2:
-        return -pos
-    return pos
-
-
-# ---------------------------------------------------------------------------
-# theory maps
-
-def forget(x: SymClass) -> SymClass:
-    """Forgetful specialization to K-theory: eps -> -1, tau -> 2*beta^2,
-    gamma -> beta^4; generators pass through."""
-    if x.theory.name != "gw":
-        raise ValueError("forget expects a gw-theory class")
-    target = context_ring(KTH, x.gens)
-    beta = target.var("beta")
-    img = x.poly.substitute(
-        {"eps": target.const(-1), "tau": 2 * beta * beta,
-         "gamma": beta ** 4}, target)
-    return SymClass(img, KTH, x.gens, False)
-
-
-def witt(x: SymClass) -> SymClass:
-    """Witt specialization: 1 - eps -> 0 (i.e. eps -> 1) and tau -> 0."""
-    if x.theory.name != "gw":
-        raise ValueError("witt expects a gw-theory class")
-    target = context_ring(WITT, x.gens)
-    img = x.poly.substitute(
-        {"eps": target.one(), "tau": target.zero(),
-         "gamma": target.var("gamma")}, target)
-    return SymClass(img, WITT, x.gens, False)
+    out = x._lift(x.poly.substitute(_adams_images(k, x), x.poly.ring))
+    if not out.is_zero() and out.degree() != k * x.degree():
+        raise GradingError("psi^%d broke the grading" % k)
+    return -out if n < 0 and x.degree() % 4 == 2 else out
 
 
 # ---------------------------------------------------------------------------
@@ -296,27 +257,24 @@ def check_lambda_axioms(l1_max: int = 6, l2_max: int = 8,
             x, y = samples[xn], samples[yn]
             lx, ly = series[xn], series[yn]
             lxy = lambda_series(x * y, l1_max)
+            xs, ys = [c.poly for c in lx[1:]], [c.poly for c in ly[1:]]
             for n in range(1, l1_max + 1):
-                bind = {}
-                for k in range(1, n + 1):
-                    bind["X%d" % k] = lx[k].poly
-                    bind["Y%d" % k] = ly[k].poly
-                rhs = x._lift(symfunc.evaluate(symfunc.universal_P(n), bind,
-                                               x.poly.ring))
+                rhs = x._lift(symfunc.evaluate(symfunc.universal_P(n),
+                                               x.poly.ring, X=xs, Y=ys))
                 rep.add(check("L1", (n, xn, yn), lxy[n] == rhs,
                               lxy[n].text(), rhs.text()))
 
     # L2: lambda^i(lambda^j(z)) = Q_{i,j}(lambda(z))
     for zn, z in sorted(l2_samples().items()):
         lz = lambda_series(z, l2_max)
+        zs = [c.poly for c in lz[1:]]
         for j in range(1, l2_max + 1):
             llz = lambda_series(lz[j], l2_max // j)
             for i in range(1, l2_max // j + 1):
                 lhs = llz[i]
                 _assert_degree_law(lz[j], lhs, i)
-                bind = {"X%d" % k: lz[k].poly for k in range(1, i * j + 1)}
-                rhs = z._lift(symfunc.evaluate(symfunc.universal_Q(i, j), bind,
-                                               z.poly.ring))
+                rhs = z._lift(symfunc.evaluate(symfunc.universal_Q(i, j),
+                                               z.poly.ring, X=zs))
                 rep.add(check("L2", (i, j, zn), lhs == rhs,
                               lhs.text(), rhs.text()))
 
@@ -347,9 +305,9 @@ def check_lambda_axioms(l1_max: int = 6, l2_max: int = 8,
     # forgetful specialization intertwines the two engines
     for xn in ("u1", "tau", "u1+tau", "u1*u2"):
         x = samples[xn]
-        fx = forget(x)
+        fx = x.specialize(KTH)
         for n in range(0, psi_max + 1):
-            lhs = forget(psi[n, xn])
+            lhs = psi[n, xn].specialize(KTH)
             rhs = adams(n, fx)
             rep.add(check("forgetful_psi", (n, xn), lhs == rhs,
                           lhs.text(), rhs.text()))

@@ -16,7 +16,8 @@ directly (_dominant_product, _dominant_Q) and never expanded.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 
 from .polyring import (
     ContextError, MultiPoly, Ring, TruncSeries, grlex_key, sum_of_products,
@@ -32,6 +33,7 @@ class SymmetryError(ValueError):
         self.witness = witness
 
 
+@cache
 def _family_ring(prefix: str, m: int, laurent: bool = False) -> Ring:
     return Ring([("%s%d" % (prefix, i), laurent) for i in range(1, m + 1)])
 
@@ -216,16 +218,6 @@ def ring_R(n: int) -> Ring:
                        _family_ring("Z", n))
 
 
-_memo: dict[str, MultiPoly] = {}
-
-
-def _memoized(key: str, compute):
-    got = _memo.get(key)
-    if got is None:
-        got = _memo[key] = compute()
-    return got
-
-
 def _exact_div(p: MultiPoly, k: int) -> MultiPoly:
     """p / k over Z; a coefficient not divisible by k raises ArithmeticError."""
     out = {}
@@ -291,12 +283,7 @@ def universal_P(n: int, m: int | None = None) -> MultiPoly:
     if n == 0:
         return ring_P(0).one()
     if m is None:
-        def newton():
-            ring = ring_P(n)
-            px = power_sums(_alphabet(ring, "X", n))
-            py = power_sums(_alphabet(ring, "Y", n))
-            return _elementary_from_power_sums([a * b for a, b in zip(px, py)])
-        return _memoized("P:%d" % n, newton)
+        return _newton_P(n)
     if m < n:
         raise ValueError("arity m=%d below n=%d does not determine P_n" % (m, n))
     src = _join_rings(_family_ring("U", m), _family_ring("Y", m))
@@ -320,20 +307,30 @@ def universal_Q(i: int, j: int, m: int | None = None) -> MultiPoly:
     if i == 0:
         return ring_Q(i * j).one()
     if m is None:
-        def newton():
-            ring = ring_Q(i * j)
-            px = power_sums(_alphabet(ring, "X", i * j))
-            pl = [ring.zero()] + [
-                _elementary_from_power_sums(px[0:j * k + 1:k])
-                for k in range(1, i + 1)]
-            return _elementary_from_power_sums(pl)
-        return _memoized("Q:%d:%d" % (i, j), newton)
+        return _newton_Q(i, j)
     if m < i * j:
         raise ValueError("arity m=%d below ij=%d" % (m, i * j))
     src = _family_ring("U", m)
     red = _reduce_dominant(_dominant_Q(i, j, m), src, src.names,
                            ring_Q(m).names)
     return red.rename(ring_Q(i * j))
+
+
+@cache
+def _newton_P(n: int) -> MultiPoly:
+    ring = ring_P(n)
+    px = power_sums(_alphabet(ring, "X", n))
+    py = power_sums(_alphabet(ring, "Y", n))
+    return _elementary_from_power_sums([a * b for a, b in zip(px, py)])
+
+
+@cache
+def _newton_Q(i: int, j: int) -> MultiPoly:
+    ring = ring_Q(i * j)
+    px = power_sums(_alphabet(ring, "X", i * j))
+    pl = [ring.zero()] + [_elementary_from_power_sums(px[0:j * k + 1:k])
+                          for k in range(1, i + 1)]
+    return _elementary_from_power_sums(pl)
 
 
 def _dominant_Q(i: int, j: int, m: int) -> dict:
@@ -366,34 +363,35 @@ def universal_R(n: int, method: str = "composed", m: int | None = None) -> Multi
     mm = n if m is None else m
     if mm < n:
         raise ValueError("arity m=%d below n=%d" % (mm, n))
-    # P_k(X, Y) as a polynomial in (Y, Z)
-    yz = {"X%d" % s: "Y%d" % s for s in range(1, n + 1)} | {
+    return _direct_R(n, mm) if method == "direct" else _composed_R(n)
+
+
+def _yz(n: int) -> dict:
+    """The renaming that reads P_k(X, Y) as a polynomial in (Y, Z)."""
+    return {"X%d" % s: "Y%d" % s for s in range(1, n + 1)} | {
         "Y%d" % s: "Z%d" % s for s in range(1, n + 1)}
 
-    def compute_direct():
-        src = _join_rings(_family_ring("U", mm), _family_ring("Y", mm),
-                          _family_ring("Z", mm))
-        F = [src.one()] + [universal_P(k, mm).rename(src, yz)
-                           for k in range(1, n + 1)]
-        unames = ["U%d" % i for i in range(1, mm + 1)]
-        work = _dominant_product(F, src, unames, n)
-        p = _reduce_dominant(work, src, unames,
-                             ["X%d" % i for i in range(1, mm + 1)])
-        return p.rename(ring_R(n))
 
-    def compute_composed():
-        target = ring_R(n)
-        pn = universal_P(n)
-        bindings = {}
-        for k in range(1, n + 1):
-            bindings["Y%d" % k] = universal_P(k).rename(target, yz)
-            bindings["X%d" % k] = target.var("X%d" % k)
-        return pn.substitute(bindings, target)
+@cache
+def _direct_R(n: int, m: int) -> MultiPoly:
+    src = _join_rings(_family_ring("U", m), _family_ring("Y", m),
+                      _family_ring("Z", m))
+    F = [src.one()] + [universal_P(k, m).rename(src, _yz(n))
+                       for k in range(1, n + 1)]
+    unames = ["U%d" % i for i in range(1, m + 1)]
+    work = _dominant_product(F, src, unames, n)
+    p = _reduce_dominant(work, src, unames,
+                         ["X%d" % i for i in range(1, m + 1)])
+    return p.rename(ring_R(n))
 
-    compute = compute_direct if method == "direct" else compute_composed
-    if m is not None and m != n:
-        return compute()
-    return _memoized("R:%d:%s" % (n, method), compute)
+
+@cache
+def _composed_R(n: int) -> MultiPoly:
+    target = ring_R(n)
+    return evaluate(universal_P(n), target,
+                    X=[target.var("X%d" % k) for k in range(1, n + 1)],
+                    Y=[universal_P(k).rename(target, _yz(n))
+                       for k in range(1, n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -406,45 +404,17 @@ def ell_args(x: MultiPoly, count: int) -> list[MultiPoly]:
     return out[:count]
 
 
-def evaluate(p: MultiPoly, assignment: dict[str, MultiPoly],
-             target: Ring) -> MultiPoly:
-    """Evaluate a universal polynomial, sending unassigned variables to 0."""
-    bind = dict(assignment)
+def evaluate(p: MultiPoly, target: Ring, **families) -> MultiPoly:
+    """A universal polynomial at classes of `target`: each variable F<k> of
+    p (X1, Y2, Z3, ...) goes to families[F][k - 1], or to 0 where that
+    list is shorter or F is not given."""
+    zero = target.zero()
+    bind = {}
     for name in p.ring.names:
-        if name not in bind:
-            bind[name] = target.zero()
+        head = name.rstrip("0123456789")
+        vals, k = families.get(head, ()), int(name[len(head):])
+        bind[name] = vals[k - 1] if k <= len(vals) else zero
     return p.substitute(bind, target)
-
-
-def eval_P(n: int, xs: list[MultiPoly], ys: list[MultiPoly],
-           target: Ring) -> MultiPoly:
-    p = universal_P(n)
-    bind = {}
-    for k in range(1, n + 1):
-        if k <= len(xs):
-            bind["X%d" % k] = xs[k - 1]
-        if k <= len(ys):
-            bind["Y%d" % k] = ys[k - 1]
-    return evaluate(p, bind, target)
-
-
-def eval_Q(i: int, j: int, xs: list[MultiPoly], target: Ring) -> MultiPoly:
-    q = universal_Q(i, j)
-    bind = {"X%d" % k: xs[k - 1] for k in range(1, min(i * j, len(xs)) + 1)}
-    return evaluate(q, bind, target)
-
-
-def eval_R(n: int, xs, ys, zs, target: Ring) -> MultiPoly:
-    r = universal_R(n)
-    bind = {}
-    for k in range(1, n + 1):
-        if k <= len(xs):
-            bind["X%d" % k] = xs[k - 1]
-        if k <= len(ys):
-            bind["Y%d" % k] = ys[k - 1]
-        if k <= len(zs):
-            bind["Z%d" % k] = zs[k - 1]
-    return evaluate(r, bind, target)
 
 
 def rxy_closed(n: int, x: MultiPoly, y: MultiPoly) -> MultiPoly:
@@ -491,17 +461,14 @@ def rz_closed(i: int, j: int, x: MultiPoly) -> MultiPoly:
     return ring.zero()
 
 
-def _pi(ring: Ring, unit_names: list[str], order: int) -> TruncSeries:
-    """pi_{a_1..a_r}(t): product of (1 + t * a_1^{e1}...a_r^{er}) over all
-    sign vectors e in {1,-1}^r, truncated at the given order in t."""
-    from itertools import product as iproduct
-    series = TruncSeries.one(ring, order)
-    for signs in iproduct((1, -1), repeat=len(unit_names)):
-        mono = ring.one()
-        for name, s in zip(unit_names, signs):
-            mono = mono * ring.var(name, s)
-        series = series * TruncSeries(ring, order, [ring.one(), mono])
-    return series
+def _pi_poly(ring: Ring, unit_names: list[str]) -> MultiPoly:
+    """pi_{a_1..a_r}(t): the product of (1 + t * a_1^{e_1}...a_r^{e_r}) over
+    all sign vectors e in {1,-1}^r, a polynomial in the ring's variable t."""
+    out = ring.one()
+    for signs in product((1, -1), repeat=len(unit_names)):
+        mono = ring.monomial(1, dict(zip(unit_names, signs)) | {"t": 1})
+        out = out * (ring.one() + mono)
+    return out
 
 
 def check_appendix_b(max_n: int = 4) -> VerificationReport:
@@ -574,7 +541,7 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
     xs = ell_args(rxy.var("x"), max(max_n, 2))
     ys = ell_args(rxy.var("y"), max(max_n, 2))
     for n in range(0, min(max_n, 4) + 1):
-        got = eval_P(n, xs, ys, rxy)
+        got = evaluate(universal_P(n), rxy, X=xs, Y=ys)
         want = rxy_closed(n, rxy.var("x"), rxy.var("y"))
         rep.add(check("RXY", (n,), got == want, got.text(), want.text()))
     pab = _pi_poly(lab, ["a", "b"])
@@ -589,7 +556,7 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
     for n in range(1, max_n + 1):
         rb = Ring([("r%d" % k, False) for k in range(1, n + 1)] + [("B", False)])
         rs = [rb.var("r%d" % k) for k in range(1, n + 1)]
-        got = eval_P(n, rs, ell_args(rb.var("B"), n), rb)
+        got = evaluate(universal_P(n), rb, X=rs, Y=ell_args(rb.var("B"), n))
         rem = got - rb.var("B") ** n * rs[n - 1]
         rep.add(check("RB", (n,), rem.is_zero() or rem.degree_in("B") <= n - 1,
                       got.text(), note="degree bound"))
@@ -598,7 +565,8 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
     rx = Ring([("x", False)])
     for i, j in sorted((i, j) for i in range(0, 7) for j in range(1, 7)
                        if i * j <= 6):
-        got = eval_Q(i, j, ell_args(rx.var("x"), max(i * j, 2)), rx)
+        got = evaluate(universal_Q(i, j), rx,
+                       X=ell_args(rx.var("x"), max(i * j, 2)))
         want = rz_closed(i, j, rx.var("x"))
         rep.add(check("RZ", (i, j), got == want, got.text(), want.text()))
 
@@ -608,7 +576,7 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
     eys = ell_args(rxyz.var("y"), max(max_n, 2))
     ezs = ell_args(rxyz.var("z"), max(max_n, 2))
     for n in range(0, min(max_n, 4) + 1):
-        got = eval_R(n, exs, eys, ezs, rxyz)
+        got = evaluate(universal_R(n), rxyz, X=exs, Y=eys, Z=ezs)
         want = r_abc_closed(n, rxyz.var("x"), rxyz.var("y"), rxyz.var("z"))
         rep.add(check("R_abc", (n,), got == want, got.text(), want.text()))
     pabc = _pi_poly(labc, ["a", "b", "c"])
@@ -623,29 +591,17 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
     # one-dimensional classes: Q_{i,j}(x, 0, ...) and P_n(f, x, 0, ...)
     for i, j in sorted((i, j) for i in range(1, 7) for j in range(1, 7)
                        if i * j <= 6):
-        got = eval_Q(i, j, [rx.var("x")], rx)
+        got = evaluate(universal_Q(i, j), rx, X=[rx.var("x")])
         want = rx.var("x") if (i == 1 and j == 1) else rx.zero()
         rep.add(check("lambda_dim1", (i, j), got == want, got.text(), want.text()))
     for n in range(1, max_n + 1):
         rf = Ring([("f%d" % k, False) for k in range(1, n + 1)] + [("x", False)])
         fs = [rf.var("f%d" % k) for k in range(1, n + 1)]
-        got = eval_P(n, fs, [rf.var("x")], rf)
+        got = evaluate(universal_P(n), rf, X=fs, Y=[rf.var("x")])
         want = fs[n - 1] * rf.var("x") ** n
         rep.add(check("product_dim1", (n,), got == want, got.text(), want.text()))
 
     return rep.sort()
-
-
-def _pi_poly(ring: Ring, unit_names: list[str]) -> MultiPoly:
-    """pi as an honest polynomial in the ring's t variable (no truncation)."""
-    order = 2 ** len(unit_names)
-    series = _pi(Ring([(n, l) for n, l in zip(ring.names, ring.laurent)
-                       if n != "t"]), unit_names, order)
-    t = ring.var("t")
-    out = ring.zero()
-    for k, c in enumerate(series.coeffs):
-        out = out + c.rename(ring) * t ** k
-    return out
 
 
 def check_appendix_a(max_k: int = 4, group_samples: int = 6,

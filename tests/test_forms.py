@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gwadams.forms import (
-    DegeneracyError, GramForm, GWQInvariants, WitnessError, _det,
-    _diagonalize, _mat_mul, _odd_primes, _place_key, _rect_congruence,
-    _transpose, check_congruence, check_section2_and_hyp, direct_sum, dual,
-    ext_matrix, ext_power, gw_identity_check, hilbert_symbol, hyperbolic,
-    invariants, scale, squarefree, sym_power, symplectic_plane, tensor,
+    DegeneracyError, GramForm, GWQInvariants, WitnessError, _congruent,
+    _det, _diagonalize, _mat_mul, _odd_primes, _place_key, _transpose,
+    check_congruence, check_section2_and_hyp, direct_sum, dual, ext_matrix,
+    ext_power, gw_identity_check, hilbert_symbol, hyperbolic, invariants,
+    scale, squarefree, sym_power, symplectic_plane, tensor,
 )
 
 
@@ -411,13 +411,14 @@ class TestIntegerKernel:
             small = fraction_mat_mul(
                 _transpose(J),
                 fraction_mat_mul([list(r) for r in big.matrix], J))
-            assert _rect_congruence(J, big, GramForm(small, sym))
+            assert _congruent(J, big.matrix, GramForm(small, sym).matrix)
             i = rng.randrange(k)
             if sym == 1:
                 small[i][i] += Fraction(1, rng.randint(1, 12))
-                assert not _rect_congruence(J, big, GramForm(small, sym))
+                assert not _congruent(J, big.matrix,
+                                      GramForm(small, sym).matrix)
             other = GramForm.diagonal([1] * (k + 1))
-            assert not _rect_congruence(J, big, other)
+            assert not _congruent(J, big.matrix, other.matrix)
 
 
 @st.composite

@@ -1,10 +1,11 @@
 import pytest
 
 from gwadams import lambdaring, symfunc
-from gwadams.gwring import GWElem
+from gwadams.borel import ternary_laws
+from gwadams.gwring import GW, WITT, GWElem, context_ring
 from gwadams.lambdaring import (
-    KTH, SymClass, adams, adams_negative, check_adams_hyperbolic,
-    check_lambda_axioms, forget, l1_samples, lambda_op, lambda_series, witt,
+    KTH, SymClass, adams, check_adams_hyperbolic, check_lambda_axioms,
+    l1_samples, lambda_op, lambda_series,
 )
 from gwadams.polyring import GradingError, Ring, TruncSeries
 
@@ -56,7 +57,8 @@ class TestLambdaSeries:
         for x, y in [(u(1) + u(2), u(2)),
                      (u(1) * u(2) + scalar(GWElem.tau()), u(1) * u(2)),
                      (3 * u(1), u(1)),
-                     (forget(u(1) + scalar(GWElem.tau())), forget(u(1))),
+                     ((u(1) + scalar(GWElem.tau())).specialize(KTH),
+                      u(1).specialize(KTH)),
                      (uq - tq, uq),
                      (g1 * u(1) * u(2), u(1))]:
             z = x - y
@@ -91,10 +93,10 @@ class TestAdams:
 
     def test_negative(self, to_gw):
         tau = SymClass.from_gw(GWElem.tau())
-        assert to_gw(adams_negative(-1, tau)) == -GWElem.tau()
-        assert to_gw(adams_negative(-2, tau)) == 2 * GWElem.eps() * GWElem.gamma()
+        assert to_gw(adams(-1, tau)) == -GWElem.tau()
+        assert to_gw(adams(-2, tau)) == 2 * GWElem.eps() * GWElem.gamma()
         g = SymClass.from_gw(GWElem.gamma())
-        assert adams_negative(-1, g) == adams(1, g)
+        assert adams(-1, g) == adams(1, g)
 
     def test_inhomogeneous_rejected(self):
         with pytest.raises(GradingError):
@@ -118,8 +120,8 @@ def oracle_samples() -> dict:
         "u1*u2*u3": v[0] * v[1] * v[2], "tau*u1": tau * v[0],
         "u (quotient)": uq, "u-tau (quotient)": uq - tq,
         "u^2 (quotient)": uq * uq,
-        "forget(u1*u2)": forget(u(1) * u(2)),
-        "witt(u1*u2)": witt(u(1) * u(2)),
+        "forget(u1*u2)": (u(1) * u(2)).specialize(KTH),
+        "witt(u1*u2)": (u(1) * u(2)).specialize(WITT),
     }
 
 
@@ -135,7 +137,7 @@ class TestAdamsOracle:
             assert adams(n, x) == p[n], (name, n)
         sign = -1 if x.degree() % 4 == 2 else 1
         for n in range(1, 5):
-            assert adams_negative(-n, x) == sign * p[n], (name, -n)
+            assert adams(-n, x) == sign * p[n], (name, -n)
 
 
 def gauss_fold_rank2(series, prim_name, ctx, rank_bound):
@@ -203,8 +205,8 @@ def fold_samples() -> dict:
     for i, a in enumerate(names):
         for b in names[i:]:
             xy = samples[a] * samples[b]
-            out["forget(%s*%s)" % (a, b)] = forget(xy)
-            out["witt(%s*%s)" % (a, b)] = witt(xy)
+            out["forget(%s*%s)" % (a, b)] = xy.specialize(KTH)
+            out["witt(%s*%s)" % (a, b)] = xy.specialize(WITT)
     return out
 
 
@@ -276,7 +278,8 @@ def images_samples() -> dict:
     vq = [SymClass.gen(g, gens=gens, quotient=True) for g in gens]
     tq = SymClass.from_gw(GWElem.tau(), gens=gens, quotient=True)
     return {"gw": gw, "gw quotient": vq[0] * vq[1] + tq * vq[0] + tq,
-            "k": forget(gw), "witt": witt(gw) + witt(v[1])}
+            "k": gw.specialize(KTH),
+            "witt": gw.specialize(WITT) + v[1].specialize(WITT)}
 
 
 class TestAdamsImagesOracle:
@@ -317,24 +320,74 @@ class TestAdamsWellDefined:
         assert got.degree() == 16 * x.degree() and got.rank() == 8
 
 
+def parent_forget(x):
+    """GW -> K as the hand-written substitution table that lambdaring.forget
+    applied before the theory maps became data: eps -> -1,
+    tau -> 2*beta^2, gamma -> beta^4."""
+    target = context_ring(KTH, x.gens)
+    beta = target.var("beta")
+    img = x.poly.substitute(
+        {"eps": target.const(-1), "tau": 2 * beta * beta,
+         "gamma": beta ** 4}, target)
+    return SymClass(img, KTH, x.gens, False)
+
+
+def parent_witt(x):
+    """GW -> Witt as the hand-written table of lambdaring.witt: eps -> 1,
+    tau -> 0, gamma -> gamma."""
+    target = context_ring(WITT, x.gens)
+    img = x.poly.substitute(
+        {"eps": target.one(), "tau": target.zero(),
+         "gamma": target.var("gamma")}, target)
+    return SymClass(img, WITT, x.gens, False)
+
+
 class TestTheoryMaps:
+    @pytest.mark.parametrize("target, table", [(KTH, parent_forget),
+                                               (WITT, parent_witt)],
+                             ids=["k", "witt"])
+    def test_specialize_matches_tables(self, target, table):
+        samples = l1_samples()
+        names = sorted(samples)
+        xs = [samples[a] * samples[b]
+              for i, a in enumerate(names) for b in names[i:]]
+        assert len(xs) == 21
+        xs += [law.value for law in ternary_laws("gw")]
+        for x in xs:
+            got = x.specialize(target)
+            assert got.theory is target and got == table(x), x
+
+    def test_specialize_refuses_quotient(self):
+        # neither K nor W has (u - tau)^2 = 0: on the quotient the tables
+        # are not ring maps
+        uq = SymClass.gen("u", gens=("u",), quotient=True)
+        assert parent_forget(uq * uq) != parent_forget(uq) ** 2
+        assert parent_witt(uq * uq) != parent_witt(uq) ** 2
+        for target in (KTH, WITT):
+            with pytest.raises(ValueError):
+                uq.specialize(target)
+        assert uq.specialize(GW) is uq
+
     def test_forget(self):
         tau = SymClass.from_gw(GWElem.tau())
-        img = forget(tau)
+        img = tau.specialize(KTH)
         assert img.theory.name == "k"
         assert img.text() == "2*beta^2"
-        assert forget(SymClass.from_gw(GWElem.gamma())).text() == "beta^4"
-        assert forget(SymClass.from_gw(GWElem.eps())).text() == "-1"
+        gamma = SymClass.from_gw(GWElem.gamma())
+        assert gamma.specialize(KTH).text() == "beta^4"
+        assert SymClass.from_gw(GWElem.eps()).specialize(KTH).text() == "-1"
 
     def test_witt(self):
-        assert witt(SymClass.from_gw(GWElem.h())).is_zero()
-        assert witt(SymClass.from_gw(GWElem.tau())).is_zero()
-        assert witt(SymClass.from_gw(GWElem.gamma())).text() == "gamma"
+        assert SymClass.from_gw(GWElem.h()).specialize(WITT).is_zero()
+        assert SymClass.from_gw(GWElem.tau()).specialize(WITT).is_zero()
+        gamma = SymClass.from_gw(GWElem.gamma())
+        assert gamma.specialize(WITT).text() == "gamma"
 
     def test_forget_requires_gw(self):
         beta = SymClass(KTH.base_ring().var("beta"), KTH)
-        with pytest.raises(ValueError):
-            forget(beta)
+        for target in (GW, WITT):   # only GW maps to the other theories
+            with pytest.raises(ValueError):
+                beta.specialize(target)
 
 
 class TestArithmetic:
@@ -364,7 +417,7 @@ class TestJson:
         assert SymClass.from_json(x.to_json()) == x
 
     def test_round_trip_k(self):
-        x = forget(u(1) + scalar(GWElem.tau()))
+        x = (u(1) + scalar(GWElem.tau())).specialize(KTH)
         assert SymClass.from_json(x.to_json()) == x
 
     def test_round_trip_quotient(self):

@@ -11,7 +11,7 @@ import gwadams
 from gwadams.polyring import MultiPoly, Ring, TruncSeries, grlex_key
 from gwadams import symfunc
 from gwadams.symfunc import (
-    SymmetryError, check_appendix_b, elementary, ell_args, eval_P, ring_P,
+    SymmetryError, check_appendix_b, elementary, ell_args, evaluate, ring_P,
     ring_Q, ring_R, rxy_closed, symmetric_reduce, symmetry_witness,
     universal_P, universal_Q, universal_R,
 )
@@ -331,7 +331,8 @@ class TestUniversalP:
     def test_p1_specialized_to_single_roots(self):
         # expand the defining product at m=1 and specialize both roots
         R = Ring([("v", False)])
-        assert eval_P(1, [R.var("v")], [R.var("v")], R) == R.var("v") ** 2
+        v = [R.var("v")]
+        assert evaluate(universal_P(1), R, X=v, Y=v) == R.var("v") ** 2
 
     def test_symmetric_in_xy_swap(self):
         # P_n(X,Y) = P_n(Y,X) since the defining product is
@@ -437,7 +438,8 @@ class TestNewtonRoute:
         R = Ring([("x", False), ("y", False)])
         x, y = R.var("x"), R.var("y")
         for n in range(5, 9):
-            got = eval_P(n, ell_args(x, n), ell_args(y, n), R)
+            got = evaluate(universal_P(n), R, X=ell_args(x, n),
+                           Y=ell_args(y, n))
             assert got == rxy_closed(n, x, y) == R.zero(), n
 
     def test_exact_div_raises_on_remainder(self):
