@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from . import gwring, symfunc
 from .gwring import GW, KTH, THEORIES, GWElem, SymClass, context_ring
 from .lambdaring import adams, lambda_series
-from .polyring import GradingError, MultiPoly, Ring
+from .polyring import GradingError, MultiPoly, Ring, signed_join
 from .report import VerificationReport, check
 
 
@@ -40,12 +40,6 @@ class OmegaClass:
         if self.value.degree() != 2 * self.n - 2:
             raise GradingError("omega(%d) must have degree %d, got %s"
                                % (self.n, 2 * self.n - 2, self.value.degree()))
-
-    def text(self) -> str:
-        return self.value.text()
-
-    def latex(self) -> str:
-        return self.value.latex()
 
 
 _omega_memo = [GWElem.from_int(0), GWElem.from_int(1)]
@@ -347,18 +341,8 @@ class TernaryLaw:
         return out
 
     def _render(self, latex: bool) -> str:
-        parts = []
-        for coeff, key in self.orbit_decomposition():
-            parts.append(_orbit_term(coeff, key, self.value.gens, latex))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return signed_join([_orbit_term(coeff, key, self.value.gens, latex)
+                            for coeff, key in self.orbit_decomposition()])
 
     def text(self) -> str:
         return self._render(False)
@@ -372,37 +356,18 @@ class TernaryLaw:
 
 
 def _orbit_term(coeff: MultiPoly, key: tuple, gens: tuple, latex: bool) -> str:
-    single = len(set(permutations(key))) == 1
-    factors = []
-    for g, e in zip(gens, key):
-        if e == 0:
-            continue
-        if latex:
-            head = g.rstrip("0123456789")
-            sub = "%s_{%s}" % (head, g[len(head):])
-            factors.append(sub + ("^{%d}" % e if e > 1 else ""))
-        else:
-            factors.append(g + ("^%d" % e if e > 1 else ""))
-    if not factors:
-        mono = ""
-    elif latex:
-        mono = "".join(factors)
-        if not single:
-            mono = r"\sigma(%s)" % mono
-    else:
-        mono = "*".join(factors)
-        if not single:
-            mono = "sigma(%s)" % mono
-    cs = coeff.latex() if latex else coeff.text()
-    if not mono:
+    render = MultiPoly.latex if latex else MultiPoly.text
+    ms = render(MultiPoly(Ring((g, False) for g in gens), {key: 1}))
+    cs = render(coeff)
+    if ms == "1":
         return cs
-    if cs == "1":
-        return mono
-    if cs == "-1":
-        return "-" + mono
+    if len(set(key)) > 1:
+        ms = (r"\sigma(%s)" if latex else "sigma(%s)") % ms
+    if cs in ("1", "-1"):
+        return cs[:-1] + ms     # the sign alone
     if len(coeff.terms) > 1:
         cs = "(%s)" % cs
-    return cs + mono if latex else cs + "*" + mono
+    return cs + ms if latex else cs + "*" + ms
 
 
 def borel_triple_classes() -> dict:

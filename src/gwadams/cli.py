@@ -242,15 +242,11 @@ def cmd_ternary(theory, index, fmt):
         if fmt == "json":
             click.echo(json.dumps(law.to_obj(), sort_keys=True,
                                   separators=(",", ":")))
-        elif fmt == "latex":
-            out = law.latex()
-            if index is None:
-                out = "F_{%d} = %s" % (law.index, out)
-            click.echo(out)
         else:
-            out = law.text()
+            out = law.latex() if fmt == "latex" else law.text()
             if index is None:
-                out = "F%d = %s" % (law.index, out)
+                label = "F_{%d}" if fmt == "latex" else "F%d"
+                out = "%s = %s" % (label % law.index, out)
             click.echo(out)
 
 

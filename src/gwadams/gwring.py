@@ -336,7 +336,7 @@ class SymClass:
         gens = tuple(gens)
         quotient = read_bool(obj.get("quotient", False), "quotient")
         ring = context_ring(theory, gens)
-        total = ring.zero()
+        total: dict = defaultdict(int)
         if not isinstance(obj["components"], list):
             raise ValueError("components must be a list")
         for comp in obj["components"]:
@@ -348,11 +348,12 @@ class SymClass:
                 raise ValueError("u_exps must list one integer per generator")
             umono = ring.monomial(1, dict(zip(gens, ue)))
             if theory.dense_json:
-                base = GWElem.from_obj({"components": [comp]})
-                total = total + base.poly.rename(ring) * umono
+                base = GWElem.from_obj({"components": [comp]}).poly
             else:
-                total = total + MultiPoly.from_obj(comp["poly"]).rename(ring) * umono
-        return SymClass(total, theory, gens, quotient)
+                base = MultiPoly.from_obj(comp["poly"])
+            for e, c in (base.rename(ring) * umono).terms.items():
+                total[e] += c
+        return SymClass(MultiPoly(ring, total), theory, gens, quotient)
 
     @classmethod
     def from_json(cls, s: str) -> "SymClass":
@@ -438,16 +439,13 @@ class GWElem(SymClass):
 
     @staticmethod
     def from_obj(obj: dict) -> "GWElem":
-        poly = COEFF_RING.zero()
+        terms: dict = defaultdict(int)
         for comp in obj["components"]:
             gmin = read_int(comp.get("gmin", 0), "gmin")
             for key, (ea, eb) in (("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1))):
                 for k, coeff in enumerate(comp.get(key, [])):
-                    coeff = read_int(coeff, "a coefficient")
-                    if coeff:
-                        poly = poly + MultiPoly(
-                            COEFF_RING, {(ea, eb, gmin + k): coeff})
-        return GWElem(poly)
+                    terms[ea, eb, gmin + k] += read_int(coeff, "a coefficient")
+        return GWElem(MultiPoly(COEFF_RING, terms))
 
 
 def check_coefficient_identities(i_bound: int = 4, mn_bound: int = 6,

@@ -50,14 +50,16 @@ def _fold_rank2(series: TruncSeries, prim_name: str,
     sum_{i<j, i+j=k} det^i p_{j-i} lambda^i(x) lambda^j(x)
     + [k even] det^(k/2) lambda^(k/2)(x)^2, for any series of x."""
     ring, theory, lam = series.ring, ctx.theory, series.coeffs
-    out = []
-    for k in range(series.order + 1):
-        w = [_waring(ring, prim_name, theory, k - 2 * i, i) if 2 * i < k
-             else ring.var(theory.twist, theory.det_power * i)
-             for i in range(k // 2 + 1)]
-        out.append(sum_of_products(ring, ((1, c * lam[i], lam[k - i])
-                                          for i, c in enumerate(w))))
-    return _normal(TruncSeries(ring, series.order, out), ctx)
+    N = series.order
+    # p[0] = 1, not p_0 = 2: it weights the middle term i = k/2 once
+    p = [ring.one()] + [_waring(ring, prim_name, theory, m)
+                        for m in range(1, N + 1)]
+    det_lam = [ring.var(theory.twist, theory.det_power * i) * lam[i]
+               for i in range(N // 2 + 1)]
+    out = [sum_of_products(ring, ((1, det_lam[i] * p[k - 2 * i], lam[k - i])
+                                  for i in range(k // 2 + 1)))
+           for k in range(N + 1)]
+    return _normal(TruncSeries(ring, N, out), ctx)
 
 
 def lambda_series(x: SymClass, N: int) -> list:
@@ -104,14 +106,14 @@ def _assert_degree_law(x: SymClass, out: SymClass, n: int):
                 "degree %s" % (n, dx, dout))
 
 
-def _waring(ring: Ring, name: str, theory, k: int, shift: int = 0):
-    """det^shift * p_k, p_k (k >= 1) the k-th power sum of the roots of
+def _waring(ring: Ring, name: str, theory, k: int):
+    """p_k (k >= 1), the k-th power sum of the roots of
     1 + y*t + det*t^2, y the variable `name` and det = twist**det_power, by
     Waring's formula: p_k = sum_j (-1)^j k/(k-j) C(k-j, j) y^(k-2j) det^j."""
     iy, iw, terms = ring.index(name), ring.index(theory.twist), {}
     for j in range(k // 2 + 1):
         e = [0] * ring.nvars
-        e[iy], e[iw] = k - 2 * j, theory.det_power * (j + shift)
+        e[iy], e[iw] = k - 2 * j, theory.det_power * j
         terms[tuple(e)] = (-1) ** j * k * comb(k - j, j) // (k - j)
     return MultiPoly(ring, terms)
 

@@ -12,7 +12,8 @@ The public constructors validate their terms.  Results of ring operations
 are valid by construction and skip re-validation (MultiPoly._trusted); every
 product goes through one multiply-accumulate kernel, _mul_into, which
 sum_of_products also uses to accumulate a sum of products in place, and
-substitute to multiply out its multi-term bindings.
+substitute to multiply out its multi-term bindings.  Text and LaTeX are
+written by one term writer, MultiPoly._render.
 """
 
 from __future__ import annotations
@@ -259,13 +260,6 @@ class MultiPoly:
 
     # -- structure ----------------------------------------------------------
 
-    def leading(self) -> tuple[tuple, int]:
-        """Leading (exps, coeff) in graded-lex order.  Poly must be nonzero."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
-
     def coefficient(self, name: str, exp: int) -> "MultiPoly":
         """Polynomial coefficient of name^exp (variable removed)."""
         i = self.ring.index(name)
@@ -465,54 +459,27 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]),
                       reverse=True)
 
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
+    def _render(self, names, power: str, glue: str) -> str:
+        """The terms in descending graded-lex order, joined by signed_join.
+        A term is its |coefficient|, left out when it is 1 and the term has
+        factors, then its factors, all glue-joined; the factor of variable
+        i with exponent e is names[i] for e = 1, power % (names[i], e)
+        otherwise."""
         parts = []
         for exps, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.ring.names, exps):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else "%s^%d" % (name, e))
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+            body = [s if e == 1 else power % (s, e)
+                    for s, e in zip(names, exps) if e]
+            if abs(c) != 1 or not body:
+                body.insert(0, str(abs(c)))
+            parts.append(("-" if c < 0 else "") + glue.join(body))
+        return signed_join(parts)
 
-    def latex(self, symbols: Mapping[str, str] | None = None) -> str:
-        if not self.terms:
-            return "0"
-        symbols = symbols or {}
-        parts = []
-        for exps, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.ring.names, exps):
-                if e == 0:
-                    continue
-                sym = symbols.get(name, _default_latex_symbol(name))
-                if e == 1:
-                    factors.append(sym)
-                else:
-                    factors.append("%s^{%d}" % (sym, e))
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "".join(factors)
-            else:
-                body = str(abs(c)) + "".join(factors)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
+    def text(self) -> str:
+        return self._render(self.ring.names, "%s^%d", "*")
+
+    def latex(self) -> str:
+        return self._render([_latex_name(n) for n in self.ring.names],
+                            "%s^{%d}", "")
 
     def __str__(self):
         return self.text()
@@ -557,7 +524,7 @@ _LATEX_SPECIALS = {
 }
 
 
-def _default_latex_symbol(name: str) -> str:
+def _latex_name(name: str) -> str:
     if name in _LATEX_SPECIALS:
         return _LATEX_SPECIALS[name]
     head = name.rstrip("0123456789")
@@ -565,6 +532,14 @@ def _default_latex_symbol(name: str) -> str:
     if tail:
         return "%s_{%s}" % (head, tail)
     return name
+
+
+def signed_join(parts: list) -> str:
+    """Signed terms joined as 'a - b + c'; '0' when there are none."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(" - " + p[1:] if p[0] == "-" else " + " + p
+                              for p in parts[1:])
 
 
 def _mul_into(out: dict, a: dict, b: dict) -> None:

@@ -476,6 +476,280 @@ class TestTernary:
         assert run(runner, "ternary", "--class", "5").exit_code == 2
 
 
+class TestRenderGolden:
+    # sha256 of "<exit code>\n<stdout>" of every text, LaTeX and JSON
+    # rendering below, recorded before the three formats shared one term
+    # writer.  K is the K-theory class 3*beta^4 - 2*beta^2*u1 + u1*u2.
+    K = ('{"components":['
+         '{"poly":{"terms":[{"coeff":"3","exps":[4]}],'
+         '"vars":[{"laurent":true,"name":"beta"}]},"u_exps":[0,0]},'
+         '{"poly":{"terms":[{"coeff":"-2","exps":[2]}],'
+         '"vars":[{"laurent":true,"name":"beta"}]},"u_exps":[1,0]},'
+         '{"poly":{"terms":[{"coeff":"1","exps":[0]}],'
+         '"vars":[{"laurent":true,"name":"beta"}]},"u_exps":[1,1]}],'
+         '"gens":["u1","u2"],"quotient":false,"theory":"k"}')
+    GOLDEN = {
+        "adams -7 --target tau --format text":
+            "7be96007e9c3409894501cfb2725af643b123331dfc8409f70e85de047e73e60",
+        "adams -7 --target tau --format latex":
+            "5377b382dc65edf48e326022997e4682a41ccd17ace4df57f79ab835ff42d6c9",
+        "adams -7 --target tau --format json":
+            "19cfa69b4326b8fa8095450158628106ef20514028d787cb97a90fed5adf6590",
+        "adams -2 --target tau --format text":
+            "2ce08cae480afe2606040c76af0c81722db2793c143fb1ec6b962cc57c0ce948",
+        "adams -2 --target tau --format latex":
+            "570ec179c2f09348435dd6e4c2d48a6f2972f2af06823e0a94bc4783ce2d240b",
+        "adams -2 --target tau --format json":
+            "80f52225c9361d0afe2bf6bfe0be8bfba091a6479520e545a6aa3b2deeda438a",
+        "adams 0 --target tau --format text":
+            "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d",
+        "adams 0 --target tau --format latex":
+            "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d",
+        "adams 0 --target tau --format json":
+            "816af1ead1951ab0ff3fac3036bb8b5b5b1dce3bf265a86e65c3562b07133ea1",
+        "adams 3 --target tau --format text":
+            "37096b0ab96d68c941da31810d77e3900cca2a184b4b2285a1d030536d2b0725",
+        "adams 3 --target tau --format latex":
+            "ce02dc816a8e21512aa4214133a7adf4da1e1c4bae1131b19db491bb8ab3d8a7",
+        "adams 3 --target tau --format json":
+            "61478b9a67019d208000fbcfd4ff6c84b509ab80a60a4f1bcb54954d8e29edf3",
+        "adams 16 --target tau --format text":
+            "4539dcca3c9924577b75bc20a994335879c2ed8fa4b677d8302e117c60b545f6",
+        "adams 16 --target tau --format latex":
+            "2b82531516e203c36b6c7f6f0ade239bbdd9f500d3c87e63a719a5c8ddfd6dc4",
+        "adams 16 --target tau --format json":
+            "b9516253a08b0bd1c013e07747fb84f4be1cc9a45167af901b73da2f46541264",
+        "adams -7 --target h --format text":
+            "4ee815584f48bddc20a56f657ee12648736132f5909f452d337ffd01292ade0c",
+        "adams -7 --target h --format latex":
+            "51d8def374e9331d698fce54c238f8332e47ba8f99377f984f7baf7bc973606f",
+        "adams -7 --target h --format json":
+            "2920c3844172b0cb7205ddcf1e9a2e865761dde39ef4bf86fbc2215a748c4dc7",
+        "adams -2 --target h --format text":
+            "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d",
+        "adams -2 --target h --format latex":
+            "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d",
+        "adams -2 --target h --format json":
+            "816af1ead1951ab0ff3fac3036bb8b5b5b1dce3bf265a86e65c3562b07133ea1",
+        "adams 0 --target h --format text":
+            "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d",
+        "adams 0 --target h --format latex":
+            "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d",
+        "adams 0 --target h --format json":
+            "816af1ead1951ab0ff3fac3036bb8b5b5b1dce3bf265a86e65c3562b07133ea1",
+        "adams 3 --target h --format text":
+            "4ee815584f48bddc20a56f657ee12648736132f5909f452d337ffd01292ade0c",
+        "adams 3 --target h --format latex":
+            "51d8def374e9331d698fce54c238f8332e47ba8f99377f984f7baf7bc973606f",
+        "adams 3 --target h --format json":
+            "2920c3844172b0cb7205ddcf1e9a2e865761dde39ef4bf86fbc2215a748c4dc7",
+        "adams 16 --target h --format text":
+            "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d",
+        "adams 16 --target h --format latex":
+            "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d",
+        "adams 16 --target h --format json":
+            "816af1ead1951ab0ff3fac3036bb8b5b5b1dce3bf265a86e65c3562b07133ea1",
+        "adams -7 --target eps --format text":
+            "b21997b86905bfde83a5d24c1efa0834d225c863756a996d6017c6fff42f17f0",
+        "adams -7 --target eps --format latex":
+            "d11698a1b7f33dfb07bccbebd4e3e1dae8c37505e1ff742a01383a15114c4461",
+        "adams -7 --target eps --format json":
+            "52e64e7f918069df3495142a039694f1c44c25cecd1a376b8c462227501fdf2a",
+        "adams -2 --target eps --format text":
+            "c7b4ea6821495a8eb0ebc912a385717bcbc0fde124e8f92195d96e25455db0af",
+        "adams -2 --target eps --format latex":
+            "c7b4ea6821495a8eb0ebc912a385717bcbc0fde124e8f92195d96e25455db0af",
+        "adams -2 --target eps --format json":
+            "ac8cb3a08012c2fca1425ee88b29de9397e8ad9b196b18a9c45ba21461c14ddd",
+        "adams 0 --target eps --format text":
+            "c7b4ea6821495a8eb0ebc912a385717bcbc0fde124e8f92195d96e25455db0af",
+        "adams 0 --target eps --format latex":
+            "c7b4ea6821495a8eb0ebc912a385717bcbc0fde124e8f92195d96e25455db0af",
+        "adams 0 --target eps --format json":
+            "ac8cb3a08012c2fca1425ee88b29de9397e8ad9b196b18a9c45ba21461c14ddd",
+        "adams 3 --target eps --format text":
+            "b21997b86905bfde83a5d24c1efa0834d225c863756a996d6017c6fff42f17f0",
+        "adams 3 --target eps --format latex":
+            "d11698a1b7f33dfb07bccbebd4e3e1dae8c37505e1ff742a01383a15114c4461",
+        "adams 3 --target eps --format json":
+            "52e64e7f918069df3495142a039694f1c44c25cecd1a376b8c462227501fdf2a",
+        "adams 16 --target eps --format text":
+            "c7b4ea6821495a8eb0ebc912a385717bcbc0fde124e8f92195d96e25455db0af",
+        "adams 16 --target eps --format latex":
+            "c7b4ea6821495a8eb0ebc912a385717bcbc0fde124e8f92195d96e25455db0af",
+        "adams 16 --target eps --format json":
+            "ac8cb3a08012c2fca1425ee88b29de9397e8ad9b196b18a9c45ba21461c14ddd",
+        "adams -7 --target gamma --format text":
+            "820b6a6076184b1a23c94547240cfef78144be4d35aeebeee65a0d9830d78e32",
+        "adams -7 --target gamma --format latex":
+            "f7c71ec2580af152872b4912aba3088a97ee28c59ab455f23e38753ba9049732",
+        "adams -7 --target gamma --format json":
+            "1c2deaae305e3b939c9c0207b0b9b08472b327212ebb64bb7c9e86fdee8264c2",
+        "adams -2 --target gamma --format text":
+            "3844f7b08bf4e74bf79604cb29fb2196e94c88f9d21da22757e03a30cc8eca32",
+        "adams -2 --target gamma --format latex":
+            "ad863614e7d5b37859f2a080315a46846be17465697817ad9d6af262e8af447b",
+        "adams -2 --target gamma --format json":
+            "41fe550f8d9016da2080b09310ff26888b2bcebc1e51ce4801c5fd160596f702",
+        "adams 0 --target gamma --format text":
+            "82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae",
+        "adams 0 --target gamma --format latex":
+            "82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae",
+        "adams 0 --target gamma --format json":
+            "8776fe83d8f160b319ee09e880af3b7534effd60949d88aef0fea150918d9c05",
+        "adams 3 --target gamma --format text":
+            "d9a777103bc7f0f3e686ad481aa04f6a38b1ee97fe82b60a16d04b3b8f7badaf",
+        "adams 3 --target gamma --format latex":
+            "d16da5332c4818382e6486949d2217e6040ad04dc2dcaed5c8714f59be99eab1",
+        "adams 3 --target gamma --format json":
+            "f987b9a12b6128ed47f4009804b2fd9809d8ca920da5691bddb76e9102062829",
+        "adams 16 --target gamma --format text":
+            "a12e78d3a9e544a14b2df2706d9df2100f60a6f00a93270a70975ba89d464ab2",
+        "adams 16 --target gamma --format latex":
+            "a703f310c707d9fd7810c7325e77a318f045025c36e5f617704cb0df925bb0eb",
+        "adams 16 --target gamma --format json":
+            "b6377cce61a55824595fd708faa63fb29feda1626f28d642b6ad8e9c28e21de8",
+        "adams -7 --target u --format text":
+            "5d40fee596a23f6a1ef6aca984dcb9bc7a96c731806a4c204f98f0b93f64aea8",
+        "adams -7 --target u --format latex":
+            "05109e10b088d4c64ace7dd192785d18ae819b4e39c4acbeae45fb73026afbed",
+        "adams -7 --target u --format json":
+            "21a93b8d4a1860341dee6e006228f843b1eff690ef670cd9ab1ddb8fbe351530",
+        "adams -2 --target u --format text":
+            "ec6dabde9993f0cca8b2ae433a7be469541ffc13d5f0ebc04bb74db894be4376",
+        "adams -2 --target u --format latex":
+            "95834072d43e460401201d46d8c66f460c2af23ab4da4b1f7afa60fed2419c4a",
+        "adams -2 --target u --format json":
+            "e55bdbf3038cd72b601e0bcd3de355e3d7e640041ce8dd811679fd78ff271c0b",
+        "adams 0 --target u --format text":
+            "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d",
+        "adams 0 --target u --format latex":
+            "409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d",
+        "adams 0 --target u --format json":
+            "8c1621d54186b467e3a8adcf68db70254920bb9e46b6f4ebba277756d4845ebd",
+        "adams 3 --target u --format text":
+            "92e6203c6aeb2eed79f1285caa63736694f3415e3e8a35ef1c7be48cde20f93a",
+        "adams 3 --target u --format latex":
+            "f418632b5755cbe2f03536717d9e9a1a21492276f0ce779f581bfa916b2e0b29",
+        "adams 3 --target u --format json":
+            "8288316967a0b91ce7456468721164003767a167068ae596b9ad505b3d20e57b",
+        "adams 16 --target u --format text":
+            "b4ffa8b4c28bb2de4492d5f16d88bab03dab94e4a4d6e35694188d3efefab19d",
+        "adams 16 --target u --format latex":
+            "f1009ffe3981a6164268fa67e0369254289263c75e14e4529f874d44af662e8d",
+        "adams 16 --target u --format json":
+            "6481f54a24e6d545c12231b8cd01033a576a0f3211cb32525c1849851465f748",
+        "adams -7 --target u-tau --format text":
+            "6d87e67b3ea25fed71134663a1690b222bece26450da26d9e5fc095a433d4eb6",
+        "adams -7 --target u-tau --format latex":
+            "366c5d02fc3e08b4c3e0a270e71c1f9e723532cdfa301ab43526f0f001fdc470",
+        "adams -7 --target u-tau --format json":
+            "b24d06394b4e1b4f58d310eb9a54e901faf4b20a5e647cc38a0b6b851138c6ec",
+        "adams -2 --target u-tau --format text":
+            "322c3c14fb9c4807c399cc3b595e75732155cfa8dc0348054752edf4ea00629f",
+        "adams -2 --target u-tau --format latex":
+            "eb68b59dc3092dd14d335bb60eb580a2e38527e821188c50dd52574ac05b6066",
+        "adams -2 --target u-tau --format json":
+            "6ddbfaa074efbe9ed64c830da111da37a1c8a1994a0d39bcf76fb7aa289bdf8a",
+        "adams 0 --target u-tau --format text":
+            "52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262",
+        "adams 0 --target u-tau --format latex":
+            "52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262",
+        "adams 0 --target u-tau --format json":
+            "08dee713c0d3f9a944d2cd483739231baefeb366069b78fd1fbfef21a6f90ce3",
+        "adams 3 --target u-tau --format text":
+            "c58a68ececc58f748da12a72d59d639176bec923fa0f220b2ceb7bf095a3de1f",
+        "adams 3 --target u-tau --format latex":
+            "537b3566bbec78e6297b18c3a1f012169227d332c4668bf43a01586eea9c1dd6",
+        "adams 3 --target u-tau --format json":
+            "d942d360bfbe6a167d64ec2aeb5dc71637ad469369322812e76341985165958c",
+        "adams 16 --target u-tau --format text":
+            "bdd722811c954dcc390833838c40f5d1ecd7b7830ad1bcb622c5fe966dbf74f4",
+        "adams 16 --target u-tau --format latex":
+            "3e3b96b90a4964abd8004dd919a877ae6bf919258dc560adc28e82b92084cfec",
+        "adams 16 --target u-tau --format json":
+            "6fceef172032c4820c659aec11d07f3203683ce67b413b59001617959c09994e",
+        "adams -7 --target K --format text":
+            "624867ec71a01890040e1f87350c74b4bb4568fdabff365d96fb77e9d4014d1d",
+        "adams -7 --target K --format latex":
+            "cc7c29a28fff25099eae833675fa39777b884e864e8a4110eaf209d32c3bf8ea",
+        "adams -7 --target K --format json":
+            "b19580ef925bad56773ce1e9668de92dd9ada9da49e01e583f1a16eba853efbb",
+        "adams -2 --target K --format text":
+            "9bb55107a0356cdd3cfd42d9b9a355397fb3776805c60a30eaeaabb765bbd81f",
+        "adams -2 --target K --format latex":
+            "0dfdb1cdb5b7c05ec623c129bc8cb9206be26daa8ffb0d79d2984b34f52a856b",
+        "adams -2 --target K --format json":
+            "99a12c80d8b69a8c33f9af4b8fd55f1a15a214292f76db3c6fefeb3f2cb47689",
+        "adams 0 --target K --format text":
+            "b9490968067ba44d92202e000cd93ac898897cd1744b8a89f02f0108d659b95a",
+        "adams 0 --target K --format latex":
+            "b9490968067ba44d92202e000cd93ac898897cd1744b8a89f02f0108d659b95a",
+        "adams 0 --target K --format json":
+            "7ad52a281b6101232e89a212167fe5d19f2b47ece09c2f94c9c939b24232d858",
+        "adams 3 --target K --format text":
+            "555725d4cefe0138e2bfddf4cd8259df85ccdf654129ce02505ffbb21510600f",
+        "adams 3 --target K --format latex":
+            "73529cb05d237f7384fe6f90df9d6d11be2b41f184c2c47e756edbe4e41372be",
+        "adams 3 --target K --format json":
+            "189b870c1617f7439d55514994095f7c516085baf990c33000a535de0d2b2311",
+        "adams 16 --target K --format text":
+            "f8dee12c49c5024cf5c97d4062fc6c628b4f56e45f986871686cf10f0d65743b",
+        "adams 16 --target K --format latex":
+            "129943b9ebd62cc524b3754717ac4f673dac7e032e452adf71ee10ba5a972214",
+        "adams 16 --target K --format json":
+            "701add65294e0538678c7c5979137c770c1c0086511f7c1b65a46c10f99d3a05",
+        "omega --table 24 --format text":
+            "5107d814aa817d157d5cddf5b222f1b7a86a4727983e763084dafd6dc89c493c",
+        "omega --table 24 --format latex":
+            "2c8ba0ffc6f5cd908334464aa910b601cf461d83fb27ffb14d2e3ac3962c3573",
+        "omega --table 24 --format json":
+            "f3c95b9b05fc510bd8c7130ffd20f6dfe79fbcbb1e6ae21274975261590883e2",
+        "ternary --theory gw --format text":
+            "f2d77f71e754a488011b1b66e9a3ffa28b49df7db30ef2e8ab59382b6a937dec",
+        "ternary --theory gw --class 3 --format text":
+            "4b5eb64fa3f685764fb7ddb9018de93f7a39a74ea5300de65e6c613f8c51ba73",
+        "ternary --theory gw --format latex":
+            "d8eb534859c4782ea3cdcff50bd445ce127035a0cfa617e126f7789a37fac1fe",
+        "ternary --theory gw --class 3 --format latex":
+            "f9ffa21d7618ab71f07bbbda3be69905116a78a910058a3a3e28e2d89cc4d431",
+        "ternary --theory gw --format json":
+            "574401345f80f7415562d28138b87d2ca0e016b22eb2418be7379d99f282a714",
+        "ternary --theory gw --class 3 --format json":
+            "3d6d53cb259a0764a098eb34bc8cbd1d31629679a90ab46d6bb131ce00b2033f",
+        "ternary --theory k --format text":
+            "04db1bbe023df1b3082fbee61739534cda66bf46aeaf9766aae6ec9efe8a6f35",
+        "ternary --theory k --class 3 --format text":
+            "5de1537fd55d642692d86ffe486de19b15007ebdc446171eaaa6f92a8f0bed09",
+        "ternary --theory k --format latex":
+            "8c84d9fba770114f61b49ff76721c5cdda144b4e822caadd459e20a678c3c6e2",
+        "ternary --theory k --class 3 --format latex":
+            "738ae9e7031a4b5e9f70f9a1c495319091f89fd1b61e722662e733c538a99f10",
+        "ternary --theory k --format json":
+            "4288746d8093828d13a11dde2fb8517eaa44dcf404eb6ea6bcac10c26803ae06",
+        "ternary --theory k --class 3 --format json":
+            "e430080406e5bf99ad2f5a36b4c04c585192703b8eb0a3ef9f0870083c2c7d52",
+        "ternary --theory witt --format text":
+            "fb63440aef4354e1f3619b7a7afb9864447cfc6baf942463533ea66994e94ab1",
+        "ternary --theory witt --class 3 --format text":
+            "9f119713ff31304302f1376f5bb7dbcb69db8d7b6e47d1742098404628fbfb7d",
+        "ternary --theory witt --format latex":
+            "7c824eb4a49f525f8110de583fe647c2edb97877495c2b67d02da7a16862e9d9",
+        "ternary --theory witt --class 3 --format latex":
+            "52cc551d1b0176de79a1c1058194a4855187f248b87c3cb0985dfe52412c7b63",
+        "ternary --theory witt --format json":
+            "50e43d0c8e8c3270e26eee1a5ff8f089ec4f118a1313a27225fc53c19787774b",
+        "ternary --theory witt --class 3 --format json":
+            "ec7e2981815ac335082d7dabca118579ee37279d057249add60986b8ccedb71c",
+    }
+
+    def test_golden(self, runner):
+        for call, want in self.GOLDEN.items():
+            r = run(runner, *[self.K if a == "K" else a for a in call.split()])
+            got = "%d\n%s" % (r.exit_code, r.output)
+            assert hashlib.sha256(got.encode()).hexdigest() == want, call
+
+
 class TestForm:
     def test_round_trip(self, runner, tmp_path):
         p = tmp_path / "f.json"

@@ -426,6 +426,23 @@ class TestJson:
         back = SymClass.from_json(x.to_json())
         assert back == x and back.quotient
 
+    def test_round_trip_many_components(self):
+        # one component per u-monomial (GW: per u-monomial and degree)
+        x = adams(7, u(1) * u(2) + scalar(GWElem.tau()) * u(2)
+                  - 3 * scalar(GWElem.gamma()))
+        uq = SymClass.gen("u1", gens=GENS, quotient=True)
+        vq = SymClass.gen("u2", gens=GENS, quotient=True)
+        for y in (x, x.specialize(KTH), adams(6, uq * vq + uq * uq)):
+            doc = y.to_obj()
+            assert len(doc["components"]) >= 4
+            back = SymClass.from_obj(doc)
+            assert back == y and back.quotient == y.quotient
+        # components with the same u_exps add up, and may cancel
+        doc = {"gens": list(GENS), "components": [
+            {"a": [1], "u_exps": [1, 0]}, {"a": [2], "u_exps": [1, 0]},
+            {"c": [1], "u_exps": [0, 1]}, {"c": [-1], "u_exps": [0, 1]}]}
+        assert SymClass.from_obj(doc) == 3 * u(1)
+
 
 class TestHyperbolicBattery:
     def test_counts_and_cells(self):
