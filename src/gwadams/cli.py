@@ -46,24 +46,26 @@ ADAMS_SIZE_MAX = 64 ** 3
 # n in `omega n` and `omega --table n`: `omega --table 96` takes 0.2 s
 # (0.4-0.5 s while psi^n of each generator ran the k - 1 step recurrence)
 OMEGA_MAX = 96
-# rank of the form printed by `form ext-power`, `sym-power` and `tensor`:
-# C(r, n), C(r+n-1, n) or r_a*r_b.  At or near the bound: ext-power of a
-# rank-10 form n = 4 (210) 0.71 s, rank-12 n = 3 (220) 0.48 s; sym-power
-# rank-7 n = 4 (210) 0.99 s, rank-10 n = 3 (220) 0.50 s; the slowest shape
-# inside it is sym-power rank-5 n = 5 (126) at 1.7 s, since a permanent
-# costs n!*n.  ext-power rank-10 n = 5 (252) takes 1.9 s.
+# rank of the form printed by `form ext-power`, `sym-power`, `tensor` and
+# `hyperbolic`: C(r, n), C(r+n-1, n), r_a*r_b or 2r.  At or near the bound:
+# ext-power of a rank-10 form n = 4 (210) 0.71 s, rank-12 n = 3 (220)
+# 0.48 s; sym-power rank-7 n = 4 (210) 0.99 s, rank-10 n = 3 (220) 0.50 s;
+# the slowest shape inside it is sym-power rank-5 n = 5 (126) at 1.7 s,
+# since a permanent costs n!*n.  ext-power rank-10 n = 5 (252) takes 1.9 s.
 FORM_RANK_MAX = 220
 # n in `form ext-power n`: each output entry is an n x n minor, so the
 # output rank alone does not bound the time (rank-20 n = 18 has output rank
 # 190 and takes 19.7 s); rank-10 n = 6 (210) takes 1.4 s.  sym-power needs
 # no such bound: n <= r and C(2n-1, n) > FORM_RANK_MAX for n > 5.
 FORM_MINOR_MAX = 6
-# rank of each form read by `form invariants` and `gw-equal`: symmetric
-# Gauss diagonalization costs rank^3 rational operations.  On seeded dense
-# integer forms B^T*D*B (B unit upper triangular with entries in -2..2, D
-# diagonal with entries in +-1..30) `invariants` takes 0.8-1.0 s at rank 64,
-# 1.1-1.3 s at rank 70 and 1.7-1.8 s at rank 80; `gw-equal` of two rank-64
-# forms takes 1.9-2.0 s.  Factoring the pivots is not bounded by the rank.
+# rank of each form read by `form invariants` and `gw-equal`: the symmetric
+# elimination costs rank^3 integer operations on minors of the scaled form.
+# On seeded dense integer forms B^T*D*B (B unit upper triangular with entries
+# in -2..2, D diagonal with entries in +-1..30) `invariants` takes 0.04 s in
+# process at rank 64, 0.05 s at rank 70 and 0.09 s at rank 80; cold, `form
+# invariants` of a rank-64 form takes 0.21-0.23 s and `gw-equal` of two
+# 0.28-0.29 s.  The limit stays at 64 because factoring the pivots is not
+# bounded by the rank.
 FORM_INPUT_RANK_MAX = 64
 # limits of `universal` whatever --max says:
 # P_12 0.4 s, P_13 0.9 s (0.6 s and 1.2 s while Newton's identities
@@ -325,6 +327,7 @@ def form_hyperbolic(r, delta):
     """Split (skew-)symmetric form of rank 2r."""
     if r < 1:
         raise click.UsageError("rank must be >= 1")
+    _check_form_rank(2 * r)
     click.echo(hyperbolic(r, delta).to_json())
 
 

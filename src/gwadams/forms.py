@@ -116,9 +116,11 @@ class GramForm:
 # ---------------------------------------------------------------------------
 # matrix helpers
 #
-# Determinants, minors, permanents and products run on integers: a rational
-# matrix is scaled once by the least common denominator of its entries and
-# Fractions are built only for the results.
+# Determinants, minors, permanents, products and the symmetric elimination
+# behind the invariants run on integers: a rational matrix is scaled once by
+# the least common denominator of its entries and Fractions are built only
+# for the results.  Determinants and the symmetric elimination share
+# Bareiss's step (p*x - a*y) // prev, whose division is exact.
 
 def _integral(m):
     """(integer rows, d) with d the least common denominator of the entries
@@ -371,36 +373,33 @@ def hilbert_symbol(a: int, b: int, place) -> int:
 
 
 def _diagonalize(f: GramForm) -> list:
-    """Diagonal entries of a congruent diagonal form (symmetric Gauss)."""
-    M = [list(row) for row in f.matrix]
-    n = len(M)
-    diag = []
-    for i in range(n):
-        if M[i][i] == 0:
-            for j in range(i + 1, n):
-                if M[j][j] != 0:
-                    M[i], M[j] = M[j], M[i]
-                    for row in M:
-                        row[i], row[j] = row[j], row[i]
-                    break
+    """Diagonal entries of a congruent diagonal form (symmetric Gauss).
+
+    The trailing block T runs on integers: with f scaled by d, T is prev
+    times the rational Schur complement, so every zero test and every pivot
+    T[0][0] / (prev*d) is that of the rational elimination."""
+    T, d = _integral(f.matrix)
+    prev, diag = 1, []
+    while T:
+        if not T[0][0]:
+            j = next((j for j in range(1, len(T)) if T[j][j]), None)
+            if j is not None:
+                T[0], T[j] = T[j], T[0]
+                for row in T:
+                    row[0], row[j] = row[j], row[0]
             else:
-                for j in range(i + 1, n):
-                    if M[i][j] != 0:
-                        # char != 2: add the j-th basis vector to the i-th
-                        M[i] = [a + b for a, b in zip(M[i], M[j])]
-                        for row in M:
-                            row[i] += row[j]
-                        break
-                else:
+                j = next((j for j, x in enumerate(T[0]) if x), None)
+                if j is None:
                     raise DegeneracyError("degenerate form")
-        pivot = M[i][i]
-        for j in range(i + 1, n):
-            c = M[i][j] / pivot
-            if c:
-                M[j] = [a - c * b for a, b in zip(M[j], M[i])]
-                for row in M:
-                    row[j] -= c * row[i]
-        diag.append(pivot)
+                # char != 2: add the j-th basis vector to the first
+                T[0] = [a + b for a, b in zip(T[0], T[j])]
+                for row in T:
+                    row[0] += row[j]
+        p, t = T[0][0], T[0][1:]
+        diag.append(Fraction(p, prev * d))
+        T = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], t)]
+             for row in T[1:]]
+        prev = p
     return diag
 
 
@@ -439,10 +438,14 @@ def _place_key(p):
 def invariants(f: GramForm) -> GWQInvariants:
     if f.sym != 1:
         raise TypeError("invariants require a symmetric form")
+    return _invariants(_diagonalize(f))
+
+
+def _invariants(pivots) -> GWQInvariants:
+    """The invariants of the diagonal form <pivots>, nonzero rationals."""
     # each pivot is factored once; the diagonalization is a congruence by a
     # matrix of determinant +-1, so det(f) is the product of the pivots and
     # its square class comes from theirs
-    pivots = _diagonalize(f)
     signs = [1 if d > 0 else -1 for d in pivots]
     primes = [_odd_primes(abs(d.numerator * d.denominator)) for d in pivots]
     diag = [s * prod(ps) for s, ps in zip(signs, primes)]
@@ -463,7 +466,7 @@ def invariants(f: GramForm) -> GWQInvariants:
         for a, b in zip(prefixes[1:], diag[1:]):
             s *= hilbert_symbol(a, b, v)
         hasse.append((v, s))
-    return GWQInvariants(f.rank, signature, disc, tuple(hasse))
+    return GWQInvariants(len(pivots), signature, disc, tuple(hasse))
 
 
 def gw_identity_check(lhs, rhs) -> bool:
@@ -479,18 +482,18 @@ def gw_identity_check(lhs, rhs) -> bool:
     for coeff, f in rhs:
         (right if coeff >= 0 else left).extend([f] * abs(coeff))
 
-    def assemble(forms):
+    def pivots(forms):
         diag = []
         for f in forms:
             if f.sym != 1:
                 raise TypeError("class comparison requires symmetric forms")
             diag.extend(_diagonalize(f))
-        return GramForm.diagonal(diag)
+        return diag
 
-    a, b = assemble(left), assemble(right)
-    if a.rank != b.rank:
+    a, b = pivots(left), pivots(right)
+    if len(a) != len(b):
         return False
-    return invariants(a).same_class(invariants(b))
+    return _invariants(a).same_class(_invariants(b))
 
 
 # ---------------------------------------------------------------------------

@@ -924,6 +924,15 @@ class TestForm:
         assert r.exit_code == 2
         assert "exceeds the limit %d" % M in r.output
 
+    def test_hyperbolic_bound(self, runner):
+        R = cli.FORM_RANK_MAX
+        r = run(runner, "form", "hyperbolic", str(R // 2))
+        assert r.exit_code == 0, r.output
+        assert GramForm.from_json(r.output).rank == R
+        r = run(runner, "form", "hyperbolic", str(R // 2 + 1), "--delta", "-")
+        assert r.exit_code == 2
+        assert "output rank %d exceeds the limit %d" % (R + 2, R) in r.output
+
     def test_input_rank_bound(self, runner, tmp_path):
         K = cli.FORM_INPUT_RANK_MAX
         inside, outside = tmp_path / "in.json", tmp_path / "out.json"

@@ -18,6 +18,69 @@ from gwadams.forms import (
 # -- reference oracles: the Fraction matrix kernel that forms.py used
 # before its integer kernel
 
+def fraction_diagonalize(f: GramForm, branches=None) -> list:
+    """Symmetric Gauss elimination on Fractions; the zero-pivot branches
+    taken ("swap", "add") are appended to branches when it is given."""
+    M = [list(row) for row in f.matrix]
+    n = len(M)
+    diag = []
+    for i in range(n):
+        if M[i][i] == 0:
+            for j in range(i + 1, n):
+                if M[j][j] != 0:
+                    M[i], M[j] = M[j], M[i]
+                    for row in M:
+                        row[i], row[j] = row[j], row[i]
+                    if branches is not None:
+                        branches.append("swap")
+                    break
+            else:
+                for j in range(i + 1, n):
+                    if M[i][j] != 0:
+                        # char != 2: add the j-th basis vector to the i-th
+                        M[i] = [a + b for a, b in zip(M[i], M[j])]
+                        for row in M:
+                            row[i] += row[j]
+                        if branches is not None:
+                            branches.append("add")
+                        break
+                else:
+                    raise DegeneracyError("degenerate form")
+        pivot = M[i][i]
+        for j in range(i + 1, n):
+            c = M[i][j] / pivot
+            if c:
+                M[j] = [a - c * b for a, b in zip(M[j], M[i])]
+                for row in M:
+                    row[j] -= c * row[i]
+        diag.append(pivot)
+    return diag
+
+
+def fraction_identity_check(lhs, rhs) -> bool:
+    """gw_identity_check as it was before it handed the pivots to the
+    invariants directly: the pivots of each side are wrapped in a diagonal
+    form and eliminated again."""
+    left, right = [], []
+    for coeff, f in lhs:
+        (left if coeff >= 0 else right).extend([f] * abs(coeff))
+    for coeff, f in rhs:
+        (right if coeff >= 0 else left).extend([f] * abs(coeff))
+
+    def assemble(forms):
+        diag = []
+        for f in forms:
+            if f.sym != 1:
+                raise TypeError("class comparison requires symmetric forms")
+            diag.extend(fraction_diagonalize(f))
+        return GramForm.diagonal(diag)
+
+    a, b = assemble(left), assemble(right)
+    if a.rank != b.rank:
+        return False
+    return invariants(a).same_class(invariants(b))
+
+
 def fraction_det(m) -> Fraction:
     n = len(m)
     m = [row[:] for row in m]
@@ -117,6 +180,14 @@ def rand_gram(rng, n: int, sym: int) -> GramForm:
             x = rand_entry(rng) if i != j or sym == 1 else Fraction(0)
             m[i][j], m[j][i] = x, sym * x
     return GramForm(m, sym)
+
+
+def rand_unimodular(rng, n: int):
+    """A row permutation of a unit upper triangular integer matrix."""
+    U = [[Fraction(int(i == j) if j <= i else rng.randint(-2, 2))
+          for j in range(n)] for i in range(n)]
+    perm = rng.sample(range(n), n)
+    return [U[k] for k in perm]
 
 
 class TestGramForm:
@@ -294,8 +365,12 @@ class TestIdentityCheck:
         assert gw_identity_check([(1, two), (-1, one)], [(1, one)])
 
     def test_rank_mismatch(self):
-        one = GramForm.diagonal([1])
-        assert not gw_identity_check([(1, one)], [(2, one)])
+        one, two = GramForm.diagonal([1]), GramForm.diagonal([1, 1])
+        for lhs, rhs in (([(1, one)], [(2, one)]),
+                         ([(1, two), (1, one)], [(-1, one), (1, two)]),
+                         ([(3, one), (-1, two)], [])):
+            assert not fraction_identity_check(lhs, rhs)
+            assert not gw_identity_check(lhs, rhs)
 
     def test_skew_rejected(self):
         with pytest.raises(TypeError):
@@ -419,6 +494,118 @@ class TestIntegerKernel:
                                       GramForm(small, sym).matrix)
             other = GramForm.diagonal([1] * (k + 1))
             assert not _congruent(J, big.matrix, other.matrix)
+
+
+class TestDiagonalizeOracle:
+    """The integer elimination returns the Fraction elimination's pivots
+    themselves, so the numbers factored for the invariants are unchanged."""
+
+    def test_random_forms(self):
+        rng = random.Random(908)
+        seen = []
+        for _ in range(1500):
+            f = rand_gram(rng, rng.randint(0, 7), 1)
+            if f.rank and rng.random() < 0.4:
+                # a zero diagonal forces the zero-pivot branches
+                f = GramForm([[0 if i == j else x for j, x in enumerate(row)]
+                              for i, row in enumerate(f.matrix)])
+            try:
+                want = fraction_diagonalize(f, seen)
+            except DegeneracyError:
+                with pytest.raises(DegeneracyError):
+                    _diagonalize(f)
+                continue
+            got = _diagonalize(f)
+            assert got == want, f
+            assert all(type(x) is Fraction for x in got)
+        assert {"swap", "add"} <= set(seen)
+
+    def test_degenerate(self):
+        rng = random.Random(909)
+        checked = 0
+        while checked < 300:
+            f = rand_gram(rng, rng.randint(1, 6), 1)
+            B = rand_matrix(rng, f.rank)
+            if f.rank > 1:
+                k = rng.randrange(1, f.rank)
+                B = [row[:k] + [row[0]] + row[k + 1:] for row in B]
+            else:
+                B = [[Fraction(0)]]
+            g = GramForm(fraction_mat_mul(
+                _transpose(B),
+                fraction_mat_mul([list(r) for r in f.matrix], B)))
+            assert fraction_det(g.matrix) == 0
+            checked += 1
+            with pytest.raises(DegeneracyError):
+                fraction_diagonalize(g)
+            with pytest.raises(DegeneracyError):
+                _diagonalize(g)
+
+    def test_planted_prime(self):
+        rng = random.Random(910)
+        for p in (100000000003, 100000000019, 700000000009):
+            for _ in range(20):
+                entries = [rng.choice((-1, 1)) * rng.randint(1, 30)
+                           * rng.choice((1, 4, Fraction(1, 9)))
+                           for _ in range(rng.randint(1, 6))]
+                entries[rng.randrange(len(entries))] *= rng.choice(
+                    (p, Fraction(1, p), Fraction(p, 3)))
+                f = GramForm.diagonal(entries)
+                assert _diagonalize(f) == fraction_diagonalize(f) == [
+                    Fraction(x) for x in entries]
+
+
+class TestIdentityCheckOracle:
+    def test_random_sums(self):
+        rng = random.Random(911)
+
+        def form():
+            while True:
+                f = rand_gram(rng, rng.randint(1, 3), 1)
+                if f.det() != 0:
+                    return f
+
+        outcomes = set()
+        for _ in range(400):
+            lhs = [(rng.randint(-2, 2), form())
+                   for _ in range(rng.randint(1, 3))]
+            kind = rng.random()
+            if kind < 0.4:
+                # the same class: terms moved across with negated
+                # coefficients and each form replaced by a congruent one
+                rhs = []
+                for c, f in lhs:
+                    B = rand_unimodular(rng, f.rank)
+                    g = GramForm(fraction_mat_mul(
+                        _transpose(B),
+                        fraction_mat_mul([list(r) for r in f.matrix], B)))
+                    rhs.append((c, g))
+                extra = form()
+                lhs.append((1, extra))
+                rhs.append((1, extra))
+                if rng.random() < 0.5:
+                    c, g = rhs.pop(0)
+                    lhs.append((-c, g))
+                    lhs.append((c, lhs[0][1]))
+            elif kind < 0.6:
+                rhs = [(c, scale(rng.choice((2, 3, -1)), f)) for c, f in lhs]
+            else:
+                rhs = [(rng.randint(-2, 2), form())
+                       for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.1:
+                skew = rand_gram(rng, rng.randint(1, 3), -1)
+                (lhs if rng.random() < 0.5 else rhs).append(
+                    (rng.choice((-1, 1)), skew))
+                with pytest.raises(TypeError):
+                    fraction_identity_check(lhs, rhs)
+                with pytest.raises(TypeError):
+                    gw_identity_check(lhs, rhs)
+                outcomes.add("skew")
+                continue
+            want = fraction_identity_check(lhs, rhs)
+            assert gw_identity_check(lhs, rhs) == want, (lhs, rhs)
+            outcomes.add(want)
+        assert outcomes == {True, False, "skew"}
 
 
 @st.composite
