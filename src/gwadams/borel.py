@@ -11,9 +11,9 @@ cross-checked against the lambda-engine by the report batteries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from . import gwring, symfunc
 from .gwring import GW, KTH, THEORIES, GWElem, SymClass, context_ring
@@ -25,21 +25,23 @@ from .report import VerificationReport, check
 # ---------------------------------------------------------------------------
 # omega(n)
 
-@dataclass(frozen=True)
-class OmegaClass:
-    """The multiplier of (u - tau) under psi^n, a degree 2n-2 element."""
-
+class _OmegaFields(NamedTuple):
     n: int
     value: GWElem
 
-    def __post_init__(self):
-        if self.n < 0:
+
+class OmegaClass(_OmegaFields):
+    """The multiplier of (u - tau) under psi^n, a degree 2n-2 element."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, value: GWElem):
+        if n < 0:
             raise ValueError("n must be >= 0")
-        if self.value.is_zero():
-            return
-        if self.value.degree() != 2 * self.n - 2:
+        if not value.is_zero() and value.degree() != 2 * n - 2:
             raise GradingError("omega(%d) must have degree %d, got %s"
-                               % (self.n, 2 * self.n - 2, self.value.degree()))
+                               % (n, 2 * n - 2, value.degree()))
+        return super().__new__(cls, n, value)
 
 
 _omega_memo = [GWElem.from_int(0), GWElem.from_int(1)]
@@ -305,8 +307,7 @@ def check_borel_prop() -> VerificationReport:
 _LAW_GENS = ("v1", "v2", "v3")
 
 
-@dataclass(frozen=True)
-class TernaryLaw:
+class TernaryLaw(NamedTuple):
     """F_index(v1, v2, v3): a symmetric, homogeneous class of degree
     2*index expressing a Borel class of a triple product."""
 

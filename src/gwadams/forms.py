@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, lcm, prod
 from operator import getitem, mul
+from typing import NamedTuple
 
 from .report import VerificationReport, check
 
@@ -403,8 +403,7 @@ def _diagonalize(f: GramForm) -> list:
     return diag
 
 
-@dataclass(frozen=True)
-class GWQInvariants:
+class GWQInvariants(NamedTuple):
     """Complete isometry invariants of a symmetric form over Q."""
 
     rank: int

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from math import prod
@@ -88,22 +87,36 @@ def normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
     return MultiPoly(ring, out)
 
 
-@dataclass(frozen=True, eq=False)   # a theory equals only itself
 class Theory:
-    name: str
-    base: tuple
-    weights: dict
-    twist: str          # unit variable implementing the determinant twist
-    det_power: int      # lambda^2 of a rank-2 generator is twist**det_power
-    rank_subs: dict
-    line: str | None = None   # base variable that is -(a line class): eps
-    rank2: tuple = ()         # base variables of rank 2 with determinant
-                              # twist**det_power: tau; where there is one,
-                              # normalize imposes the relations
-    dense_json: bool = False  # components in GWElem's dense JSON format
-    # ring maps: target theory name -> {base variable: (coeff, {target base
-    # variable: exponent})}, the monomial image of each base variable
-    maps: dict = field(default_factory=dict)
+    """A frozen record; a theory equals only itself.
+
+    twist: the unit variable implementing the determinant twist;
+    det_power: lambda^2 of a rank-2 generator is twist**det_power;
+    line: the base variable that is -(a line class): eps;
+    rank2: the base variables of rank 2 with determinant twist**det_power:
+        tau; where there is one, normalize imposes the relations;
+    dense_json: components in GWElem's dense JSON format;
+    maps: ring maps, target theory name -> {base variable: (coeff, {target
+        base variable: exponent})}, the monomial image of each base variable.
+    """
+
+    __slots__ = ("name", "base", "weights", "twist", "det_power",
+                 "rank_subs", "line", "rank2", "dense_json", "maps")
+
+    def __init__(self, name: str, base: tuple, weights: dict, twist: str,
+                 det_power: int, rank_subs: dict, line: str | None = None,
+                 rank2: tuple = (), dense_json: bool = False,
+                 maps: dict | None = None):
+        for field, value in zip(self.__slots__, (
+                name, base, weights, twist, det_power, rank_subs, line,
+                rank2, dense_json, {} if maps is None else maps)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a Theory" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of a Theory" % name)
 
     def base_ring(self) -> Ring:
         return Ring(self.base)

@@ -22,7 +22,6 @@ generator replaced by its image: psi^k(twist) = twist^k, psi^k(eps) =
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from . import symfunc
@@ -168,14 +167,21 @@ def psi_tau_closed(n: int) -> GWElem:
             * GWElem.gamma(n // 2))
 
 
-@dataclass
 class HyperbolicComparison:
-    n: int
-    i: int
-    engine: GWElem
-    closed: GWElem
-    match: bool
-    in_span: bool | None  # engine in Z*h_{2in}(1), only decided for odd n
+    __slots__ = ("n", "i", "engine", "closed", "match", "in_span")
+
+    def __init__(self, n: int, i: int, engine: GWElem, closed: GWElem,
+                 match: bool, in_span: bool | None):
+        self.n, self.i, self.engine, self.closed = n, i, engine, closed
+        self.match = match
+        # engine in Z*h_{2in}(1), only decided for odd n
+        self.in_span = in_span
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
 
 
 def adams_on_hyperbolic(n: int, i: int) -> HyperbolicComparison:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from typing import NamedTuple
 
 from . import __version__
 
@@ -14,8 +13,7 @@ FAIL = "fail"
 MISMATCH = "mismatch-documented"
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     lemma: str
     params: tuple
     status: str
@@ -43,20 +41,33 @@ def check(lemma: str, params: tuple, ok: bool, lhs="", rhs="", note="") -> Repor
                        str(lhs), str(rhs), note)
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    entries: list = field(default_factory=list)
-    version: str = __version__
-    timestamp: str | None = None
-    elapsed_s: dict | None = None   # suite -> wall-clock seconds
-    lemma_elapsed_s: dict | None = None     # suite -> lemma -> seconds
-    # lemma -> wall-clock seconds; each entry is charged the time since the
-    # previous entry (or since the report was made)
-    lemma_s: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-    _last: float = field(default_factory=time.perf_counter, init=False,
-                         repr=False, compare=False)
+    __slots__ = ("suite", "entries", "version", "timestamp", "elapsed_s",
+                 "lemma_elapsed_s", "lemma_s", "_last")
+
+    def __init__(self, suite: str, entries: list | None = None,
+                 version: str = __version__, timestamp: str | None = None,
+                 elapsed_s: dict | None = None,
+                 lemma_elapsed_s: dict | None = None):
+        self.suite = suite
+        self.entries = [] if entries is None else entries
+        self.version = version
+        self.timestamp = timestamp
+        self.elapsed_s = elapsed_s      # suite -> wall-clock seconds
+        self.lemma_elapsed_s = lemma_elapsed_s  # suite -> lemma -> seconds
+        # lemma -> wall-clock seconds; each entry is charged the time since
+        # the previous entry (or since the report was made).  Not compared.
+        self.lemma_s = {}
+        self._last = time.perf_counter()
+
+    def _compared(self) -> tuple:
+        return (self.suite, self.entries, self.version, self.timestamp,
+                self.elapsed_s, self.lemma_elapsed_s)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
 
     def add(self, entry: ReportEntry):
         now = time.perf_counter()
@@ -85,6 +96,7 @@ class VerificationReport:
 
     def stamp(self, elapsed_s: dict | None = None,
               lemma_elapsed_s: dict | None = None):
+        from datetime import datetime, timezone     # only --json pays for it
         self.timestamp = datetime.now(timezone.utc).isoformat()
         self.elapsed_s = elapsed_s
         self.lemma_elapsed_s = lemma_elapsed_s

@@ -10,13 +10,10 @@ import subprocess
 import sys
 import time
 
-from click.testing import CliRunner
-
 import gwadams
 from gwadams.borel import (
     check_borel_prop, check_omega_laws, check_ternary, omega_closed,
 )
-from gwadams.cli import main
 from gwadams.forms import check_section2_and_hyp
 from gwadams.gwring import GWElem, check_coefficient_identities
 from gwadams.lambdaring import (
@@ -110,14 +107,13 @@ def test_criterion_8_documented_hyperbolic_mismatches():
             assert e.status == "pass"
 
 
-def test_criterion_9_end_to_end_verify_all():
-    runner = CliRunner()
+def test_criterion_9_end_to_end_verify_all(runner):
     t0 = time.monotonic()
-    first = runner.invoke(main, ["verify", "all"])
+    first = runner("verify", "all")
     elapsed = time.monotonic() - t0
     assert first.exit_code == 0
     assert elapsed < 120
-    second = runner.invoke(main, ["verify", "all"])
+    second = runner("verify", "all")
     assert second.output == first.output
     assert hashlib.sha256(first.output.encode()).hexdigest() == (
         "3d034ef28e340c336f47eb0f9defc3481657589e613f613abfb94c3b617c6e8b")

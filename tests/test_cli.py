@@ -1,22 +1,19 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
-from click.testing import CliRunner
 
+import gwadams
 from gwadams import cli
-from gwadams.cli import main
 from gwadams.forms import GramForm
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
 def run(runner, *args):
-    return runner.invoke(main, list(args))
+    return runner(*args)
 
 
 class TestUniversal:
@@ -785,6 +782,19 @@ class TestForm:
         r = run(runner, "form", "gw-equal", str(a), str(b))
         assert r.exit_code == 1 and r.output == "not-equal\n"
 
+    def test_stdin(self, runner, tmp_path):
+        # `gwadams form hyperbolic 2 | gwadams form invariants -`
+        hyp = runner("form", "hyperbolic", "2").output
+        p = tmp_path / "hyp.json"
+        p.write_text(hyp)
+        r = runner("form", "invariants", "-", input=hyp)
+        assert r.exit_code == 0
+        assert r.output == runner("form", "invariants", str(p)).output
+        r = runner("form", "gw-equal", "-", str(p), input=hyp)
+        assert (r.exit_code, r.output) == (0, "equal\n")
+        r = runner("form", "invariants", "-", input="nope")
+        assert r.exit_code == 2 and "cannot read Gram form -" in r.output
+
     def test_parse_error(self, runner, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("nope")
@@ -1014,3 +1024,76 @@ class TestVerify:
         assert ra.output == rb.output
         assert a.read_text() == b.read_text()
         assert "timestamp" not in json.loads(a.read_text())
+
+
+SRC = os.path.dirname(os.path.dirname(gwadams.__file__))
+ROOT = os.path.dirname(SRC)
+
+
+def _python(*args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestEntryPoint:
+    def test_import_path(self):
+        # the CLI's cold start pays for no click, dataclasses or inspect, and
+        # loads every layer, so the benchmark tracer can wrap each of them
+        proc = _python("-c", "import sys; before = set(sys.modules); "
+                       "import gwadams.cli; "
+                       "print(' '.join(set(sys.modules) - before))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        for mod in ("click", "dataclasses", "inspect"):
+            assert not {m for m in loaded if m.split(".")[0] == mod}, mod
+        for layer in ("polyring", "gwring", "symfunc", "lambdaring", "borel",
+                      "forms"):
+            assert "gwadams." + layer in loaded, layer
+
+    def test_traced_call(self, tmp_path):
+        # perfbench/tracing.py runs a call as
+        # gwadams.cli.main.main(args=..., prog_name="gwadams")
+        trace = tmp_path / "t.json"
+        proc = _python("perfbench/tracing.py", str(trace), "cli", "omega",
+                       "4", cwd=ROOT)
+        assert (proc.returncode, proc.stdout) == (0, "8*tau*gamma\n"), \
+            proc.stderr
+        totals = json.loads(trace.read_text())["totals"]
+        assert totals["borel.omega"][0] > 0
+        assert totals["cli.render"][0] > 0
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(GramForm.diagonal([1, 1]).to_json())
+        b.write_text(GramForm.diagonal([3, 3]).to_json())
+        proc = _python("perfbench/tracing.py", str(trace), "cli", "form",
+                       "gw-equal", str(a), str(b), cwd=ROOT)
+        assert (proc.returncode, proc.stdout) == (1, "not-equal\n"), \
+            proc.stderr
+
+    def test_closed_pipe(self):
+        # `gwadams universal R 8 --max 8 | head -c 2`: the 257 KB of output
+        # overflow the pipe, so the write fails; exit 1, no traceback
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gwadams.cli", "universal", "R", "8",
+             "--max", "8"], env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(2) == b"X1"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    def test_version(self, runner):
+        assert runner("--version") == (0, "gwadams, version %s\n"
+                                       % gwadams.__version__)
+
+    def test_no_abbreviations(self, runner):
+        assert runner("omega", "4", "--format", "json").exit_code == 0
+        assert runner("omega", "4", "--form", "json").exit_code == 2
+        assert runner("verify", "omega", "--no-time").exit_code == 2
+
+    def test_options_between_indices(self, runner):
+        r = runner("universal", "Q", "--max", "9", "2", "4")
+        assert r.exit_code == 0
+        assert r == runner("universal", "Q", "2", "4", "--max", "9")
+        assert runner("universal", "Q", "2", "4").exit_code == 2

@@ -2,7 +2,7 @@
 somewhere in the package, its tests or its benchmark.  A reference is a
 name, an attribute, an import alias or a string constant (the benchmark
 wraps functions by their names).  Dunder methods are called by Python,
-and functions with a call decorator, such as the click commands, by the
+and functions with a call decorator, such as `@app.command("x")`, by the
 framework that decorator registers them with."""
 
 import ast

@@ -1,0 +1,82 @@
+"""The package's record classes: frozen records compare and hash by value,
+a Theory equals only itself, and the mutable records compare by value and
+are unhashable."""
+
+import pytest
+
+from gwadams.borel import OmegaClass, TernaryLaw, ternary_laws
+from gwadams.forms import GWQInvariants
+from gwadams.gwring import GW, GWElem, Theory
+from gwadams.lambdaring import adams_on_hyperbolic
+from gwadams.report import ReportEntry, VerificationReport, check
+
+LAW = ternary_laws("gw")[1]
+
+# (record, an equal record built anew, a record differing in one field,
+# that field)
+FROZEN = [
+    (ReportEntry("l", (1, 2), "pass"), check("l", (1, 2), True),
+     ReportEntry("l", (1, 2), "pass", note="n"), "note"),
+    (GWQInvariants(2, 0, -1, ((2, 1), ("inf", 1))),
+     GWQInvariants(2, 0, -1, ((2, 1), ("inf", 1))),
+     GWQInvariants(2, 0, -1, ((2, -1), ("inf", 1))), "hasse"),
+    (TernaryLaw(2, "gw", LAW.value), TernaryLaw(2, "gw", LAW.value),
+     TernaryLaw(2, "k", LAW.value), "theory"),
+    (OmegaClass(2, 2 * GWElem.tau()), OmegaClass(2, GWElem.tau() * 2),
+     OmegaClass(2, 4 * GWElem.tau()), "value"),
+]
+
+
+@pytest.mark.parametrize("rec, same, other, field", FROZEN,
+                         ids=[type(r[0]).__name__ for r in FROZEN])
+def test_frozen_by_value(rec, same, other, field):
+    assert rec == same and hash(rec) == hash(same)
+    assert rec != other
+    with pytest.raises(AttributeError):
+        setattr(rec, field, getattr(other, field))
+    assert {rec: 1}[same] == 1
+
+
+def test_defaults():
+    e = ReportEntry("l", (), "fail")
+    assert (e.lhs, e.rhs, e.note) == ("", "", "")
+    a, b = VerificationReport("s"), VerificationReport("s")
+    a.add(e)
+    assert b.entries == [] and a.entries == [e]
+    assert (a.version, a.timestamp, a.elapsed_s, a.lemma_elapsed_s) == (
+        b.version, None, None, None)
+
+
+def test_omega_degree_check():
+    with pytest.raises(ValueError):
+        OmegaClass(-1, GWElem.from_int(0))
+    assert OmegaClass(5, GWElem.from_int(0)).value.is_zero()
+
+
+def test_theory_identity():
+    twin = Theory(GW.name, GW.base, GW.weights, GW.twist, GW.det_power,
+                  GW.rank_subs, GW.line, GW.rank2, GW.dense_json, GW.maps)
+    assert twin != GW and GW == GW and {GW: 1}.get(twin) is None
+    assert Theory("t", (), {}, "x", 1, {}).maps == {}
+    with pytest.raises(AttributeError):
+        GW.name = "k"
+    with pytest.raises(AttributeError):
+        del GW.maps
+    assert GW.name == "gw"
+
+
+def test_mutable_by_value():
+    a, b = VerificationReport("s"), VerificationReport("s")
+    a.add(check("l", (), True))
+    b.add(check("l", (), True))
+    a.lemma_s["l"] = 99.0     # timings are not compared
+    assert a == b
+    b.stamp({})
+    assert a != b
+    c, d = adams_on_hyperbolic(3, 1), adams_on_hyperbolic(3, 1)
+    assert c == d and c.match
+    d.match = False
+    assert c != d
+    for rec in (a, c):
+        with pytest.raises(TypeError):
+            hash(rec)
