@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from functools import cache, partial
 from itertools import combinations, permutations
+from math import prod
 from typing import NamedTuple
 
 from . import gwring, symfunc
@@ -44,18 +45,14 @@ class OmegaClass(_OmegaFields):
         return super().__new__(cls, n, value)
 
 
-_omega_memo = [GWElem.from_int(0), GWElem.from_int(1)]
-
-
+@cache
 def omega_recursive(n: int) -> GWElem:
     """omega(n) = tau*omega(n-1) - gamma*omega(n-2) + psi^{n-1}(tau)."""
+    if n < 2:
+        return GWElem.from_int(n)
     tau, gamma = GWElem.tau(), GWElem.gamma()
-    while len(_omega_memo) <= n:
-        k = len(_omega_memo)
-        w = (tau * _omega_memo[k - 1] - gamma * _omega_memo[k - 2]
-             + adams(k - 1, tau))
-        _omega_memo.append(w)
-    return _omega_memo[n]
+    return (tau * omega_recursive(n - 1) - gamma * omega_recursive(n - 2)
+            + adams(n - 1, tau))
 
 
 def omega_closed(n: int) -> GWElem:
@@ -129,14 +126,14 @@ def borel_sum_classes(k: int, i: int) -> SymClass:
     gens = tuple("e%d" % j for j in range(1, k + 1))
     ring = context_ring(GW, gens)
     tau = ring.var("tau")
-    shifted = [ring.var(g) - tau for g in gens]
-    out = ring.zero()
-    for combo in combinations(shifted, i):
-        prod = ring.one()
-        for f in combo:
-            prod = prod * f
-        out = out + prod
-    return SymClass(out, GW, gens)
+    return SymClass(sigma(ring, [ring.var(g) - tau for g in gens], i),
+                    GW, gens)
+
+
+def sigma(ring: Ring, polys: list, i: int) -> MultiPoly:
+    """sigma_i(polys): the sum of the products of the i-element subsets."""
+    return sum((prod(combo, start=ring.one())
+                for combo in combinations(polys, i)), ring.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +172,14 @@ def triple_product_closed(i: int) -> SymClass:
     it carries gamma^{(6i-2D)/4}."""
     ring = _triple_ring()
     x, y, z = (ring.var(g) for g in _TRIPLE_GENS)
-    flat = symfunc.r_abc_closed(i, x, y, z)
-    gidx = [ring.index(g) for g in _TRIPLE_GENS]
-    ig = ring.index("gamma")
+    flat = SymClass(symfunc.r_abc_closed(i, x, y, z), GW, _TRIPLE_GENS)
     out = {}
-    for exps, c in flat.terms.items():
-        d = 6 * i - 2 * sum(exps[j] for j in gidx)
+    for ue, terms in flat.split_terms().items():
+        d = 6 * i - 2 * sum(ue)
         if d % 4:
             raise GradingError("twist restoration failed at i=%d" % i)
-        e = list(exps)
-        e[ig] += d // 4
-        out[tuple(e)] = c
+        for (e, t, g), c in terms.items():
+            out[(e, t, g + d // 4) + ue] = c
     return SymClass(MultiPoly(ring, out), GW, _TRIPLE_GENS)
 
 
@@ -249,15 +243,7 @@ def check_borel_prop() -> VerificationReport:
     s = {i: symfunc.elementary(4, i, R, ["x%d" % j for j in range(1, 5)])
          for i in range(1, 5)}
     shifted = [R.var("x%d" % j) - y for j in range(1, 5)]
-    shifted_sigma = {}
-    for i in range(1, 5):
-        acc = R.zero()
-        for combo in combinations(shifted, i):
-            prod = R.one()
-            for f in combo:
-                prod = prod * f
-            acc = acc + prod
-        shifted_sigma[i] = acc
+    shifted_sigma = {i: sigma(R, shifted, i) for i in range(1, 5)}
     sym_expected = {
         1: s[1] - 4 * y,
         2: s[2] - 3 * y * s[1] + 6 * y ** 2,
@@ -318,27 +304,14 @@ class TernaryLaw(NamedTuple):
     def orbit_decomposition(self):
         """[(base coefficient, descending exponent pattern), ...], the
         expansion over permutation-orbit sums of generator monomials."""
-        ring = self.value.poly.ring
-        gens = self.value.gens
-        gidx = [ring.index(g) for g in gens]
-        base = self.value.theory.base_ring()
-        groups: dict[tuple, dict] = {}
-        for exps, c in self.value.poly.terms.items():
-            ue = tuple(exps[i] for i in gidx)
-            key = tuple(sorted(ue, reverse=True))
-            bexps = tuple(e for i, e in enumerate(exps) if i not in gidx)
-            groups.setdefault(key, {}).setdefault(ue, {})[bexps] = c
+        groups = self.value.split_terms()
+        keys = {tuple(sorted(ue, reverse=True)) for ue in groups}
         out = []
-        for key in sorted(groups, key=lambda k: (sum(k),
-                                                 tuple(-e for e in k))):
-            members = {ue: MultiPoly(base, t)
-                       for ue, t in groups[key].items()}
-            orbit = set(permutations(key))
-            first = next(iter(members.values()))
-            if set(members) != orbit or any(p != first
-                                            for p in members.values()):
+        for key in sorted(keys, key=lambda k: (sum(k), tuple(-e for e in k))):
+            first = groups.get(key)
+            if any(groups.get(p) != first for p in permutations(key)):
                 raise ValueError("law is not symmetric in the generators")
-            out.append((first, key))
+            out.append((MultiPoly(self.value.theory.base_ring(), first), key))
         return out
 
     def _render(self, latex: bool) -> str:

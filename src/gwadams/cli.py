@@ -191,8 +191,7 @@ def cmd_adams(n, target, fmt):
             x = SymClass.from_json(target)
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError("cannot parse target: %s" % exc)
-    ring = x.poly.ring
-    k = sum(any(e[ring.index(g)] for e in x.poly.terms) for g in x.gens)
+    k = sum(map(any, zip(*x.split_terms())))   # generators occurring
     if abs(n) ** k > ADAMS_SIZE_MAX:
         raise UsageError(
             "|n|^k = %d^%d exceeds %d, k the number of generators in the "

@@ -13,7 +13,11 @@ is a normal-form element of theory.base_ring()[gens]; in quotient mode
 (only for a theory with tau) every generator also obeys (u - tau)^2 = 0.
 GWElem is a SymClass of theory GW with no generators, whose normal form
 is the canonical a(gamma) + b(gamma)*eps + c(gamma)*tau; it adds the
-coefficient-ring constructors and the dense JSON format of such elements.
+coefficient-ring constructors.  A class document is {"theory", "gens",
+"quotient", "components"} (a GWElem's only {"components"}), one component
+per generator monomial "u_exps" and, in GW, per degree: {"deg", "gmin",
+"a", "b", "c"} in GW, {"poly"} in K and Witt.  Only this module reads and
+writes it, straight from term dicts whose exponents end in the generators'.
 The ring maps between the theories (GW -> K, GW -> Witt) are data: each
 Theory lists the monomial image of every base variable per target, and
 SymClass.specialize applies it.
@@ -27,13 +31,12 @@ from functools import cache
 from itertools import product
 from math import prod
 
-from .polyring import GradingError, MultiPoly, Ring, read_bool, read_int
+from .polyring import (ContextError, GradingError, MultiPoly, Ring,
+                       negative_exponent, read_bool, read_int)
 from .report import VerificationReport, check
 
 COEFF_VARS = [("eps", False), ("tau", False), ("gamma", True)]
 COEFF_RING = Ring(COEFF_VARS)
-
-WEIGHTS = {"eps": 0, "tau": 2, "gamma": 4}
 
 
 def normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
@@ -122,7 +125,7 @@ class Theory:
         return Ring(self.base)
 
 
-GW = Theory("gw", tuple(COEFF_VARS), dict(WEIGHTS),
+GW = Theory("gw", tuple(COEFF_VARS), {"eps": 0, "tau": 2, "gamma": 4},
             "gamma", 1, {"eps": -1, "tau": 2, "gamma": 1},
             line="eps", rank2=("tau",), dense_json=True,
             maps={"k": {"eps": (-1, {}), "tau": (2, {"beta": 2}),
@@ -141,6 +144,57 @@ THEORIES = {t.name: t for t in (GW, KTH, WITT)}
 def context_ring(theory: Theory, gens: tuple) -> Ring:
     """theory.base_ring()[gens], one shared instance per context."""
     return Ring(list(theory.base) + [(g, False) for g in gens])
+
+
+def _codec(theory: Theory) -> tuple:
+    """(writer, reader): base terms -> components, component -> terms."""
+    return ((_write_dense, _read_dense) if theory.dense_json
+            else (_write_poly, _read_poly))
+
+
+def _write_dense(theory: Theory, terms: dict) -> list:
+    """One component per degree 2*tau + 4*gamma: a, b and c list the
+    coefficients of gamma^g, eps*gamma^g and tau*gamma^g from g = gmin."""
+    buckets: dict[int, dict] = {}
+    for (e, t, g), c in terms.items():
+        buckets.setdefault(2 * t + 4 * g, {})[2 if t else e, g] = c
+    components = []
+    for d, slots in sorted(buckets.items()):
+        gs = range(min(g for _, g in slots), max(g for _, g in slots) + 1)
+        comp = {"deg": d, "gmin": gs.start}
+        for s, key in enumerate("abc"):
+            comp[key] = [slots.get((s, g), 0) for g in gs]
+        components.append(comp)
+    return components
+
+
+def _read_dense(comp: dict, ring: Ring, ue: tuple, total: dict) -> None:
+    gmin = read_int(comp.get("gmin", 0), "gmin")
+    for key, head in (("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1))):
+        for k, coeff in enumerate(comp.get(key, [])):
+            total[head + (gmin + k,) + ue] += read_int(coeff, "a coefficient")
+
+
+def _write_poly(theory: Theory, terms: dict) -> list:
+    return [{"poly": MultiPoly(context_ring(theory, ()), terms).to_obj()}]
+
+
+def _read_poly(comp: dict, ring: Ring, ue: tuple, total: dict) -> None:
+    """comp's poly, its variables taken into ring by name as
+    MultiPoly.rename takes them, times the generator monomial ue."""
+    poly = MultiPoly.from_obj(comp["poly"])
+    names = poly.ring.names
+    for i, name in enumerate(names):
+        if name not in ring.names and any(e[i] for e in poly.terms):
+            raise ContextError("variable %r absent from target" % name)
+    pos = [(names.index(n), j) for j, n in enumerate(ring.names) if n in names]
+    for exps, c in poly.terms.items():
+        e = [0] * (ring.nvars - len(ue)) + list(ue)
+        for i, j in pos:
+            if exps[i] < 0 and not ring.laurent[j]:
+                raise negative_exponent(exps[i], ring)
+            e[j] += exps[i]
+        total[tuple(e)] += c
 
 
 class SymClass:
@@ -310,27 +364,20 @@ class SymClass:
                                  self.theory.name,
                                  " quotient" if self.quotient else "")
 
-    def to_obj(self) -> dict:
-        ring = self.poly.ring
-        gidx = [ring.index(g) for g in self.gens]
+    def split_terms(self) -> dict:
+        """u_exps -> {base exponents: coefficient}: each exponent tuple
+        split into its base slice and its trailing generator slice."""
+        nb = len(self.theory.base)
         groups: dict[tuple, dict] = {}
         for exps, c in self.poly.terms.items():
-            ue = tuple(exps[i] for i in gidx)
-            base = tuple(0 if i in gidx else e for i, e in enumerate(exps))
-            groups.setdefault(ue, {})[base] = c
-        components = []
-        for ue in sorted(groups):
-            if self.theory.dense_json:
-                base_elem = GWElem(MultiPoly(ring, groups[ue]).rename(
-                    COEFF_RING))
-                for comp in base_elem.to_obj()["components"]:
-                    comp["u_exps"] = list(ue)
-                    components.append(comp)
-            else:
-                poly = MultiPoly(ring, groups[ue]).rename(
-                    self.theory.base_ring())
-                components.append({"u_exps": list(ue),
-                                   "poly": poly.to_obj()})
+            groups.setdefault(exps[nb:], {})[exps[:nb]] = c
+        return groups
+
+    def to_obj(self) -> dict:
+        write = _codec(self.theory)[0]
+        components = [{**comp, "u_exps": list(ue)}
+                      for ue, terms in sorted(self.split_terms().items())
+                      for comp in write(self.theory, terms)]
         return {"theory": self.theory.name, "gens": list(self.gens),
                 "quotient": self.quotient, "components": components}
 
@@ -341,7 +388,11 @@ class SymClass:
     def from_obj(obj: dict) -> "SymClass":
         if not isinstance(obj, dict):
             raise ValueError("a class document must be a JSON object")
-        theory = THEORIES[obj.get("theory", "gw")]
+        name = obj.get("theory", "gw")
+        if not isinstance(name, str) or name not in THEORIES:
+            raise ValueError("unknown theory %r; the theories are %s"
+                             % (name, ", ".join(THEORIES)))
+        theory = THEORIES[name]
         gens = obj.get("gens", [])
         if (not isinstance(gens, list)
                 or not all(isinstance(g, str) for g in gens)):
@@ -349,23 +400,21 @@ class SymClass:
         gens = tuple(gens)
         quotient = read_bool(obj.get("quotient", False), "quotient")
         ring = context_ring(theory, gens)
-        total: dict = defaultdict(int)
-        if not isinstance(obj["components"], list):
+        components = obj.get("components")
+        if not isinstance(components, list):
             raise ValueError("components must be a list")
-        for comp in obj["components"]:
+        read = _codec(theory)[1]
+        total: dict = defaultdict(int)
+        for comp in components:
             if not isinstance(comp, dict):
                 raise ValueError("each component must be a JSON object")
             ue = comp.get("u_exps", [0] * len(gens))
             if (not isinstance(ue, list) or len(ue) != len(gens)
                     or not all(type(e) is int for e in ue)):
                 raise ValueError("u_exps must list one integer per generator")
-            umono = ring.monomial(1, dict(zip(gens, ue)))
-            if theory.dense_json:
-                base = GWElem.from_obj({"components": [comp]}).poly
-            else:
-                base = MultiPoly.from_obj(comp["poly"])
-            for e, c in (base.rename(ring) * umono).terms.items():
-                total[e] += c
+            if min(ue, default=0) < 0:
+                raise negative_exponent(next(e for e in ue if e < 0), ring)
+            read(comp, ring, tuple(ue), total)
         return SymClass(MultiPoly(ring, total), theory, gens, quotient)
 
     @classmethod
@@ -424,41 +473,15 @@ class GWElem(SymClass):
 
     # -- dense JSON ---------------------------------------------------------
 
-    def components(self) -> dict:
-        """Split into homogeneous components, degree -> GWElem."""
-        buckets: dict[int, dict] = {}
-        for exps, c in self.poly.terms.items():
-            d = sum(e * WEIGHTS[n] for e, n in zip(exps, COEFF_RING.names))
-            buckets.setdefault(d, {})[exps] = c
-        return {d: GWElem(MultiPoly(COEFF_RING, t))
-                for d, t in sorted(buckets.items())}
-
     def to_obj(self) -> dict:
-        comps = []
-        for d, part in self.components().items():
-            ab: dict[str, dict[int, int]] = {"a": {}, "b": {}, "c": {}}
-            for exps, coeff in part.poly.terms.items():
-                a, b, g = exps
-                which = "c" if b else ("b" if a else "a")
-                ab[which][g] = coeff
-            all_g = [g for slot in ab.values() for g in slot]
-            gmin = min(all_g) if all_g else 0
-            gmax = max(all_g) if all_g else 0
-            comp = {"deg": d, "gmin": gmin}
-            for key in ("a", "b", "c"):
-                comp[key] = [ab[key].get(g, 0) for g in range(gmin, gmax + 1)]
-            comps.append(comp)
-        return {"components": comps}
+        return {"components": _write_dense(GW, self.poly.terms)}
 
     @staticmethod
     def from_obj(obj: dict) -> "GWElem":
-        terms: dict = defaultdict(int)
+        total: dict = defaultdict(int)
         for comp in obj["components"]:
-            gmin = read_int(comp.get("gmin", 0), "gmin")
-            for key, (ea, eb) in (("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1))):
-                for k, coeff in enumerate(comp.get(key, [])):
-                    terms[ea, eb, gmin + k] += read_int(coeff, "a coefficient")
-        return GWElem(MultiPoly(COEFF_RING, terms))
+            _read_dense(comp, COEFF_RING, (), total)
+        return GWElem(MultiPoly(COEFF_RING, total))
 
 
 def check_coefficient_identities(i_bound: int = 4, mn_bound: int = 6,

@@ -57,6 +57,12 @@ def read_int(value, what: str, decimal_str: bool = False) -> int:
     raise ValueError("%s must be an integer, got %s" % (what, json.dumps(value)))
 
 
+def negative_exponent(e: int, ring: "Ring") -> ExponentError:
+    """The error for the exponent e < 0 on a non-Laurent variable of ring."""
+    return ExponentError("negative exponent %d on non-Laurent variable in %r"
+                         % (e, ring))
+
+
 def read_bool(value, what: str) -> bool:
     """A JSON boolean: true or false, not a number or a string."""
     if type(value) is bool:
@@ -149,9 +155,7 @@ class MultiPoly:
                 continue
             for e, laur in zip(exps, ring.laurent):
                 if e < 0 and not laur:
-                    raise ExponentError(
-                        "negative exponent %d on non-Laurent variable in %r"
-                        % (e, ring))
+                    raise negative_exponent(e, ring)
             clean[exps] = c
         self.ring = ring
         self.terms = clean

@@ -431,6 +431,17 @@ class TestAdams:
             assert r.exit_code == 2, doc
             assert "homogeneous" in r.output
 
+    def test_theory_and_components_named(self, runner):
+        # these leaked a KeyError or TypeError repr ('ko', 'components')
+        known = "; the theories are gw, k, witt"
+        for doc, msg in (
+                ('{"theory":"ko","components":[]}', "unknown theory 'ko'" + known),
+                ('{"theory":[],"components":[]}', "unknown theory []" + known),
+                ('{"theory":"gw"}', "components must be a list")):
+            r = run(runner, "adams", "2", "--target", doc)
+            assert r.exit_code == 2
+            assert "cannot parse target: %s\n" % msg in r.output
+
 
 class TestJsonShape:
     @pytest.mark.parametrize("args, out", [

@@ -241,11 +241,12 @@ class TestGrading:
             (GWElem.tau() + 1).rank()
 
     def test_components(self):
+        # the dense JSON format has one component per degree
         x = GWElem.tau() + 3 * GWElem.eps() + GWElem.gamma()
-        comps = x.components()
+        comps = {c["deg"]: c for c in x.to_obj()["components"]}
         assert sorted(comps) == [0, 2, 4]
-        assert comps[0] == 3 * GWElem.eps()
-        assert comps[2] == GWElem.tau()
+        assert GWElem.from_obj({"components": [comps[0]]}) == 3 * GWElem.eps()
+        assert GWElem.from_obj({"components": [comps[2]]}) == GWElem.tau()
 
 
 class TestJson:
