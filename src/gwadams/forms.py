@@ -4,6 +4,8 @@ Gram-matrix constructions (exterior, symmetric and tensor powers,
 hyperbolic forms), congruence witnesses for the exterior-power isometries,
 and comparison of classes in GW(Q) through the classical complete
 invariant set (rank, signature, discriminant square class, Hasse symbols).
+A form is integer rows over one denominator; Fractions appear only at
+input and output.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 from operator import getitem, mul
 from typing import NamedTuple
 
@@ -27,12 +29,13 @@ class WitnessError(ValueError):
     pass
 
 
-def _frac(x) -> Fraction:
-    """An exact rational from an int, a Fraction or a string such as "3/4";
-    floats, booleans and zero denominators are refused."""
-    if isinstance(x, Fraction):
+def _frac(x):
+    """An exact rational, an int or a Fraction, from an int, a Fraction or a
+    string such as "3/4"; floats, booleans and zero denominators are
+    refused."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    if isinstance(x, str):
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -41,9 +44,11 @@ def _frac(x) -> Fraction:
 
 
 class GramForm:
-    """Square rational Gram matrix with symmetry type +1 or -1."""
+    """Square rational Gram matrix with symmetry type +1 or -1, held as
+    integer rows over one positive denominator in lowest terms: the Gram
+    matrix is rows / den."""
 
-    __slots__ = ("matrix", "sym")
+    __slots__ = ("rows", "den", "sym")
 
     def __init__(self, matrix, sym: int = 1):
         if sym not in (1, -1):
@@ -51,43 +56,42 @@ class GramForm:
         if not isinstance(matrix, (list, tuple)) or not all(
                 isinstance(row, (list, tuple)) for row in matrix):
             raise ValueError("matrix must be a list of rows")
-        rows = tuple(tuple(_frac(x) for x in row) for row in matrix)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        m = [[_frac(x) for x in row] for row in matrix]
+        if any(len(r) != len(m) for r in m):
             raise ValueError("matrix must be square")
-        for i, row in enumerate(rows):
-            for j in range(i, n):
-                x = row[j]
-                if rows[j][i] != (x if sym == 1 else -x):
-                    raise ValueError("matrix is not %s-symmetric" % sym)
-        self.matrix = rows
-        self.sym = sym
+        f = _gram(*_integral(m), sym)
+        self.rows, self.den, self.sym = f.rows, f.den, f.sym
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def diagonal(entries) -> "GramForm":
-        es = [_frac(e) for e in entries]
-        n = len(es)
-        return GramForm([[es[i] if i == j else 0 for j in range(n)]
-                         for i in range(n)], 1)
+        es = list(entries)
+        return GramForm([[e if i == j else 0 for j in range(len(es))]
+                         for i, e in enumerate(es)], 1)
 
     @property
     def rank(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
+
+    @property
+    def matrix(self) -> tuple:
+        """The Gram matrix as Fractions, for input and output."""
+        return tuple(tuple(Fraction(x, self.den) for x in row)
+                     for row in self.rows)
 
     def det(self) -> Fraction:
-        return _det([list(r) for r in self.matrix])
+        return Fraction(_int_det(list(self.rows)), self.den ** self.rank)
 
     def is_nondegenerate(self) -> bool:
-        return self.det() != 0
+        return _int_det(list(self.rows)) != 0
 
     def __eq__(self, other):
         return (isinstance(other, GramForm) and self.sym == other.sym
-                and self.matrix == other.matrix)
+                and self.den == other.den and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.sym, self.matrix))
+        return hash((self.sym, self.den, self.rows))
 
     def __repr__(self):
         kind = "symmetric" if self.sym == 1 else "skew"
@@ -113,18 +117,34 @@ class GramForm:
         return GramForm.from_obj(json.loads(s))
 
 
+def _gram(rows, den: int, sym: int) -> GramForm:
+    """The form rows / den for square integer rows and a positive den,
+    reduced to lowest terms; ValueError unless rows is sym-symmetric."""
+    g = gcd(den, *(x for row in rows for x in row))
+    rows = tuple(tuple(x // g for x in row) if g > 1 else tuple(row)
+                 for row in rows)
+    if tuple(zip(*rows)) != (rows if sym == 1 else tuple(
+            tuple(-x for x in row) for row in rows)):
+        raise ValueError("matrix is not %s-symmetric" % sym)
+    f = GramForm.__new__(GramForm)
+    f.rows, f.den, f.sym = rows, den // g, sym
+    return f
+
+
 # ---------------------------------------------------------------------------
 # matrix helpers
 #
-# Determinants, minors, permanents, products and the symmetric elimination
-# behind the invariants run on integers: a rational matrix is scaled once by
-# the least common denominator of its entries and Fractions are built only
-# for the results.  Determinants and the symmetric elimination share
-# Bareiss's step (p*x - a*y) // prev, whose division is exact.
+# A form is integer rows over one denominator, so determinants, minors,
+# permanents, products and the symmetric elimination behind the invariants
+# run on integers; Fractions appear only at input and output.  A rational
+# matrix from outside (a constructor's input, a congruence witness or base
+# change B) is scaled once by the least common denominator of its entries.
+# Determinants and the symmetric elimination share Bareiss's step
+# (p*x - a*y) // prev, whose division is exact.
 
 def _integral(m):
     """(integer rows, d) with d the least common denominator of the entries
-    of m, so that m = rows / d."""
+    of m, so that m = rows / d; the rows and d have no common factor."""
     d = lcm(*(x.denominator for row in m for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 
@@ -158,22 +178,13 @@ def _int_permanent(m) -> int:
                for perm in permutations(range(len(m))))
 
 
-def _det(m) -> Fraction:
-    mi, d = _integral(m)
-    return Fraction(_int_det(mi), d ** len(m))
-
-
-def _minors(M, subsets, n: int, fn):
+def _minors(M, subsets, fn):
     """[[fn(M[S][T]) for T in subsets] for S in subsets] for an integer
-    function fn of n x n matrices that is homogeneous of degree n in the
-    entries (determinant, permanent); M is scaled to integers once."""
-    Mi, d = _integral(M)
-    den = d ** n
+    matrix M and an integer function fn of square matrices."""
     out = []
     for S in subsets:
-        rows = [Mi[i] for i in S]
-        out.append([Fraction(fn([[r[j] for j in T] for r in rows]), den)
-                    for T in subsets])
+        rows = [M[i] for i in S]
+        out.append([fn([[r[j] for j in T] for r in rows]) for T in subsets])
     return out
 
 
@@ -182,50 +193,15 @@ def _int_mul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _mat_mul(a, b):
-    ai, da = _integral(a)
-    bi, db = _integral(b)
-    d = da * db
-    return [[Fraction(x, d) for x in row] for row in _int_mul(ai, bi)]
-
-
 def _transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def _mat_inv(a):
-    n = len(a)
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for i in range(n):
-        pivot = None
-        for r in range(i, n):
-            if m[r][i] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise WitnessError("singular matrix")
-        m[i], m[pivot] = m[pivot], m[i]
-        inv = 1 / m[i][i]
-        m[i] = [x * inv for x in m[i]]
-        for r in range(n):
-            if r != i and m[r][i]:
-                c = m[r][i]
-                m[r] = [x - c * y for x, y in zip(m[r], m[i])]
-    return [row[n:] for row in m]
-
-
-def _congruent(B, F, G) -> bool:
-    """B^T * F * B == G for rational matrices, in integers: with B = Bi/dB,
-    F = Fi/dF and G = Gi/dG this is Bi^T * Fi * Bi * dG == Gi * dB^2 * dF.
-    Different shapes compare unequal."""
-    Bi, dB = _integral(B)
-    Fi, dF = _integral(F)
-    Gi, dG = _integral(G)
-    got = _int_mul(_transpose(Bi), _int_mul(Fi, Bi))
-    s = dB * dB * dF
-    return ([[x * dG for x in row] for row in got]
-            == [[y * s for y in row] for row in Gi])
+def _base_change(Bi, d: int, f: GramForm) -> GramForm:
+    """The form B^T * Gram(f) * B for the possibly rectangular B = Bi / d,
+    Bi an integer matrix."""
+    return _gram(_int_mul(_transpose(Bi), _int_mul(f.rows, Bi)),
+                 d * d * f.den, f.sym)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +212,7 @@ def ext_power(f: GramForm, n: int) -> GramForm:
     if not 0 <= n <= f.rank:
         raise IndexError("n out of range")
     basis = list(combinations(range(f.rank), n))
-    return GramForm(_minors(f.matrix, basis, n, _int_det), f.sym ** n)
+    return _gram(_minors(f.rows, basis, _int_det), f.den ** n, f.sym ** n)
 
 
 def sym_power(f: GramForm, n: int) -> GramForm:
@@ -245,40 +221,45 @@ def sym_power(f: GramForm, n: int) -> GramForm:
     if not 0 <= n <= f.rank:
         raise IndexError("n out of range")
     basis = list(combinations_with_replacement(range(f.rank), n))
-    return GramForm(_minors(f.matrix, basis, n, _int_permanent), f.sym ** n)
+    return _gram(_minors(f.rows, basis, _int_permanent), f.den ** n,
+                 f.sym ** n)
 
 
 def tensor(f: GramForm, g: GramForm) -> GramForm:
-    rows = []
-    for i in range(f.rank):
-        for k in range(g.rank):
-            rows.append([f.matrix[i][j] * g.matrix[k][l]
-                         for j in range(f.rank) for l in range(g.rank)])
-    return GramForm(rows, f.sym * g.sym)
+    return _gram([[x * y for x in fr for y in gr]
+                  for fr in f.rows for gr in g.rows],
+                 f.den * g.den, f.sym * g.sym)
 
 
 def direct_sum(f: GramForm, g: GramForm) -> GramForm:
     if f.sym != g.sym:
         raise TypeError("direct sum requires equal symmetry types")
-    n, m = f.rank, g.rank
-    rows = [[f.matrix[i][j] if j < n else Fraction(0) for j in range(n + m)]
-            for i in range(n)]
-    rows += [[g.matrix[i - n][j - n] if j >= n else Fraction(0)
-              for j in range(n + m)] for i in range(n, n + m)]
-    return GramForm(rows, f.sym)
+    d = lcm(f.den, g.den)
+    a, b = d // f.den, d // g.den
+    rows = [[a * x for x in row] + [0] * g.rank for row in f.rows]
+    rows += [[0] * f.rank + [b * x for x in row] for row in g.rows]
+    return _gram(rows, d, f.sym)
 
 
 def scale(a, f: GramForm) -> GramForm:
     a = _frac(a)
     if a == 0:
         raise ValueError("scale factor must be nonzero")
-    return GramForm([[a * x for x in row] for row in f.matrix], f.sym)
+    return _gram([[a.numerator * x for x in row] for row in f.rows],
+                 a.denominator * f.den, f.sym)
 
 
 def dual(f: GramForm) -> GramForm:
-    if not f.is_nondegenerate():
+    """The form (F^-1)^T: for F = rows / den it is den * cof(rows) / det(rows),
+    cof the matrix of cofactors."""
+    D = _int_det(list(f.rows))
+    if not D:
         raise DegeneracyError("dual of a degenerate form")
-    return GramForm(_transpose(_mat_inv([list(r) for r in f.matrix])), f.sym)
+    s = f.den if D > 0 else -f.den
+    cof = [[(-1) ** (i + j) * s * _int_det(
+        [r[:j] + r[j + 1:] for k, r in enumerate(f.rows) if k != i])
+        for j in range(f.rank)] for i in range(f.rank)]
+    return _gram(cof, abs(D), f.sym)
 
 
 def hyperbolic(r: int, delta: str = "+") -> GramForm:
@@ -288,12 +269,8 @@ def hyperbolic(r: int, delta: str = "+") -> GramForm:
     if delta not in ("+", "-"):
         raise ValueError("delta must be '+' or '-'")
     s = 1 if delta == "+" else -1
-    n = 2 * r
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(r):
-        rows[i][r + i] = Fraction(1)
-        rows[r + i][i] = Fraction(s)
-    return GramForm(rows, s)
+    return _gram([[(j == i + r) + s * (i == j + r) for j in range(2 * r)]
+                  for i in range(2 * r)], 1, s)
 
 
 def check_congruence(B, f: GramForm, g: GramForm) -> bool:
@@ -303,30 +280,90 @@ def check_congruence(B, f: GramForm, g: GramForm) -> bool:
         raise ValueError("witness dimensions do not match")
     if f.rank != g.rank:
         return False
-    if f.rank and _det(B) == 0:
+    Bi, d = _integral(B)
+    if not _int_det(Bi):
         raise WitnessError("singular congruence witness")
-    return _congruent(B, f.matrix, g.matrix)
+    h = _base_change(Bi, d, f)
+    return (h.den, h.rows) == (g.den, g.rows)
 
 
 # ---------------------------------------------------------------------------
 # invariants over Q
 
+# Trial division to TRIAL_DIVISION_MAX (0.1 s) factors every number below
+# 4*10^12; a larger cofactor is tested by Miller-Rabin, exact below
+# MR_CERTAIN, and split by Pollard's rho within RHO_STEPS steps (0.1-0.4 s).
+TRIAL_DIVISION_MAX = 2 * 10 ** 6
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_CERTAIN = 3317044064679887385961981
+RHO_STEPS = 1 << 17
+
+
 def _odd_primes(n: int) -> list:
-    """The primes dividing the positive integer n to an odd power, ascending
-    (trial division)."""
+    """The primes dividing the positive integer n to an odd power, ascending;
+    ValueError if n cannot be factored within the bounds above."""
     out = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2:
-            out.append(d)
+    d, limit = 2, min(isqrt(n), TRIAL_DIVISION_MAX)
+    while d <= limit:
+        if not n % d:
+            e = 0
+            while not n % d:
+                n //= d
+                e += 1
+            if e % 2:
+                out.append(d)
+            limit = min(isqrt(n), TRIAL_DIVISION_MAX)
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    if d * d > n:   # n is 1 or a prime
+        return out + [n] if n > 1 else out
+    odd, rest = set(), [n]
+    while rest:     # numbers with no prime factor up to TRIAL_DIVISION_MAX
+        m = rest.pop()
+        if _is_prime(m):
+            odd ^= {m}
+        else:
+            p = _rho(m)
+            rest += [p, m // p]
+    return out + sorted(odd)
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin to the bases MR_BASES for an odd m > 41; ValueError for
+    a probable prime from MR_CERTAIN on, where the bases do not decide."""
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    for a in MR_BASES:
+        x = pow(a, (m - 1) >> s, m)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == m - 1:
+                break
+            x = x * x % m
+        else:
+            return False
+    if m >= MR_CERTAIN:
+        raise ValueError("cannot factor %d: a probable prime above %d"
+                         % (m, MR_CERTAIN))
+    return True
+
+
+def _rho(m: int) -> int:
+    """A proper factor of the composite m by Pollard's rho with Floyd's
+    cycle finding, the constant c raised whenever a cycle yields m."""
+    steps = c = 0
+    while steps < RHO_STEPS:
+        x = y = 2
+        c, g = c + 1, 1
+        while g == 1 and steps < RHO_STEPS:
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            g = gcd(x - y, m)
+            steps += 1
+        if 1 < g < m:
+            return g
+    raise ValueError("cannot factor %d: no factor in %d steps of Pollard's "
+                     "rho" % (m, RHO_STEPS))
 
 
 def squarefree(a) -> int:
@@ -373,12 +410,13 @@ def hilbert_symbol(a: int, b: int, place) -> int:
 
 
 def _diagonalize(f: GramForm) -> list:
-    """Diagonal entries of a congruent diagonal form (symmetric Gauss).
+    """Diagonal entries of a congruent diagonal form (symmetric Gauss), each
+    a pair (numerator, denominator > 0) in lowest terms.
 
-    The trailing block T runs on integers: with f scaled by d, T is prev
-    times the rational Schur complement, so every zero test and every pivot
-    T[0][0] / (prev*d) is that of the rational elimination."""
-    T, d = _integral(f.matrix)
+    The trailing block T runs on integers: with f = rows / d, T is prev
+    times the rational Schur complement of rows, so every zero test and
+    every pivot T[0][0] / (prev*d) is that of the rational elimination."""
+    T, d = [list(r) for r in f.rows], f.den
     prev, diag = 1, []
     while T:
         if not T[0][0]:
@@ -396,7 +434,9 @@ def _diagonalize(f: GramForm) -> list:
                 for row in T:
                     row[0] += row[j]
         p, t = T[0][0], T[0][1:]
-        diag.append(Fraction(p, prev * d))
+        q = prev * d
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        diag.append((p // g, q // g))
         T = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], t)]
              for row in T[1:]]
         prev = p
@@ -441,12 +481,13 @@ def invariants(f: GramForm) -> GWQInvariants:
 
 
 def _invariants(pivots) -> GWQInvariants:
-    """The invariants of the diagonal form <pivots>, nonzero rationals."""
+    """The invariants of the diagonal form <pivots>, nonzero rationals as
+    (numerator, denominator) pairs."""
     # each pivot is factored once; the diagonalization is a congruence by a
     # matrix of determinant +-1, so det(f) is the product of the pivots and
     # its square class comes from theirs
-    signs = [1 if d > 0 else -1 for d in pivots]
-    primes = [_odd_primes(abs(d.numerator * d.denominator)) for d in pivots]
+    signs = [1 if n > 0 else -1 for n, _ in pivots]
+    primes = [_odd_primes(abs(n * d)) for n, d in pivots]
     diag = [s * prod(ps) for s, ps in zip(signs, primes)]
     signature = sum(signs)
     # the Hilbert symbol is bimultiplicative and sees only square classes,
@@ -579,22 +620,21 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
     samples = [("diag(1,-1)", GramForm.diagonal([1, -1])),
                ("symplectic", symplectic_plane())]
     for name, V in samples:
-        M = V.matrix
         r = V.rank
         t2 = tensor(V, V)
         ext_basis = list(combinations(range(r), 2))
-        J_ext = [[Fraction(0)] * len(ext_basis) for _ in range(r * r)]
+        J_ext = [[0] * len(ext_basis) for _ in range(r * r)]
         for col, (i, j) in enumerate(ext_basis):
-            J_ext[i * r + j][col] = Fraction(1)
-            J_ext[j * r + i][col] = Fraction(-1)
-        ok = _congruent(J_ext, t2.matrix, scale(2, ext_power(V, 2)).matrix)
+            J_ext[i * r + j][col] = 1
+            J_ext[j * r + i][col] = -1
+        ok = _base_change(J_ext, 1, t2) == scale(2, ext_power(V, 2))
         rep.add(check("pm_symlambda", (name, "ext"), ok))
         sym_basis = list(combinations_with_replacement(range(r), 2))
-        J_sym = [[Fraction(0)] * len(sym_basis) for _ in range(r * r)]
+        J_sym = [[0] * len(sym_basis) for _ in range(r * r)]
         for col, (i, j) in enumerate(sym_basis):
-            J_sym[i * r + j][col] += Fraction(1)
-            J_sym[j * r + i][col] += Fraction(1)
-        ok = _congruent(J_sym, t2.matrix, scale(2, sym_power(V, 2)).matrix)
+            J_sym[i * r + j][col] += 1
+            J_sym[j * r + i][col] += 1
+        ok = _base_change(J_sym, 1, t2) == scale(2, sym_power(V, 2))
         rep.add(check("pm_symlambda", (name, "sym"), ok))
         B = [row_s + row_e for row_s, row_e in
              zip(J_sym, J_ext)]
@@ -673,8 +713,7 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
     for k in range(functorial_count):
         f = _random_form(rng)
         B = _random_invertible(rng, f.rank)
-        g = GramForm(_mat_mul(_transpose(B),
-                              _mat_mul([list(r) for r in f.matrix], B)), f.sym)
+        g = _base_change(B, 1, f)
         n = rng.randrange(1, min(3, f.rank) + 1)
         ok = check_congruence(ext_matrix(B, n), ext_power(f, n),
                               ext_power(g, n))
@@ -686,22 +725,20 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
 
 def ext_matrix(B, n: int):
     """n-th exterior power (compound matrix) of a square matrix."""
-    B = [[_frac(x) for x in row] for row in B]
-    return _minors(B, list(combinations(range(len(B)), n)), n, _int_det)
+    Bi, d = _integral([[_frac(x) for x in row] for row in B])
+    minors = _minors(Bi, list(combinations(range(len(B)), n)), _int_det)
+    return [[Fraction(x, d ** n) for x in row] for row in minors]
 
 
 def _random_symplectic(rng) -> GramForm:
-    B = _random_invertible(rng, 2)
-    M = _mat_mul(_transpose(B),
-                 _mat_mul([list(r) for r in symplectic_plane().matrix], B))
-    return GramForm(M, -1)
+    return _base_change(_random_invertible(rng, 2), 1, symplectic_plane())
 
 
 def _random_invertible(rng, n: int):
+    """An invertible integer n x n matrix with entries in -4..4."""
     while True:
-        B = [[Fraction(rng.randrange(-4, 5)) for _ in range(n)]
-             for _ in range(n)]
-        if _det(B) != 0:
+        B = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        if _int_det(B):
             return B
 
 
@@ -715,7 +752,5 @@ def _random_form(rng) -> GramForm:
     f = symplectic_plane()
     for _ in range(r - 1):
         f = direct_sum(f, symplectic_plane())
-    B = _random_invertible(rng, 2 * r)
-    M = _mat_mul(_transpose(B), _mat_mul([list(x) for x in f.matrix], B))
-    return GramForm(M, -1)
+    return _base_change(_random_invertible(rng, 2 * r), 1, f)
 

@@ -32,7 +32,7 @@ from itertools import product
 from math import prod
 
 from .polyring import (ContextError, GradingError, MultiPoly, Ring,
-                       negative_exponent, read_bool, read_int)
+                       negative_exponent, read_bool, read_int, read_list)
 from .report import VerificationReport, check
 
 COEFF_VARS = [("eps", False), ("tau", False), ("gamma", True)]
@@ -171,7 +171,7 @@ def _write_dense(theory: Theory, terms: dict) -> list:
 def _read_dense(comp: dict, ring: Ring, ue: tuple, total: dict) -> None:
     gmin = read_int(comp.get("gmin", 0), "gmin")
     for key, head in (("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1))):
-        for k, coeff in enumerate(comp.get(key, [])):
+        for k, coeff in enumerate(read_list(comp, key, [])):
             total[head + (gmin + k,) + ue] += read_int(coeff, "a coefficient")
 
 
@@ -182,6 +182,8 @@ def _write_poly(theory: Theory, terms: dict) -> list:
 def _read_poly(comp: dict, ring: Ring, ue: tuple, total: dict) -> None:
     """comp's poly, its variables taken into ring by name as
     MultiPoly.rename takes them, times the generator monomial ue."""
+    if not isinstance(comp.get("poly"), dict):
+        raise ValueError("poly must be a JSON object")
     poly = MultiPoly.from_obj(comp["poly"])
     names = poly.ring.names
     for i, name in enumerate(names):
@@ -400,12 +402,9 @@ class SymClass:
         gens = tuple(gens)
         quotient = read_bool(obj.get("quotient", False), "quotient")
         ring = context_ring(theory, gens)
-        components = obj.get("components")
-        if not isinstance(components, list):
-            raise ValueError("components must be a list")
         read = _codec(theory)[1]
         total: dict = defaultdict(int)
-        for comp in components:
+        for comp in read_list(obj, "components"):
             if not isinstance(comp, dict):
                 raise ValueError("each component must be a JSON object")
             ue = comp.get("u_exps", [0] * len(gens))

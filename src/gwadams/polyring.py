@@ -70,6 +70,14 @@ def read_bool(value, what: str) -> bool:
     raise ValueError("%s must be true or false, got %s" % (what, json.dumps(value)))
 
 
+def read_list(obj: dict, key: str, default=None) -> list:
+    """The JSON list obj[key], or default when obj has no key."""
+    value = obj.get(key, default)
+    if type(value) is list:
+        return value
+    raise ValueError("%s must be a list" % key)
+
+
 class Ring:
     """Ordered variable context.  Immutable; equality by variable data."""
 
@@ -507,9 +515,9 @@ class MultiPoly:
     @staticmethod
     def from_obj(obj: dict) -> "MultiPoly":
         ring = Ring((v["name"], read_bool(v["laurent"], "laurent"))
-                    for v in obj["vars"])
+                    for v in read_list(obj, "vars"))
         terms: dict = {}
-        for t in obj["terms"]:
+        for t in read_list(obj, "terms"):
             exps = tuple(read_int(e, "an exponent") for e in t["exps"])
             if len(exps) != ring.nvars:
                 raise ValueError("exponent array length mismatch")

@@ -443,6 +443,25 @@ class TestAdams:
             assert "cannot parse target: %s\n" % msg in r.output
 
 
+    @pytest.mark.parametrize("doc, msg", [
+        ('{"theory":"k","components":[{"u_exps":[]}]}',
+         "poly must be a JSON object"),
+        ('{"theory":"k","components":[{"poly":{"terms":[]}}]}',
+         "vars must be a list"),
+        ('{"theory":"witt","components":[{"poly":{"vars":[]}}]}',
+         "terms must be a list"),
+        ('{"components":[{"a":3}]}', "a must be a list"),
+        ('{"components":[{"a":"12"}]}', "a must be a list"),
+        ('{"components":[{"a":{"1":2}}]}', "a must be a list"),
+    ])
+    def test_component_fields_named(self, runner, doc, msg):
+        # these leaked a KeyError or TypeError repr, or read "12" digit by
+        # digit
+        r = run(runner, "adams", "2", "--target", doc)
+        assert r.exit_code == 2
+        assert "cannot parse target: %s\n" % msg in r.output
+
+
 class TestJsonShape:
     @pytest.mark.parametrize("args, out", [
         (("adams", "2", "--target", "tau"),
@@ -825,6 +844,29 @@ class TestForm:
             r = run(runner, "form", "invariants", str(p))
             assert r.exit_code == 2, doc
             assert "cannot read Gram form" in r.output, doc
+
+    def test_factoring_bounded(self, runner, tmp_path):
+        # pivots with prime factors far above the trial-division bound:
+        # each call ends within 2 s, with the invariants or with exit 2
+        ap1 = [["900000000028", "-5", "1/6"], ["-5", "8/5", "-3/4"],
+               ["1/6", "-3/4", "-1/2"]]     # 900000000028 = 9*p + 1
+        cases = [
+            (("invariants",), [["1000000000000000003"]], 0,
+             '"disc":1000000000000000003'),
+            (("invariants",), ap1, 2,
+             "cannot factor 5318674698974336596387: no factor in"),
+            (("gw-equal", "-"), ap1, 2, "cannot factor"),
+            (("invariants",), [["10000000000000000000000013"]], 2,
+             "cannot factor 10000000000000000000000013: a probable prime"),
+        ]
+        for i, (cmd, m, code, text) in enumerate(cases):
+            p = tmp_path / ("f%d.json" % i)
+            p.write_text(json.dumps({"sym": "symmetric", "matrix": m}))
+            doc = p.read_text()
+            start = time.perf_counter()
+            r = runner("form", *cmd, str(p), input=doc)
+            assert time.perf_counter() - start < 2, (cmd, m)
+            assert r.exit_code == code and text in r.output, r.output
 
     # sha256 of "<exit code>\n<stdout>" of `form ...` on the forms below,
     # recorded before the integer matrix kernel replaced the Fraction one

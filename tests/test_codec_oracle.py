@@ -5,7 +5,11 @@ through a MultiPoly, a rename, a GWElem and a product per component.  The
 codec must write the same bytes and read every document, valid or not, to
 the same class or to the same exception type and message.  The only
 intended differences are three messages: an unknown or unhashable theory
-and a missing components key leaked a KeyError or TypeError before."""
+and a missing components key leaked a KeyError or TypeError before.  A
+component field of the wrong type (a `poly` that is not an object, an
+`a`, `b` or `c` that is not a list) was read as it came and leaked a
+KeyError or TypeError, or read a string digit by digit; the oracle refuses
+it with the codec's message, at the same point of the reading."""
 
 import json
 import random
@@ -19,7 +23,7 @@ from gwadams.gwring import (
     context_ring,
 )
 from gwadams.lambdaring import adams
-from gwadams.polyring import MultiPoly, read_bool, read_int
+from gwadams.polyring import MultiPoly, read_bool, read_int, read_list
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +61,7 @@ def oracle_gw_from_obj(obj: dict) -> GWElem:
     for comp in obj["components"]:
         gmin = read_int(comp.get("gmin", 0), "gmin")
         for key, (ea, eb) in (("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1))):
-            for k, coeff in enumerate(comp.get(key, [])):
+            for k, coeff in enumerate(read_list(comp, key, [])):
                 terms[ea, eb, gmin + k] += read_int(coeff, "a coefficient")
     return GWElem(MultiPoly(COEFF_RING, terms))
 
@@ -109,6 +113,8 @@ def oracle_from_obj(obj: dict) -> SymClass:
         if theory.dense_json:
             base = oracle_gw_from_obj({"components": [comp]}).poly
         else:
+            if not isinstance(comp.get("poly"), dict):
+                raise ValueError("poly must be a JSON object")
             base = MultiPoly.from_obj(comp["poly"])
         for e, c in (base.rename(ring) * umono).terms.items():
             total[e] += c

@@ -1,14 +1,16 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gwadams.forms import (
-    DegeneracyError, GramForm, GWQInvariants, WitnessError, _congruent,
-    _det, _diagonalize, _mat_mul, _odd_primes, _place_key, _transpose,
+    TRIAL_DIVISION_MAX, DegeneracyError, GramForm, GWQInvariants,
+    WitnessError, _base_change, _diagonalize, _int_det, _int_mul, _integral,
+    _odd_primes, _place_key, _transpose,
     check_congruence, check_section2_and_hyp, direct_sum, dual, ext_matrix,
     ext_power, gw_identity_check, hilbert_symbol, hyperbolic, invariants,
     scale, squarefree, sym_power, symplectic_plane, tensor,
@@ -127,8 +129,8 @@ def pairwise_invariants(f: GramForm) -> GWQInvariants:
     over all pairs of diagonal entries, as forms.invariants took it before
     the prefix-product form."""
     pivots = _diagonalize(f)
-    signs = [1 if d > 0 else -1 for d in pivots]
-    primes = [_odd_primes(abs(d.numerator * d.denominator)) for d in pivots]
+    signs = [1 if n > 0 else -1 for n, _ in pivots]
+    primes = [_odd_primes(abs(n * d)) for n, d in pivots]
     diag = [s * prod(ps) for s, ps in zip(signs, primes)]
     odd = set()
     for ps in primes:
@@ -147,6 +149,51 @@ def pairwise_invariants(f: GramForm) -> GWQInvariants:
 def oracle_minors(M, basis, fn):
     return [[fn([[M[i][j] for j in T] for i in S]) for T in basis]
             for S in basis]
+
+
+# -- the Fraction constructions forms.py used before a form held integer
+# rows over one denominator
+
+def fraction_tensor(F, G):
+    return [[F[i][j] * G[k][l] for j in range(len(F)) for l in range(len(G))]
+            for i in range(len(F)) for k in range(len(G))]
+
+
+def fraction_direct_sum(F, G):
+    n, m = len(F), len(G)
+    return ([list(row) + [Fraction(0)] * m for row in F]
+            + [[Fraction(0)] * n + list(row) for row in G])
+
+
+def fraction_hyperbolic(r: int, s: int):
+    rows = [[Fraction(0)] * (2 * r) for _ in range(2 * r)]
+    for i in range(r):
+        rows[i][r + i] = Fraction(1)
+        rows[r + i][i] = Fraction(s)
+    return rows
+
+
+def fraction_inverse(a):
+    """Gauss-Jordan inverse of a nonsingular Fraction matrix."""
+    n = len(a)
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for i in range(n):
+        pivot = next(r for r in range(i, n) if m[r][i] != 0)
+        m[i], m[pivot] = m[pivot], m[i]
+        inv = 1 / m[i][i]
+        m[i] = [x * inv for x in m[i]]
+        for r in range(n):
+            if r != i and m[r][i]:
+                c = m[r][i]
+                m[r] = [x - c * y for x, y in zip(m[r], m[i])]
+    return [row[n:] for row in m]
+
+
+def fraction_json(M, sym: int) -> str:
+    return json.dumps({"sym": "symmetric" if sym == 1 else "skew",
+                       "matrix": [[str(x) for x in row] for row in M]},
+                      sort_keys=True, separators=(",", ":"))
 
 
 # -- seeded rational matrices: denominators 1..12, many zero entries (so
@@ -315,9 +362,8 @@ class TestInvariants:
     def test_same_class_scaled_basis(self):
         f = GramForm.diagonal([2, -3])
         B = [[2, 1], [1, 1]]
-        from gwadams.forms import _mat_mul, _transpose
-        g = GramForm(_mat_mul(_transpose(B),
-                              _mat_mul([list(r) for r in f.matrix], B)))
+        g = GramForm(fraction_mat_mul(
+            _transpose(B), fraction_mat_mul([list(r) for r in f.matrix], B)))
         assert invariants(f).same_class(invariants(g))
 
     def test_matches_pairwise_product(self):
@@ -401,24 +447,75 @@ class TestBattery:
         assert ext_matrix(B, 2) == [[Fraction(-2)]]
 
 
+class TestConstructionOracle:
+    """Each construction on integer rows against the Fraction construction
+    it replaced: the same form and the same to_json bytes."""
+
+    @staticmethod
+    def check(got, M, sym):
+        assert got == GramForm(M, sym), (got, M)
+        assert got.to_json() == fraction_json(M, sym)
+
+    def test_random_forms(self):
+        rng = random.Random(912)
+        for _ in range(200):
+            sym = rng.choice((1, -1))
+            f = rand_gram(rng, rng.randint(0, 6), sym)
+            g = rand_gram(rng, rng.randint(0, 3), sym)
+            F, G = f.matrix, g.matrix
+            n = rng.randint(0, f.rank)
+            basis = list(combinations(range(f.rank), n))
+            self.check(ext_power(f, n), oracle_minors(F, basis, fraction_det),
+                       sym ** n)
+            n = rng.randint(0, min(f.rank, 3))
+            basis = list(combinations_with_replacement(range(f.rank), n))
+            self.check(sym_power(f, n),
+                       oracle_minors(F, basis, fraction_permanent), sym ** n)
+            self.check(tensor(f, g), fraction_tensor(F, G), 1)
+            self.check(direct_sum(f, g), fraction_direct_sum(F, G), sym)
+            a = rand_entry(rng) or Fraction(rng.choice((-1, 1)))
+            self.check(scale(a, f), [[a * x for x in row] for row in F], sym)
+            if fraction_det(F) != 0:
+                self.check(dual(f), _transpose(fraction_inverse(F)), sym)
+        for r in range(1, 6):
+            for delta, s in (("+", 1), ("-", -1)):
+                self.check(hyperbolic(r, delta), fraction_hyperbolic(r, s), s)
+
+    def test_canonical(self):
+        # one representation per form: rows and den in lowest terms, den
+        # the least common denominator of the entries
+        rng = random.Random(913)
+        for _ in range(300):
+            f = rand_gram(rng, rng.randint(0, 5), rng.choice((1, -1)))
+            h = scale(Fraction(1, 2), scale(2, f))
+            assert h == f and hash(h) == hash(f)
+            for x in (f, h, tensor(f, f), ext_power(f, min(2, f.rank)),
+                      scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)), f)):
+                assert x.den == lcm(*(y.denominator for row in x.matrix
+                                      for y in row))
+                assert gcd(x.den, *(y for row in x.rows for y in row)) == 1
+
+
 class TestIntegerKernel:
     def test_det(self):
         rng = random.Random(901)
         for _ in range(3000):
             m = rand_matrix(rng, rng.randint(0, 6))
-            assert _det(m) == fraction_det(m), m
+            mi, d = _integral(m)
+            assert Fraction(_int_det(mi), d ** len(m)) == fraction_det(m), m
 
     def test_mat_mul(self):
         rng = random.Random(902)
         for _ in range(1500):
             n, k, m = (rng.randint(0, 4) for _ in range(3))
             a, b = rand_matrix(rng, n, k), rand_matrix(rng, k, m)
-            got = _mat_mul(a, b)
+            (ai, da), (bi, db) = _integral(a), _integral(b)
+            got = [[Fraction(x, da * db) for x in row]
+                   for row in _int_mul(ai, bi)]
             assert got == fraction_mat_mul(a, b), (a, b)
-            assert all(type(x) is Fraction for row in got for x in row)
-        assert _mat_mul([], []) == []
-        assert _mat_mul([[], []], []) == [[], []]
-        assert _mat_mul([[1, 2]], [[3], [4]]) == [[11]]
+        assert _int_mul([], []) == []
+        assert _int_mul([[], []], []) == [[], []]
+        assert _int_mul([[1, 2]], [[3], [4]]) == [[11]]
 
     def test_ext_power(self):
         rng = random.Random(903)
@@ -486,19 +583,28 @@ class TestIntegerKernel:
             small = fraction_mat_mul(
                 _transpose(J),
                 fraction_mat_mul([list(r) for r in big.matrix], J))
-            assert _congruent(J, big.matrix, GramForm(small, sym).matrix)
+            Ji, d = _integral(J)
+            assert _base_change(Ji, d, big) == GramForm(small, sym)
             i = rng.randrange(k)
             if sym == 1:
                 small[i][i] += Fraction(1, rng.randint(1, 12))
-                assert not _congruent(J, big.matrix,
-                                      GramForm(small, sym).matrix)
+                assert _base_change(Ji, d, big) != GramForm(small, sym)
             other = GramForm.diagonal([1] * (k + 1))
-            assert not _congruent(J, big.matrix, other.matrix)
+            assert _base_change(Ji, d, big) != other
+
+
+def as_pairs(xs) -> list:
+    return [(x.numerator, x.denominator) for x in xs]
+
+
+def lowest_terms(pivots) -> bool:
+    return all(d > 0 and gcd(n, d) == 1 for n, d in pivots)
 
 
 class TestDiagonalizeOracle:
     """The integer elimination returns the Fraction elimination's pivots
-    themselves, so the numbers factored for the invariants are unchanged."""
+    themselves, as (numerator, denominator) pairs in lowest terms, so the
+    numbers factored for the invariants are unchanged."""
 
     def test_random_forms(self):
         rng = random.Random(908)
@@ -516,8 +622,8 @@ class TestDiagonalizeOracle:
                     _diagonalize(f)
                 continue
             got = _diagonalize(f)
-            assert got == want, f
-            assert all(type(x) is Fraction for x in got)
+            assert got == as_pairs(want), f
+            assert lowest_terms(got)
         assert {"swap", "add"} <= set(seen)
 
     def test_degenerate(self):
@@ -551,8 +657,59 @@ class TestDiagonalizeOracle:
                 entries[rng.randrange(len(entries))] *= rng.choice(
                     (p, Fraction(1, p), Fraction(p, 3)))
                 f = GramForm.diagonal(entries)
-                assert _diagonalize(f) == fraction_diagonalize(f) == [
-                    Fraction(x) for x in entries]
+                want = fraction_diagonalize(f)
+                assert want == [Fraction(x) for x in entries]
+                assert _diagonalize(f) == as_pairs(want)
+
+
+class TestFactoring:
+    """_odd_primes past trial division: numbers built from known primes
+    below and above TRIAL_DIVISION_MAX, split by Pollard's rho or
+    certified by Miller-Rabin."""
+
+    SMALL = (2, 3, 5, 7, 11, 1999993)
+    MID = (2000003, 14932627, 27142327)     # found by rho
+    LARGE = (100000000003, 1000000000039, 1000000000000000003)  # by MR
+
+    def test_known_primes(self):
+        assert max(self.SMALL) < TRIAL_DIVISION_MAX < min(self.MID)
+        rng = random.Random(914)
+        # each number with a factor above the bound costs a full trial
+        # division (0.1 s)
+        for _ in range(25):
+            exps = {p: rng.randint(1, 3)
+                    for p in rng.sample(self.SMALL, rng.randint(0, 3))
+                    + rng.sample(self.MID, rng.randint(0, 2))}
+            # rho splits no power of a large prime: those stay simple
+            exps.update((p, 1) for p in rng.sample(self.LARGE,
+                                                   rng.randint(0, 1)))
+            n = prod(p ** e for p, e in exps.items())
+            assert _odd_primes(n) == sorted(p for p, e in exps.items()
+                                            if e % 2), exps
+
+    def test_refused(self):
+        # a probable prime above the bound where Miller-Rabin is exact, and
+        # a product of two primes too large for the rho step budget
+        for n, why in ((10 ** 25 + 13, "a probable prime above"),
+                       (1000000000000000003 * 10000000000000000051,
+                        "no factor in")):
+            with pytest.raises(ValueError, match="cannot factor %d: %s"
+                               % (n, why)):
+                _odd_primes(n)
+
+    def test_hilbert_reciprocity_large_primes(self):
+        rng = random.Random(915)
+        for _ in range(12):
+            factors = [(rng.choice((-1, 1)), rng.choice(self.SMALL + self.MID),
+                        rng.choice(self.MID + self.LARGE))
+                       for _ in range(rng.randint(1, 3))]
+            inv = invariants(GramForm.diagonal([prod(x) for x in factors]))
+            assert prod(v for _, v in inv.hasse) == 1
+            odd = set()
+            for _, a, b in factors:
+                odd ^= {a}
+                odd ^= {b}
+            assert inv.disc == prod(s for s, _, _ in factors) * prod(odd)
 
 
 class TestIdentityCheckOracle:
