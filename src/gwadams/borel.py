@@ -12,8 +12,7 @@ cross-checked against the lambda-engine by the report batteries.
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import combinations, permutations
-from math import prod
+from itertools import permutations
 from typing import NamedTuple
 
 from . import gwring, symfunc
@@ -126,14 +125,8 @@ def borel_sum_classes(k: int, i: int) -> SymClass:
     gens = tuple("e%d" % j for j in range(1, k + 1))
     ring = context_ring(GW, gens)
     tau = ring.var("tau")
-    return SymClass(sigma(ring, [ring.var(g) - tau for g in gens], i),
+    return SymClass(symfunc.elementary([ring.var(g) - tau for g in gens], i),
                     GW, gens)
-
-
-def sigma(ring: Ring, polys: list, i: int) -> MultiPoly:
-    """sigma_i(polys): the sum of the products of the i-element subsets."""
-    return sum((prod(combo, start=ring.one())
-                for combo in combinations(polys, i)), ring.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +216,8 @@ def check_borel_prop() -> VerificationReport:
     gens4 = tuple("e%d" % j for j in range(1, 5))
     ring4 = context_ring(GW, gens4)
     g = ring4.var("gamma")
-    sig = {i: symfunc.elementary(4, i, ring4, list(gens4)) for i in range(1, 5)}
+    sig = {i: symfunc.elementary([ring4.var(e) for e in gens4], i)
+           for i in range(1, 5)}
     esum = SymClass(sig[1], GW, gens4)
     lam_closed = {
         1: sig[1],
@@ -240,10 +234,10 @@ def check_borel_prop() -> VerificationReport:
     # sigma_i(x_1 - y, ..., x_4 - y) in Z[x1..x4, y]
     R = Ring([("x%d" % j, False) for j in range(1, 5)] + [("y", False)])
     y = R.var("y")
-    s = {i: symfunc.elementary(4, i, R, ["x%d" % j for j in range(1, 5)])
+    s = {i: symfunc.elementary([R.var("x%d" % j) for j in range(1, 5)], i)
          for i in range(1, 5)}
     shifted = [R.var("x%d" % j) - y for j in range(1, 5)]
-    shifted_sigma = {i: sigma(R, shifted, i) for i in range(1, 5)}
+    shifted_sigma = {i: symfunc.elementary(shifted, i) for i in range(1, 5)}
     sym_expected = {
         1: s[1] - 4 * y,
         2: s[2] - 3 * y * s[1] + 6 * y ** 2,

@@ -76,12 +76,9 @@ FORM_INPUT_RANK_MAX = 64
 # P_12 0.43-0.46 s, P_13 0.5-0.95 s (0.6 s and 1.2 s while Newton's
 # identities copied the accumulator per term)
 UNIVERSAL_P_MAX = 13
-# composed R_8 0.15-0.24 s, R_9 0.46-0.57 s, R_10 1.8 s
+# R_n for every --method; cold, R_9 takes 0.39-0.58 s composed, 0.62-0.67 s
+# direct and 0.85-1.15 s both, and composed R_10 1.8 s
 UNIVERSAL_R_MAX = 9
-# direct (and both) R_6 0.14-0.18 s, R_7 0.43-0.53 s, R_8 2.8-3.2 s (R_4
-# took 0.7 s and R_5 61 s while the defining product was expanded as a
-# series)
-UNIVERSAL_R_DIRECT_MAX = 7
 # i*j in Q_{i,j}; the slowest shape at i*j = 28 is Q_{14,2} at 0.79-0.97 s
 # (1.0-1.1 s while Newton's identities copied the accumulator per term),
 # at i*j = 30 Q_{15,2} at about 1.4 s
@@ -128,12 +125,7 @@ def cmd_universal(kind, indices, fmt, max_override, method):
     n = indices[0]
     if n < 1:
         raise UsageError("n must be >= 1")
-    if kind == "P":
-        limit = UNIVERSAL_P_MAX
-    elif method == "composed":
-        limit = UNIVERSAL_R_MAX
-    else:
-        limit = UNIVERSAL_R_DIRECT_MAX
+    limit = UNIVERSAL_P_MAX if kind == "P" else UNIVERSAL_R_MAX
     _check_size("n", n, max_override, 4, limit,
                 kind if kind == "P" else "R --method " + method)
     if kind == "P":
@@ -392,9 +384,8 @@ def _parser(prog: str) -> _Parser:
     sub.add_argument(
         "--max", dest="max_override", type=int, default=None, metavar="N",
         help="Raise the default index bound (P/R: n <= 4, Q: ij <= 6) up to "
-             "the fixed limits (P: %d, R: %d, direct R: %d, Q: ij <= %d)."
-             % (UNIVERSAL_P_MAX, UNIVERSAL_R_MAX, UNIVERSAL_R_DIRECT_MAX,
-                UNIVERSAL_Q_MAX))
+             "the fixed limits (P: %d, R by any method: %d, Q: ij <= %d)."
+             % (UNIVERSAL_P_MAX, UNIVERSAL_R_MAX, UNIVERSAL_Q_MAX))
     sub.add_argument("--method", choices=["direct", "composed", "both"],
                      default="composed",
                      help="Construction route for R (default: %(default)s).")

@@ -292,7 +292,8 @@ def check_congruence(B, f: GramForm, g: GramForm) -> bool:
 
 # Trial division to TRIAL_DIVISION_MAX (0.1 s) factors every number below
 # 4*10^12; a larger cofactor is tested by Miller-Rabin, exact below
-# MR_CERTAIN, and split by Pollard's rho within RHO_STEPS steps (0.1-0.4 s).
+# MR_CERTAIN, then taken as a perfect power or split by Pollard's rho within
+# RHO_STEPS steps (0.1-0.4 s).
 TRIAL_DIVISION_MAX = 2 * 10 ** 6
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_CERTAIN = 3317044064679887385961981
@@ -321,6 +322,15 @@ def _odd_primes(n: int) -> list:
         m = rest.pop()
         if _is_prime(m):
             odd ^= {m}
+            continue
+        # rho splits no power of a prime: m = r^k has r > 2^20, so k < bits/20
+        for k in range(2, m.bit_length() // 20 + 1):
+            r = 1 << -(-m.bit_length() // k)    # Newton from above m^(1/k)
+            while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+                r = s
+            if r ** k == m:     # r to an odd power, or a square
+                rest += [r] * (k % 2)
+                break
         else:
             p = _rho(m)
             rest += [p, m // p]

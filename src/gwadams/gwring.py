@@ -180,14 +180,17 @@ def _write_poly(theory: Theory, terms: dict) -> list:
 
 
 def _read_poly(comp: dict, ring: Ring, ue: tuple, total: dict) -> None:
-    """comp's poly, its variables taken into ring by name as
+    """comp's base-ring poly, its variables taken into ring by name as
     MultiPoly.rename takes them, times the generator monomial ue."""
     if not isinstance(comp.get("poly"), dict):
         raise ValueError("poly must be a JSON object")
     poly = MultiPoly.from_obj(comp["poly"])
-    names = poly.ring.names
+    names, base = poly.ring.names, ring.names[:ring.nvars - len(ue)]
     for i, name in enumerate(names):
-        if name not in ring.names and any(e[i] for e in poly.terms):
+        if name not in base and any(e[i] for e in poly.terms):
+            if name in ring.names:
+                raise ValueError("poly uses the generator %r; its exponent "
+                                 "belongs in u_exps" % name)
             raise ContextError("variable %r absent from target" % name)
     pos = [(names.index(n), j) for j, n in enumerate(ring.names) if n in names]
     for exps, c in poly.terms.items():

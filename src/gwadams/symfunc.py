@@ -10,17 +10,20 @@ P_n and Q_{i,j} come from power sums through Newton's identities.  The
 Gauss reduction of the defining product stays as an independent route:
 it computes universal_R(n, "direct") and P_n, Q_{i,j} at an explicit arity,
 each from the dominant part of its defining product, which is built
-directly (_dominant_product, _dominant_Q) and never expanded.
+directly (_dominant_product, _dominant_Q) in the output ring and never
+expanded.  The reduction multiplies no polynomials: it reads each product
+of elementary polynomials from a table of counts of 0-1 matrices.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from math import comb, prod
 
 from .polyring import (
-    ContextError, MultiPoly, Ring, TruncSeries, grlex_key, sum_of_products,
+    ContextError, MultiPoly, Ring, TruncSeries, sum_of_products,
 )
 from .report import VerificationReport, check
 
@@ -45,30 +48,12 @@ def _join_rings(*rings: Ring) -> Ring:
     return Ring(pairs)
 
 
-def elementary(m: int, n: int, ring: Ring | None = None,
-               names: list[str] | None = None) -> MultiPoly:
-    """Elementary symmetric polynomial sigma_n in m variables.
-
-    Returns 0 for n > m and 1 for n = 0.  Default variables are U1..Um.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if ring is None:
-        ring = _family_ring("U", m)
-    if names is None:
-        names = ["U%d" % i for i in range(1, m + 1)]
-    if n > m:
-        return ring.zero()
-    if n == 0:
-        return ring.one()
-    idx = [ring.index(nm) for nm in names]
-    terms = {}
-    for combo in combinations(idx, n):
-        e = [0] * ring.nvars
-        for i in combo:
-            e[i] = 1
-        terms[tuple(e)] = 1
-    return MultiPoly(ring, terms)
+def elementary(polys: list, n: int) -> MultiPoly:
+    """sigma_n(polys): the sum of the products of the n-element subsets of
+    a nonempty list of polynomials of one ring."""
+    ring = polys[0].ring
+    return sum((prod(combo, start=ring.one())
+                for combo in combinations(polys, n)), ring.zero())
 
 
 def symmetry_witness(p: MultiPoly, family: list[str]):
@@ -95,12 +80,12 @@ def symmetric_reduce(p: MultiPoly, family: list[str] | None = None,
     polynomial in new variables `targets`, where target k stands for
     sigma_k(family).  Non-family variables ride along unchanged.
 
-    Classical Gauss algorithm: repeatedly eliminate the graded-lex leading
-    family monomial by the matching product of elementary symmetric
-    polynomials.  Every intermediate polynomial stays symmetric, so it is
-    zero exactly when its dominant part (the terms whose family exponent is
-    a partition) is zero, and its leading monomial is dominant: only the
-    dominant terms are tracked.
+    Classical Gauss algorithm: repeatedly eliminate the leading family
+    monomial by the matching product of elementary symmetric polynomials.
+    Every intermediate polynomial stays symmetric, so it is zero exactly
+    when its dominant part (the terms whose family exponent is a partition)
+    is zero, and its leading monomial is dominant: only the dominant terms
+    are tracked (_reduce_dominant).
     """
     ring = p.ring
     if family is None:
@@ -117,89 +102,108 @@ def symmetric_reduce(p: MultiPoly, family: list[str] | None = None,
 
     fam_idx = [ring.index(n) for n in family]
     fam_set = set(fam_idx)
+    target = Ring([(targets[fam_idx.index(i)], False) if i in fam_set
+                   else (nm, ring.laurent[i])
+                   for i, nm in enumerate(ring.names)])
     # work[a] = {exponents with the family positions zeroed: coeff} for each
     # dominant family exponent a
     work: dict = {}
     for exps, c in p.terms.items():
         a = tuple(map(exps.__getitem__, fam_idx))
         if _is_partition(a):
+            if a and a[-1] < 0:
+                raise ValueError("negative exponent %d of a family variable"
+                                 % a[-1])
             rest = tuple(0 if i in fam_set else e for i, e in enumerate(exps))
-            work.setdefault(a, {})[rest] = c
-    return _reduce_dominant(work, ring, family, targets)
+            work.setdefault(tuple(filter(None, a)), {})[rest] = c
+    return _reduce_dominant(work, target, targets, m)
 
 
-def _reduce_dominant(work: dict, ring: Ring, family: list[str],
-                     targets: list[str]) -> MultiPoly:
-    """Gauss's algorithm on the dominant part `work` of a symmetric
-    polynomial of `ring`: work[a] = {exponents with the family positions
-    zeroed: coeff} for each partition a.  Consumes `work`."""
-    m = len(family)
-    fam_idx = [ring.index(n) for n in family]
-    fam_set = set(fam_idx)
-    target = Ring([(targets[fam_idx.index(i)], False) if i in fam_set
-                   else (nm, ring.laurent[i])
-                   for i, nm in enumerate(ring.names)])
-    sigma: dict = {}
+def _reduce_dominant(work: dict, ring: Ring, targets: list[str],
+                     m: int) -> MultiPoly:
+    """Gauss's algorithm on the dominant part `work` of a polynomial
+    symmetric in m variables U_i: work[a] = {exponents: coeff} is the
+    coefficient of U^a, a partition with at most m parts written without
+    its zero parts.  Returns the polynomial of `ring` in which
+    targets[k - 1] stands for sigma_k(U); the exponents in work are 0 at
+    the targets.  Consumes `work`.
+
+    The partitions of each size are walked in decreasing lexicographic
+    order, which refines dominance.  The leading a is written as X^d,
+    d_k = a_k - a_(k+1), and prod_k sigma_k^(d_k) = e_a' (a' the conjugate
+    of a) is subtracted from each later b at its coefficient there."""
+    xs = [ring.index(t) for t in targets]
     out: dict = {}
-    while work:
-        a = max(work, key=grlex_key)
-        coeffs = work.pop(a)
-        d = [x - y for x, y in zip(a, a[1:] + (0,))]
-        for rest, c in coeffs.items():
-            te = list(rest)
-            for i, dk in zip(fam_idx, d):
-                te[i] = dk
-            out[tuple(te)] = c
-        # subtract coeffs * prod sigma_k^{d_k} on its dominant monomials;
-        # its coefficient at a is 1, so the pop already did so at a
-        s = elementary(m, 0)
-        for k, dk in enumerate(d, 1):
-            if dk:
-                if k not in sigma:
-                    sigma[k] = elementary(m, k)
-                s = s * sigma[k] ** dk
-        for b, sb in s.terms.items():
-            if b == a or not _is_partition(b):
+    for size in {sum(a) for a in work}:
+        walk = list(_partitions(size, size, m))
+        for i, a in enumerate(walk):
+            coeffs = work.pop(a, None)
+            if not coeffs:
                 continue
-            group = work.setdefault(b, {})
+            d = [x - y for x, y in zip(a, a[1:] + (0,))]
             for rest, c in coeffs.items():
-                v = group.get(rest, 0) - c * sb
-                if v:
-                    group[rest] = v
-                else:
-                    del group[rest]
-            if not group:
-                del work[b]
-    return MultiPoly(target, out)
+                te = list(rest)
+                for x, dk in zip(xs, d):
+                    te[x] = dk
+                out[tuple(te)] = c
+            conj = tuple(sum(x > k for x in a)
+                         for k in range(max(a, default=0)))
+            for b in walk[i + 1:]:
+                if count := _zero_one(conj, b):
+                    group = work.setdefault(b, {})
+                    for rest, c in coeffs.items():
+                        group[rest] = group.get(rest, 0) - c * count
+    return MultiPoly(ring, out)     # which drops the cancelled terms
 
 
 def _is_partition(a: tuple) -> bool:
     return a == tuple(sorted(a, reverse=True))
 
 
-def _dominant_product(coeffs: list, ring: Ring, family: list[str],
-                      n: int) -> dict:
-    """The dominant part of the t^n coefficient of prod_i F(t U_i), U_i the
-    `family` variables of `ring` and F(s) = sum_k coeffs[k] s^k with
-    coeffs[0] = 1 and no coeffs[k] involving the family: {lambda: terms of
-    prod_i coeffs[lambda_i]} over the partitions lambda of n with at most
-    len(family) parts, each at most len(coeffs) - 1, in the layout
-    _reduce_dominant reads.  Symmetric by construction."""
+def _partitions(n: int, largest: int, parts: int):
+    """The partitions of n into at most `parts` parts, each at most
+    `largest`, in decreasing lexicographic order."""
+    if not n:
+        yield ()
+    elif parts:
+        for k in range(min(n, largest), 0, -1):
+            for rest in _partitions(n - k, k, parts - 1):
+                yield (k,) + rest
+
+
+@cache
+def _zero_one(rows: tuple, cols: tuple) -> int:
+    """The number of 0-1 matrices with row sums `rows` and column sums
+    `cols`, both partitions: the coefficient of U^cols in
+    prod_i sigma_(rows_i)(U) (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.6).  The first row puts its rows[0] ones in t of the n
+    columns of each value v, in C(n, t) ways; the other rows fill what is
+    left."""
+    if not rows:
+        return int(not cols)
+    groups = [(v, len(list(g))) for v, g in groupby(cols)]
+    total = 0
+    for takes in product(*(range(n + 1) for _, n in groups)):
+        if sum(takes) == rows[0]:
+            rest = tuple(x for (v, n), t in zip(groups, takes)
+                         for x in [v] * (n - t) + [v - 1] * t if x)
+            total += (prod(comb(n, t) for (_, n), t in zip(groups, takes))
+                      * _zero_one(rows[1:], rest))
+    return total
+
+
+def _dominant_product(coeffs: list, m: int, n: int) -> dict:
+    """The dominant part of the t^n coefficient of prod_(i<=m) F(t U_i),
+    F(s) = sum_k coeffs[k] s^k with coeffs[0] = 1 and no coeffs[k]
+    involving the U_i: {lambda: terms of prod_i coeffs[lambda_i]} over the
+    partitions lambda of n with at most m parts, each at most
+    len(coeffs) - 1, in the layout _reduce_dominant reads.  Symmetric by
+    construction."""
     if coeffs[0] != 1:
         raise ValueError("F(0) must be 1")
-    m = len(family)
-    out: dict = {}
-
-    def grow(parts: tuple, left: int, largest: int, prod: MultiPoly):
-        if not left:
-            out[parts + (0,) * (m - len(parts))] = prod.terms
-        elif len(parts) < m:
-            for k in range(min(left, largest), 0, -1):
-                if coeffs[k]:
-                    grow(parts + (k,), left - k, k, prod * coeffs[k])
-
-    grow((), n, len(coeffs) - 1, ring.one())
-    return out
+    return {lam: prod((coeffs[k] for k in lam), start=coeffs[0]).terms
+            for lam in _partitions(n, len(coeffs) - 1, m)
+            if all(coeffs[k] for k in lam)}
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +283,9 @@ def universal_P(n: int, m: int | None = None) -> MultiPoly:
         return _newton_P(n)
     if m < n:
         raise ValueError("arity m=%d below n=%d does not determine P_n" % (m, n))
-    src = _join_rings(_family_ring("U", m), _family_ring("Y", m))
-    unames = ["U%d" % i for i in range(1, m + 1)]
-    work = _dominant_product(_alphabet(src, "Y", n), src, unames, n)
-    xy = _reduce_dominant(work, src, unames, ["X%d" % i for i in range(1, m + 1)])
-    return xy.rename(ring_P(n))
+    ring = ring_P(n)
+    work = _dominant_product(_alphabet(ring, "Y", n), m, n)
+    return _reduce_dominant(work, ring, _family_ring("X", n).names, m)
 
 
 def universal_Q(i: int, j: int, m: int | None = None) -> MultiPoly:
@@ -303,10 +305,8 @@ def universal_Q(i: int, j: int, m: int | None = None) -> MultiPoly:
         return _newton_Q(i, j)
     if m < i * j:
         raise ValueError("arity m=%d below ij=%d" % (m, i * j))
-    src = _family_ring("U", m)
-    red = _reduce_dominant(_dominant_Q(i, j, m), src, src.names,
-                           ring_Q(m).names)
-    return red.rename(ring_Q(i * j))
+    ring = ring_Q(i * j)
+    return _reduce_dominant(_dominant_Q(i, j, m), ring, ring.names, m)
 
 
 @cache
@@ -335,7 +335,8 @@ def _dominant_Q(i: int, j: int, m: int) -> dict:
     count = Counter(map(sum, combinations(codes, i)))
     exps = ((tuple(c // base ** k % base for k in range(m)), n)
             for c, n in count.items())
-    return {a: {(0,) * m: n} for a, n in exps if _is_partition(a)}
+    return {tuple(filter(None, a)): {(0,) * (i * j): n}
+            for a, n in exps if _is_partition(a)}
 
 
 def universal_R(n: int, method: str = "composed", m: int | None = None) -> MultiPoly:
@@ -367,15 +368,11 @@ def _yz(n: int) -> dict:
 
 @cache
 def _direct_R(n: int, m: int) -> MultiPoly:
-    src = _join_rings(_family_ring("U", m), _family_ring("Y", m),
-                      _family_ring("Z", m))
-    F = [src.one()] + [universal_P(k, m).rename(src, _yz(n))
-                       for k in range(1, n + 1)]
-    unames = ["U%d" % i for i in range(1, m + 1)]
-    work = _dominant_product(F, src, unames, n)
-    p = _reduce_dominant(work, src, unames,
-                         ["X%d" % i for i in range(1, m + 1)])
-    return p.rename(ring_R(n))
+    ring = ring_R(n)
+    F = [ring.one()] + [universal_P(k, m).rename(ring, _yz(n))
+                        for k in range(1, n + 1)]
+    return _reduce_dominant(_dominant_product(F, m, n), ring,
+                            _family_ring("X", n).names, m)
 
 
 @cache
@@ -502,10 +499,10 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
             for v in vnames:
                 direct = direct * TruncSeries(
                     src, n, [src.one(), src.var(u) * src.var(v)])
+        us, vs = ([src.var(x) for x in names] for names in (unames, vnames))
         back = universal_P(n).substitute(
-            {"X%d" % k: elementary(n, k, src, unames) for k in range(1, n + 1)}
-            | {"Y%d" % k: elementary(n, k, src, vnames) for k in range(1, n + 1)},
-            src)
+            {"X%d" % k: elementary(us, k) for k in range(1, n + 1)}
+            | {"Y%d" % k: elementary(vs, k) for k in range(1, n + 1)}, src)
         rep.add(check("P_round_trip", (n,), direct[n] == back))
 
     # R_P: direct vs composed
@@ -640,8 +637,7 @@ def check_appendix_a(max_k: int = 4, group_samples: int = 6,
             prod = prod * TruncSeries(lines, k + 1,
                                       [lines.one(), lines.var("x%d" % j)])
         for n in range(0, k + 2):
-            want = elementary(k, n, lines,
-                              ["x%d" % j for j in range(1, k + 1)])
+            want = elementary([lines.var(x) for x in lines.names], n)
             rep.add(check("line_product", (k, n), prod[n] == want,
                           prod[n].text(), want.text()))
 
@@ -653,7 +649,8 @@ def check_appendix_a(max_k: int = 4, group_samples: int = 6,
             prod = prod * TruncSeries(amb, 3,
                                       [amb.one(), amb.var("y%d" % j) * x])
         for n in range(1, 4):
-            want = elementary(3, n, amb, ["y1", "y2", "y3"]) * amb.var("x", n * i)
+            want = (elementary([amb.var(y) for y in ("y1", "y2", "y3")], n)
+                    * amb.var("x", n * i))
             rep.add(check("power_scaling", (n, i), prod[n] == want,
                           prod[n].text(), want.text()))
     return rep.sort()

@@ -48,8 +48,8 @@ class TestUniversal:
     @pytest.mark.parametrize("name, args", [
         ("UNIVERSAL_P_MAX", ("P",)),
         ("UNIVERSAL_R_MAX", ("R", "--method", "composed")),
-        ("UNIVERSAL_R_DIRECT_MAX", ("R", "--method", "direct")),
-        ("UNIVERSAL_R_DIRECT_MAX", ("R", "--method", "both")),
+        ("UNIVERSAL_R_MAX", ("R", "--method", "direct")),
+        ("UNIVERSAL_R_MAX", ("R", "--method", "both")),
     ])
     def test_size_limit(self, runner, name, args):
         import gwadams.cli
@@ -453,6 +453,11 @@ class TestAdams:
         ('{"components":[{"a":3}]}', "a must be a list"),
         ('{"components":[{"a":"12"}]}', "a must be a list"),
         ('{"components":[{"a":{"1":2}}]}', "a must be a list"),
+        # a generator inside the base-ring polynomial was multiplied in
+        ('{"theory":"k","gens":["u1"],"components":[{"u_exps":[0],"poly":'
+         '{"vars":[{"name":"u1","laurent":false}],"terms":[{"coeff":1,'
+         '"exps":[1]}]}}]}',
+         "poly uses the generator 'u1'; its exponent belongs in u_exps"),
     ])
     def test_component_fields_named(self, runner, doc, msg):
         # these leaked a KeyError or TypeError repr, or read "12" digit by
@@ -858,6 +863,9 @@ class TestForm:
             (("gw-equal", "-"), ap1, 2, "cannot factor"),
             (("invariants",), [["10000000000000000000000013"]], 2,
              "cannot factor 10000000000000000000000013: a probable prime"),
+            # 3 * 1000000000039^2: the cofactor is the square of a prime
+            (("invariants",), [["3000000000234000000004563"]], 0,
+             '"disc":3,'),
         ]
         for i, (cmd, m, code, text) in enumerate(cases):
             p = tmp_path / ("f%d.json" % i)

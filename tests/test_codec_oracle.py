@@ -9,7 +9,10 @@ and a missing components key leaked a KeyError or TypeError before.  A
 component field of the wrong type (a `poly` that is not an object, an
 `a`, `b` or `c` that is not a list) was read as it came and leaked a
 KeyError or TypeError, or read a string digit by digit; the oracle refuses
-it with the codec's message, at the same point of the reading."""
+it with the codec's message, at the same point of the reading.  So it does
+with a K or Witt `poly` that uses a generator, which the earlier codec
+multiplied in although `poly` is a base-ring polynomial; with
+read_generators=True it reads such a poly as the earlier codec did."""
 
 import json
 import random
@@ -88,7 +91,7 @@ def oracle_to_obj(x: SymClass) -> dict:
             "quotient": x.quotient, "components": components}
 
 
-def oracle_from_obj(obj: dict) -> SymClass:
+def oracle_from_obj(obj: dict, read_generators: bool = False) -> SymClass:
     if not isinstance(obj, dict):
         raise ValueError("a class document must be a JSON object")
     theory = THEORIES[obj.get("theory", "gw")]
@@ -116,6 +119,13 @@ def oracle_from_obj(obj: dict) -> SymClass:
             if not isinstance(comp.get("poly"), dict):
                 raise ValueError("poly must be a JSON object")
             base = MultiPoly.from_obj(comp["poly"])
+            for i, name in enumerate(base.ring.names):
+                used = any(e[i] for e in base.terms)
+                if used and name not in ring.names:
+                    break       # the rename below refuses it
+                if not read_generators and used and name in gens:
+                    raise ValueError("poly uses the generator %r; its "
+                                     "exponent belongs in u_exps" % name)
         for e, c in (base.rename(ring) * umono).terms.items():
             total[e] += c
     return SymClass(MultiPoly(ring, total), theory, gens, quotient)
@@ -326,6 +336,12 @@ def test_not_documents():
                                                           doc)
 
 
+# a K component whose base-ring poly is the generator u1
+K_U1 = {"theory": "k", "gens": ["u1"], "components": [
+    {"u_exps": [0], "poly": {"vars": [{"name": "u1", "laurent": False}],
+                             "terms": [{"coeff": 1, "exps": [1]}]}}]}
+
+
 @pytest.mark.parametrize("doc, old, new", [
     ({"theory": "ko", "components": []},
      (KeyError, "'ko'"), "unknown theory 'ko'; the theories are gw, k, witt"),
@@ -334,7 +350,11 @@ def test_not_documents():
      "unknown theory []; the theories are gw, k, witt"),
     ({"theory": "gw"}, (KeyError, "'components'"),
      "components must be a list"),
+    (K_U1, (SymClass, SymClass.gen("u1", KTH, ("u1",)),
+            SymClass.gen("u1", KTH, ("u1",)).to_json()),
+     "poly uses the generator 'u1'; its exponent belongs in u_exps"),
 ])
 def test_intended_differences(doc, old, new):
-    assert outcome(oracle_from_obj, doc) == old
+    assert outcome(lambda d: oracle_from_obj(d, read_generators=True),
+                   doc) == old
     assert outcome(SymClass.from_obj, doc) == (ValueError, new)

@@ -680,12 +680,20 @@ class TestFactoring:
             exps = {p: rng.randint(1, 3)
                     for p in rng.sample(self.SMALL, rng.randint(0, 3))
                     + rng.sample(self.MID, rng.randint(0, 2))}
-            # rho splits no power of a large prime: those stay simple
+            # powers of a large prime are drawn in test_prime_powers
             exps.update((p, 1) for p in rng.sample(self.LARGE,
                                                    rng.randint(0, 1)))
             n = prod(p ** e for p, e in exps.items())
             assert _odd_primes(n) == sorted(p for p, e in exps.items()
                                             if e % 2), exps
+
+    def test_prime_powers(self):
+        # rho splits no power of a large prime; an integer k-th root does
+        p = self.LARGE[1]
+        for n, want in ((p ** 2, []), (p ** 3, [p]), (3 * p ** 2, [3]),
+                        (p ** 6, []), (p ** 9 * self.MID[0] ** 3,
+                                       [self.MID[0], p])):
+            assert _odd_primes(n) == want, n
 
     def test_refused(self):
         # a probable prime above the bound where Miller-Rabin is exact, and

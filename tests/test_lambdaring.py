@@ -147,15 +147,14 @@ def gauss_fold_rank2(series, prim_name, ctx, rank_bound):
     closed form.  Exact when lambda^j(x) = 0 for j > rank_bound."""
     theory, base, N = ctx.theory, series.ring, series.order
     M = max(1, min(N, rank_bound))
-    unames = ["UF%d" % i for i in range(1, M + 1)]
     targets = ["XF%d" % i for i in range(1, M + 1)]
     ext = Ring(list(zip(base.names, base.laurent))
-               + [(u, False) for u in unames])
+               + [(x, False) for x in targets])
     F = [ext.one(), ext.var(prim_name), ext.var(theory.twist, theory.det_power)]
     lam = TruncSeries(base, M, series.coeffs)   # zero-padded when N < M
     bind = {t: lam[j] for j, t in enumerate(targets, 1)}
-    out = [symfunc._reduce_dominant(symfunc._dominant_product(F, ext, unames, k),
-                                    ext, unames, targets).substitute(bind, base)
+    out = [symfunc._reduce_dominant(symfunc._dominant_product(F, M, k),
+                                    ext, targets, M).substitute(bind, base)
            for k in range(N + 1)]
     return lambdaring._normal(TruncSeries(base, N, out), ctx)
 

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -42,7 +42,8 @@ def worklist_reduce(p, family=None, targets=None):
     target = Ring([(targets[fam_idx.index(i)], False) if i in fam_set
                    else (nm, ring.laurent[i])
                    for i, nm in enumerate(ring.names)])
-    sigma = [None] + [elementary(m, k, ring, family) for k in range(1, m + 1)]
+    us = [ring.var(u) for u in family]
+    sigma = [None] + [elementary(us, k) for k in range(1, m + 1)]
     work = dict(p.terms)
     out = {}
     while work:
@@ -73,8 +74,8 @@ def worklist_reduce(p, family=None, targets=None):
 def expand_elementary(p, family, values, target):
     """Inverse of symmetric_reduce for round-trip checks: substitute
     family variable k by sigma_k of the `values` variables of `target`."""
-    m = len(values)
-    bind = {family[k - 1]: elementary(m, k, target, values)
+    vals = [target.var(v) for v in values]
+    bind = {family[k - 1]: elementary(vals, k)
             for k in range(1, len(family) + 1)}
     return p.substitute(bind, target)
 
@@ -119,23 +120,89 @@ def oracle_Q(i, j, m):
 
 def dominant_part(p, fam):
     """{partition a: {exponents with the fam positions zeroed: coeff}} of
-    the terms of p whose fam exponent is a partition."""
+    the terms of p whose fam exponent is a partition, a without its zero
+    parts."""
     fam_idx = [p.ring.index(u) for u in fam]
     out = {}
     for exps, c in p.terms.items():
         a = tuple(exps[i] for i in fam_idx)
         if a == tuple(sorted(a, reverse=True)):
             rest = tuple(0 if i in fam_idx else e for i, e in enumerate(exps))
-            out.setdefault(a, {})[rest] = c
+            out.setdefault(tuple(filter(None, a)), {})[rest] = c
     return out
+
+
+def sigma_reduce(p, fam, targets):
+    """Gauss's algorithm on the dominant terms only, as symfunc computed it
+    before it counted 0-1 matrices: pop the graded-lex leading partition a,
+    multiply out prod sigma_k^{d_k} in all the fam variables and subtract
+    it on its dominant monomials."""
+    ring = p.ring
+    m = len(fam)
+    fam_idx = [ring.index(u) for u in fam]
+    fam_set = set(fam_idx)
+    target = Ring([(targets[fam_idx.index(i)], False) if i in fam_set
+                   else (nm, ring.laurent[i])
+                   for i, nm in enumerate(ring.names)])
+    work = {}
+    for exps, c in p.terms.items():
+        a = tuple(exps[i] for i in fam_idx)
+        if a == tuple(sorted(a, reverse=True)):
+            rest = tuple(0 if i in fam_set else e for i, e in enumerate(exps))
+            work.setdefault(a, {})[rest] = c
+    us = [ring.var(u) for u in fam]
+    sigma = {}
+    out = {}
+    while work:
+        a = max(work, key=grlex_key)
+        coeffs = work.pop(a)
+        d = [x - y for x, y in zip(a, a[1:] + (0,))]
+        for rest, c in coeffs.items():
+            te = list(rest)
+            for i, dk in zip(fam_idx, d):
+                te[i] = dk
+            out[tuple(te)] = c
+        s = ring.one()
+        for k, dk in enumerate(d, 1):
+            if dk:
+                if k not in sigma:
+                    sigma[k] = elementary(us, k)
+                s = s * sigma[k] ** dk
+        for exps, sb in s.terms.items():
+            b = tuple(exps[i] for i in fam_idx)
+            if b == a or b != tuple(sorted(b, reverse=True)):
+                continue
+            group = work.setdefault(b, {})
+            for rest, c in coeffs.items():
+                v = group.get(rest, 0) - c * sb
+                if v:
+                    group[rest] = v
+                else:
+                    del group[rest]
+            if not group:
+                del work[b]
+    return MultiPoly(target, out)
+
+
+def zero_one_matrices(rows, cols):
+    """The 0-1 matrices with the given row and column sums, counted by
+    enumerating each row's set of columns."""
+    count = 0
+    for choice in product(*(combinations(range(len(cols)), r) for r in rows)):
+        sums = [0] * len(cols)
+        for hit in choice:
+            for k in hit:
+                sums[k] += 1
+        count += tuple(sums) == tuple(cols)
+    return count
 
 
 def oracle_R(n, m):
     """The direct route with the m^2 factors f(t U_i V_j), f(s) =
     sum_k sigma_k(W) s^k, multiplied in (i, j) order."""
     src = Ring([(x, False) for p in "UVW" for x in family(p, m)])
-    sig_w = [elementary(m, k, src, family("W", m))
-             for k in range(0, min(m, n) + 1)]
+    ws = [src.var(w) for w in family("W", m)]
+    sig_w = [elementary(ws, k) for k in range(0, min(m, n) + 1)]
     prod = TruncSeries.one(src, n)
     for u in family("U", m):
         for v in family("V", m):
@@ -170,17 +237,24 @@ def random_symmetric(rng, m, max_carries=2):
 
 
 class TestElementary:
+    US = [U2.var("U1"), U2.var("U2")]
+
     def test_sigma1(self):
-        assert elementary(2, 1) == U2.var("U1") + U2.var("U2")
+        assert elementary(self.US, 1) == U2.var("U1") + U2.var("U2")
 
     def test_sigma2(self):
-        assert elementary(2, 2) == U2.var("U1") * U2.var("U2")
+        assert elementary(self.US, 2) == U2.var("U1") * U2.var("U2")
 
     def test_sigma_above_arity(self):
-        assert elementary(2, 3).is_zero()
+        assert elementary(self.US, 3).is_zero()
 
     def test_sigma0(self):
-        assert elementary(2, 0) == U2.one()
+        assert elementary(self.US, 0) == U2.one()
+
+    def test_polynomials(self):
+        a, b = U2.var("U1") - 1, U2.var("U2") + 2
+        c = U2.var("U1") * U2.var("U2")
+        assert elementary([a, b, c], 2) == a * b + a * c + b * c
 
 
 class TestReduce:
@@ -221,6 +295,11 @@ class TestReduce:
             symmetric_reduce(p)
         assert ei.value.witness == ("U1", "U2")
         assert symmetry_witness(p, ["U1", "U2"]) == ("U1", "U2")
+
+    def test_negative_family_exponent(self):
+        R = Ring([("U1", True), ("U2", True)])
+        with pytest.raises(ValueError, match="negative exponent -1"):
+            symmetric_reduce(R.var("U1", -1) + R.var("U2", -1))
 
     def test_carry_variables(self):
         R = Ring([("U1", False), ("U2", False), ("c", True)])
@@ -290,11 +369,12 @@ class TestReduceOracle:
                 series = series * TruncSeries(
                     ring, n, [c * ring.var(u) ** k for k, c in enumerate(coeffs)])
             want = dominant_part(series[n], fam)
-            got = symfunc._dominant_product(coeffs, ring, fam, n)
+            got = symfunc._dominant_product(coeffs, m, n)
             assert got == want, (coeffs, n)
             tgt = family("E", m)
-            assert symfunc._reduce_dominant(got, ring, fam, tgt) == \
-                worklist_reduce(series[n], fam, tgt), (coeffs, n)
+            red = worklist_reduce(series[n], fam, tgt)
+            assert symfunc._reduce_dominant(got, red.ring, tgt, m) == red, \
+                (coeffs, n)
 
     def test_universal_P(self):
         for n in range(1, 5):
@@ -305,14 +385,44 @@ class TestReduceOracle:
         for i, j in ((i, j) for i in range(1, 7) for j in range(1, 7)
                      if i * j <= 6):
             for m in (i * j, i * j + 1, i * j + 2):
-                assert symfunc._dominant_Q(i, j, m) == dominant_part(
-                    q_product(i, j, m), family("U", m)), (i, j, m)
+                want = dominant_part(q_product(i, j, m), family("U", m))
+                assert symfunc._dominant_Q(i, j, m) == {
+                    a: {(0,) * (i * j): c for c in t.values()}
+                    for a, t in want.items()}, (i, j, m)
                 assert universal_Q(i, j, m) == oracle_Q(i, j, m), (i, j, m)
 
     def test_universal_R_direct(self):
         for n in range(1, 4):
             for m in range(n, n + 2):
                 assert universal_R(n, "direct", m) == oracle_R(n, m), (n, m)
+
+    def test_sigma_products(self):
+        """The counting reduction against the sigma products it replaced,
+        on the corpus of test_random_symmetric."""
+        rng = random.Random(20261018)
+        for trial in range(400):
+            m = 1 + trial % 4
+            p, fam = random_symmetric(rng, m)
+            tgt = family("E", m)
+            assert symmetric_reduce(p, fam, tgt) == sigma_reduce(p, fam,
+                                                                 tgt), p
+
+    def test_zero_one(self):
+        for n, count in enumerate((1, 1, 2, 3, 5, 7, 11)):
+            parts = list(symfunc._partitions(n, n, n))
+            assert len(parts) == count and parts == sorted(parts, reverse=True)
+            for rows in parts:
+                for cols in parts:
+                    assert symfunc._zero_one(rows, cols) == \
+                        zero_one_matrices(rows, cols), (rows, cols)
+
+    def test_P_stability(self):
+        for n in range(1, 11):
+            assert universal_P(n, n + 1) == universal_P(n), n
+
+    def test_R_direct_is_composed(self):
+        for n in range(1, 10):
+            assert universal_R(n, "direct") == universal_R(n, "composed"), n
 
 
 class TestUniversalP:
