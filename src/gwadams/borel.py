@@ -19,7 +19,7 @@ from . import gwring, symfunc
 from .gwring import GW, KTH, THEORIES, GWElem, SymClass, context_ring
 from .lambdaring import adams, lambda_series
 from .polyring import GradingError, MultiPoly, Ring, signed_join
-from .report import VerificationReport, check
+from .report import Template, VerificationReport, check
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +87,14 @@ def check_omega_laws(max_m: int = 5, max_n: int = 10, quotient_max: int = 8,
 
     for n in range(0, max_n + 1):
         lhs, rhs = omega_recursive(n), omega_closed(n)
-        rep.add(check("omega_closed", (n,), lhs == rhs, lhs.text(), rhs.text()))
+        rep.add(check("omega_closed", (n,), lhs == rhs, lhs, rhs))
 
     for m in range(2, max_m + 1):
         for n in range(2, max_m + 1):
             lhs = omega_recursive(m * n)
             psi_wm = adams(n, omega_recursive(m))
             rhs = omega_recursive(n) * psi_wm
-            rep.add(check("omega_psi", (m, n), lhs == rhs,
-                          lhs.text(), rhs.text()))
+            rep.add(check("omega_psi", (m, n), lhs == rhs, lhs, rhs))
 
     gens = ("u",)
     u = SymClass.gen("u", gens=gens, quotient=True)
@@ -109,10 +108,10 @@ def check_omega_laws(max_m: int = 5, max_n: int = 10, quotient_max: int = 8,
         rest = ps - SymClass.from_gw(c1, gens=gens, quotient=True) * x
         w = omega_recursive(n)
         rep.add(check("omega_quotient", (n,), c1 == w and rest.is_zero(),
-                      ps.text(), "(%s)*(u - tau)" % w.text()))
+                      ps, Template("(%s)*(u - tau)", (w,))))
 
     rep.extend(gwring.localization_witnesses(loc_bound).entries)
-    return rep.sort()
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +228,7 @@ def check_borel_prop() -> VerificationReport:
     for i in range(1, 5):
         want = SymClass(lam_closed[i], GW, gens4)
         rep.add(check("preliminary", (i,), lam_engine[i] == want,
-                      lam_engine[i].text(), want.text()))
+                      lam_engine[i], want))
 
     # sigma_i(x_1 - y, ..., x_4 - y) in Z[x1..x4, y]
     R = Ring([("x%d" % j, False) for j in range(1, 5)] + [("y", False)])
@@ -246,7 +245,7 @@ def check_borel_prop() -> VerificationReport:
     }
     for i in range(1, 5):
         rep.add(check("symmetric", (i,), shifted_sigma[i] == sym_expected[i],
-                      shifted_sigma[i].text(), sym_expected[i].text()))
+                      shifted_sigma[i], sym_expected[i]))
 
     # Borel classes of the sum: sigma_i(e_j - tau) against the displayed
     # combinations of lambda^k, once with the closed lambda values and
@@ -257,9 +256,9 @@ def check_borel_prop() -> VerificationReport:
     for i in range(1, 5):
         got = borel_sum_classes(4, i)
         rep.add(check("borel", (i,), got == from_closed[i],
-                      got.text(), from_closed[i].text()))
+                      got, from_closed[i]))
         rep.add(check("borel_engine", (i,), got == from_engine[i],
-                      got.text(), from_engine[i].text()))
+                      got, from_engine[i]))
 
     # triple products
     displays = _explicit_triple_displays()
@@ -270,15 +269,15 @@ def check_borel_prop() -> VerificationReport:
     for i in range(1, 5):
         want = displays[i]
         rep.add(check("explicit3fold", (i,), engine[i] == want,
-                      engine[i].text(), want.text()))
+                      engine[i], want))
         rroute = _triple_via_R(i)
         rep.add(check("triple_R", (i,), engine[i] == rroute,
-                      engine[i].text(), rroute.text()))
+                      engine[i], rroute))
     for i in range(1, 9):
         want = triple_product_closed(i)
         rep.add(check("triple_graded", (i,), engine[i] == want,
-                      engine[i].text(), want.text()))
-    return rep.sort()
+                      engine[i], want))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +442,14 @@ def check_ternary() -> VerificationReport:
     b_want = _expected_b_u()
     for i in range(1, 5):
         rep.add(check("b_intermediate", (i,), b[i] == b_want[i],
-                      b[i].text(), b_want[i].text()))
+                      b[i], b_want[i]))
 
     for theory, lemma in (("gw", "gw_F"), ("k", "k_F")):
         laws = ternary_laws(theory)
         want = expected_laws(theory)
         for law in laws:
             w = want[law.index]
-            rep.add(check(lemma, (law.index,), law.value == w.value,
-                          law.text(), w.text()))
+            rep.add(check(lemma, (law.index,), law.value == w.value, law, w))
             got_orb = {key: c for c, key in law.orbit_decomposition()}
             want_orb = {key: c for c, key in w.orbit_decomposition()}
             for key in sorted(set(got_orb) | set(want_orb)):
@@ -459,13 +457,12 @@ def check_ternary() -> VerificationReport:
                 gc = got_orb.get(key, zero)
                 wc = want_orb.get(key, zero)
                 rep.add(check(lemma + "_coeff", (law.index, key), gc == wc,
-                              gc.text(), wc.text()))
+                              gc, wc))
 
     want_w = expected_laws("witt")
     for law in ternary_laws("witt"):
         w = want_w[law.index]
-        rep.add(check("witt_F", (law.index,), law.value == w.value,
-                      law.text(), w.text()))
+        rep.add(check("witt_F", (law.index,), law.value == w.value, law, w))
 
     # S3 invariance and grading of each law
     for law in ternary_laws("gw") + ternary_laws("k"):
@@ -490,5 +487,5 @@ def check_ternary() -> VerificationReport:
         k_img = klaws[law.index].value.poly.substitute(
             {"beta": target.one()}, target)
         rep.add(check("rank_compat", (law.index,), gw_img == k_img,
-                      gw_img.text(), k_img.text()))
-    return rep.sort()
+                      gw_img, k_img))
+    return rep

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, gcd, isqrt, lcm, prod
@@ -19,6 +20,9 @@ from operator import getitem, mul
 from typing import NamedTuple
 
 from .report import VerificationReport, check
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class DegeneracyError(ValueError):
@@ -36,6 +40,8 @@ def _frac(x):
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
+        if _DECIMAL.fullmatch(x):
+            return int(x)
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -109,8 +115,13 @@ class GramForm:
 
     @staticmethod
     def from_obj(obj: dict) -> "GramForm":
-        sym = {"symmetric": 1, "skew": -1}[obj["sym"]]
-        return GramForm(obj["matrix"], sym)
+        if not isinstance(obj, dict):
+            raise ValueError("a Gram form document must be a JSON object")
+        kind = obj.get("sym")
+        if kind not in ("symmetric", "skew"):
+            raise ValueError('sym must be "symmetric" or "skew"%s' % (
+                ", got %s" % json.dumps(kind) if "sym" in obj else ""))
+        return GramForm(obj.get("matrix"), 1 if kind == "symmetric" else -1)
 
     @staticmethod
     def from_json(s: str) -> "GramForm":
@@ -730,7 +741,7 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
         ok = ok and ext_power(f, n).rank == comb(f.rank, n)
         ok = ok and ext_power(f, n).sym == f.sym ** n
         rep.add(check("ext_functorial", (k,), ok))
-    return rep.sort()
+    return rep
 
 
 def ext_matrix(B, n: int):

@@ -8,8 +8,10 @@ order used everywhere is graded lexicographic by declared variable order.
 TruncSeries is a truncated power series in a distinguished formal variable t
 with MultiPoly coefficients, exact modulo t^(N+1).
 
-The public constructors validate their terms.  Results of ring operations
-are valid by construction and skip re-validation (MultiPoly._trusted); every
+The public constructors validate their terms, checking the Laurent flags
+only of a term with a negative exponent.  Results of ring operations and
+the Ring's constants and variables are valid by construction and skip
+validation (MultiPoly._trusted); every
 product goes through one multiply-accumulate kernel, _mul_into, which
 sum_of_products also uses to accumulate a sum of products in place, and
 substitute to multiply out its multi-term bindings.  Text and LaTeX are
@@ -118,15 +120,14 @@ class Ring:
             raise ContextError("no variable %r in %r" % (name, self)) from None
 
     def zero(self) -> "MultiPoly":
-        return MultiPoly(self, {})
+        return MultiPoly._trusted(self, {})
 
     def one(self) -> "MultiPoly":
         return self.const(1)
 
     def const(self, c: int) -> "MultiPoly":
-        if c == 0:
-            return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * self.nvars: int(c)})
+        return MultiPoly._trusted(self,
+                                  {(0,) * self.nvars: int(c)} if c else {})
 
     def var(self, name: str, exp: int = 1) -> "MultiPoly":
         i = self.index(name)
@@ -134,7 +135,7 @@ class Ring:
             raise ExponentError("variable %r is not Laurent" % name)
         e = [0] * self.nvars
         e[i] = exp
-        return MultiPoly(self, {tuple(e): 1})
+        return MultiPoly._trusted(self, {tuple(e): 1})
 
     def monomial(self, coeff: int, exps: Mapping[str, int]) -> "MultiPoly":
         e = [0] * self.nvars
@@ -161,9 +162,10 @@ class MultiPoly:
         for exps, c in terms.items():
             if c == 0:
                 continue
-            for e, laur in zip(exps, ring.laurent):
-                if e < 0 and not laur:
-                    raise negative_exponent(e, ring)
+            if exps and min(exps) < 0:
+                for e, laur in zip(exps, ring.laurent):
+                    if e < 0 and not laur:
+                        raise negative_exponent(e, ring)
             clean[exps] = c
         self.ring = ring
         self.terms = clean
@@ -288,22 +290,17 @@ class MultiPoly:
             return 0
         return max(e[i] for e in self.terms)
 
-    def graded_degree(self, weights: Mapping[str, int]):
-        """Common weighted degree of all terms, or None if inhomogeneous.
-
-        Weight of any variable absent from `weights` is 0.
-        """
-        if not self.terms:
-            return 0
-        w = [weights.get(n, 0) for n in self.ring.names]
+    def graded_degree(self, weights: tuple):
+        """Common weighted degree of all terms, 0 for the zero polynomial,
+        or None if inhomogeneous; weights[i] is the weight of variable i."""
         deg = None
         for exps in self.terms:
-            d = sum(e * wi for e, wi in zip(exps, w) if wi)
+            d = sum(map(operator.mul, exps, weights))
             if deg is None:
                 deg = d
             elif d != deg:
                 return None
-        return deg
+        return 0 if deg is None else deg
 
     def substitute(self, bindings: Mapping[str, "MultiPoly"],
                    target: Ring | None = None) -> "MultiPoly":

@@ -13,13 +13,56 @@ FAIL = "fail"
 MISMATCH = "mismatch-documented"
 
 
-class ReportEntry(NamedTuple):
-    lemma: str
-    params: tuple
-    status: str
-    lhs: str = ""
-    rhs: str = ""
-    note: str = ""
+class Template(NamedTuple):
+    """A text made on demand: form % the texts of args."""
+    form: str
+    args: tuple
+
+    def text(self) -> str:
+        return self.form % tuple(a.text() for a in self.args)
+
+
+class ReportEntry:
+    """A frozen record.  lhs and rhs are given as strings or as objects with
+    a text() method, rendered on first read: a passing entry's values are
+    printed only in the JSON report.  Entries compare by the texts."""
+
+    __slots__ = ("lemma", "params", "status", "_lhs", "_rhs", "note")
+
+    def __init__(self, lemma: str, params: tuple, status: str, lhs="",
+                 rhs="", note: str = ""):
+        for field, value in zip(self.__slots__, (lemma, params, status, lhs,
+                                                 rhs, note)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a ReportEntry"
+                             % name)
+
+    def _text(self, slot: str) -> str:
+        value = getattr(self, slot)
+        if type(value) is not str:
+            value = value.text()
+            object.__setattr__(self, slot, value)
+        return value
+
+    lhs = property(lambda self: self._text("_lhs"))
+    rhs = property(lambda self: self._text("_rhs"))
+
+    def _fields(self) -> tuple:
+        return (self.lemma, self.params, self.status, self.lhs, self.rhs,
+                self.note)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "ReportEntry%r" % (self._fields(),)
 
     def params_str(self) -> str:
         return "(" + ",".join(str(p) for p in self.params) + ")"
@@ -37,13 +80,12 @@ class ReportEntry(NamedTuple):
 
 
 def check(lemma: str, params: tuple, ok: bool, lhs="", rhs="", note="") -> ReportEntry:
-    return ReportEntry(lemma, params, PASS if ok else FAIL,
-                       str(lhs), str(rhs), note)
+    return ReportEntry(lemma, params, PASS if ok else FAIL, lhs, rhs, note)
 
 
 class VerificationReport:
     __slots__ = ("suite", "entries", "version", "timestamp", "elapsed_s",
-                 "lemma_elapsed_s", "lemma_s", "_last")
+                 "lemma_elapsed_s", "lemma_s", "_last", "_sorted")
 
     def __init__(self, suite: str, entries: list | None = None,
                  version: str = __version__, timestamp: str | None = None,
@@ -59,6 +101,7 @@ class VerificationReport:
         # the previous entry (or since the report was made).  Not compared.
         self.lemma_s = {}
         self._last = time.perf_counter()
+        self._sorted = False
 
     def _compared(self) -> tuple:
         return (self.suite, self.entries, self.version, self.timestamp,
@@ -75,13 +118,17 @@ class VerificationReport:
                                      + now - self._last)
         self._last = now
         self.entries.append(entry)
+        self._sorted = False
 
     def extend(self, entries):
         for e in entries:
             self.add(e)
 
     def sort(self):
-        self.entries.sort(key=lambda e: (e.lemma, e.params_str()))
+        """Entries in (lemma, params) order, sorted once after each add."""
+        if not self._sorted:
+            self.entries.sort(key=lambda e: (e.lemma, e.params_str()))
+            self._sorted = True
         return self
 
     @property
@@ -138,7 +185,5 @@ class VerificationReport:
 
 
 def merge(suite: str, reports) -> VerificationReport:
-    out = VerificationReport(suite)
-    for r in reports:
-        out.extend(r.entries)
-    return out.sort()
+    """The entries of reports in one report; the timings stay with them."""
+    return VerificationReport(suite, [e for r in reports for e in r.entries])

@@ -1,10 +1,8 @@
 """Symmetric-function machinery.
 
-Reduction of symmetric polynomials to the elementary symmetric basis
-(repeated leading-term elimination in graded-lex order) and the universal
-polynomial families P_n, Q_{i,j}, R_n of products of the shape
-prod(1 + t * monomial), together with a verification battery for their
-closed-form specializations.
+The universal polynomial families P_n, Q_{i,j}, R_n of products of the
+shape prod(1 + t * monomial), together with a verification battery for
+their closed-form specializations.
 
 P_n and Q_{i,j} come from power sums through Newton's identities.  The
 Gauss reduction of the defining product stays as an independent route:
@@ -28,14 +26,6 @@ from .polyring import (
 from .report import VerificationReport, check
 
 
-class SymmetryError(ValueError):
-    """Input not symmetric; `witness` holds the offending transposition."""
-
-    def __init__(self, msg, witness):
-        super().__init__(msg)
-        self.witness = witness
-
-
 @cache
 def _family_ring(prefix: str, m: int, laurent: bool = False) -> Ring:
     return Ring([("%s%d" % (prefix, i), laurent) for i in range(1, m + 1)])
@@ -54,69 +44,6 @@ def elementary(polys: list, n: int) -> MultiPoly:
     ring = polys[0].ring
     return sum((prod(combo, start=ring.one())
                 for combo in combinations(polys, n)), ring.zero())
-
-
-def symmetry_witness(p: MultiPoly, family: list[str]):
-    """Return an adjacent transposition (name_k, name_{k+1}) under which p is
-    not invariant, or None if p passes all adjacent-transposition checks."""
-    idx = [p.ring.index(n) for n in family]
-    get = p.terms.get
-    for k in range(len(idx) - 1):
-        i, j = idx[k], idx[k + 1]
-        # the swap is a bijection, so p is invariant iff every term's image
-        # carries the same coefficient
-        for exps, c in p.terms.items():
-            if exps[i] != exps[j]:
-                e = list(exps)
-                e[i], e[j] = e[j], e[i]
-                if get(tuple(e)) != c:
-                    return (family[k], family[k + 1])
-    return None
-
-
-def symmetric_reduce(p: MultiPoly, family: list[str] | None = None,
-                     targets: list[str] | None = None) -> MultiPoly:
-    """Rewrite a polynomial symmetric in the `family` variables as a
-    polynomial in new variables `targets`, where target k stands for
-    sigma_k(family).  Non-family variables ride along unchanged.
-
-    Classical Gauss algorithm: repeatedly eliminate the leading family
-    monomial by the matching product of elementary symmetric polynomials.
-    Every intermediate polynomial stays symmetric, so it is zero exactly
-    when its dominant part (the terms whose family exponent is a partition)
-    is zero, and its leading monomial is dominant: only the dominant terms
-    are tracked (_reduce_dominant).
-    """
-    ring = p.ring
-    if family is None:
-        family = list(ring.names)
-    m = len(family)
-    if targets is None:
-        targets = ["X%d" % k for k in range(1, m + 1)]
-    if len(targets) != m:
-        raise ValueError("need one target symbol per family variable")
-
-    w = symmetry_witness(p, family)
-    if w is not None:
-        raise SymmetryError("not symmetric under transposition %s<->%s" % w, w)
-
-    fam_idx = [ring.index(n) for n in family]
-    fam_set = set(fam_idx)
-    target = Ring([(targets[fam_idx.index(i)], False) if i in fam_set
-                   else (nm, ring.laurent[i])
-                   for i, nm in enumerate(ring.names)])
-    # work[a] = {exponents with the family positions zeroed: coeff} for each
-    # dominant family exponent a
-    work: dict = {}
-    for exps, c in p.terms.items():
-        a = tuple(map(exps.__getitem__, fam_idx))
-        if _is_partition(a):
-            if a and a[-1] < 0:
-                raise ValueError("negative exponent %d of a family variable"
-                                 % a[-1])
-            rest = tuple(0 if i in fam_set else e for i, e in enumerate(exps))
-            work.setdefault(tuple(filter(None, a)), {})[rest] = c
-    return _reduce_dominant(work, target, targets, m)
 
 
 def _reduce_dominant(work: dict, ring: Ring, targets: list[str],
@@ -476,7 +403,7 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
         except ContextError:
             hi, ok = None, False
         rep.add(check("P_stability", (n,), ok,
-                      universal_P(n).text(), hi.text() if hi else "<extra vars>"))
+                      universal_P(n), hi or "<extra vars>"))
     for i, j in sorted((i, j) for i in range(1, 7) for j in range(1, 7)
                        if 1 <= i * j <= 6):
         try:
@@ -509,7 +436,7 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
     for n in range(1, min(max_n, 3) + 1):
         d = universal_R(n, "direct")
         c = universal_R(n, "composed")
-        rep.add(check("R_P", (n,), d == c, d.text(), c.text()))
+        rep.add(check("R_P", (n,), d == c, d, c))
 
     # pi recursion: pi_{a,b,c}(t) = pi_{a,b}(tc) * pi_{a,b}(tc^{-1})
     labc = Ring([("a", True), ("b", True), ("c", True), ("t", False)])
@@ -535,7 +462,7 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
     for n in range(0, min(max_n, 4) + 1):
         got = evaluate(universal_P(n), rxy, X=xs, Y=ys)
         want = rxy_closed(n, rxy.var("x"), rxy.var("y"))
-        rep.add(check("RXY", (n,), got == want, got.text(), want.text()))
+        rep.add(check("RXY", (n,), got == want, got, want))
     pab = _pi_poly(lab, ["a", "b"])
     for n in range(0, 5):
         got = pab.coefficient("t", n).rename(Ring([("a", True), ("b", True)]))
@@ -551,7 +478,7 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
         got = evaluate(universal_P(n), rb, X=rs, Y=ell_args(rb.var("B"), n))
         rem = got - rb.var("B") ** n * rs[n - 1]
         rep.add(check("RB", (n,), rem.is_zero() or rem.degree_in("B") <= n - 1,
-                      got.text(), note="degree bound"))
+                      got, note="degree bound"))
 
     # RZ: Q_{i,j} at ell-values
     rx = Ring([("x", False)])
@@ -560,7 +487,7 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
         got = evaluate(universal_Q(i, j), rx,
                        X=ell_args(rx.var("x"), max(i * j, 2)))
         want = rz_closed(i, j, rx.var("x"))
-        rep.add(check("RZ", (i, j), got == want, got.text(), want.text()))
+        rep.add(check("RZ", (i, j), got == want, got, want))
 
     # R_abc: symbolic route for n <= max_n, pi-route for all n <= 8
     rxyz = Ring([("x", False), ("y", False), ("z", False)])
@@ -570,7 +497,7 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
     for n in range(0, min(max_n, 4) + 1):
         got = evaluate(universal_R(n), rxyz, X=exs, Y=eys, Z=ezs)
         want = r_abc_closed(n, rxyz.var("x"), rxyz.var("y"), rxyz.var("z"))
-        rep.add(check("R_abc", (n,), got == want, got.text(), want.text()))
+        rep.add(check("R_abc", (n,), got == want, got, want))
     pabc = _pi_poly(labc, ["a", "b", "c"])
     lr3 = Ring([("a", True), ("b", True), ("c", True)])
     for n in range(0, 9):
@@ -585,15 +512,15 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
                        if i * j <= 6):
         got = evaluate(universal_Q(i, j), rx, X=[rx.var("x")])
         want = rx.var("x") if (i == 1 and j == 1) else rx.zero()
-        rep.add(check("lambda_dim1", (i, j), got == want, got.text(), want.text()))
+        rep.add(check("lambda_dim1", (i, j), got == want, got, want))
     for n in range(1, max_n + 1):
         rf = Ring([("f%d" % k, False) for k in range(1, n + 1)] + [("x", False)])
         fs = [rf.var("f%d" % k) for k in range(1, n + 1)]
         got = evaluate(universal_P(n), rf, X=fs, Y=[rf.var("x")])
         want = fs[n - 1] * rf.var("x") ** n
-        rep.add(check("product_dim1", (n,), got == want, got.text(), want.text()))
+        rep.add(check("product_dim1", (n,), got == want, got, want))
 
-    return rep.sort()
+    return rep
 
 
 def check_appendix_a(max_k: int = 4, group_samples: int = 6,
@@ -639,7 +566,7 @@ def check_appendix_a(max_k: int = 4, group_samples: int = 6,
         for n in range(0, k + 2):
             want = elementary([lines.var(x) for x in lines.names], n)
             rep.add(check("line_product", (k, n), prod[n] == want,
-                          prod[n].text(), want.text()))
+                          prod[n], want))
 
     for i in (1, 2, -1):
         amb = _join_rings(_family_ring("y", 3), Ring([("x", True)]))
@@ -652,5 +579,5 @@ def check_appendix_a(max_k: int = 4, group_samples: int = 6,
             want = (elementary([amb.var(y) for y in ("y1", "y2", "y3")], n)
                     * amb.var("x", n * i))
             rep.add(check("power_scaling", (n, i), prod[n] == want,
-                          prod[n].text(), want.text()))
-    return rep.sort()
+                          prod[n], want))
+    return rep

@@ -850,6 +850,20 @@ class TestForm:
             assert r.exit_code == 2, doc
             assert "cannot read Gram form" in r.output, doc
 
+    @pytest.mark.parametrize("doc, msg", [
+        ('{"sym":1,"matrix":[[1]]}', 'sym must be "symmetric" or "skew", got 1'),
+        ('{"matrix":[[1]]}', 'sym must be "symmetric" or "skew"'),
+        ('{"sym":"x","matrix":[[1]]}',
+         'sym must be "symmetric" or "skew", got "x"'),
+        ('{"sym":"symmetric"}', "matrix must be a list of rows"),
+        ("[1]", "a Gram form document must be a JSON object"),
+    ])
+    def test_document_fields_named(self, runner, doc, msg):
+        # these leaked a KeyError or TypeError repr ('sym', 'x', 1)
+        r = runner("form", "invariants", "-", input=doc)
+        assert r.exit_code == 2
+        assert "cannot read Gram form -: %s\n" % msg in r.output
+
     def test_factoring_bounded(self, runner, tmp_path):
         # pivots with prime factors far above the trial-division bound:
         # each call ends within 2 s, with the invariants or with exit 2
@@ -1074,6 +1088,38 @@ class TestVerify:
         assert r2.output == r.output
         obj = json.loads(out.read_text())
         assert "elapsed_s" not in obj and "lemma_elapsed_s" not in obj
+
+    def test_pass_cells_rendered_only_into_json(self, runner, tmp_path,
+                                                monkeypatch):
+        # a passing cell's lhs and rhs are rendered when the JSON report
+        # is written, never for the text report, which does not print them
+        from gwadams import polyring, report
+        from_report = []
+        render = polyring.MultiPoly._render
+
+        def counting(self, *args):
+            frame = sys._getframe(1)
+            while frame and frame.f_code.co_filename != report.__file__:
+                frame = frame.f_back
+            from_report.append(frame is not None)
+            return render(self, *args)
+
+        monkeypatch.setattr(polyring.MultiPoly, "_render", counting)
+        r = runner("verify", "all")
+        assert r.exit_code == 0 and "1232 pass, 0 fail" in r.output
+        assert from_report and not any(from_report)
+        from_report.clear()
+        out = tmp_path / "all.json"
+        assert runner("verify", "all", "--json", str(out),
+                      "--no-timestamp").output == r.output
+        assert sum(from_report) >= 858
+        entries = json.loads(out.read_text())["entries"]
+        assert (sum("lhs" in e for e in entries),
+                sum("rhs" in e for e in entries)) == (858, 854)
+        # every lhs and rhs as the eagerly rendering report wrote them
+        assert hashlib.sha256(json.dumps(entries, sort_keys=True).encode(
+        )).hexdigest() == ("287fbadbc2302ad5be31268a896cb9f3"
+                           "99b8059dbdc40a33be54a7123341e483")
 
     def test_no_timestamp_golden(self, runner, tmp_path):
         a = tmp_path / "a.json"

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gwadams.forms import (
     TRIAL_DIVISION_MAX, DegeneracyError, GramForm, GWQInvariants,
-    WitnessError, _base_change, _diagonalize, _int_det, _int_mul, _integral,
-    _odd_primes, _place_key, _transpose,
+    WitnessError, _base_change, _diagonalize, _frac, _int_det, _int_mul,
+    _integral, _odd_primes, _place_key, _transpose,
     check_congruence, check_section2_and_hyp, direct_sum, dual, ext_matrix,
     ext_power, gw_identity_check, hilbert_symbol, hyperbolic, invariants,
     scale, squarefree, sym_power, symplectic_plane, tensor,
@@ -235,6 +235,34 @@ def rand_unimodular(rng, n: int):
           for j in range(n)] for i in range(n)]
     perm = rng.sample(range(n), n)
     return [U[k] for k in perm]
+
+
+def parent_frac(x):
+    """forms._frac as it was before it read decimal integers with int."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator: %r" % (x,))
+    raise ValueError("not an exact rational: %r" % (x,))
+
+
+def outcome(fn, x):
+    """("value", fn(x)) or (error class, message)."""
+    try:
+        return "value", fn(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("x", ["3", "-0", "+7", " 3 ", "3/4", "1.5", "1e3",
+                               "1_0", "", "abc", "1/0", "-12", "007", "3\n",
+                               "\u0663", 1.5, True, 4, Fraction(1, 3)],
+                         ids=repr)
+def test_frac_oracle(x):
+    assert outcome(_frac, x) == outcome(parent_frac, x)
 
 
 class TestGramForm:

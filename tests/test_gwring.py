@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gwadams import gwring
 from gwadams.borel import omega_closed, omega_recursive
 from gwadams.gwring import (
-    COEFF_RING, GW, GWElem, SymClass, check_coefficient_identities,
-    context_ring, normalize,
+    COEFF_RING, GW, KTH, WITT, GWElem, SymClass,
+    check_coefficient_identities, context_ring, normalize,
 )
 from gwadams.lambdaring import adams, psi_tau_closed
 from gwadams.polyring import GradingError, MultiPoly
@@ -220,6 +222,54 @@ class TestSubclass:
                   adams(2, t), adams(-1, t)):
             assert type(x) is GWElem
         assert type(SymClass.from_gw(t)) is SymClass
+
+
+@st.composite
+def class_pairs(draw):
+    """(the full constructor of a context, two classes built by it): GW,
+    K and Witt classes, GW also in quotient mode, in up to two
+    generators, from polynomials with small exponents."""
+    theory, quotient = draw(st.sampled_from(
+        [(GW, False), (GW, True), (KTH, False), (WITT, False)]))
+    gens = draw(st.sampled_from([(), ("u1",), ("u1", "u2")]))
+    ring = context_ring(theory, gens)
+    exps = st.tuples(*(st.integers(-2, 3) if laurent else st.integers(0, 3)
+                       for laurent in ring.laurent))
+
+    def full(poly):
+        return SymClass(poly, theory, gens, quotient)
+
+    x, y = (full(MultiPoly(ring, draw(st.dictionaries(
+        exps, st.integers(-4, 4), max_size=5)))) for _ in range(2))
+    return full, x, y
+
+
+class TestWrappedArithmetic:
+    """Sums, differences and negatives wrap their polynomial without
+    re-normalizing it: they equal the full constructor's class."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(class_pairs(), st.integers(-3, 3))
+    def test_equals_full_constructor(self, ctx, c):
+        full, x, y = ctx
+        for got, poly in ((x + y, x.poly + y.poly), (x - y, x.poly - y.poly),
+                          (-x, -x.poly), (x + c, x.poly + c),
+                          (c - x, c - x.poly), (x * y, x.poly * y.poly)):
+            want = full(poly)
+            assert got == want and got.poly.terms == want.poly.terms
+            assert got.poly.ring == want.poly.ring and type(got) is SymClass
+
+    def test_no_normal_form_work(self, monkeypatch):
+        gens = ("u1",)
+        x = SymClass.gen("u1", gens=gens, quotient=True)
+        y = SymClass.from_gw(GWElem.tau(), gens=gens, quotient=True)
+
+        def refuse(*args):
+            raise AssertionError("called on a sum")
+
+        monkeypatch.setattr(gwring, "normalize", refuse)
+        monkeypatch.setattr(gwring, "context_ring", refuse)
+        assert (x + y) - y == x and -(-x) == x and 2 - (x + 2) == -x
 
 
 class TestGrading:

@@ -8,6 +8,7 @@ from gwadams.lambdaring import (
     l1_samples, lambda_op, lambda_series,
 )
 from gwadams.polyring import GradingError, Ring, TruncSeries
+from test_symfunc import symmetric_reduce
 
 
 GENS = ("u1", "u2")
@@ -161,9 +162,9 @@ def gauss_fold_rank2(series, prim_name, ctx, rank_bound):
 
 def series_fold_rank2(series, prim_name, ctx):
     """The fold as a series product: expand prod_i(1 + U_i*y*t +
-    U_i^2*det*t^2) over M = N roots U_i and reduce each coefficient by the
-    public symmetric_reduce.  N roots carry every lambda^j(x), j <= N, so
-    no rank assumption is made."""
+    U_i^2*det*t^2) over M = N roots U_i and reduce each coefficient by
+    test_symfunc's symmetric_reduce.  N roots carry every lambda^j(x),
+    j <= N, so no rank assumption is made."""
     theory, base, N = ctx.theory, series.ring, series.order
     M = max(1, N)
     unames = ["UF%d" % i for i in range(1, M + 1)]
@@ -178,7 +179,7 @@ def series_fold_rank2(series, prim_name, ctx):
         prod = prod * TruncSeries(ext, N, [ext.one(), uv * y, uv * uv * det])
     lam = TruncSeries(base, M, series.coeffs)
     bind = {t: lam[j] for j, t in enumerate(targets, 1)}
-    out = [symfunc.symmetric_reduce(prod[k], unames, targets)
+    out = [symmetric_reduce(prod[k], unames, targets)
            .substitute(bind, base) for k in range(N + 1)]
     return lambdaring._normal(TruncSeries(base, N, out), ctx)
 

@@ -118,7 +118,7 @@ class TestSeries:
 
 
 class TestGradedDegree:
-    W = {"tau": 2, "gamma": 4}
+    W = (2, 4)      # tau, gamma
 
     def test_degree_zero(self):
         R = Ring([("tau", False), ("gamma", True)])
@@ -128,7 +128,7 @@ class TestGradedDegree:
     def test_borel_style_degree(self):
         R = Ring([("u1", False), ("u2", False), ("u3", False), ("gamma", True)])
         p = R.var("u1") * R.var("u2") * R.var("u3") * R.var("gamma", -1)
-        assert p.graded_degree({"u1": 2, "u2": 2, "u3": 2, "gamma": 4}) == 2
+        assert p.graded_degree((2, 2, 2, 4)) == 2
 
     def test_inhomogeneous(self):
         R = Ring([("tau", False), ("gamma", True)])
@@ -374,6 +374,17 @@ class TestValidationRoutes:
             R2.monomial(3, {"x": 1, "y": -1})
         assert R2.monomial(0, {"x": 1}).terms == {}
         assert R2.const(0).terms == {}
+
+    def test_negative_exponents_of_both_kinds(self):
+        # a term with a negative exponent has its Laurent flags checked, and
+        # the first negative exponent on a non-Laurent variable is named
+        R = Ring([("g", True), ("x", False), ("y", False)])
+        for exps in ((-2, 1, -3), (-5, 0, -3)):
+            with pytest.raises(ExponentError) as ei:
+                MultiPoly(R, {exps: 1})
+            assert str(ei.value) == ("negative exponent -3 on non-Laurent "
+                                     "variable in Ring(g^±, x, y)")
+        assert MultiPoly(R, {(-2, 1, 0): 4}).terms == {(-2, 1, 0): 4}
 
     def test_rename_to_non_laurent_target(self):
         src = Ring([("x", True)])

@@ -11,12 +11,70 @@ import gwadams
 from gwadams.polyring import MultiPoly, Ring, TruncSeries, grlex_key
 from gwadams import symfunc
 from gwadams.symfunc import (
-    SymmetryError, check_appendix_b, elementary, ell_args, evaluate, ring_P,
-    ring_Q, ring_R, rxy_closed, symmetric_reduce, symmetry_witness,
-    universal_P, universal_Q, universal_R,
+    check_appendix_b, elementary, ell_args, evaluate, ring_P, ring_Q, ring_R,
+    rxy_closed, universal_P, universal_Q, universal_R,
 )
 
 U2 = Ring([("U1", False), ("U2", False)])
+
+
+# -- the reduction of a symmetric polynomial to the elementary basis, a
+# test helper over symfunc._reduce_dominant: the symmetry check, the
+# dominant part (dominant_part below) and the target ring
+
+class SymmetryError(ValueError):
+    """Input not symmetric; `witness` holds the offending transposition."""
+
+    def __init__(self, msg, witness):
+        super().__init__(msg)
+        self.witness = witness
+
+
+def symmetry_witness(p, family):
+    """Return an adjacent transposition (name_k, name_{k+1}) under which p is
+    not invariant, or None if p passes all adjacent-transposition checks."""
+    idx = [p.ring.index(n) for n in family]
+    get = p.terms.get
+    for k in range(len(idx) - 1):
+        i, j = idx[k], idx[k + 1]
+        # the swap is a bijection, so p is invariant iff every term's image
+        # carries the same coefficient
+        for exps, c in p.terms.items():
+            if exps[i] != exps[j]:
+                e = list(exps)
+                e[i], e[j] = e[j], e[i]
+                if get(tuple(e)) != c:
+                    return (family[k], family[k + 1])
+    return None
+
+
+def symmetric_reduce(p, family=None, targets=None):
+    """Rewrite a polynomial symmetric in the `family` variables as a
+    polynomial in new variables `targets`, where target k stands for
+    sigma_k(family), by symfunc's counting reduction of the dominant part
+    (the terms whose family exponent is a partition).  Non-family
+    variables ride along unchanged."""
+    ring = p.ring
+    if family is None:
+        family = list(ring.names)
+    m = len(family)
+    if targets is None:
+        targets = ["X%d" % k for k in range(1, m + 1)]
+    if len(targets) != m:
+        raise ValueError("need one target symbol per family variable")
+    w = symmetry_witness(p, family)
+    if w is not None:
+        raise SymmetryError("not symmetric under transposition %s<->%s" % w, w)
+    fam_idx = [ring.index(n) for n in family]
+    target = Ring([(targets[fam_idx.index(i)], False) if i in fam_idx
+                   else (nm, ring.laurent[i])
+                   for i, nm in enumerate(ring.names)])
+    work = dominant_part(p, family)
+    for a in work:
+        if a and a[-1] < 0:
+            raise ValueError("negative exponent %d of a family variable"
+                             % a[-1])
+    return symfunc._reduce_dominant(work, target, targets, m)
 
 
 # -- reference oracles: Gauss's reduction over the whole worklist and the
