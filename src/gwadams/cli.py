@@ -41,10 +41,12 @@ FORMATS = ("text", "latex", "json")
 # |n| in `adams n`: `adams 256 --target u` and `--target u-tau` take
 # 0.07-0.09 s, most of it process start and import
 ADAMS_MAX = 256
-# |n|^k in `adams n`, k the number of generators occurring in the target;
-# the output grows like |n|^k: u1*u2*u3 at n = 64 takes 0.3-0.5 s (2 MB
-# out, two thirds of it rendering), at n = 128 3.2-3.6 s in process (23 MB
-# out)
+# `adams n` takes |n|*e <= ADAMS_MAX for each generator in the target, e its
+# largest exponent (u^128 at n = 2 and u^16 at n = 16 take 0.13-0.14 s,
+# u^3000 at n = 2 would take 16 s), and a product of these at most
+# ADAMS_SIZE_MAX, as the output grows like it: u1*u2*u3 at n = 64 takes
+# 0.3-0.5 s (2 MB out, two thirds of it rendering), at n = 128 3.2-3.6 s in
+# process (23 MB out)
 ADAMS_SIZE_MAX = 64 ** 3
 # n in `omega n` and `omega --table n`: `omega --table 96` takes
 # 0.09-0.12 s
@@ -183,11 +185,18 @@ def cmd_adams(n, target, fmt):
             x = SymClass.from_json(target)
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError("cannot parse target: %s" % exc)
-    k = sum(map(any, zip(*x.split_terms())))   # generators occurring
-    if abs(n) ** k > ADAMS_SIZE_MAX:
+    size = 1
+    for gen, exps in zip(x.gens, zip(*x.split_terms())):
+        if abs(n) * max(exps) > ADAMS_MAX:
+            raise UsageError("|n|*e = %d*%d exceeds %d, e the largest "
+                             "exponent of %s in the target"
+                             % (abs(n), max(exps), ADAMS_MAX, gen))
+        size *= max(abs(n) * max(exps), 1)
+    if size > ADAMS_SIZE_MAX:
         raise UsageError(
-            "|n|^k = %d^%d exceeds %d, k the number of generators in the "
-            "target" % (abs(n), k, ADAMS_SIZE_MAX))
+            "the size %d exceeds %d: the product of |n|*e over the "
+            "generators in the target, e the largest exponent of each"
+            % (size, ADAMS_SIZE_MAX))
     try:
         got = adams(n, x)
     except GradingError as exc:
@@ -359,89 +368,103 @@ class _Parser(argparse.ArgumentParser):
             self._mixing = False
 
 
-def _command(subs, name: str, run) -> _Parser:
-    """Add the subcommand `name` that calls `run`, documented by its
-    docstring."""
-    sub = subs.add_parser(name, help=run.__doc__, description=run.__doc__,
-                          allow_abbrev=False)
-    sub.set_defaults(run=run, parser=sub)
-    return sub
+_FORMAT = ("--format", dict(dest="fmt", choices=FORMATS, default="text",
+                            help="Output rendering (default: %(default)s)."))
+_PATH_HELP = "Gram form JSON file, or - for standard input."
+_PATH = ("path", dict(metavar="PATH", help=_PATH_HELP))
+_N = ("n", dict(type=int))
+_PATHS = [("path_a", dict(metavar="PATH_A", help=_PATH_HELP)),
+          ("path_b", dict(metavar="PATH_B", help=_PATH_HELP))]
+
+# name -> (run, its arguments as (name or flag, add_argument keywords)), or
+# for a group of commands, name -> (description, the group's table)
+COMMANDS = {
+    "universal": (cmd_universal, [
+        ("kind", dict(choices=["P", "Q", "R"])),
+        ("indices", dict(nargs="*", type=int)),
+        _FORMAT,
+        ("--max", dict(
+            dest="max_override", type=int, default=None, metavar="N",
+            help="Raise the default index bound (P/R: n <= 4, Q: ij <= 6) up "
+                 "to the fixed limits (P: %d, R by any method: %d, Q: ij <= "
+                 "%d)." % (UNIVERSAL_P_MAX, UNIVERSAL_R_MAX,
+                           UNIVERSAL_Q_MAX))),
+        ("--method", dict(choices=["direct", "composed", "both"],
+                          default="composed", help="Construction route for "
+                          "R (default: %(default)s).")),
+    ]),
+    "omega": (cmd_omega, [
+        ("n", dict(type=int, nargs="?")),
+        ("--table", dict(dest="table_max", type=int, default=None,
+                         metavar="N",
+                         help="Print omega(0..N), one per line.")),
+        _FORMAT,
+    ]),
+    "adams": (cmd_adams, [
+        ("n", dict(type=int)),
+        ("--target", dict(default="tau", help="Named class (%s) or a class "
+                          "JSON document (default: %%(default)s)."
+                          % ", ".join(sorted(_NAMED_TARGETS)))),
+        _FORMAT,
+    ]),
+    "ternary": (cmd_ternary, [
+        ("--theory", dict(choices=list(THEORIES), default="gw",
+                          help="(default: %(default)s)")),
+        ("--class", dict(dest="index", type=int, default=None,
+                         metavar="INDEX",
+                         help="Single class index 1..4 (default: all four).")),
+        _FORMAT,
+    ]),
+    "form": ("Gram-matrix constructions and invariants.", {
+        "ext-power": (form_ext_power, [_PATH, _N]),
+        "sym-power": (form_sym_power, [_PATH, _N]),
+        "tensor": (form_tensor, _PATHS),
+        "hyperbolic": (form_hyperbolic, [
+            ("r", dict(type=int)),
+            ("--delta", dict(choices=["+", "-"], default="+",
+                             help="(default: %(default)s)")),
+        ]),
+        "invariants": (form_invariants, [_PATH]),
+        "gw-equal": (form_gw_equal, _PATHS),
+    }),
+    "verify": (cmd_verify, [
+        ("suite", dict(choices=SUITE_ORDER)),
+        ("--json", dict(dest="json_path", default=None, metavar="FILE",
+                        help="Also write the report as JSON.")),
+        ("--no-timestamp", dict(action="store_true", help=(
+            "Omit the timestamp and elapsed times from the JSON report."))),
+    ]),
+}
 
 
-def _parser(prog: str) -> _Parser:
+def _add_commands(parser: _Parser, table: dict, args):
+    """Add the commands of table under parser.  When args starts with one of
+    them, only that one: the call parses nothing else, and a command's help
+    and errors come from its own parser alone.  All of them otherwise (no
+    command, an option or an unknown name), for the help and the errors
+    that list them."""
+    subs = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name in [args[0]] if args and args[0] in table else table:
+        run, arguments = table[name]
+        doc = run if isinstance(run, str) else run.__doc__
+        sub = subs.add_parser(name, help=doc, description=doc,
+                              allow_abbrev=False)
+        if isinstance(arguments, dict):
+            _add_commands(sub, arguments, args[1:])
+            continue
+        sub.set_defaults(run=run, parser=sub)
+        for flag, kwargs in arguments:
+            sub.add_argument(flag, **kwargs)
+
+
+def _parser(prog: str, args=()) -> _Parser:
+    """The parser of `gwadams ARGS`, with the parsers of the command ARGS
+    invokes, or of every command; see _add_commands."""
     parser = _Parser(prog=prog, allow_abbrev=False, description=(
         "Exact verification toolkit for lambda-operation identities."))
     parser.add_argument("--version", action="version",
                         version="%(prog)s, version " + __version__)
-    subs = parser.add_subparsers(metavar="COMMAND", required=True)
-    fmt = {"dest": "fmt", "choices": FORMATS, "default": "text",
-           "help": "Output rendering (default: %(default)s)."}
-
-    sub = _command(subs, "universal", cmd_universal)
-    sub.add_argument("kind", choices=["P", "Q", "R"])
-    sub.add_argument("indices", nargs="*", type=int)
-    sub.add_argument("--format", **fmt)
-    sub.add_argument(
-        "--max", dest="max_override", type=int, default=None, metavar="N",
-        help="Raise the default index bound (P/R: n <= 4, Q: ij <= 6) up to "
-             "the fixed limits (P: %d, R by any method: %d, Q: ij <= %d)."
-             % (UNIVERSAL_P_MAX, UNIVERSAL_R_MAX, UNIVERSAL_Q_MAX))
-    sub.add_argument("--method", choices=["direct", "composed", "both"],
-                     default="composed",
-                     help="Construction route for R (default: %(default)s).")
-
-    sub = _command(subs, "omega", cmd_omega)
-    sub.add_argument("n", type=int, nargs="?")
-    sub.add_argument("--table", dest="table_max", type=int, default=None,
-                     metavar="N", help="Print omega(0..N), one per line.")
-    sub.add_argument("--format", **fmt)
-
-    sub = _command(subs, "adams", cmd_adams)
-    sub.add_argument("n", type=int)
-    sub.add_argument("--target", default="tau",
-                     help="Named class (%s) or a class JSON document "
-                          "(default: %%(default)s)."
-                          % ", ".join(sorted(_NAMED_TARGETS)))
-    sub.add_argument("--format", **fmt)
-
-    sub = _command(subs, "ternary", cmd_ternary)
-    sub.add_argument("--theory", choices=list(THEORIES), default="gw",
-                     help="(default: %(default)s)")
-    sub.add_argument("--class", dest="index", type=int, default=None,
-                     metavar="INDEX",
-                     help="Single class index 1..4 (default: all four).")
-    sub.add_argument("--format", **fmt)
-
-    doc = "Gram-matrix constructions and invariants."
-    forms = subs.add_parser("form", help=doc, description=doc,
-                            allow_abbrev=False).add_subparsers(
-                                metavar="COMMAND", required=True)
-    path = {"help": "Gram form JSON file, or - for standard input."}
-    sub = _command(forms, "ext-power", form_ext_power)
-    sub.add_argument("path", metavar="PATH", **path)
-    sub.add_argument("n", type=int)
-    sub = _command(forms, "sym-power", form_sym_power)
-    sub.add_argument("path", metavar="PATH", **path)
-    sub.add_argument("n", type=int)
-    sub = _command(forms, "tensor", form_tensor)
-    sub.add_argument("path_a", metavar="PATH_A", **path)
-    sub.add_argument("path_b", metavar="PATH_B", **path)
-    sub = _command(forms, "hyperbolic", form_hyperbolic)
-    sub.add_argument("r", type=int)
-    sub.add_argument("--delta", choices=["+", "-"], default="+",
-                     help="(default: %(default)s)")
-    sub = _command(forms, "invariants", form_invariants)
-    sub.add_argument("path", metavar="PATH", **path)
-    sub = _command(forms, "gw-equal", form_gw_equal)
-    sub.add_argument("path_a", metavar="PATH_A", **path)
-    sub.add_argument("path_b", metavar="PATH_B", **path)
-
-    sub = _command(subs, "verify", cmd_verify)
-    sub.add_argument("suite", choices=SUITE_ORDER)
-    sub.add_argument("--json", dest="json_path", default=None,
-                     metavar="FILE", help="Also write the report as JSON.")
-    sub.add_argument("--no-timestamp", action="store_true", help=(
-        "Omit the timestamp and elapsed times from the JSON report."))
+    _add_commands(parser, COMMANDS, args)
     return parser
 
 
@@ -449,7 +472,8 @@ def main(args=None, prog_name: str = "gwadams"):
     """Run `gwadams ARGS` (default: the process arguments) and exit with its
     code: 0 all checks pass, 1 a failure, `disagree` or `not-equal`, 2 a
     usage error."""
-    ns = vars(_parser(prog_name).parse_args(args))
+    args = sys.argv[1:] if args is None else list(args)
+    ns = vars(_parser(prog_name, args).parse_args(args))
     run, parser = ns.pop("run"), ns.pop("parser")
     try:
         run(**ns)

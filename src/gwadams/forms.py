@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, gcd, isqrt, lcm, prod
 from operator import getitem, mul
@@ -36,12 +35,15 @@ class WitnessError(ValueError):
 def _frac(x):
     """An exact rational, an int or a Fraction, from an int, a Fraction or a
     string such as "3/4"; floats, booleans and zero denominators are
-    refused."""
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+    refused.  Ints and integer strings never load the fractions module."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and _DECIMAL.fullmatch(x):
+        return int(x)
+    from fractions import Fraction
+    if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        if _DECIMAL.fullmatch(x):
-            return int(x)
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -83,10 +85,12 @@ class GramForm:
     @property
     def matrix(self) -> tuple:
         """The Gram matrix as Fractions, for input and output."""
+        from fractions import Fraction
         return tuple(tuple(Fraction(x, self.den) for x in row)
                      for row in self.rows)
 
     def det(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(_int_det(list(self.rows)), self.den ** self.rank)
 
     def is_nondegenerate(self) -> bool:
@@ -583,13 +587,13 @@ def lambda_hyp_witness(r: int, n: int):
                for T in combinations(range(r), n - j)]
     N = len(f_basis)
     pos = {st: k for k, st in enumerate(f_basis)}
-    B = [[Fraction(0)] * len(domain) for _ in range(2 * N)]
+    B = [[0] * len(domain) for _ in range(2 * N)]
     for col, U in enumerate(domain):
         S, T = _split_subset(U, r)
         if 2 * len(S) <= n - 1:
-            B[pos[(S, T)]][col] = Fraction(1)
+            B[pos[(S, T)]][col] = 1
         else:
-            B[N + pos[(T, S)]][col] = Fraction(1)
+            B[N + pos[(T, S)]][col] = 1
     return B, N
 
 
@@ -631,9 +635,9 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
         for i in range(0, n + 1):
             src = list(combinations(range(n), i))
             dst = list(combinations(range(n), n - i))
-            B = [[Fraction(0)] * len(src) for _ in range(len(dst))]
+            B = [[0] * len(src) for _ in range(len(dst))]
             for col, S in enumerate(src):
-                B[dst.index(image(S))][col] = Fraction(1)
+                B[dst.index(image(S))][col] = 1
             ok = check_congruence(B, powers[n - i], powers[i])
             rep.add(check("lambda_n_rank_n", (m, i), ok))
 
@@ -748,6 +752,7 @@ def ext_matrix(B, n: int):
     """n-th exterior power (compound matrix) of a square matrix."""
     Bi, d = _integral([[_frac(x) for x in row] for row in B])
     minors = _minors(Bi, list(combinations(range(len(B)), n)), _int_det)
+    from fractions import Fraction
     return [[Fraction(x, d ** n) for x in row] for row in minors]
 
 

@@ -32,7 +32,8 @@ from itertools import product
 from math import prod
 
 from .polyring import (ContextError, GradingError, MultiPoly, Ring,
-                       negative_exponent, read_bool, read_int, read_list)
+                       negative_exponent, read_bool, read_int, read_list,
+                       read_terms, read_vars)
 from .report import VerificationReport, check
 
 COEFF_VARS = [("eps", False), ("tau", False), ("gamma", True)]
@@ -154,7 +155,8 @@ def context_weights(theory: Theory, gens: tuple) -> tuple:
 
 
 def _codec(theory: Theory) -> tuple:
-    """(writer, reader): base terms -> components, component -> terms."""
+    """(writer, reader): base terms -> components, (component, generator
+    exponents) pairs -> terms."""
     return ((_write_dense, _read_dense) if theory.dense_json
             else (_write_poly, _read_poly))
 
@@ -175,38 +177,71 @@ def _write_dense(theory: Theory, terms: dict) -> list:
     return components
 
 
-def _read_dense(comp: dict, ring: Ring, ue: tuple, total: dict) -> None:
-    gmin = read_int(comp.get("gmin", 0), "gmin")
-    for key, head in (("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1))):
-        for k, coeff in enumerate(read_list(comp, key, [])):
-            total[head + (gmin + k,) + ue] += read_int(coeff, "a coefficient")
+def _read_dense(components, ring: Ring, total: dict) -> None:
+    for comp, ue in components:
+        gmin = read_int(comp.get("gmin", 0), "gmin")
+        for key, head in (("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1))):
+            for k, c in enumerate(read_list(comp, key, [])):
+                total[head + (gmin + k,) + ue] += read_int(c, "a coefficient")
 
 
 def _write_poly(theory: Theory, terms: dict) -> list:
     return [{"poly": MultiPoly(context_ring(theory, ()), terms).to_obj()}]
 
 
-def _read_poly(comp: dict, ring: Ring, ue: tuple, total: dict) -> None:
-    """comp's base-ring poly, its variables taken into ring by name as
-    MultiPoly.rename takes them, times the generator monomial ue."""
-    if not isinstance(comp.get("poly"), dict):
-        raise ValueError("poly must be a JSON object")
-    poly = MultiPoly.from_obj(comp["poly"])
-    names, base = poly.ring.names, ring.names[:ring.nvars - len(ue)]
-    for i, name in enumerate(names):
-        if name not in base and any(e[i] for e in poly.terms):
-            if name in ring.names:
-                raise ValueError("poly uses the generator %r; its exponent "
-                                 "belongs in u_exps" % name)
-            raise ContextError("variable %r absent from target" % name)
-    pos = [(names.index(n), j) for j, n in enumerate(ring.names) if n in names]
-    for exps, c in poly.terms.items():
-        e = [0] * (ring.nvars - len(ue)) + list(ue)
-        for i, j in pos:
-            if exps[i] < 0 and not ring.laurent[j]:
-                raise negative_exponent(exps[i], ring)
-            e[j] += exps[i]
-        total[tuple(e)] += c
+def _read_poly(components, ring: Ring, total: dict) -> None:
+    """Each component's base-ring poly, its variables taken into ring by
+    name as MultiPoly.rename takes them, times its generator monomial."""
+    # variables -> (their ring if one is not Laurent, else None; (i, j,
+    # laurent) for poly variable i at ring variable j; (i, name) for others)
+    layouts = {}
+    for comp, ue in components:
+        if not isinstance(comp.get("poly"), dict):
+            raise ValueError("poly must be a JSON object")
+        variables = read_vars(comp["poly"])
+        layout = layouts.get(variables)
+        if layout is None:
+            own, names = Ring(variables), [n for n, _ in variables]
+            base = ring.names[:ring.nvars - len(ue)]
+            layout = layouts[variables] = (
+                None if all(own.laurent) else own,
+                [(names.index(n), j, ring.laurent[j])
+                 for j, n in enumerate(base) if n in names],
+                [(i, n) for i, n in enumerate(names) if n not in base])
+        own, pos, others = layout
+        terms = read_terms(comp["poly"], len(variables))
+        if own is not None:
+            MultiPoly(own, terms)       # refuses what MultiPoly refuses
+        for i, name in others:
+            if any(e[i] for e in terms):
+                if name in ring.names:
+                    raise ValueError("poly uses the generator %r; its "
+                                     "exponent belongs in u_exps" % name)
+                raise ContextError("variable %r absent from target" % name)
+        head = [0] * (ring.nvars - len(ue)) + list(ue)
+        for exps, c in terms.items():
+            e = head.copy()
+            for i, j, laurent in pos:
+                if exps[i] < 0 and not laurent:
+                    raise negative_exponent(exps[i], ring)
+                e[j] += exps[i]
+            total[tuple(e)] += c
+
+
+def _components(obj: dict, ring: Ring, gens: tuple):
+    """(component, its generator exponents) of each component of a class
+    document, checked one at a time as a reader takes them."""
+    zeros = [0] * len(gens)
+    for comp in read_list(obj, "components"):
+        if not isinstance(comp, dict):
+            raise ValueError("each component must be a JSON object")
+        ue = comp.get("u_exps", zeros)
+        if (not isinstance(ue, list) or len(ue) != len(gens)
+                or not all(type(e) is int for e in ue)):
+            raise ValueError("u_exps must list one integer per generator")
+        if ue and min(ue) < 0:
+            raise negative_exponent(next(e for e in ue if e < 0), ring)
+        yield comp, tuple(ue)
 
 
 class SymClass:
@@ -421,16 +456,7 @@ class SymClass:
         ring = context_ring(theory, gens)
         read = _codec(theory)[1]
         total: dict = defaultdict(int)
-        for comp in read_list(obj, "components"):
-            if not isinstance(comp, dict):
-                raise ValueError("each component must be a JSON object")
-            ue = comp.get("u_exps", [0] * len(gens))
-            if (not isinstance(ue, list) or len(ue) != len(gens)
-                    or not all(type(e) is int for e in ue)):
-                raise ValueError("u_exps must list one integer per generator")
-            if min(ue, default=0) < 0:
-                raise negative_exponent(next(e for e in ue if e < 0), ring)
-            read(comp, ring, tuple(ue), total)
+        read(_components(obj, ring, gens), ring, total)
         return SymClass(MultiPoly(ring, total), theory, gens, quotient)
 
     @classmethod
@@ -495,8 +521,8 @@ class GWElem(SymClass):
     @staticmethod
     def from_obj(obj: dict) -> "GWElem":
         total: dict = defaultdict(int)
-        for comp in obj["components"]:
-            _read_dense(comp, COEFF_RING, (), total)
+        _read_dense(((comp, ()) for comp in obj["components"]), COEFF_RING,
+                    total)
         return GWElem(MultiPoly(COEFF_RING, total))
 
 

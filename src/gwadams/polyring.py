@@ -80,6 +80,25 @@ def read_list(obj: dict, key: str, default=None) -> list:
     raise ValueError("%s must be a list" % key)
 
 
+def read_vars(obj: dict) -> tuple:
+    """The (name, laurent) pairs of a polynomial document."""
+    return tuple([(v["name"], read_bool(v["laurent"], "laurent"))
+                  for v in read_list(obj, "vars")])
+
+
+def read_terms(obj: dict, nvars: int) -> dict:
+    """The nonzero terms of a polynomial document in nvars variables, the
+    coefficients of a repeated exponent tuple added."""
+    terms: dict = {}
+    for t in read_list(obj, "terms"):
+        exps = tuple([read_int(e, "an exponent") for e in t["exps"]])
+        if len(exps) != nvars:
+            raise ValueError("exponent array length mismatch")
+        coeff = read_int(t["coeff"], "a coefficient", decimal_str=True)
+        terms[exps] = terms.get(exps, 0) + coeff
+    return {exps: c for exps, c in terms.items() if c}
+
+
 class Ring:
     """Ordered variable context.  Immutable; equality by variable data."""
 
@@ -511,16 +530,8 @@ class MultiPoly:
 
     @staticmethod
     def from_obj(obj: dict) -> "MultiPoly":
-        ring = Ring((v["name"], read_bool(v["laurent"], "laurent"))
-                    for v in read_list(obj, "vars"))
-        terms: dict = {}
-        for t in read_list(obj, "terms"):
-            exps = tuple(read_int(e, "an exponent") for e in t["exps"])
-            if len(exps) != ring.nvars:
-                raise ValueError("exponent array length mismatch")
-            coeff = read_int(t["coeff"], "a coefficient", decimal_str=True)
-            terms[exps] = terms.get(exps, 0) + coeff
-        return MultiPoly(ring, terms)
+        ring = Ring(read_vars(obj))
+        return MultiPoly(ring, read_terms(obj, ring.nvars))
 
     @staticmethod
     def from_json(s: str) -> "MultiPoly":

@@ -1,9 +1,12 @@
+import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -388,6 +391,29 @@ class TestAdams:
             r = run(runner, "adams", n, "--target", u123)
             assert time.perf_counter() - start < 1
             assert r.exit_code == 2 and "exceeds %d" % ADAMS_SIZE_MAX in r.output
+
+    def test_exponent_size_bound(self, runner):
+        # |n| times a generator's largest exponent is bounded like |n|:
+        # u^3000 at n = 2 would run for 16 s and print 3.4 MB
+        def u_power(e):
+            return ('{"gens":["u"],"components":[{"a":[1],"u_exps":[%d]}]}'
+                    % e)
+        r = run(runner, "adams", "2", "--target", u_power(128))
+        assert r.exit_code == 0 and r.output.startswith("u^256 ")
+        for n, e in (("2", 3000), ("-2", 129), ("16", 17)):
+            start = time.perf_counter()
+            r = run(runner, "adams", n, "--target", u_power(e))
+            assert time.perf_counter() - start < 1
+            assert r.exit_code == 2
+            assert ("|n|*e = %s*%d exceeds 256, e the largest exponent of u "
+                    "in the target\n" % (n.lstrip("-"), e)) in r.output
+        # the product of |n|*e over the generators, 16*4 * 16*4 * 16*5 here
+        # (|n|^k = 16^3 was all the bound saw)
+        doc = ('{"gens":["u1","u2","u3"],"components":[{"a":[1],'
+               '"u_exps":[4,4,5]}]}')
+        r = run(runner, "adams", "16", "--target", doc)
+        assert r.exit_code == 2
+        assert "the size 327680 exceeds 262144" in r.output
 
     def test_parse_error(self, runner):
         assert run(runner, "adams", "2", "--target", "{broken").exit_code == 2
@@ -1204,3 +1230,88 @@ class TestEntryPoint:
         assert r.exit_code == 0
         assert r == runner("universal", "Q", "2", "4", "--max", "9")
         assert runner("universal", "Q", "2", "4").exit_code == 2
+
+
+def _call(*args):
+    """(exit code, stdout, stderr) of `gwadams ARGS` in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli.main(list(args))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    raise AssertionError("cli.main returned without SystemExit")
+
+
+# per command and `form` leaf: -h, a missing positional (or a stray one), a
+# bad choice and a bad integer; and the calls that name no command
+PARSE_CORPUS = [
+    (), ("-h",), ("--version",), ("bogus",), ("--bogus",), ("form",),
+    ("form", "-h"), ("form", "bogus"), ("-h", "adams"), ("adams", "3", "x"),
+    ("universal", "-h"), ("universal",), ("universal", "X"),
+    ("universal", "P", "x"), ("universal", "P", "2", "--method", "x"),
+    ("universal", "P", "2", "--format", "x"), ("universal", "P", "--max", "x"),
+    ("omega", "-h"), ("omega",), ("omega", "x"), ("omega", "--table", "x"),
+    ("omega", "4", "--format", "x"),
+    ("adams", "-h"), ("adams",), ("adams", "x"),
+    ("adams", "2", "--format", "x"),
+    ("ternary", "-h"), ("ternary", "x"), ("ternary", "--theory", "x"),
+    ("ternary", "--class", "x"), ("ternary", "--format", "x"),
+    ("verify", "-h"), ("verify",), ("verify", "x"),
+    ("verify", "omega", "--no-time"),
+    ("form", "ext-power", "-h"), ("form", "ext-power", "p"),
+    ("form", "ext-power", "p", "x"),
+    ("form", "sym-power", "-h"), ("form", "sym-power"),
+    ("form", "sym-power", "p", "x"),
+    ("form", "tensor", "-h"), ("form", "tensor", "a"),
+    ("form", "hyperbolic", "-h"), ("form", "hyperbolic"),
+    ("form", "hyperbolic", "x"), ("form", "hyperbolic", "2", "--delta", "x"),
+    ("form", "invariants", "-h"), ("form", "invariants"),
+    ("form", "gw-equal", "-h"), ("form", "gw-equal", "a"),
+    ("form", "hyperbolic", "2"), ("omega", "4"), ("ternary", "--class", "2"),
+]
+
+
+def _commands(parser) -> dict:
+    """The commands parser was built with: name -> parser."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParserPerCommand:
+    def test_same_as_full_parser(self, monkeypatch):
+        # a call builds only its command's parser; what it prints and its
+        # exit code are those of the parser with every command
+        monkeypatch.setenv("COLUMNS", "80")
+        got = [_call(*args) for args in PARSE_CORPUS]
+        build = cli._parser
+        monkeypatch.setattr(cli, "_parser", lambda prog, args=(): build(prog))
+        for args, out in zip(PARSE_CORPUS, got):
+            assert out == _call(*args), args
+        assert sum(code == 2 for code, _, _ in got) >= 30
+
+    def test_builds_the_invoked_command(self):
+        full = ["universal", "omega", "adams", "ternary", "form", "verify"]
+        assert list(_commands(cli._parser("gwadams"))) == full
+        for args in ([], ["-h"], ["--version"], ["bogus"], ["--", "adams"]):
+            assert list(_commands(cli._parser("gwadams", args))) == full
+        for name in full:
+            assert list(_commands(cli._parser("gwadams", [name, "x"]))) == [
+                name]
+        for args, leaves in ((["invariants", "f.json"], ["invariants"]),
+                             (["bogus"], list(cli.COMMANDS["form"][1]))):
+            form = _commands(cli._parser("gwadams", ["form"] + args))["form"]
+            assert list(_commands(form)) == leaves
+        assert len(cli.COMMANDS["form"][1]) == 6
+
+    @pytest.mark.parametrize("args, digest", [
+        (("-h",), "902b319a523791bd"),
+        (("adams", "-h"), "b93cd9a3ef0f5b66"),
+        (("form", "invariants", "-h"), "5836c1a8adb27747"),
+    ])
+    def test_help_golden(self, monkeypatch, args, digest):
+        # sha256 of the help text before a call built one command's parser
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = _call(*args)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

@@ -259,7 +259,8 @@ def outcome(fn, x):
 
 @pytest.mark.parametrize("x", ["3", "-0", "+7", " 3 ", "3/4", "1.5", "1e3",
                                "1_0", "", "abc", "1/0", "-12", "007", "3\n",
-                               "\u0663", 1.5, True, 4, Fraction(1, 3)],
+                               "\u0663", 1.5, True, 4, Fraction(1, 3),
+                               1.0, Fraction(3, 4), 7],
                          ids=repr)
 def test_frac_oracle(x):
     assert outcome(_frac, x) == outcome(parent_frac, x)
@@ -277,6 +278,10 @@ class TestGramForm:
         f = GramForm([["1/2", 0], [0, "-3"]])
         assert f.matrix[0][0] == Fraction(1, 2)
         assert f.det() == Fraction(-3, 2)
+        # Fractions at output, also of an integer form
+        g = GramForm.diagonal([2, 3])
+        assert {type(x) for row in g.matrix for x in row} == {Fraction}
+        assert type(g.det()) is Fraction and g.det() == 6
 
     def test_json_round_trip(self):
         for f in (GramForm.diagonal([1, "2/3", -5]), symplectic_plane()):

@@ -1,6 +1,11 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+a cold CLI call imports the rational-number modules only for rational
+input or output."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +38,51 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     src = "import os\nfrom json import dumps, loads\nprint(loads)\n"
     assert unused_imports(src) == ["line 2: dumps", "line 1: os"]
+
+
+# -- what a cold CLI call loads ----------------------------------------------
+
+RATIONALS = ("fractions", "decimal", "numbers")
+SRC = str(Path(gwadams.__file__).parent.parent)
+
+
+def loaded_after(code: str) -> list[str]:
+    """The modules of RATIONALS loaded after running code in a fresh
+    interpreter, its output and the CLI's exit caught."""
+    probe = ("import io, sys\nfrom contextlib import redirect_stdout\n"
+             "try:\n    with redirect_stdout(io.StringIO()):\n%s\n"
+             "except SystemExit:\n    pass\n"
+             "print(' '.join(m for m in %r if m in sys.modules))"
+             % ("\n".join(" " * 8 + line for line in code.splitlines()),
+                RATIONALS))
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("code", [
+    "import gwadams.cli",
+    "from gwadams.cli import main\nmain(['adams', '3'])",
+    "from gwadams.cli import main\nmain(['verify', 'omega'])",
+])
+def test_no_rationals_without_rational_input(code):
+    # fractions, and decimal and numbers with it, load only where a
+    # Fraction is made
+    assert loaded_after(code) == []
+
+
+def test_rational_form_entries(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{"sym":"symmetric","matrix":[["3/4"]]}')
+    code = "from gwadams.cli import main\nmain(['form', 'invariants', %r])" \
+        % str(path)
+    assert loaded_after(code) == list(RATIONALS)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gwadams.cli", "form", "invariants",
+         str(path)], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (
+        0, '{"disc":3,"hasse":{"2":1,"3":1,"inf":1},"rank":1,'
+           '"signature":1}\n')
