@@ -165,13 +165,12 @@ def triple_product_closed(i: int) -> SymClass:
     ring = _triple_ring()
     x, y, z = (ring.var(g) for g in _TRIPLE_GENS)
     flat = SymClass(symfunc.r_abc_closed(i, x, y, z), GW, _TRIPLE_GENS)
-    out = {}
-    for ue, terms in flat.split_terms().items():
-        d = 6 * i - 2 * sum(ue)
+    gamma, out = ring.step("gamma"), {}
+    for key, c in flat.poly.terms.items():
+        d = 6 * i - 2 * sum(ring.unpack(key)[len(GW.base):])
         if d % 4:
             raise GradingError("twist restoration failed at i=%d" % i)
-        for (e, t, g), c in terms.items():
-            out[(e, t, g + d // 4) + ue] = c
+        out[key + d // 4 * gamma] = c
     return SymClass(MultiPoly(ring, out), GW, _TRIPLE_GENS)
 
 
@@ -308,7 +307,7 @@ class TernaryLaw(NamedTuple):
         return out
 
     def _render(self, latex: bool) -> str:
-        return signed_join([_orbit_term(coeff, key, self.value.gens, latex)
+        return signed_join([_orbit_term(coeff, key, self.value, latex)
                             for coeff, key in self.orbit_decomposition()])
 
     def text(self) -> str:
@@ -322,9 +321,10 @@ class TernaryLaw(NamedTuple):
                 "value": self.value.to_obj(), "text": self.text()}
 
 
-def _orbit_term(coeff: MultiPoly, key: tuple, gens: tuple, latex: bool) -> str:
+def _orbit_term(coeff: MultiPoly, key: tuple, law: SymClass,
+                latex: bool) -> str:
     render = MultiPoly.latex if latex else MultiPoly.text
-    ms = render(MultiPoly(Ring((g, False) for g in gens), {key: 1}))
+    ms = render(law.poly.ring.monomial(1, dict(zip(law.gens, key))))
     cs = render(coeff)
     if ms == "1":
         return cs

@@ -27,7 +27,7 @@ from .gwring import THEORIES, GWElem, check_coefficient_identities
 from .lambdaring import (
     SymClass, adams, check_adams_hyperbolic, check_lambda_axioms,
 )
-from .polyring import GradingError
+from .polyring import ExponentError, GradingError
 from .report import merge
 from .symfunc import (
     check_appendix_a, check_appendix_b, universal_P, universal_Q, universal_R,
@@ -186,12 +186,13 @@ def cmd_adams(n, target, fmt):
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError("cannot parse target: %s" % exc)
     size = 1
-    for gen, exps in zip(x.gens, zip(*x.split_terms())):
-        if abs(n) * max(exps) > ADAMS_MAX:
+    for gen in x.gens if x.poly else ():
+        e = x.poly.degree_in(gen)
+        if abs(n) * e > ADAMS_MAX:
             raise UsageError("|n|*e = %d*%d exceeds %d, e the largest "
                              "exponent of %s in the target"
-                             % (abs(n), max(exps), ADAMS_MAX, gen))
-        size *= max(abs(n) * max(exps), 1)
+                             % (abs(n), e, ADAMS_MAX, gen))
+        size *= max(abs(n) * e, 1)
     if size > ADAMS_SIZE_MAX:
         raise UsageError(
             "the size %d exceeds %d: the product of |n|*e over the "
@@ -199,7 +200,7 @@ def cmd_adams(n, target, fmt):
             % (size, ADAMS_SIZE_MAX))
     try:
         got = adams(n, x)
-    except GradingError as exc:
+    except (GradingError, ExponentError) as exc:
         raise UsageError(str(exc))
     print(_render_poly(got, fmt))
 

@@ -222,12 +222,17 @@ def _base_change(Bi, d: int, f: GramForm) -> GramForm:
 # ---------------------------------------------------------------------------
 # constructions
 
+def _compound(M, n: int):
+    """The n-th compound matrix of a square integer matrix: its n x n
+    minors on the sorted-tuple basis."""
+    return _minors(M, list(combinations(range(len(M)), n)), _int_det)
+
+
 def ext_power(f: GramForm, n: int) -> GramForm:
     """n-th exterior power on the sorted-tuple basis; entries are minors."""
     if not 0 <= n <= f.rank:
         raise IndexError("n out of range")
-    basis = list(combinations(range(f.rank), n))
-    return _gram(_minors(f.rows, basis, _int_det), f.den ** n, f.sym ** n)
+    return _gram(_compound(f.rows, n), f.den ** n, f.sym ** n)
 
 
 def sym_power(f: GramForm, n: int) -> GramForm:
@@ -740,10 +745,9 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
         B = _random_invertible(rng, f.rank)
         g = _base_change(B, 1, f)
         n = rng.randrange(1, min(3, f.rank) + 1)
-        ok = check_congruence(ext_matrix(B, n), ext_power(f, n),
-                              ext_power(g, n))
-        ok = ok and ext_power(f, n).rank == comb(f.rank, n)
-        ok = ok and ext_power(f, n).sym == f.sym ** n
+        ef = ext_power(f, n)
+        ok = (check_congruence(_compound(B, n), ef, ext_power(g, n))
+              and ef.rank == comb(f.rank, n) and ef.sym == f.sym ** n)
         rep.add(check("ext_functorial", (k,), ok))
     return rep
 
@@ -751,9 +755,8 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
 def ext_matrix(B, n: int):
     """n-th exterior power (compound matrix) of a square matrix."""
     Bi, d = _integral([[_frac(x) for x in row] for row in B])
-    minors = _minors(Bi, list(combinations(range(len(B)), n)), _int_det)
     from fractions import Fraction
-    return [[Fraction(x, d ** n) for x in row] for row in minors]
+    return [[Fraction(x, d ** n) for x in row] for row in _compound(Bi, n)]
 
 
 def _random_symplectic(rng) -> GramForm:

@@ -31,9 +31,9 @@ from functools import cache
 from itertools import product
 from math import prod
 
-from .polyring import (ContextError, GradingError, MultiPoly, Ring,
-                       negative_exponent, read_bool, read_int, read_list,
-                       read_terms, read_vars)
+from .polyring import (EXP_MASK, FIELD_BITS, ContextError, GradingError,
+                       MultiPoly, Ring, negative_exponent, read_bool,
+                       read_int, read_list, read_terms, read_vars)
 from .report import VerificationReport, check
 
 COEFF_VARS = [("eps", False), ("tau", False), ("gamma", True)]
@@ -52,44 +52,58 @@ def normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
     tau^(2m) = 2^(2m-1)*gamma^m*(1 - eps) for m >= 1, and eps^a beside a
     tau-power is the sign (-1)^a.  So one term gives at most
     2^(len(square_zero)+1) terms, whatever its exponents.  A poly whose
-    terms are all in normal form is returned as it is.  Normal form is a
-    condition on each term, so sums, differences and negatives of normal
-    forms are normal forms.
+    terms are all in normal form is returned as it is: a term is in normal
+    form where its monomial, masked to the eps and tau fields and all but
+    the lowest bit of each square_zero field, is 1, eps or tau.  Normal
+    form is a condition on each term, so sums, differences and negatives
+    of normal forms are normal forms.
     """
-    ring = poly.ring
-    ie, it, ig = ring.index("eps"), ring.index("tau"), ring.index("gamma")
-    iu = [ring.index(u) for u in square_zero]
-    for exps in poly.terms:
-        if exps[ie] + exps[it] > 1 or iu and max(exps[i] for i in iu) > 1:
+    se, st, sg, su, mask, normal = _normal_layout(poly.ring, square_zero)
+    for key in poly.terms:
+        if key & mask not in normal:
             break
     else:
         return poly
+    keep = ~(EXP_MASK << se | EXP_MASK << st)
     out: dict = defaultdict(int)    # MultiPoly drops the zero sums
-    for exps, c in poly.terms.items():
-        # the two terms of each u^k, k >= 2:
-        # (index of u, its new exponent, extra tau-exponent, factor)
-        choices = [((i, 1, k - 1, k), (i, 0, k, 1 - k))
-                   for i in iu if (k := exps[i]) >= 2]
-        if not choices and exps[ie] + exps[it] <= 1:
-            out[exps] += c
+    for key, c in poly.terms.items():
+        if key & mask in normal:
+            out[key] += c
             continue
+        # the two terms of each u^k, k >= 2:
+        # (shift of u, its exponent less the new one, extra tau-exponent,
+        # factor)
+        choices = [((s, k - 1, k - 1, k), (s, k, k, 1 - k))
+                   for s in su if (k := key >> s & EXP_MASK) >= 2]
         for pick in product(*choices):
-            e, cc = list(exps), c
-            for i, ue, dt, f in pick:
-                e[i], e[it], cc = ue, e[it] + dt, cc * f
-            a, b = e[ie], e[it]
+            e, b, cc = key, key >> st & EXP_MASK, c
+            for s, du, dt, f in pick:
+                e, b, cc = e - (du << s), b + dt, cc * f
+            a = e >> se & EXP_MASK
+            e &= keep
             if not b:
-                e[ie] = a % 2
-                out[tuple(e)] += cc
+                out[e + ((a % 2) << se)] += cc
                 continue
             m, odd = divmod(b, 2)
             cc *= (-1) ** a * (4 ** m if odd else 2 ** (2 * m - 1))
-            e[ie], e[it], e[ig] = 0, odd, e[ig] + m
-            out[tuple(e)] += cc
+            e += (odd << st) + (m << sg)
+            out[e] += cc
             if not odd:
-                e[ie] = 1
-                out[tuple(e)] -= cc
-    return MultiPoly(ring, out)
+                out[e + (1 << se)] -= cc
+    return MultiPoly(poly.ring, out)
+
+
+@cache
+def _normal_layout(ring: Ring, square_zero: tuple) -> tuple:
+    """The shifts of eps, tau, gamma and the square_zero variables in
+    ring, the mask normalize tests and the masked values of the terms in
+    normal form."""
+    se, st, sg = (ring.shifts[ring.index(v)] for v in ("eps", "tau", "gamma"))
+    su = tuple(ring.shifts[ring.index(u)] for u in square_zero)
+    mask = EXP_MASK << se | EXP_MASK << st
+    for s in su:
+        mask |= (EXP_MASK - 1) << s
+    return se, st, sg, su, mask, frozenset((0, 1 << se, 1 << st))
 
 
 class Theory:
@@ -124,7 +138,7 @@ class Theory:
         raise AttributeError("cannot delete field %r of a Theory" % name)
 
     def base_ring(self) -> Ring:
-        return Ring(self.base)
+        return context_ring(self, ())
 
 
 GW = Theory("gw", tuple(COEFF_VARS), {"eps": 0, "tau": 2, "gamma": 4},
@@ -149,6 +163,13 @@ def context_ring(theory: Theory, gens: tuple) -> Ring:
 
 
 @cache
+def _gens_ring(gens: tuple) -> Ring:
+    """The ring of the generators alone: its monomials are the generator
+    fields of a context ring's monomials."""
+    return Ring((g, False) for g in gens)
+
+
+@cache
 def context_weights(theory: Theory, gens: tuple) -> tuple:
     """The grading weight of each variable of context_ring(theory, gens)."""
     return tuple(theory.weights[n] for n, _ in theory.base) + (2,) * len(gens)
@@ -164,9 +185,12 @@ def _codec(theory: Theory) -> tuple:
 def _write_dense(theory: Theory, terms: dict) -> list:
     """One component per degree 2*tau + 4*gamma: a, b and c list the
     coefficients of gamma^g, eps*gamma^g and tau*gamma^g from g = gmin."""
+    # eps is the top field and gamma the lowest
+    (se, st, _), og = COEFF_RING.shifts, COEFF_RING.offsets[2]
     buckets: dict[int, dict] = {}
-    for (e, t, g), c in terms.items():
-        buckets.setdefault(2 * t + 4 * g, {})[2 if t else e, g] = c
+    for key, c in terms.items():
+        t, g = key >> st & EXP_MASK, (key & EXP_MASK) - og
+        buckets.setdefault(2 * t + 4 * g, {})[2 if t else key >> se, g] = c
     components = []
     for d, slots in sorted(buckets.items()):
         gs = range(min(g for _, g in slots), max(g for _, g in slots) + 1)
@@ -178,11 +202,23 @@ def _write_dense(theory: Theory, terms: dict) -> list:
 
 
 def _read_dense(components, ring: Ring, total: dict) -> None:
+    ig, gamma = ring.index("gamma"), ring.step("gamma")
+    heads = (("a", 0), ("b", ring.step("eps")), ("c", ring.step("tau")))
     for comp, ue in components:
         gmin = read_int(comp.get("gmin", 0), "gmin")
-        for key, head in (("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1))):
-            for k, c in enumerate(read_list(comp, key, [])):
-                total[head + (gmin + k,) + ue] += read_int(c, "a coefficient")
+        first = None    # the monomial gamma^gmin u^ue, once a slot is read
+        for key, head in heads:
+            values = read_list(comp, key, [])
+            if not values:
+                continue
+            if first is None:
+                first = ring.pack((0, 0, gmin) + ue)
+            if len(values) > 1:
+                ring.check_exponent(ig, gmin + len(values) - 1)
+            k = first + head
+            for c in values:
+                total[k] += read_int(c, "a coefficient")
+                k += gamma
 
 
 def _write_poly(theory: Theory, terms: dict) -> list:
@@ -211,7 +247,7 @@ def _read_poly(components, ring: Ring, total: dict) -> None:
         own, pos, others = layout
         terms = read_terms(comp["poly"], len(variables))
         if own is not None:
-            MultiPoly(own, terms)       # refuses what MultiPoly refuses
+            MultiPoly.from_exps(own, terms)     # refuses what it refuses
         for i, name in others:
             if any(e[i] for e in terms):
                 if name in ring.names:
@@ -224,8 +260,8 @@ def _read_poly(components, ring: Ring, total: dict) -> None:
             for i, j, laurent in pos:
                 if exps[i] < 0 and not laurent:
                     raise negative_exponent(exps[i], ring)
-                e[j] += exps[i]
-            total[tuple(e)] += c
+                e[j] = exps[i]
+            total[ring.pack(e)] += c
 
 
 def _components(obj: dict, ring: Ring, gens: tuple):
@@ -377,10 +413,12 @@ class SymClass:
             raise GradingError("rank requires homogeneous input: %s" % self)
         ring = self.poly.ring
         # v ** e only where v != 1: 1 ** -1 is the float 1.0
-        subs = [(ring.index(n), v) for n, v in self.theory.rank_subs.items()
-                if v != 1] + [(ring.index(g), 2) for g in self.gens]
-        return sum(c * prod(v ** e[i] for i, v in subs)
-                   for e, c in self.poly.terms.items())
+        subs = [(ring.shifts[i], ring.offsets[i], v) for i, v in (
+            [(ring.index(n), v) for n, v in self.theory.rank_subs.items()
+             if v != 1] + [(ring.index(g), 2) for g in self.gens])]
+        return sum(c * prod(v ** ((key >> s & EXP_MASK) - off)
+                            for s, off, v in subs)
+                   for key, c in self.poly.terms.items())
 
     # -- ring maps ----------------------------------------------------------
 
@@ -419,13 +457,16 @@ class SymClass:
                                  " quotient" if self.quotient else "")
 
     def split_terms(self) -> dict:
-        """u_exps -> {base exponents: coefficient}: each exponent tuple
-        split into its base slice and its trailing generator slice."""
-        nb = len(self.theory.base)
-        groups: dict[tuple, dict] = {}
-        for exps, c in self.poly.terms.items():
-            groups.setdefault(exps[nb:], {})[exps[:nb]] = c
-        return groups
+        """u_exps -> {base monomial: coefficient}: each monomial split into
+        its trailing generator fields, read as a tuple, and its base
+        fields, a monomial of the theory's base ring."""
+        bits = FIELD_BITS * len(self.gens)
+        low = (1 << bits) - 1
+        groups: dict[int, dict] = {}
+        for key, c in self.poly.terms.items():
+            groups.setdefault(key & low, {})[key >> bits] = c
+        return dict(zip(_gens_ring(self.gens).unpack_all(groups),
+                        groups.values()))
 
     def to_obj(self) -> dict:
         write = _codec(self.theory)[0]

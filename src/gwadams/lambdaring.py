@@ -27,7 +27,7 @@ from math import comb
 from . import symfunc
 from .gwring import KTH, GWElem, SymClass
 from .polyring import (
-    GradingError, MultiPoly, Ring, TruncSeries, grlex_key, sum_of_products,
+    GradingError, MultiPoly, Ring, TruncSeries, sum_of_products,
 )
 from .report import (
     MISMATCH, PASS, ReportEntry, Template, VerificationReport, check,
@@ -70,7 +70,7 @@ def lambda_series(x: SymClass, N: int) -> list:
     theory, ring = x.theory, x.poly.ring
     one = ring.one()
     result = TruncSeries.one(ring, N)
-    for exps, c in sorted(x.poly.terms.items(), key=lambda kv: grlex_key(kv[0])):
+    for exps, c in reversed(x.poly.sorted_terms()):
         prims = [g for g in theory.rank2 + x.gens
                  for _ in range(exps[ring.index(g)])]
         s = TruncSeries(ring, N, [one, one])
@@ -111,20 +111,20 @@ def _waring(ring: Ring, name: str, theory, k: int):
     """p_k (k >= 1), the k-th power sum of the roots of
     1 + y*t + det*t^2, y the variable `name` and det = twist**det_power, by
     Waring's formula: p_k = sum_j (-1)^j k/(k-j) C(k-j, j) y^(k-2j) det^j."""
-    iy, iw, terms = ring.index(name), ring.index(theory.twist), {}
-    for j in range(k // 2 + 1):
-        e = [0] * ring.nvars
-        e[iy], e[iw] = k - 2 * j, theory.det_power * j
-        terms[tuple(e)] = (-1) ** j * k * comb(k - j, j) // (k - j)
-    return MultiPoly(ring, terms)
+    iy, iw = ring.index(name), ring.index(theory.twist)
+    ring.check_exponent(iy, k)
+    ring.check_exponent(iw, theory.det_power * (k // 2))
+    y, det = ring.step(name), theory.det_power * ring.step(theory.twist)
+    return MultiPoly(ring, {
+        ring.bias + (k - 2 * j) * y + j * det:
+        (-1) ** j * k * comb(k - j, j) // (k - j) for j in range(k // 2 + 1)})
 
 
 def _adams_images(k: int, x: SymClass) -> dict:
     """psi^k of the twist and of every other variable occurring in x, in
     normal form."""
     theory, ring = x.theory, x.poly.ring
-    used = {n for i, n in enumerate(ring.names)
-            if any(e[i] for e in x.poly.terms)}
+    used = {ring.names[i] for i in x.poly.support()}
     images = {theory.twist: ring.var(theory.twist, k)}
     if theory.line in used:
         images[theory.line] = -((-ring.var(theory.line)) ** k)

@@ -2,20 +2,33 @@
 
 Polynomials live in a Ring context: an ordered tuple of named variables, each
 flagged as Laurent (negative exponents allowed) or not.  Terms are stored as a
-dict mapping exponent tuples to nonzero integer coefficients.  The monomial
+dict mapping packed monomials to nonzero integer coefficients.  The monomial
 order used everywhere is graded lexicographic by declared variable order.
+
+A packed monomial is one int with a FIELD_BITS-bit field per variable, the
+first variable in the most significant field.  A field holds the exponent
+in its low 32 bits, offset by 2^31 for a Laurent variable, under a guard
+byte that is 0 in every valid monomial.  So a variable's exponent lies in
+0..2^32-1, or in -2^31..2^31-1 for a Laurent one; int order is the
+lexicographic order of the exponent vectors; and the product of monomials
+is the sum of their ints less ring.bias, the int of the monomial 1.  A
+product that leaves a field's range sets its guard byte (a carry or a
+borrow), so the guard test raises ExponentError and never lets a field
+carry silently into the next.  Exponent tuples appear only at the
+boundaries: Ring.pack and Ring.unpack, Ring.monomial, MultiPoly.from_exps,
+parsing, the tuple view MultiPoly.tuple_terms, sorted_terms for rendering
+and to_obj.
 
 TruncSeries is a truncated power series in a distinguished formal variable t
 with MultiPoly coefficients, exact modulo t^(N+1).
 
-The public constructors validate their terms, checking the Laurent flags
-only of a term with a negative exponent.  Results of ring operations and
-the Ring's constants and variables are valid by construction and skip
-validation (MultiPoly._trusted); every
-product goes through one multiply-accumulate kernel, _mul_into, which
-sum_of_products also uses to accumulate a sum of products in place, and
-substitute to multiply out its multi-term bindings.  Text and LaTeX are
-written by one term writer, MultiPoly._render.
+The public constructors validate their terms: the guard test on each
+monomial.  Results of ring operations and the Ring's constants and
+variables are valid by construction and skip validation
+(MultiPoly._trusted); every product goes through one multiply-accumulate
+kernel, _mul_into, which sum_of_products also uses to accumulate a sum of
+products in place, and substitute to multiply out its multi-term bindings.
+Text and LaTeX are written by one term writer, MultiPoly._render.
 """
 
 from __future__ import annotations
@@ -23,7 +36,15 @@ from __future__ import annotations
 import json
 import operator
 import re
+from functools import reduce
+from itertools import repeat
+from struct import Struct, error as StructError
 from typing import Iterable, Mapping
+
+FIELD_BITS = 40
+EXP_MASK = (1 << 32) - 1        # the exponent bits of a field
+_LAURENT_OFFSET = 1 << 31
+_GUARD = ((1 << FIELD_BITS) - 1) ^ EXP_MASK
 
 
 class ContextError(ValueError):
@@ -31,7 +52,8 @@ class ContextError(ValueError):
 
 
 class ExponentError(ValueError):
-    """Negative exponent on a non-Laurent variable."""
+    """Negative exponent on a non-Laurent variable, or an exponent outside
+    the range of its packed field."""
 
 
 class SubstitutionError(ValueError):
@@ -63,6 +85,15 @@ def negative_exponent(e: int, ring: "Ring") -> ExponentError:
     """The error for the exponent e < 0 on a non-Laurent variable of ring."""
     return ExponentError("negative exponent %d on non-Laurent variable in %r"
                          % (e, ring))
+
+
+def out_of_range(ring: "Ring") -> ExponentError:
+    """The error for a monomial of ring whose exponents leave their
+    fields."""
+    return ExponentError(
+        "exponent outside its packed field in %r: each exponent lies in "
+        "0..%d, or in %d..%d for a Laurent variable"
+        % (ring, EXP_MASK, -_LAURENT_OFFSET, _LAURENT_OFFSET - 1))
 
 
 def read_bool(value, what: str) -> bool:
@@ -100,18 +131,37 @@ def read_terms(obj: dict, nvars: int) -> dict:
 
 
 class Ring:
-    """Ordered variable context.  Immutable; equality by variable data."""
+    """Ordered variable context and its monomial layout.  Immutable;
+    equality by variable data.
 
-    __slots__ = ("names", "laurent", "_index")
+    shifts[i] and offsets[i] place variable i: its exponent e is stored as
+    e + offsets[i] at bit shifts[i].  bias is the monomial 1 and guard the
+    guard bytes of all fields."""
+
+    __slots__ = ("names", "laurent", "_index", "_hash", "shifts", "offsets",
+                 "bias", "guard", "_struct")
 
     def __init__(self, variables: Iterable[tuple[str, bool]]):
         vs = tuple(variables)
         names = tuple(name for name, _ in vs)
         if len(set(names)) != len(names):
             raise ContextError("duplicate variable names: %r" % (names,))
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "laurent", tuple(bool(l) for _, l in vs))
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        laurent = tuple(bool(l) for _, l in vs)
+        n = len(names)
+        shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        offsets = tuple(_LAURENT_OFFSET if l else 0 for l in laurent)
+        fields = {"names": names, "laurent": laurent,
+                  "_index": {name: i for i, name in enumerate(names)},
+                  "_hash": hash((names, laurent)),
+                  "shifts": shifts, "offsets": offsets,
+                  "bias": sum(o << s for o, s in zip(offsets, shifts)),
+                  "guard": sum(_GUARD << s for s in shifts),
+                  # a guard byte, then the exponent: signed where Laurent,
+                  # once its offset bit is flipped
+                  "_struct": Struct(">" + "".join("xi" if l else "xI"
+                                                  for l in laurent))}
+        for field, value in fields.items():
+            object.__setattr__(self, field, value)
 
     def __setattr__(self, *a):
         raise AttributeError("Ring is immutable")
@@ -122,7 +172,7 @@ class Ring:
             and self.laurent == other.laurent)
 
     def __hash__(self):
-        return hash((self.names, self.laurent))
+        return self._hash
 
     def __repr__(self):
         return "Ring(%s)" % ", ".join(
@@ -138,6 +188,49 @@ class Ring:
         except KeyError:
             raise ContextError("no variable %r in %r" % (name, self)) from None
 
+    def step(self, name: str) -> int:
+        """The packed monomial of name^1 less the monomial 1: adding it to
+        a monomial raises the exponent of name by one."""
+        return 1 << self.shifts[self.index(name)]
+
+    def check_exponent(self, i: int, e: int) -> None:
+        """Raise ExponentError unless e fits the field of variable i."""
+        if 0 <= e + self.offsets[i] <= EXP_MASK:
+            return
+        if not self.laurent[i] and e < 0:
+            raise negative_exponent(e, self)
+        lo = -self.offsets[i]
+        raise ExponentError("exponent %d of %s outside %d..%d, the range of "
+                            "a%s variable" % (e, self.names[i], lo,
+                                              lo + EXP_MASK,
+                                              " Laurent" if lo else ""))
+
+    def pack(self, exps) -> int:
+        """The packed monomial of an exponent tuple, each exponent checked
+        against its variable's range."""
+        try:
+            return int.from_bytes(self._struct.pack(*exps), "big") ^ self.bias
+        except StructError:
+            for i, e in enumerate(exps):
+                self.check_exponent(i, e)
+            raise ValueError("need %d integer exponents, got %r"
+                             % (self.nvars, exps)) from None
+
+    def unpack(self, key: int) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        return self._struct.unpack((key ^ self.bias).to_bytes(
+            self._struct.size, "big"))
+
+    def unpack_all(self, keys) -> list:
+        """The exponent tuples of packed monomials, all unpacked from one
+        buffer."""
+        size = self._struct.size
+        if not size:
+            return [()] * len(keys)
+        flipped = map(operator.xor, keys, repeat(self.bias))
+        return list(self._struct.iter_unpack(b"".join(map(
+            int.to_bytes, flipped, repeat(size), repeat("big")))))
+
     def zero(self) -> "MultiPoly":
         return MultiPoly._trusted(self, {})
 
@@ -145,30 +238,26 @@ class Ring:
         return self.const(1)
 
     def const(self, c: int) -> "MultiPoly":
-        return MultiPoly._trusted(self,
-                                  {(0,) * self.nvars: int(c)} if c else {})
+        return MultiPoly._trusted(self, {self.bias: int(c)} if c else {})
 
     def var(self, name: str, exp: int = 1) -> "MultiPoly":
         i = self.index(name)
         if exp < 0 and not self.laurent[i]:
             raise ExponentError("variable %r is not Laurent" % name)
-        e = [0] * self.nvars
-        e[i] = exp
-        return MultiPoly._trusted(self, {tuple(e): 1})
+        if not 0 <= exp + self.offsets[i] <= EXP_MASK:
+            self.check_exponent(i, exp)
+        return MultiPoly._trusted(self,
+                                  {self.bias + (exp << self.shifts[i]): 1})
 
     def monomial(self, coeff: int, exps: Mapping[str, int]) -> "MultiPoly":
         e = [0] * self.nvars
         for name, k in exps.items():
             e[self.index(name)] = k
-        return MultiPoly(self, {tuple(e): int(coeff)} if coeff else {})
-
-
-def grlex_key(exps: tuple) -> tuple:
-    return (sum(exps), exps)
+        return MultiPoly.from_exps(self, {tuple(e): int(coeff)})
 
 
 class MultiPoly:
-    """Sparse polynomial: dict of exponent tuple -> nonzero int coefficient.
+    """Sparse polynomial: dict of packed monomial -> nonzero int coefficient.
 
     Values are immutable by convention; no method mutates terms after
     construction.
@@ -177,26 +266,36 @@ class MultiPoly:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: dict):
+        guard = ring.guard
         clean = {}
-        for exps, c in terms.items():
-            if c == 0:
-                continue
-            if exps and min(exps) < 0:
-                for e, laur in zip(exps, ring.laurent):
-                    if e < 0 and not laur:
-                        raise negative_exponent(e, ring)
-            clean[exps] = c
+        for key, c in terms.items():
+            if c:
+                if key & guard:
+                    raise out_of_range(ring)
+                clean[key] = c
         self.ring = ring
         self.terms = clean
 
     @classmethod
     def _trusted(cls, ring: Ring, terms: dict) -> "MultiPoly":
-        """Wrap a fresh dict that already holds no zero coefficient and no
-        negative exponent on a non-Laurent variable, without re-checking it."""
+        """Wrap a fresh dict that already holds no zero coefficient and only
+        valid monomials, without re-checking it."""
         self = cls.__new__(cls)
         self.ring = ring
         self.terms = terms
         return self
+
+    @classmethod
+    def from_exps(cls, ring: Ring, terms: Mapping[tuple, int]) -> "MultiPoly":
+        """The polynomial of a dict exponent tuple -> coefficient, each
+        tuple checked by Ring.pack."""
+        pack = ring.pack
+        return cls._trusted(ring, {pack(e): c for e, c in terms.items() if c})
+
+    def tuple_terms(self) -> dict:
+        """The terms as a dict exponent tuple -> coefficient."""
+        return dict(zip(self.ring.unpack_all(self.terms),
+                        self.terms.values()))
 
     # -- basics -------------------------------------------------------------
 
@@ -204,13 +303,13 @@ class MultiPoly:
         return not self.terms
 
     def is_const(self) -> bool:
-        z = (0,) * self.ring.nvars
-        return not self.terms or (len(self.terms) == 1 and z in self.terms)
+        return not self.terms or (len(self.terms) == 1
+                                  and self.ring.bias in self.terms)
 
     def const_value(self) -> int:
         if not self.is_const():
             raise ValueError("not a constant: %s" % self)
-        return self.terms.get((0,) * self.ring.nvars, 0)
+        return self.terms.get(self.ring.bias, 0)
 
     def __bool__(self):
         return bool(self.terms)
@@ -230,11 +329,12 @@ class MultiPoly:
                                % (self.ring, other.ring))
 
     def _coerce(self, other):
+        if isinstance(other, MultiPoly):
+            if other.ring is not self.ring:
+                self._check_ring(other)
+            return other
         if isinstance(other, int):
             return self.ring.const(other)
-        if isinstance(other, MultiPoly):
-            self._check_ring(other)
-            return other
         return NotImplemented
 
     # -- arithmetic ---------------------------------------------------------
@@ -244,12 +344,12 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, 0) + c
+        for key, c in other.terms.items():
+            s = out.get(key, 0) + c
             if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
+                out[key] = s
+            elif key in out:
+                del out[key]
         return MultiPoly._trusted(self.ring, out)
 
     __radd__ = __add__
@@ -272,7 +372,7 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
-        _mul_into(out, self.terms, other.terms)
+        _mul_into(self.ring, out, self.terms, other.terms)
         return MultiPoly._trusted(self.ring, out)
 
     __rmul__ = __mul__
@@ -293,27 +393,41 @@ class MultiPoly:
 
     # -- structure ----------------------------------------------------------
 
+    def support(self) -> set:
+        """The indices of the variables with a nonzero exponent in some
+        term.  A field is the same in every term exactly where its OR and
+        its AND over the terms agree with the offset."""
+        if not self.terms:
+            return set()
+        ring = self.ring
+        hi = reduce(operator.or_, self.terms)
+        lo = reduce(operator.and_, self.terms)
+        return {i for i, (s, off) in enumerate(zip(ring.shifts, ring.offsets))
+                if hi >> s & EXP_MASK != off or lo >> s & EXP_MASK != off}
+
     def coefficient(self, name: str, exp: int) -> "MultiPoly":
         """Polynomial coefficient of name^exp (variable removed)."""
-        i = self.ring.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i] == exp:
-                e = exps[:i] + (0,) + exps[i + 1:]
-                out[e] = out.get(e, 0) + c
-        return MultiPoly(self.ring, out)
+        ring = self.ring
+        i = ring.index(name)
+        s = ring.shifts[i]
+        field, shift = exp + ring.offsets[i], exp << s
+        return MultiPoly._trusted(ring, {
+            key - shift: c for key, c in self.terms.items()
+            if key >> s & EXP_MASK == field})
 
     def degree_in(self, name: str) -> int:
-        i = self.ring.index(name)
+        ring = self.ring
+        i = ring.index(name)
         if not self.terms:
             return 0
-        return max(e[i] for e in self.terms)
+        s = ring.shifts[i]
+        return max(key >> s & EXP_MASK for key in self.terms) - ring.offsets[i]
 
     def graded_degree(self, weights: tuple):
         """Common weighted degree of all terms, 0 for the zero polynomial,
         or None if inhomogeneous; weights[i] is the weight of variable i."""
         deg = None
-        for exps in self.terms:
+        for exps in self.ring.unpack_all(self.terms):
             d = sum(map(operator.mul, exps, weights))
             if deg is None:
                 deg = d
@@ -331,10 +445,11 @@ class MultiPoly:
         monomial (single term, coefficient ±1, Laurent-variable support).
 
         A zero binding drops every term that uses its variable, a
-        single-term binding acts on the exponent vector and the
-        coefficient, and only the multi-term bindings are multiplied out:
-        once per distinct exponent vector on their variables, sharing the
-        products over common prefixes of those vectors.
+        single-term binding adds a multiple of its exponent vector to the
+        monomial and scales the coefficient, and only the multi-term
+        bindings are multiplied out: once per distinct exponent vector on
+        their variables, sharing the products over common prefixes of those
+        vectors.
         """
         if target is None:
             for v in bindings.values():
@@ -344,8 +459,8 @@ class MultiPoly:
                 target = self.ring
         src = self.ring
         passthrough = []    # (source index, target index)
-        zero = []           # variables bound to 0
-        mono = []           # (index, nonzero (target index, exponent)s, coeff)
+        zmask = zero = 0    # the fields of the variables bound to 0, at 0
+        mono = []           # (index, image monomial less 1, coeff)
         multi = []          # (index, binding terms)
         bad = {}            # Laurent variable -> error for a negative exponent
         for i, name in enumerate(src.names):
@@ -362,130 +477,141 @@ class MultiPoly:
                     raise ContextError("binding for %r not in target ring"
                                        % name)
                 if len(v.terms) == 1:
-                    (e, c), = v.terms.items()
-                    mono.append((i, [(j, x) for j, x in enumerate(e) if x], c))
+                    (key, c), = v.terms.items()
+                    mono.append((i, key - target.bias, c))
                     if c not in (1, -1):
                         err = SubstitutionError(
                             "unit monomial must have coefficient ±1")
-                    elif any(x > 0 and not target.laurent[j]
-                             for j, x in enumerate(e)):
+                    elif src.laurent[i] and any(
+                            x > 0 and not target.laurent[j]
+                            for j, x in enumerate(target.unpack(key))):
                         err = ExponentError("inverse of the binding for %r "
                                             "is not Laurent" % name)
                 else:
                     if v.terms:
                         multi.append((i, v.terms))
                     else:
-                        zero.append(i)
+                        zmask |= EXP_MASK << src.shifts[i]
+                        zero |= src.offsets[i] << src.shifts[i]
                     err = SubstitutionError(
                         "need a unit monomial for %r, got %d terms"
                         % (name, len(v.terms)))
             if err and src.laurent[i]:  # only these have negative exponents
                 bad[i] = err
         terms = self.terms
-        if any(e[i] < 0 for i in bad for e in terms):
-            # the first offending term, passthrough variables before bound ones
+        if bad:
+            # the first offending term, passthrough variables before bound
+            # ones; a Laurent exponent is negative where its field's top bit
+            # is clear
             order = sorted(bad, key=lambda i: (src.names[i] in bindings, i))
-            for e in terms:
+            for key in terms:
                 for i in order:
-                    if e[i] < 0:
+                    if not key >> src.shifts[i] + 31 & 1:
                         raise bad[i]
 
         # each term's monomial image, grouped by its exponents on `multi`
-        nt = target.nvars
+        base, moves = _relocation(src, target, passthrough)
+        scales = _scales(src, target, mono, terms)
+        guard = target.guard
+        mmask = sum(EXP_MASK << src.shifts[i] for i, _ in multi)
         groups: dict = {}
-        for exps, c in terms.items():
-            if zero and any(exps[i] for i in zero):
+        for key, c in terms.items():
+            if key & zmask != zero:
                 continue
-            te = [0] * nt
-            for i, j in passthrough:
-                te[j] = exps[i]
-            for i, ev, cv in mono:
-                k = exps[i]
+            te = base
+            for d, m in moves:
+                te += (key & m) << d if d >= 0 else (key & m) >> -d
+            for s, off, step, cv in scales:
+                k = (key >> s & EXP_MASK) - off
                 if k:
-                    for j, x in ev:
-                        te[j] += k * x
+                    te += k * step
                     if cv != 1:     # a unit when k < 0
                         c *= cv ** abs(k)
-            key = tuple([exps[i] for i, _ in multi])
-            group = groups.get(key)
+            if te & guard:
+                raise out_of_range(target)
+            g = key & mmask
+            group = groups.get(g)
             if group is None:
-                group = groups[key] = {}
-            te = tuple(te)
+                group = groups[g] = {}
             s = group.get(te, 0) + c
             if s:
                 group[te] = s
             else:
                 del group[te]
         if not multi:
-            return MultiPoly._trusted(target, groups.get((), {}))
+            return MultiPoly._trusted(target, groups.get(0, {}))
 
         # powers of each multi-term binding, grown one factor at a time
-        one = {(0,) * nt: 1}
+        one = {target.bias: 1}
         powers = [[one, v] for _, v in multi]
 
         def power(p: int, k: int) -> dict:
             table = powers[p]
             while len(table) <= k:
                 nxt: dict = {}
-                _mul_into(nxt, table[-1], table[1])
+                _mul_into(target, nxt, table[-1], table[1])
                 table.append(nxt)
             return table[k]
 
-        # depth-first over the sorted exponent vectors: stack[d] is the
-        # product of the first d factors of the previous vector
+        # depth-first over the exponent vectors in lexicographic (int)
+        # order: stack[d] is the product of the first d factors of the
+        # previous vector
+        fields = [(src.shifts[i], src.offsets[i]) for i, _ in multi]
         out: dict = {}
-        prev: tuple = ()
+        prev: list = []
         stack = [one]
-        for key in sorted(groups):
-            group = groups[key]
+        for g in sorted(groups):
+            group = groups[g]
             if not group:
                 continue
+            vec = [(g >> s & EXP_MASK) - off for s, off in fields]
             d = 0
-            while d < len(prev) and key[d] == prev[d]:
+            while d < len(prev) and vec[d] == prev[d]:
                 d += 1
             del stack[d + 1:]
-            for p in range(d, len(key)):
-                k, base = key[p], stack[-1]
+            for p in range(d, len(vec)):
+                k, base = vec[p], stack[-1]
                 if k:
                     f = power(p, k)
                     if base is not one:
                         acc: dict = {}
-                        _mul_into(acc, base, f)
+                        _mul_into(target, acc, base, f)
                         f = acc
                     base = f
                 stack.append(base)
-            prev = key
-            _mul_into(out, group, stack[-1])
+            prev = vec
+            _mul_into(target, out, group, stack[-1])
         return MultiPoly._trusted(target, out)
 
     def rename(self, target: Ring,
                mapping: Mapping[str, str] | None = None) -> "MultiPoly":
         """Embed into another ring by variable name (or an explicit rename map)."""
-        pos = []
+        used = self.support()
+        pairs = []
         for i, name in enumerate(self.ring.names):
             new = mapping.get(name, name) if mapping else name
-            used = any(e[i] for e in self.terms)
-            if new not in target._index:
-                if used:
-                    raise ContextError("variable %r absent from target" % new)
-                pos.append(None)
-            else:
-                pos.append(target.index(new))
+            if new in target._index:
+                pairs.append((i, target.index(new)))
+            elif i in used:
+                raise ContextError("variable %r absent from target" % new)
+        base, moves = _relocation(self.ring, target, pairs)
         out = {}
-        for exps, c in self.terms.items():
-            te = [0] * target.nvars
-            for i, j in enumerate(pos):
-                if exps[i]:
-                    te[j] = exps[i]
-            key = tuple(te)
-            out[key] = out.get(key, 0) + c
+        for key, c in self.terms.items():
+            te = base
+            for d, m in moves:
+                te += (key & m) << d if d >= 0 else (key & m) >> -d
+            out[te] = c
         return MultiPoly(target, out)
 
     # -- rendering ----------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]),
+        """(exponent tuple, coefficient) pairs in descending graded-lex
+        order."""
+        exps = self.ring.unpack_all(self.terms)
+        rows = sorted(zip(map(sum, exps), exps, self.terms.values()),
                       reverse=True)
+        return [(e, c) for _, e, c in rows]
 
     def _render(self, names, power: str, glue: str) -> str:
         """The terms in descending graded-lex order, joined by signed_join.
@@ -493,10 +619,11 @@ class MultiPoly:
         factors, then its factors, all glue-joined; the factor of variable
         i with exponent e is names[i] for e = 1, power % (names[i], e)
         otherwise."""
+        factors = [{1: s} for s in names]   # exponent -> factor, per variable
         parts = []
         for exps, c in self.sorted_terms():
-            body = [s if e == 1 else power % (s, e)
-                    for s, e in zip(names, exps) if e]
+            body = [f[e] if e in f else f.setdefault(e, power % (s, e))
+                    for f, s, e in zip(factors, names, exps) if e]
             if abs(c) != 1 or not body:
                 body.insert(0, str(abs(c)))
             parts.append(("-" if c < 0 else "") + glue.join(body))
@@ -531,7 +658,7 @@ class MultiPoly:
     @staticmethod
     def from_obj(obj: dict) -> "MultiPoly":
         ring = Ring(read_vars(obj))
-        return MultiPoly(ring, read_terms(obj, ring.nvars))
+        return MultiPoly.from_exps(ring, read_terms(obj, ring.nvars))
 
     @staticmethod
     def from_json(s: str) -> "MultiPoly":
@@ -562,15 +689,56 @@ def signed_join(parts: list) -> str:
                               for p in parts[1:])
 
 
-def _mul_into(out: dict, a: dict, b: dict) -> None:
-    """out += a*b on term dicts, deleting the terms that cancel to zero.
-    The shorter operand drives the outer loop."""
+def _relocation(src: Ring, target: Ring, pairs) -> tuple:
+    """(base, moves) such that base + sum of (key & m) shifted left by d
+    (right by -d) over (d, m) in moves is the monomial of target with the
+    exponent of source variable i at target variable j for (i, j) in
+    pairs and 0 elsewhere, for each monomial key of src.  Fields that move
+    by the same distance move together."""
+    base, masks = target.bias, {}
+    for i, j in pairs:
+        s, t = src.shifts[i], target.shifts[j]
+        masks[t - s] = masks.get(t - s, 0) | EXP_MASK << s
+        base -= src.offsets[i] << t
+    return base, sorted(masks.items())
+
+
+def _scales(src: Ring, target: Ring, mono: list, terms: dict) -> list:
+    """(shift, offset, step, coeff) for each single-term binding of
+    substitute: a term with exponent k on its variable gains k * step and
+    the factor coeff ** |k|.  The OR and the AND of the terms bound each
+    field, so each |k|, so each image exponent; where that bound could
+    leave the window in which the guard test is exact, ExponentError."""
+    out, bound = [], [0] * target.nvars
+    hi = lo = None
+    for i, step, c in mono:
+        s, off = src.shifts[i], src.offsets[i]
+        out.append((s, off, step, c))
+        if step and terms:
+            if hi is None:
+                hi = reduce(operator.or_, terms)
+                lo = reduce(operator.and_, terms)
+            k = max((hi >> s & EXP_MASK) - off, off - (lo >> s & EXP_MASK))
+            for j, x in enumerate(target.unpack(step + target.bias)):
+                bound[j] += k * abs(x)
+    if max(bound, default=0) >> FIELD_BITS - 2:
+        raise out_of_range(target)
+    return out
+
+
+def _mul_into(ring: Ring, out: dict, a: dict, b: dict) -> None:
+    """out += a*b on term dicts of ring, deleting the terms that cancel to
+    zero.  The shorter operand drives the outer loop; a product monomial
+    that leaves its fields raises ExponentError."""
     if len(a) > len(b):
         a, b = b, a
-    add, get = operator.add, out.get
+    bias, guard, get = ring.bias, ring.guard, out.get
     for e1, c1 in a.items():
+        e1 -= bias
         for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
+            if e & guard:
+                raise out_of_range(ring)
             s = get(e, 0) + c1 * c2
             if s:
                 out[e] = s
@@ -590,7 +758,7 @@ def sum_of_products(ring: Ring, triples) -> MultiPoly:
             at, bt = sorted((a.terms, b.terms), key=len)
             if c != 1:      # scale the shorter operand
                 at = {e: c * x for e, x in at.items()}
-            _mul_into(out, at, bt)
+            _mul_into(ring, out, at, bt)
     return MultiPoly._trusted(ring, out)
 
 
@@ -638,7 +806,7 @@ class TruncSeries:
             for i in range(k + 1):
                 a, b = self.coeffs[i], other.coeffs[k - i]
                 if a and b:
-                    _mul_into(acc, a.terms, b.terms)
+                    _mul_into(self.ring, acc, a.terms, b.terms)
             out.append(MultiPoly._trusted(self.ring, acc))
         return TruncSeries(self.ring, n, out)
 
@@ -650,7 +818,8 @@ class TruncSeries:
             acc: dict = {}
             for i in range(1, k + 1):
                 if self.coeffs[i]:
-                    _mul_into(acc, self.coeffs[i].terms, inv[k - i].terms)
+                    _mul_into(self.ring, acc, self.coeffs[i].terms,
+                              inv[k - i].terms)
             inv.append(MultiPoly._trusted(
                 self.ring, {e: -c for e, c in acc.items()}))
         return TruncSeries(self.ring, self.order, inv)

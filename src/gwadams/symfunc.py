@@ -49,17 +49,17 @@ def elementary(polys: list, n: int) -> MultiPoly:
 def _reduce_dominant(work: dict, ring: Ring, targets: list[str],
                      m: int) -> MultiPoly:
     """Gauss's algorithm on the dominant part `work` of a polynomial
-    symmetric in m variables U_i: work[a] = {exponents: coeff} is the
+    symmetric in m variables U_i: work[a] = {monomial: coeff} is the
     coefficient of U^a, a partition with at most m parts written without
     its zero parts.  Returns the polynomial of `ring` in which
-    targets[k - 1] stands for sigma_k(U); the exponents in work are 0 at
-    the targets.  Consumes `work`.
+    targets[k - 1] stands for sigma_k(U); the monomials in work are those
+    of `ring`, with exponent 0 at the targets.  Consumes `work`.
 
     The partitions of each size are walked in decreasing lexicographic
     order, which refines dominance.  The leading a is written as X^d,
     d_k = a_k - a_(k+1), and prod_k sigma_k^(d_k) = e_a' (a' the conjugate
     of a) is subtracted from each later b at its coefficient there."""
-    xs = [ring.index(t) for t in targets]
+    xs = [ring.step(t) for t in targets]
     out: dict = {}
     for size in {sum(a) for a in work}:
         walk = list(_partitions(size, size, m))
@@ -67,12 +67,9 @@ def _reduce_dominant(work: dict, ring: Ring, targets: list[str],
             coeffs = work.pop(a, None)
             if not coeffs:
                 continue
-            d = [x - y for x, y in zip(a, a[1:] + (0,))]
+            shift = sum(x * (p - q) for x, p, q in zip(xs, a, a[1:] + (0,)))
             for rest, c in coeffs.items():
-                te = list(rest)
-                for x, dk in zip(xs, d):
-                    te[x] = dk
-                out[tuple(te)] = c
+                out[rest + shift] = c
             conj = tuple(sum(x > k for x in a)
                          for k in range(max(a, default=0)))
             for b in walk[i + 1:]:
@@ -152,12 +149,12 @@ def ring_R(n: int) -> Ring:
 def _exact_div(p: MultiPoly, k: int) -> MultiPoly:
     """p / k over Z; a coefficient not divisible by k raises ArithmeticError."""
     out = {}
-    for exps, c in p.terms.items():
+    for key, c in p.terms.items():
         q, r = divmod(c, k)
         if r:
             raise ArithmeticError("coefficient %d of %s not divisible by %d"
                                   % (c, p, k))
-        out[exps] = q
+        out[key] = q
     return MultiPoly(p.ring, out)
 
 
@@ -262,7 +259,8 @@ def _dominant_Q(i: int, j: int, m: int) -> dict:
     count = Counter(map(sum, combinations(codes, i)))
     exps = ((tuple(c // base ** k % base for k in range(m)), n)
             for c, n in count.items())
-    return {tuple(filter(None, a)): {(0,) * (i * j): n}
+    one = ring_Q(i * j).bias
+    return {tuple(filter(None, a)): {one: n}
             for a, n in exps if _is_partition(a)}
 
 
@@ -546,7 +544,7 @@ def check_appendix_a(max_k: int = 4, group_samples: int = 6,
             terms = {}
             for _ in range(rng.randrange(0, 3)):
                 exps = tuple(rng.randrange(0, 3) for _ in range(3))
-                terms[exps] = rng.randrange(-4, 5)
+                terms[ring.pack(exps)] = rng.randrange(-4, 5)
             coeffs.append(MultiPoly(ring, terms))
         return TruncSeries(ring, order, coeffs)
 

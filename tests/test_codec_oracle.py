@@ -34,10 +34,10 @@ from gwadams.polyring import MultiPoly, read_bool, read_int, read_list
 
 def oracle_components(x: GWElem) -> dict:
     buckets: dict[int, dict] = {}
-    for exps, c in x.poly.terms.items():
+    for exps, c in x.poly.tuple_terms().items():
         d = sum(e * GW.weights[n] for e, n in zip(exps, COEFF_RING.names))
         buckets.setdefault(d, {})[exps] = c
-    return {d: GWElem(MultiPoly(COEFF_RING, t))
+    return {d: GWElem(MultiPoly.from_exps(COEFF_RING, t))
             for d, t in sorted(buckets.items())}
 
 
@@ -45,7 +45,7 @@ def oracle_gw_to_obj(x: GWElem) -> dict:
     comps = []
     for d, part in oracle_components(x).items():
         ab: dict[str, dict[int, int]] = {"a": {}, "b": {}, "c": {}}
-        for exps, coeff in part.poly.terms.items():
+        for exps, coeff in part.poly.tuple_terms().items():
             a, b, g = exps
             which = "c" if b else ("b" if a else "a")
             ab[which][g] = coeff
@@ -66,26 +66,28 @@ def oracle_gw_from_obj(obj: dict) -> GWElem:
         for key, (ea, eb) in (("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1))):
             for k, coeff in enumerate(read_list(comp, key, [])):
                 terms[ea, eb, gmin + k] += read_int(coeff, "a coefficient")
-    return GWElem(MultiPoly(COEFF_RING, terms))
+    return GWElem(MultiPoly.from_exps(COEFF_RING, terms))
 
 
 def oracle_to_obj(x: SymClass) -> dict:
     ring = x.poly.ring
     gidx = [ring.index(g) for g in x.gens]
     groups: dict[tuple, dict] = {}
-    for exps, c in x.poly.terms.items():
+    for exps, c in x.poly.tuple_terms().items():
         ue = tuple(exps[i] for i in gidx)
         base = tuple(0 if i in gidx else e for i, e in enumerate(exps))
         groups.setdefault(ue, {})[base] = c
     components = []
     for ue in sorted(groups):
         if x.theory.dense_json:
-            base_elem = GWElem(MultiPoly(ring, groups[ue]).rename(COEFF_RING))
+            base_elem = GWElem(MultiPoly.from_exps(ring, groups[ue]).rename(
+                COEFF_RING))
             for comp in oracle_gw_to_obj(base_elem)["components"]:
                 comp["u_exps"] = list(ue)
                 components.append(comp)
         else:
-            poly = MultiPoly(ring, groups[ue]).rename(x.theory.base_ring())
+            poly = MultiPoly.from_exps(ring, groups[ue]).rename(
+                x.theory.base_ring())
             components.append({"u_exps": list(ue), "poly": poly.to_obj()})
     return {"theory": x.theory.name, "gens": list(x.gens),
             "quotient": x.quotient, "components": components}
@@ -120,15 +122,15 @@ def oracle_from_obj(obj: dict, read_generators: bool = False) -> SymClass:
                 raise ValueError("poly must be a JSON object")
             base = MultiPoly.from_obj(comp["poly"])
             for i, name in enumerate(base.ring.names):
-                used = any(e[i] for e in base.terms)
+                used = any(e[i] for e in base.tuple_terms())
                 if used and name not in ring.names:
                     break       # the rename below refuses it
                 if not read_generators and used and name in gens:
                     raise ValueError("poly uses the generator %r; its "
                                      "exponent belongs in u_exps" % name)
-        for e, c in (base.rename(ring) * umono).terms.items():
+        for e, c in (base.rename(ring) * umono).tuple_terms().items():
             total[e] += c
-    return SymClass(MultiPoly(ring, total), theory, gens, quotient)
+    return SymClass(MultiPoly.from_exps(ring, total), theory, gens, quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from gwadams.polyring import GradingError, MultiPoly, Ring
 
 
 def raw(terms):
-    return MultiPoly(COEFF_RING, terms)
+    return MultiPoly.from_exps(COEFF_RING, terms)
 
 
 def stack_normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
@@ -30,7 +30,7 @@ def stack_normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
     ie, it, ig = ring.index("eps"), ring.index("tau"), ring.index("gamma")
     iu = [ring.index(u) for u in square_zero]
     out: dict = {}
-    stack = list(poly.terms.items())
+    stack = list(poly.tuple_terms().items())
     while stack:
         exps, c = stack.pop()
         for i in iu:
@@ -67,7 +67,7 @@ def stack_normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
                     out[exps] = s
                 elif exps in out:
                     del out[exps]
-    return MultiPoly(ring, out)
+    return MultiPoly.from_exps(ring, out)
 
 
 class TestNormalForm:
@@ -86,7 +86,7 @@ class TestNormalForm:
         # after normalization: eps exponent <= 1, tau exponent <= 1,
         # never both positive
         x = (GWElem.eps() + GWElem.tau() + GWElem.gamma(-1)) ** 4
-        for exps in x.poly.terms:
+        for exps in x.poly.tuple_terms():
             a, b, _ = exps
             assert a <= 1 and b <= 1 and not (a and b)
 
@@ -116,7 +116,7 @@ class TestNormalForm:
         rng = random.Random(20261018)
 
         def rand_poly():
-            return MultiPoly(ring, {
+            return MultiPoly.from_exps(ring, {
                 tuple([rng.randrange(3), rng.randrange(3),
                        rng.randrange(-2, 3)]
                       + [rng.randrange(4) for _ in gens]): rng.randrange(-9, 10)
@@ -127,7 +127,7 @@ class TestNormalForm:
             a = normalize(p * q, gens)
             b = normalize(normalize(p, gens) * normalize(q, gens), gens)
             assert a == b
-            for exps in a.terms:
+            for exps in a.tuple_terms():
                 assert all(exps[i] <= 1 for i in iu + [ie, it])
                 assert not (exps[ie] and exps[it])
 
@@ -140,7 +140,7 @@ class TestNormalForm:
         rng = random.Random(20261019)
         kept = 0
         for _ in range(1000):
-            p = MultiPoly(ring, {
+            p = MultiPoly.from_exps(ring, {
                 tuple([rng.randrange(5), rng.randrange(8),
                        rng.randrange(-3, 4)]
                       + [rng.randrange(6) for _ in gens]): rng.randrange(-9, 10)
@@ -162,7 +162,7 @@ class TestNormalForm:
     def test_large_exponent_bound(self, gens, square_zero, exps):
         # one term gives at most 2^(len(square_zero) + 1) terms
         ring = context_ring(GW, gens)
-        out = normalize(MultiPoly(ring, {exps: 1}), square_zero)
+        out = normalize(MultiPoly.from_exps(ring, {exps: 1}), square_zero)
         assert 0 < len(out.terms) <= 2 ** (len(square_zero) + 1)
         assert SymClass(out, GW, gens, bool(square_zero)).degree() == (
             2 * exps[1] + 4 * exps[2] + 2 * sum(exps[3:]))
@@ -239,7 +239,7 @@ def class_pairs(draw):
     def full(poly):
         return SymClass(poly, theory, gens, quotient)
 
-    x, y = (full(MultiPoly(ring, draw(st.dictionaries(
+    x, y = (full(MultiPoly.from_exps(ring, draw(st.dictionaries(
         exps, st.integers(-4, 4), max_size=5)))) for _ in range(2))
     return full, x, y
 

@@ -66,6 +66,7 @@ def loaded_after(code: str) -> list[str]:
     "import gwadams.cli",
     "from gwadams.cli import main\nmain(['adams', '3'])",
     "from gwadams.cli import main\nmain(['verify', 'omega'])",
+    "from gwadams.cli import main\nmain(['verify', 'all'])",
 ])
 def test_no_rationals_without_rational_input(code):
     # fractions, and decimal and numbers with it, load only where a

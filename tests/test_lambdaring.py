@@ -255,7 +255,7 @@ def recurrence_adams_images(k: int, x) -> dict:
     1 + y*t + det*t^2 by k - 1 steps of p_k = y*p_{k-1} - det*p_{k-2}."""
     theory, ring = x.theory, x.poly.ring
     used = {n for i, n in enumerate(ring.names)
-            if any(e[i] for e in x.poly.terms)}
+            if any(e[i] for e in x.poly.tuple_terms())}
     det = ring.var(theory.twist, theory.det_power)
     images = {theory.twist: ring.var(theory.twist, k)}
     if theory.line in used:
