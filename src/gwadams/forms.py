@@ -311,10 +311,11 @@ def check_congruence(B, f: GramForm, g: GramForm) -> bool:
 # invariants over Q
 
 # Trial division to TRIAL_DIVISION_MAX (0.1 s) factors every number below
-# 4*10^12; a larger cofactor is tested by Miller-Rabin, exact below
-# MR_CERTAIN, then taken as a perfect power or split by Pollard's rho within
-# RHO_STEPS steps (0.1-0.4 s).
+# 4*10^12; a larger cofactor of at most COFACTOR_DIGITS_MAX digits is tested
+# by Miller-Rabin, exact below MR_CERTAIN, then taken as a perfect power or
+# split by Pollard's rho within RHO_STEPS steps (0.1-0.4 s, 1.3 s at 150).
 TRIAL_DIVISION_MAX = 2 * 10 ** 6
+COFACTOR_DIGITS_MAX = 150
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_CERTAIN = 3317044064679887385961981
 RHO_STEPS = 1 << 17
@@ -337,6 +338,11 @@ def _odd_primes(n: int) -> list:
         d += 1 if d == 2 else 2
     if d * d > n:   # n is 1 or a prime
         return out + [n] if n > 1 else out
+    if n >= 10 ** COFACTOR_DIGITS_MAX:
+        from decimal import Decimal     # str() refuses over 4300 digits
+        raise ValueError("cannot factor a cofactor of %d digits: the limit "
+                         "is %d digits" % (Decimal(n).adjusted() + 1,
+                                           COFACTOR_DIGITS_MAX))
     odd, rest = set(), [n]
     while rest:     # numbers with no prime factor up to TRIAL_DIVISION_MAX
         m = rest.pop()

@@ -561,10 +561,15 @@ class GWElem(SymClass):
 
     @staticmethod
     def from_obj(obj: dict) -> "GWElem":
-        total: dict = defaultdict(int)
-        _read_dense(((comp, ()) for comp in obj["components"]), COEFF_RING,
-                    total)
-        return GWElem(MultiPoly(COEFF_RING, total))
+        """A class document of theory gw, without generators or quotient."""
+        x = SymClass.from_obj(obj)
+        for field, want in (("theory", "gw"), ("gens", []),
+                            ("quotient", False)):
+            if obj.get(field, want) != want:
+                raise ValueError("%s must be %s in a coefficient-ring class, "
+                                 "got %s" % (field, json.dumps(want),
+                                             json.dumps(obj[field])))
+        return GWElem(x.poly)
 
 
 def check_coefficient_identities(i_bound: int = 4, mn_bound: int = 6,

@@ -444,11 +444,12 @@ class MultiPoly:
         A variable carrying a negative exponent may only be bound to a unit
         monomial (single term, coefficient ±1, Laurent-variable support).
 
-        A zero binding drops every term that uses its variable, a
-        single-term binding adds a multiple of its exponent vector to the
-        monomial and scales the coefficient, and only the multi-term
-        bindings are multiplied out: once per distinct exponent vector on
-        their variables, sharing the products over common prefixes of those
+        A zero binding drops every term that uses its variable.  An unbound
+        variable is the single-term image of itself in the target, and a
+        single-term image adds a multiple of its exponent vector to the
+        monomial and scales the coefficient.  Only the multi-term bindings
+        are multiplied out: once per distinct exponent vector on their
+        variables, sharing the products over common prefixes of those
         vectors.
         """
         if target is None:
@@ -458,7 +459,6 @@ class MultiPoly:
             else:
                 target = self.ring
         src = self.ring
-        passthrough = []    # (source index, target index)
         zmask = zero = 0    # the fields of the variables bound to 0, at 0
         mono = []           # (index, image monomial less 1, coeff)
         multi = []          # (index, binding terms)
@@ -467,7 +467,7 @@ class MultiPoly:
             err = None
             if name not in bindings:
                 j = target.index(name)
-                passthrough.append((i, j))
+                mono.append((i, 1 << target.shifts[j], 1))
                 if not target.laurent[j]:
                     err = ExponentError(
                         "variable %r is not Laurent in the target" % name)
@@ -500,7 +500,7 @@ class MultiPoly:
                 bad[i] = err
         terms = self.terms
         if bad:
-            # the first offending term, passthrough variables before bound
+            # the first offending term, unbound variables before bound
             # ones; a Laurent exponent is negative where its field's top bit
             # is clear
             order = sorted(bad, key=lambda i: (src.names[i] in bindings, i))
@@ -510,17 +510,14 @@ class MultiPoly:
                         raise bad[i]
 
         # each term's monomial image, grouped by its exponents on `multi`
-        base, moves = _relocation(src, target, passthrough)
         scales = _scales(src, target, mono, terms)
-        guard = target.guard
+        bias, guard = target.bias, target.guard
         mmask = sum(EXP_MASK << src.shifts[i] for i, _ in multi)
         groups: dict = {}
         for key, c in terms.items():
             if key & zmask != zero:
                 continue
-            te = base
-            for d, m in moves:
-                te += (key & m) << d if d >= 0 else (key & m) >> -d
+            te = bias
             for s, off, step, cv in scales:
                 k = (key >> s & EXP_MASK) - off
                 if k:
@@ -585,23 +582,27 @@ class MultiPoly:
 
     def rename(self, target: Ring,
                mapping: Mapping[str, str] | None = None) -> "MultiPoly":
-        """Embed into another ring by variable name (or an explicit rename map)."""
+        """Embed into another ring by variable name (or an explicit rename
+        map): the substitution that passes each kept variable through, binds
+        each renamed one to its new name and each unused one that target
+        lacks to 1."""
         used = self.support()
-        pairs = []
+        bindings = {}
         for i, name in enumerate(self.ring.names):
             new = mapping.get(name, name) if mapping else name
-            if new in target._index:
-                pairs.append((i, target.index(new)))
-            elif i in used:
-                raise ContextError("variable %r absent from target" % new)
-        base, moves = _relocation(self.ring, target, pairs)
-        out = {}
-        for key, c in self.terms.items():
-            te = base
-            for d, m in moves:
-                te += (key & m) << d if d >= 0 else (key & m) >> -d
-            out[te] = c
-        return MultiPoly(target, out)
+            if new not in target._index:
+                if i in used:
+                    raise ContextError("variable %r absent from target" % new)
+                bindings[name] = target.one()
+            elif new != name:
+                bindings[name] = target.var(new)
+        try:
+            return self.substitute(bindings, target)
+        except ExponentError:
+            # substitute names the variable or binding that carries a
+            # negative exponent into a non-Laurent variable; a rename reports
+            # it by the field's bounds, as any exponent that leaves its field
+            raise out_of_range(target) from None
 
     # -- rendering ----------------------------------------------------------
 
@@ -689,36 +690,23 @@ def signed_join(parts: list) -> str:
                               for p in parts[1:])
 
 
-def _relocation(src: Ring, target: Ring, pairs) -> tuple:
-    """(base, moves) such that base + sum of (key & m) shifted left by d
-    (right by -d) over (d, m) in moves is the monomial of target with the
-    exponent of source variable i at target variable j for (i, j) in
-    pairs and 0 elsewhere, for each monomial key of src.  Fields that move
-    by the same distance move together."""
-    base, masks = target.bias, {}
-    for i, j in pairs:
-        s, t = src.shifts[i], target.shifts[j]
-        masks[t - s] = masks.get(t - s, 0) | EXP_MASK << s
-        base -= src.offsets[i] << t
-    return base, sorted(masks.items())
-
-
 def _scales(src: Ring, target: Ring, mono: list, terms: dict) -> list:
-    """(shift, offset, step, coeff) for each single-term binding of
-    substitute: a term with exponent k on its variable gains k * step and
-    the factor coeff ** |k|.  The OR and the AND of the terms bound each
+    """(shift, offset, step, coeff) for each single-term image of
+    substitute whose variable occurs in some term: a term with exponent k
+    on that variable gains k * step and the factor coeff ** |k|.  The OR
+    and the AND of the terms show which variables occur and bound each
     field, so each |k|, so each image exponent; where that bound could
     leave the window in which the guard test is exact, ExponentError."""
+    if not mono or not terms:
+        return []
+    hi = reduce(operator.or_, terms)
+    lo = reduce(operator.and_, terms)
     out, bound = [], [0] * target.nvars
-    hi = lo = None
     for i, step, c in mono:
         s, off = src.shifts[i], src.offsets[i]
-        out.append((s, off, step, c))
-        if step and terms:
-            if hi is None:
-                hi = reduce(operator.or_, terms)
-                lo = reduce(operator.and_, terms)
-            k = max((hi >> s & EXP_MASK) - off, off - (lo >> s & EXP_MASK))
+        k = max((hi >> s & EXP_MASK) - off, off - (lo >> s & EXP_MASK))
+        if k:
+            out.append((s, off, step, c))
             for j, x in enumerate(target.unpack(step + target.bias)):
                 bound[j] += k * abs(x)
     if max(bound, default=0) >> FIELD_BITS - 2:

@@ -107,16 +107,22 @@ def test_criterion_8_documented_hyperbolic_mismatches():
             assert e.status == "pass"
 
 
-def test_criterion_9_end_to_end_verify_all(runner):
+def test_criterion_9_end_to_end_verify_all(runner, tmp_path):
     t0 = time.monotonic()
     first = runner("verify", "all")
     elapsed = time.monotonic() - t0
     assert first.exit_code == 0
     assert elapsed < 120
-    second = runner("verify", "all")
+    # the JSON report is the one output that renders the lhs and rhs of
+    # every passing cell
+    report = tmp_path / "report.json"
+    second = runner("verify", "all", "--json", str(report), "--no-timestamp")
+    assert second.exit_code == 0
     assert second.output == first.output
     assert hashlib.sha256(first.output.encode()).hexdigest() == (
         "3d034ef28e340c336f47eb0f9defc3481657589e613f613abfb94c3b617c6e8b")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "a8c933cb77cfb83a7fc90e956f6fffc02c5a126cf26b56562276e20f6c6f55f4")
 
 
 def _fresh_cli(*args):

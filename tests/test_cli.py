@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -914,6 +915,28 @@ class TestForm:
             start = time.perf_counter()
             r = runner("form", *cmd, str(p), input=doc)
             assert time.perf_counter() - start < 2, (cmd, m)
+            assert r.exit_code == code and text in r.output, r.output
+
+    def test_long_entry_bounded(self, runner, tmp_path):
+        # a cofactor above COFACTOR_DIGITS_MAX digits is refused as soon as
+        # trial division ends (17.8 s and over 60 s before, nearly all in
+        # Pollard's rho); 2^13000 leaves no cofactor and is read as before
+        rng = random.Random(24)
+        cases = [
+            (rng.randrange(10 ** 999, 10 ** 1000), 2, 2,
+             "cannot factor a cofactor of 997 digits: the limit is 150 "
+             "digits"),
+            (rng.randrange(10 ** 3999, 10 ** 4000), 5, 2,
+             "cannot factor a cofactor of 3993 digits: the limit is 150 "
+             "digits"),
+            (2 ** 13000, 5, 0, '"disc":1,'),
+        ]
+        for entry, seconds, code, text in cases:
+            p = tmp_path / "long.json"
+            p.write_text(json.dumps({"sym": "symmetric", "matrix": [[entry]]}))
+            start = time.perf_counter()
+            r = runner("form", "invariants", str(p))
+            assert time.perf_counter() - start < seconds, seconds
             assert r.exit_code == code and text in r.output, r.output
 
     # sha256 of "<exit code>\n<stdout>" of `form ...` on the forms below,

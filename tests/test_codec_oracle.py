@@ -12,7 +12,12 @@ KeyError or TypeError, or read a string digit by digit; the oracle refuses
 it with the codec's message, at the same point of the reading.  So it does
 with a K or Witt `poly` that uses a generator, which the earlier codec
 multiplied in although `poly` is a base-ring polynomial; with
-read_generators=True it reads such a poly as the earlier codec did."""
+read_generators=True it reads such a poly as the earlier codec did.
+GWElem.from_obj reads through SymClass.from_obj: where the earlier GWElem
+reader took another theory, generators, quotient mode or generator
+exponents for a coefficient-ring class, or leaked a KeyError, TypeError or
+AttributeError, it refuses the document with a message that names the
+field."""
 
 import json
 import random
@@ -309,14 +314,69 @@ def test_gwelem():
         assert GWElem.from_obj(doc) == oracle_gw_from_obj(doc) == x
     # the dense components of class documents, read as bare GWElems
     rng = random.Random(11)
+    kept = refused = 0
     for _ in range(400):
         doc = random_doc(rng)
         comps = doc["components"]
         if not isinstance(comps, list):
             continue
         bare = {"components": comps}
-        assert outcome(GWElem.from_obj, bare) == outcome(oracle_gw_from_obj,
-                                                         bare)
+        want = gwelem_outcome(bare)
+        if want == outcome(oracle_gw_from_obj, bare):
+            kept += 1
+        else:
+            refused += 1
+        assert outcome(GWElem.from_obj, bare) == want
+    assert kept >= 150 and refused >= 100
+
+
+def gwelem_outcome(bare: dict):
+    """The earlier GWElem reader's outcome on a bare document, up to its
+    first component that is not an object or carries generator exponents:
+    the class reader refuses that one, unless an earlier one fails."""
+    comps = bare["components"]
+    for k, comp in enumerate(comps):
+        if not isinstance(comp, dict):
+            why = "each component must be a JSON object"
+        elif comp.get("u_exps", []) != []:
+            why = "u_exps must list one integer per generator"
+        else:
+            continue
+        head = outcome(oracle_gw_from_obj, {"components": comps[:k]})
+        if issubclass(head[0], Exception):
+            return head
+        return ValueError, why
+    return outcome(oracle_gw_from_obj, bare)
+
+
+ONE = (GWElem, GWElem.from_int(1), GWElem.from_int(1).to_json())
+ZERO = (GWElem, GWElem.from_int(0), GWElem.from_int(0).to_json())
+
+
+@pytest.mark.parametrize("doc, old, new", [
+    ({"theory": "gw", "gens": ["u"],
+      "components": [{"u_exps": [1], "a": [1]}]}, ONE,
+     'gens must be [] in a coefficient-ring class, got ["u"]'),
+    ({"theory": "k", "components": [{"poly": {
+        "vars": [{"name": "beta", "laurent": True}],
+        "terms": [{"coeff": "2", "exps": [1]}]}}]}, ZERO,
+     'theory must be "gw" in a coefficient-ring class, got "k"'),
+    ({"quotient": True, "components": [{"a": [1]}]}, ONE,
+     "quotient must be false in a coefficient-ring class, got true"),
+    ({"components": [{"u_exps": [1], "a": [1]}]}, ONE,
+     "u_exps must list one integer per generator"),
+    ({}, (KeyError, "'components'"), "components must be a list"),
+    ([], (TypeError, "list indices must be integers or slices, not str"),
+     "a class document must be a JSON object"),
+    ({"components": [1]}, (AttributeError, "'int' object has no attribute "
+                                           "'get'"),
+     "each component must be a JSON object"),
+])
+def test_gwelem_intended_differences(doc, old, new):
+    """GWElem reads through the class reader, which refuses what is not a
+    coefficient-ring class and names the field."""
+    assert outcome(oracle_gw_from_obj, doc) == old
+    assert outcome(GWElem.from_obj, doc) == (ValueError, new)
 
 
 def test_random_documents():

@@ -3,14 +3,15 @@ the guard that keeps a product from carrying between fields.
 
 The oracles below are polyring's _mul_into and substitute and gwring's
 normalize as they were on exponent tuples, run on the tuple view of the
-same polynomials."""
+same polynomials, and MultiPoly.rename as it was before it became a
+substitution: each kept field moved by shift and mask."""
 
 import operator
 from collections import defaultdict
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gwadams.gwring import GW, context_ring, normalize
 from gwadams.polyring import (
@@ -171,6 +172,40 @@ def tuple_normalize(p: MultiPoly, square_zero: tuple = ()) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def relocation(src: Ring, target: Ring, pairs) -> tuple:
+    """(base, moves) such that base + sum of (key & m) shifted left by d
+    (right by -d) over (d, m) in moves is the monomial of target with the
+    exponent of source variable i at target variable j for (i, j) in
+    pairs and 0 elsewhere, for each monomial key of src.  Fields that move
+    by the same distance move together."""
+    base, masks = target.bias, {}
+    for i, j in pairs:
+        s, t = src.shifts[i], target.shifts[j]
+        masks[t - s] = masks.get(t - s, 0) | EXP_MASK << s
+        base -= src.offsets[i] << t
+    return base, sorted(masks.items())
+
+
+def relocation_rename(p: MultiPoly, target: Ring, mapping=None) -> MultiPoly:
+    """MultiPoly.rename by moving each kept field to its target field."""
+    used = p.support()
+    pairs = []
+    for i, name in enumerate(p.ring.names):
+        new = mapping.get(name, name) if mapping else name
+        if new in target.names:
+            pairs.append((i, target.index(new)))
+        elif i in used:
+            raise ContextError("variable %r absent from target" % new)
+    base, moves = relocation(p.ring, target, pairs)
+    out = {}
+    for key, c in p.terms.items():
+        te = base
+        for d, m in moves:
+            te += (key & m) << d if d >= 0 else (key & m) >> -d
+        out[te] = c
+    return MultiPoly(target, out)
+
+
 def tuple_add(a: dict, b: dict, sign: int = 1) -> dict:
     out = dict(a)
     for e, c in b.items():
@@ -254,6 +289,69 @@ def test_substitute_matches_tuple_oracle(p, binds):
         assert got is want
     else:
         assert got.tuple_terms() == want
+
+
+# rename: targets drawn from POOL, "z" in none of them
+POOL = ("x", "g", "y", "h", "s")
+
+
+def edge_polys(ring):
+    """Exponents 0, small or at the edge of their field: a plain exponent
+    from 2^31 on leaves a Laurent field, a negative one a plain field."""
+    def exps(laurent):
+        if laurent:
+            return st.sampled_from((0, 0, 0, 0, 1, -1, -2, LO, LO + 1, HI))
+        return st.sampled_from((0, 0, 0, 0, 1, 2, HI, HI + 1, EXP_MASK))
+    return st.dictionaries(st.tuples(*map(exps, ring.laurent)),
+                           st.sampled_from((-3, -1, 1, 2)), min_size=1,
+                           max_size=4).map(
+        lambda terms: MultiPoly.from_exps(ring, terms))
+
+
+@st.composite
+def rename_targets(draw):
+    names = draw(st.permutations(POOL))[:draw(st.integers(3, len(POOL)))]
+    return Ring([(n, draw(st.booleans())) for n in names])
+
+
+@st.composite
+def rename_maps(draw):
+    """None, or a one-to-one map of RL's names, a name mapped to itself
+    or left out at random."""
+    if draw(st.booleans()):
+        return None
+    images = draw(st.permutations(draw(st.sampled_from((POOL,
+                                                        POOL + ("z",))))))
+    return {n: m for n, m in zip(RL.names, images)
+            if n != m or draw(st.booleans())}
+
+
+def rename_outcome(rename, p, target, mapping):
+    """The ring and terms of the image, or the exception type and message."""
+    try:
+        q = rename(p, target, mapping)
+    except (ContextError, ExponentError) as exc:
+        return type(exc), str(exc)
+    return q.ring, q.terms
+
+
+SWAP = Ring([("y", False), ("x", False), ("h", False), ("g", True)])
+
+
+@settings(max_examples=600, deadline=None)
+@given(edge_polys(RL), rename_targets(), rename_maps())
+@example(MultiPoly.from_exps(RL, {(2, -1, 1, 0): 3, (0, 0, 0, 1): 1}), RL,
+         {"x": "y", "y": "x"})                  # a swap
+@example(MultiPoly.from_exps(RL, {(HI, 0, EXP_MASK, 2): 1}), SWAP,
+         {"x": "y", "y": "x"})                  # at the edge, swapped
+@example(RL.var("h", -1), SWAP, None)           # Laurent into plain
+@example(RL.var("x", HI + 1), Ring([("x", True)]), None)   # plain into Laurent
+@example(RL.var("y") + RL.var("g", LO), Ring([("y", True), ("g", True)]),
+         None)                                  # x, h unused and absent
+@example(RL.var("h", 2), Ring([("x", False)]), {"h": "z"})  # used, absent
+def test_rename_matches_relocation_oracle(p, target, mapping):
+    assert rename_outcome(MultiPoly.rename, p, target, mapping) == \
+        rename_outcome(relocation_rename, p, target, mapping)
 
 
 GW2 = context_ring(GW, ("u1", "u2"))

@@ -393,6 +393,13 @@ class TestValidationRoutes:
         with pytest.raises(ExponentError):
             src.var("x", -1).rename(Ring([("x", False)]))
 
+    def test_rename_onto_one_name_adds(self):
+        # two variables renamed onto one: their terms meet and add
+        src = Ring([("x", False), ("y", False)])
+        T = Ring([("x", False)])
+        p = src.var("x") + src.var("y") - src.var("x") * src.var("y")
+        assert p.rename(T, {"y": "x"}) == 2 * T.var("x") - T.var("x", 2)
+
     def test_substitute_passthrough(self):
         src = Ring([("x", True), ("y", False)])
         T = Ring([("x", False), ("s", False)])
