@@ -193,13 +193,18 @@ def _int_permanent(m) -> int:
                for perm in permutations(range(len(m))))
 
 
-def _minors(M, subsets, fn):
+def _minors(M, subsets, fn, sign: int = 0):
     """[[fn(M[S][T]) for T in subsets] for S in subsets] for an integer
-    matrix M and an integer function fn of square matrices."""
+    matrix M and an integer function fn of square matrices.  A nonzero sign
+    says that fn(M[T][S]) = sign * fn(M[S][T]), as for the minors and
+    permanents of a sym-symmetric M with sign = sym^n: then only the entries
+    with T at or after S are computed and the rest are mirrored."""
     out = []
-    for S in subsets:
-        rows = [M[i] for i in S]
-        out.append([fn([[r[j] for j in T] for r in rows]) for T in subsets])
+    for i, S in enumerate(subsets):
+        rows = [M[k] for k in S]
+        head = [sign * row[i] for row in out] if sign else []
+        out.append(head + [fn([[r[j] for j in T] for r in rows])
+                           for T in subsets[len(head):]])
     return out
 
 
@@ -232,7 +237,9 @@ def ext_power(f: GramForm, n: int) -> GramForm:
     """n-th exterior power on the sorted-tuple basis; entries are minors."""
     if not 0 <= n <= f.rank:
         raise IndexError("n out of range")
-    return _gram(_compound(f.rows, n), f.den ** n, f.sym ** n)
+    basis = list(combinations(range(f.rank), n))
+    return _gram(_minors(f.rows, basis, _int_det, f.sym ** n), f.den ** n,
+                 f.sym ** n)
 
 
 def sym_power(f: GramForm, n: int) -> GramForm:
@@ -241,8 +248,8 @@ def sym_power(f: GramForm, n: int) -> GramForm:
     if not 0 <= n <= f.rank:
         raise IndexError("n out of range")
     basis = list(combinations_with_replacement(range(f.rank), n))
-    return _gram(_minors(f.rows, basis, _int_permanent), f.den ** n,
-                 f.sym ** n)
+    return _gram(_minors(f.rows, basis, _int_permanent, f.sym ** n),
+                 f.den ** n, f.sym ** n)
 
 
 def tensor(f: GramForm, g: GramForm) -> GramForm:
@@ -411,11 +418,6 @@ def squarefree(a) -> int:
     return (-1 if n < 0 else 1) * prod(_odd_primes(abs(n)))
 
 
-def _legendre(u: int, p: int) -> int:
-    r = pow(u % p, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def hilbert_symbol(a: int, b: int, place) -> int:
     """(a, b)_v for v a prime or the real-place marker "inf"."""
     if a == 0 or b == 0:
@@ -438,9 +440,9 @@ def hilbert_symbol(a: int, b: int, place) -> int:
     s = 1
     if alpha % 2 and beta % 2 and p % 4 == 3:
         s = -s
-    if beta % 2 and _legendre(u, p) == -1:
+    if beta % 2 and pow(u, (p - 1) // 2, p) != 1:
         s = -s
-    if alpha % 2 and _legendre(w, p) == -1:
+    if alpha % 2 and pow(w, (p - 1) // 2, p) != 1:
         s = -s
     return s
 
@@ -487,18 +489,13 @@ class GWQInvariants(NamedTuple):
     disc: int
     hasse: tuple  # sorted ((place, ±1), ...), places with symbol 1 included
 
-    def hasse_at(self, place) -> int:
-        return dict(self.hasse).get(place, 1)
-
-    def places(self):
-        return [p for p, _ in self.hasse]
-
     def same_class(self, other: "GWQInvariants") -> bool:
-        if (self.rank, self.signature, self.disc) != (
-                other.rank, other.signature, other.disc):
-            return False
-        places = set(self.places()) | set(other.places())
-        return all(self.hasse_at(p) == other.hasse_at(p) for p in places)
+        """Equal rank, signature and discriminant, and symbol -1 at the same
+        places: a place one side does not list has symbol 1 there."""
+        return (self.rank, self.signature, self.disc) == (
+            other.rank, other.signature, other.disc) and {
+            p for p, v in self.hasse if v < 0} == {
+            p for p, v in other.hasse if v < 0}
 
     def to_obj(self) -> dict:
         return {"rank": self.rank, "signature": self.signature,
@@ -525,24 +522,47 @@ def _invariants(pivots) -> GWQInvariants:
     signs = [1 if n > 0 else -1 for n, _ in pivots]
     primes = [_odd_primes(abs(n * d)) for n, d in pivots]
     diag = [s * prod(ps) for s, ps in zip(signs, primes)]
-    signature = sum(signs)
-    # the Hilbert symbol is bimultiplicative and sees only square classes,
-    # so prod_{i<j} (d_i, d_j) = prod_j (d_1 ... d_{j-1}, d_j), each prefix
-    # product kept as a sign times the primes it holds to an odd power
-    sign, odd, prefixes = 1, set(), []
-    for s, ps in zip(signs, primes):
-        prefixes.append(sign * prod(odd))
-        sign *= s
+    odd = set()
+    for ps in primes:
         odd.symmetric_difference_update(ps)
-    disc = sign * prod(odd)
-    places = {2, "inf"}.union(*primes)
-    hasse = []
-    for v in sorted(places, key=_place_key):
-        s = 1
-        for a, b in zip(prefixes[1:], diag[1:]):
-            s *= hilbert_symbol(a, b, v)
-        hasse.append((v, s))
-    return GWQInvariants(len(pivots), signature, disc, tuple(hasse))
+    # each place's symbol is evaluated on its own: none may be derived from
+    # Hilbert reciprocity or from the other places, because the
+    # hilbert_product lemma checks exactly their product
+    hasse = tuple((v, _hasse(v, diag))
+                  for v in sorted({2, "inf"}.union(*primes), key=_place_key))
+    return GWQInvariants(len(pivots), sum(signs), prod(signs) * prod(odd),
+                         hasse)
+
+
+def _hasse(v, diag) -> int:
+    """The Hasse symbol prod_{i<j} (d_i, d_j)_v of the diagonal form <diag>,
+    nonzero squarefree integers, at the place v.
+
+    At inf only the k negative entries count: (-1)^(k(k-1)/2).  At an odd
+    prime p, with d_A the product of the entries p does not divide and p*d_B
+    that of the n1 others, bimultiplicativity and (u, w)_p = 1,
+    (u, p)_p = (u/p), (p, p)_p = (-1/p) for units u, w give
+    (d_A/p)^n1 * (d_B/p)^(n1-1) * (-1/p)^(n1(n1-1)/2).  At 2 it is the
+    product prod_j (d_1 ... d_{j-1}, d_j)_2, the prefix kept mod 16 with
+    any factor 4 divided out: the same 2-adic square class."""
+    if v == "inf":     # k(k-1)/2 is odd for k = 2, 3 mod 4
+        return -1 if sum(d < 0 for d in diag) % 4 > 1 else 1
+    if v == 2:
+        s, a = 1, diag[0] % 16 if diag else 1
+        for b in diag[1:]:
+            s *= hilbert_symbol(a, b, 2)
+            a *= b
+            a = (a if a % 4 else a // 4) % 16
+        return s
+    d_A, n1, d_B = 1, 0, 1
+    for d in diag:
+        if d % v:
+            d_A = d_A * d % v
+        else:
+            n1, d_B = n1 + 1, d_B * (d // v) % v
+    # one of (d_A/p)^n1 and (d_B/p)^(n1-1) has an even exponent
+    s = 1 if pow(d_A if n1 % 2 else d_B, (v - 1) // 2, v) == 1 else -1
+    return -s if n1 % 4 > 1 and v % 4 == 3 else s
 
 
 def gw_identity_check(lhs, rhs) -> bool:

@@ -1,16 +1,18 @@
 import json
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gwadams.forms
 from gwadams.forms import (
     TRIAL_DIVISION_MAX, DegeneracyError, GramForm, GWQInvariants,
-    WitnessError, _base_change, _diagonalize, _frac, _int_det, _int_mul,
-    _integral, _odd_primes, _place_key, _transpose,
+    WitnessError, _base_change, _compound, _diagonalize, _frac, _int_det,
+    _int_mul, _integral, _invariants, _odd_primes, _place_key, _transpose,
     check_congruence, check_section2_and_hyp, direct_sum, dual, ext_matrix,
     ext_power, gw_identity_check, hilbert_symbol, hyperbolic, invariants,
     scale, squarefree, sym_power, symplectic_plane, tensor,
@@ -124,13 +126,13 @@ def fraction_permanent(rows) -> Fraction:
     return total
 
 
-def pairwise_invariants(f: GramForm) -> GWQInvariants:
-    """The invariants with each Hasse symbol a product of Hilbert symbols
+def pairwise_invariants(pivots, odd_primes=_odd_primes) -> GWQInvariants:
+    """The invariants of the diagonal form <pivots>, (numerator,
+    denominator) pairs, with each Hasse symbol a product of Hilbert symbols
     over all pairs of diagonal entries, as forms.invariants took it before
     the prefix-product form."""
-    pivots = _diagonalize(f)
     signs = [1 if n > 0 else -1 for n, _ in pivots]
-    primes = [_odd_primes(abs(n * d)) for n, d in pivots]
+    primes = [odd_primes(abs(n * d)) for n, d in pivots]
     diag = [s * prod(ps) for s, ps in zip(signs, primes)]
     odd = set()
     for ps in primes:
@@ -142,8 +144,39 @@ def pairwise_invariants(f: GramForm) -> GWQInvariants:
             for j in range(i + 1, len(diag)):
                 s *= hilbert_symbol(diag[i], diag[j], v)
         hasse.append((v, s))
-    return GWQInvariants(f.rank, sum(signs), prod(signs) * prod(odd),
+    return GWQInvariants(len(pivots), sum(signs), prod(signs) * prod(odd),
                          tuple(hasse))
+
+
+def prefix_invariants(pivots, odd_primes=_odd_primes) -> GWQInvariants:
+    """The invariants with each Hasse symbol the linear product
+    prod_j (d_1 ... d_{j-1}, d_j)_v of Hilbert symbols at every place, as
+    forms._invariants took it before the per-place closed forms."""
+    signs = [1 if n > 0 else -1 for n, _ in pivots]
+    primes = [odd_primes(abs(n * d)) for n, d in pivots]
+    diag = [s * prod(ps) for s, ps in zip(signs, primes)]
+    sign, odd, prefixes = 1, set(), []
+    for s, ps in zip(signs, primes):
+        prefixes.append(sign * prod(odd))
+        sign *= s
+        odd.symmetric_difference_update(ps)
+    hasse = []
+    for v in sorted({2, "inf"}.union(*primes), key=_place_key):
+        s = 1
+        for a, b in zip(prefixes[1:], diag[1:]):
+            s *= hilbert_symbol(a, b, v)
+        hasse.append((v, s))
+    return GWQInvariants(len(pivots), sum(signs), sign * prod(odd),
+                         tuple(hasse))
+
+
+def union_same_class(a: GWQInvariants, b: GWQInvariants) -> bool:
+    """GWQInvariants.same_class as it was before it compared the places of
+    symbol -1: equal symbols over the union of both sides' places."""
+    if (a.rank, a.signature, a.disc) != (b.rank, b.signature, b.disc):
+        return False
+    sa, sb = dict(a.hasse), dict(b.hasse)
+    return all(sa.get(p, 1) == sb.get(p, 1) for p in set(sa) | set(sb))
 
 
 def oracle_minors(M, basis, fn):
@@ -235,6 +268,34 @@ def rand_unimodular(rng, n: int):
           for j in range(n)] for i in range(n)]
     perm = rng.sample(range(n), n)
     return [U[k] for k in perm]
+
+
+# 12-digit primes, one 3 mod 4 and one 1 mod 4
+PLANTED = (100000000003, 700000000009)
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 43)
+
+
+def rand_pivots(rng, planted: bool = True) -> list:
+    """A seeded diagonal of rank 1-7 as (numerator, denominator) pairs in
+    lowest terms: signed products of small primes to any power (2 and
+    primes 3 mod 4 among them) over denominators, in a fifth of the lists
+    a prime that divides every entry to an odd power, and in 2% a planted
+    12-digit prime times 1 or 3."""
+    common = rng.choice(SMALL_PRIMES) if rng.random() < 0.2 else 1
+    big = rng.choice(PLANTED) if planted and rng.random() < 0.02 else 0
+    dens = [p for p in SMALL_PRIMES[:6] if p != common]
+    out = []
+    for i in range(rng.randint(1, 7)):
+        if big and (i == 0 or rng.random() < 0.3):
+            n, d = big * rng.choice((1, 3)), 1
+        else:
+            n = prod(p ** rng.randint(1, 3) for p in rng.sample(
+                SMALL_PRIMES, rng.randint(0, 3)))
+            d = prod(p ** rng.randint(1, 2) for p in rng.sample(
+                dens, rng.choice((0, 0, 1, 2))))
+        g = gcd(n, d)
+        out.append((rng.choice((-1, 1)) * common * n // g, d // g))
+    return out
 
 
 def parent_frac(x):
@@ -422,7 +483,68 @@ class TestInvariants:
             if f.det() != 0:
                 forms.append(f)
         for f in forms:
-            assert invariants(f) == pairwise_invariants(f), f
+            assert invariants(f) == pairwise_invariants(_diagonalize(f)), f
+
+    def test_closed_forms_match_oracles(self, monkeypatch):
+        # factoring is tested in TestFactoring; a memo of it keeps the
+        # planted primes to a few trial divisions
+        odd_primes = cache(_odd_primes)
+        monkeypatch.setattr(gwadams.forms, "_odd_primes", odd_primes)
+        assert _invariants([]) == prefix_invariants([]) == pairwise_invariants(
+            []) == GWQInvariants(0, 0, 1, ((2, 1), ("inf", 1)))
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(20000):
+            pivots = rand_pivots(rng)
+            got = _invariants(pivots)
+            assert got == prefix_invariants(pivots, odd_primes), pivots
+            assert got == pairwise_invariants(pivots, odd_primes), pivots
+            primes = [set(odd_primes(abs(n * d))) for n, d in pivots]
+            seen.add(len(pivots))
+            seen.update(("negative entry" for n, _ in pivots if n < 0))
+            seen.update(("denominator" for _, d in pivots if d > 1))
+            if len(pivots) > 1 and set.intersection(*primes):
+                seen.add("prime dividing every entry")
+            seen.update("-1 at " + (
+                str(v) if v in ("inf", 2) else "planted" if v in PLANTED
+                else "p = %d mod 4" % (v % 4)) for v, c in got.hasse if c < 0)
+        assert seen >= {1, 2, 3, 4, 5, 6, 7, "negative entry", "denominator",
+                        "prime dividing every entry", "-1 at inf", "-1 at 2",
+                        "-1 at p = 1 mod 4", "-1 at p = 3 mod 4",
+                        "-1 at planted"}, seen
+
+    def test_same_class_matches_union_rule(self):
+        rng = random.Random(20261020)
+        pairs = [([(1, 1)] * 2, [(5, 1)] * 2), ([(1, 1)] * 2, [(3, 1)] * 2),
+                 ([(1, 1)] * 2, [(2, 1)] * 2), ([(1, 1), (-1, 1)],
+                                                [(2, 1), (-2, 1)])]
+        while len(pairs) < 6000:
+            a = rand_pivots(rng, planted=False)
+            b = [Fraction(n, d) * rng.choice((1, 4, Fraction(1, 9)))
+                 for n, d in a]
+            rng.shuffle(b)
+            if len(b) > 1 and rng.random() < 0.7:
+                x, y = b.pop(), b.pop()
+                if rng.random() < 0.5 and x + y:
+                    b += [x + y, x * y * (x + y)]   # <x, y> = <x+y, xy(x+y)>
+                else:
+                    c = rng.choice((-1, 2, 3, 7))  # rank, disc kept
+                    b += [c * x, c * y]
+            pairs.append((a, as_pairs(b)))
+        outcomes = set()
+        for a, b in pairs:
+            ia, ib = _invariants(a), _invariants(b)
+            want = union_same_class(ia, ib)
+            assert ia.same_class(ib) == ib.same_class(ia) == want, (a, b)
+            differ = {p for p, _ in ia.hasse} != {p for p, _ in ib.hasse}
+            outcomes.add((want, differ))
+        assert outcomes == {(True, True), (True, False), (False, True),
+                            (False, False)}
+        # <1,1> = <5,5>, though 5 is a place of one side only; <1,1> and
+        # <3,3> differ at 2 and 3
+        ones, fives = map(_invariants, pairs[0])
+        assert ones.same_class(fives) and 5 in dict(fives.hasse)
+        assert not ones.same_class(_invariants(pairs[1][1]))
 
     def test_distinguishes(self):
         a = invariants(GramForm.diagonal([1, 1]))
@@ -550,20 +672,30 @@ class TestIntegerKernel:
         assert _int_mul([[], []], []) == [[], []]
         assert _int_mul([[1, 2]], [[3], [4]]) == [[11]]
 
+    # the powers compute one triangle and mirror it with sign sym^n; the
+    # forms-calc sizes (rank 5-6, n = 2-3) are drawn for both symmetry
+    # types, so odd n on skew forms gives skew powers
+    TRIANGLE_CASES = [(rank, n, sym) for rank in (5, 6) for n in (2, 3)
+                      for sym in (1, -1) for _ in range(2)]
+
     def test_ext_power(self):
         rng = random.Random(903)
-        for _ in range(400):
-            f = rand_gram(rng, rng.randint(0, 5), rng.choice((1, -1)))
-            n = rng.randint(0, f.rank)
+        cases = [(rng.randint(0, 5), None, rng.choice((1, -1)))
+                 for _ in range(400)] + self.TRIANGLE_CASES
+        for rank, n, sym in cases:
+            f = rand_gram(rng, rank, sym)
+            n = rng.randint(0, f.rank) if n is None else n
             basis = list(combinations(range(f.rank), n))
             want = oracle_minors(f.matrix, basis, fraction_det)
             assert ext_power(f, n) == GramForm(want, f.sym ** n)
 
     def test_sym_power(self):
         rng = random.Random(904)
-        for _ in range(300):
-            f = rand_gram(rng, rng.randint(0, 4), rng.choice((1, -1)))
-            n = rng.randint(0, min(f.rank, 3))
+        cases = [(rng.randint(0, 4), None, rng.choice((1, -1)))
+                 for _ in range(300)] + self.TRIANGLE_CASES
+        for rank, n, sym in cases:
+            f = rand_gram(rng, rank, sym)
+            n = rng.randint(0, min(f.rank, 3)) if n is None else n
             basis = list(combinations_with_replacement(range(f.rank), n))
             want = oracle_minors(f.matrix, basis, fraction_permanent)
             assert sym_power(f, n) == GramForm(want, f.sym ** n)
@@ -575,6 +707,21 @@ class TestIntegerKernel:
             n = rng.randint(0, len(B) + 1)
             basis = list(combinations(range(len(B)), n))
             assert ext_matrix(B, n) == oracle_minors(B, basis, fraction_det)
+
+    def test_compound_of_nonsymmetric(self):
+        # a matrix that is neither symmetric nor skew keeps every minor
+        rng = random.Random(916)
+        for rank, n, _ in self.TRIANGLE_CASES:
+            B = [[rng.randint(-9, 9) for _ in range(rank)]
+                 for _ in range(rank)]
+            B[0][1], B[1][0] = 1, 2
+            basis = list(combinations(range(rank), n))
+            want = oracle_minors([list(map(Fraction, row)) for row in B],
+                                 basis, fraction_det)
+            assert want != _transpose(want)
+            assert want != [[-x for x in row] for row in _transpose(want)]
+            assert _compound(B, n) == want
+            assert ext_matrix(B, n) == want
 
     def test_congruence(self):
         rng = random.Random(906)
