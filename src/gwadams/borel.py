@@ -66,16 +66,8 @@ def omega_closed(n: int) -> GWElem:
     return (n * n // 2) * GWElem.tau() * GWElem.gamma((n - 2) // 2)
 
 
-def omega(n: int, method: str = "recursive") -> OmegaClass:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if method == "recursive":
-        value = omega_recursive(n)
-    elif method == "closed":
-        value = omega_closed(n)
-    else:
-        raise ValueError("unknown method %r" % method)
-    return OmegaClass(n, value)
+def omega(n: int) -> OmegaClass:
+    return OmegaClass(n, omega_recursive(n))    # OmegaClass refuses n < 0
 
 
 def check_omega_laws(max_m: int = 5, max_n: int = 10, quotient_max: int = 8,

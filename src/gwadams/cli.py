@@ -50,7 +50,6 @@ ADAMS_MAX = 256
 ADAMS_SIZE_MAX = 64 ** 3
 # n in `omega n` and `omega --table n`: `omega --table 96` takes
 # 0.09-0.12 s
-# (0.4-0.5 s while psi^n of each generator ran the k - 1 step recurrence)
 OMEGA_MAX = 96
 # rank of the form printed by `form ext-power`, `sym-power`, `tensor` and
 # `hyperbolic`: C(r, n), C(r+n-1, n), r_a*r_b or 2r.  At or near the bound:
@@ -75,14 +74,12 @@ FORM_MINOR_MAX = 6
 # bounded by the rank.
 FORM_INPUT_RANK_MAX = 64
 # limits of `universal` whatever --max says:
-# P_12 0.43-0.46 s, P_13 0.5-0.95 s (0.6 s and 1.2 s while Newton's
-# identities copied the accumulator per term)
+# P_12 0.43-0.46 s, P_13 0.5-0.95 s
 UNIVERSAL_P_MAX = 13
 # R_n for every --method; cold, R_9 takes 0.39-0.58 s composed, 0.62-0.67 s
 # direct and 0.85-1.15 s both, and composed R_10 1.8 s
 UNIVERSAL_R_MAX = 9
-# i*j in Q_{i,j}; the slowest shape at i*j = 28 is Q_{14,2} at 0.79-0.97 s
-# (1.0-1.1 s while Newton's identities copied the accumulator per term),
+# i*j in Q_{i,j}; the slowest shape at i*j = 28 is Q_{14,2} at 0.79-0.97 s,
 # at i*j = 30 Q_{15,2} at about 1.4 s
 UNIVERSAL_Q_MAX = 28
 

@@ -68,6 +68,9 @@ class GramForm:
         if any(len(r) != len(m) for r in m):
             raise ValueError("matrix must be square")
         f = _gram(*_integral(m), sym)
+        if tuple(zip(*f.rows)) != (f.rows if sym == 1 else tuple(
+                tuple(-x for x in row) for row in f.rows)):
+            raise ValueError("matrix is not %s-symmetric" % sym)
         self.rows, self.den, self.sym = f.rows, f.den, f.sym
 
     # -- constructors -------------------------------------------------------
@@ -133,14 +136,12 @@ class GramForm:
 
 
 def _gram(rows, den: int, sym: int) -> GramForm:
-    """The form rows / den for square integer rows and a positive den,
-    reduced to lowest terms; ValueError unless rows is sym-symmetric."""
+    """The form rows / den for square sym-symmetric integer rows and a
+    positive den, reduced to lowest terms.  Only GramForm checks the
+    symmetry: every construction below keeps it."""
     g = gcd(den, *(x for row in rows for x in row))
     rows = tuple(tuple(x // g for x in row) if g > 1 else tuple(row)
                  for row in rows)
-    if tuple(zip(*rows)) != (rows if sym == 1 else tuple(
-            tuple(-x for x in row) for row in rows)):
-        raise ValueError("matrix is not %s-symmetric" % sym)
     f = GramForm.__new__(GramForm)
     f.rows, f.den, f.sym = rows, den // g, sym
     return f

@@ -17,7 +17,9 @@ coefficient-ring constructors.  A class document is {"theory", "gens",
 "quotient", "components"} (a GWElem's only {"components"}), one component
 per generator monomial "u_exps" and, in GW, per degree: {"deg", "gmin",
 "a", "b", "c"} in GW, {"poly"} in K and Witt.  Only this module reads and
-writes it, straight from term dicts whose exponents end in the generators'.
+writes it: GW's components straight from and into term dicts whose
+exponents end in the generators', a K or Witt "poly" through
+MultiPoly.to_obj, MultiPoly.from_obj and MultiPoly.rename.
 The ring maps between the theories (GW -> K, GW -> Witt) are data: each
 Theory lists the monomial image of every base variable per target, and
 SymClass.specialize applies it.
@@ -31,9 +33,8 @@ from functools import cache
 from itertools import product
 from math import prod
 
-from .polyring import (EXP_MASK, FIELD_BITS, ContextError, GradingError,
-                       MultiPoly, Ring, negative_exponent, read_bool,
-                       read_int, read_list, read_terms, read_vars)
+from .polyring import (EXP_MASK, FIELD_BITS, GradingError, MultiPoly, Ring,
+                       negative_exponent, read_bool, read_int, read_list)
 from .report import VerificationReport, check
 
 COEFF_VARS = [("eps", False), ("tau", False), ("gamma", True)]
@@ -226,42 +227,25 @@ def _write_poly(theory: Theory, terms: dict) -> list:
 
 
 def _read_poly(components, ring: Ring, total: dict) -> None:
-    """Each component's base-ring poly, its variables taken into ring by
-    name as MultiPoly.rename takes them, times its generator monomial."""
-    # variables -> (their ring if one is not Laurent, else None; (i, j,
-    # laurent) for poly variable i at ring variable j; (i, name) for others)
-    layouts = {}
+    """Each component's base-ring poly, read by MultiPoly.from_obj and
+    taken into ring by MultiPoly.rename, times its generator monomial."""
     for comp, ue in components:
         if not isinstance(comp.get("poly"), dict):
             raise ValueError("poly must be a JSON object")
-        variables = read_vars(comp["poly"])
-        layout = layouts.get(variables)
-        if layout is None:
-            own, names = Ring(variables), [n for n, _ in variables]
-            base = ring.names[:ring.nvars - len(ue)]
-            layout = layouts[variables] = (
-                None if all(own.laurent) else own,
-                [(names.index(n), j, ring.laurent[j])
-                 for j, n in enumerate(base) if n in names],
-                [(i, n) for i, n in enumerate(names) if n not in base])
-        own, pos, others = layout
-        terms = read_terms(comp["poly"], len(variables))
-        if own is not None:
-            MultiPoly.from_exps(own, terms)     # refuses what it refuses
-        for i, name in others:
-            if any(e[i] for e in terms):
+        poly = MultiPoly.from_obj(comp["poly"])
+        base = ring.names[:ring.nvars - len(ue)]
+        used = poly.support()
+        for i, name in enumerate(poly.ring.names):
+            if i in used and name not in base:
                 if name in ring.names:
                     raise ValueError("poly uses the generator %r; its "
                                      "exponent belongs in u_exps" % name)
-                raise ContextError("variable %r absent from target" % name)
-        head = [0] * (ring.nvars - len(ue)) + list(ue)
-        for exps, c in terms.items():
-            e = head.copy()
-            for i, j, laurent in pos:
-                if exps[i] < 0 and not laurent:
-                    raise negative_exponent(exps[i], ring)
-                e[j] = exps[i]
-            total[ring.pack(e)] += c
+                break       # rename refuses it
+        poly = poly.rename(ring)
+        if poly.terms:      # u_exps is packed once a term uses it
+            step = ring.pack((0,) * len(base) + ue) - ring.bias
+            for key, c in poly.terms.items():
+                total[key + step] += c
 
 
 def _components(obj: dict, ring: Ring, gens: tuple):

@@ -170,37 +170,6 @@ def psi_tau_closed(n: int) -> GWElem:
             * GWElem.gamma(n // 2))
 
 
-class HyperbolicComparison:
-    __slots__ = ("n", "i", "engine", "closed", "match", "in_span")
-
-    def __init__(self, n: int, i: int, engine: GWElem, closed: GWElem,
-                 match: bool, in_span: bool | None):
-        self.n, self.i, self.engine, self.closed = n, i, engine, closed
-        self.match = match
-        # engine in Z*h_{2in}(1), only decided for odd n
-        self.in_span = in_span
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f)
-                   for f in self.__slots__)
-
-
-def adams_on_hyperbolic(n: int, i: int) -> HyperbolicComparison:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    engine = adams(n, GWElem.hyperbolic_unit(i))
-    closed = psi_h_closed(n, i) if n else GWElem.from_int(2)
-    in_span = None
-    if n % 2:
-        target = GWElem.hyperbolic_unit(i * n)
-        k = engine.rank() // 2 if engine.rank() % 2 == 0 else None
-        in_span = k is not None and engine == k * target
-    return HyperbolicComparison(n, i, engine, closed,
-                                engine == closed, in_span)
-
-
 def check_adams_hyperbolic(n_max: int = 5, i_values=(0, 1, 2),
                            tau_max: int = 10) -> VerificationReport:
     """Engine psi^n against the closed forms.  For even n >= 2 with even i the
@@ -214,21 +183,24 @@ def check_adams_hyperbolic(n_max: int = 5, i_values=(0, 1, 2),
         rep.add(check("psi_tau", (n,), got == want, got, want))
     for n in range(0, n_max + 1):
         for i in i_values:
-            cmpres = adams_on_hyperbolic(n, i)
-            documented = n >= 2 and n % 2 == 0 and i % 2 == 0
-            if documented:
+            engine = adams(n, GWElem.hyperbolic_unit(i))
+            closed = psi_h_closed(n, i) if n else GWElem.from_int(2)
+            match = engine == closed
+            if n >= 2 and n % 2 == 0 and i % 2 == 0:
                 status = MISMATCH
                 note = ("closed form untrusted here; engine %s closed"
-                        % ("==" if cmpres.match else "!="))
+                        % ("==" if match else "!="))
             else:
-                status = PASS if cmpres.match else "fail"
-                note = ""
-            rep.add(ReportEntry("psi_h_1", (n, i), status,
-                                cmpres.engine, cmpres.closed, note))
+                status, note = PASS if match else "fail", ""
+            rep.add(ReportEntry("psi_h_1", (n, i), status, engine, closed,
+                                note))
             if n % 2:
-                rep.add(check("psi_h_odd_span", (n, i), bool(cmpres.in_span),
-                              cmpres.engine, Template(
-                                  "Z*%s", (GWElem.hyperbolic_unit(i * n),))))
+                # engine in Z*h_{2in}(1)
+                target = GWElem.hyperbolic_unit(i * n)
+                rank = engine.rank()
+                in_span = rank % 2 == 0 and engine == rank // 2 * target
+                rep.add(check("psi_h_odd_span", (n, i), in_span, engine,
+                              Template("Z*%s", (target,))))
     return rep
 
 

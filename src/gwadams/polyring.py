@@ -111,25 +111,6 @@ def read_list(obj: dict, key: str, default=None) -> list:
     raise ValueError("%s must be a list" % key)
 
 
-def read_vars(obj: dict) -> tuple:
-    """The (name, laurent) pairs of a polynomial document."""
-    return tuple([(v["name"], read_bool(v["laurent"], "laurent"))
-                  for v in read_list(obj, "vars")])
-
-
-def read_terms(obj: dict, nvars: int) -> dict:
-    """The nonzero terms of a polynomial document in nvars variables, the
-    coefficients of a repeated exponent tuple added."""
-    terms: dict = {}
-    for t in read_list(obj, "terms"):
-        exps = tuple([read_int(e, "an exponent") for e in t["exps"]])
-        if len(exps) != nvars:
-            raise ValueError("exponent array length mismatch")
-        coeff = read_int(t["coeff"], "a coefficient", decimal_str=True)
-        terms[exps] = terms.get(exps, 0) + coeff
-    return {exps: c for exps, c in terms.items() if c}
-
-
 class Ring:
     """Ordered variable context and its monomial layout.  Immutable;
     equality by variable data.
@@ -658,8 +639,31 @@ class MultiPoly:
 
     @staticmethod
     def from_obj(obj: dict) -> "MultiPoly":
-        ring = Ring(read_vars(obj))
-        return MultiPoly.from_exps(ring, read_terms(obj, ring.nvars))
+        """The polynomial of a document {"vars": [{"name", "laurent"}],
+        "terms": [{"coeff", "exps"}]}, the coefficients of a repeated
+        exponent tuple added; ValueError names the first bad field."""
+        variables = []
+        for v in read_list(obj, "vars"):
+            if not isinstance(v, dict):
+                raise ValueError("each var must be a JSON object")
+            if not isinstance(v.get("name"), str):
+                raise ValueError("name must be a string, got %s"
+                                 % json.dumps(v.get("name")))
+            variables.append((v["name"], read_bool(v.get("laurent"),
+                                                   "laurent")))
+        ring = Ring(variables)
+        terms: dict = {}
+        for t in read_list(obj, "terms"):
+            if not isinstance(t, dict):
+                raise ValueError("each term must be a JSON object")
+            exps = tuple([read_int(e, "an exponent")
+                          for e in read_list(t, "exps")])
+            if len(exps) != ring.nvars:
+                raise ValueError("exponent array length mismatch")
+            coeff = read_int(t.get("coeff"), "a coefficient",
+                             decimal_str=True)
+            terms[exps] = terms.get(exps, 0) + coeff
+        return MultiPoly.from_exps(ring, terms)
 
     @staticmethod
     def from_json(s: str) -> "MultiPoly":
@@ -778,11 +782,6 @@ class TruncSeries:
 
     def __getitem__(self, n: int) -> MultiPoly:
         return self.coeffs[n]
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.order, other.order)
-        return TruncSeries(self.ring, n,
-                           [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.ring != other.ring:

@@ -87,16 +87,14 @@ class VerificationReport:
     __slots__ = ("suite", "entries", "version", "timestamp", "elapsed_s",
                  "lemma_elapsed_s", "lemma_s", "_last", "_sorted")
 
-    def __init__(self, suite: str, entries: list | None = None,
-                 version: str = __version__, timestamp: str | None = None,
-                 elapsed_s: dict | None = None,
-                 lemma_elapsed_s: dict | None = None):
+    def __init__(self, suite: str, entries: list | None = None):
         self.suite = suite
         self.entries = [] if entries is None else entries
-        self.version = version
-        self.timestamp = timestamp
-        self.elapsed_s = elapsed_s      # suite -> wall-clock seconds
-        self.lemma_elapsed_s = lemma_elapsed_s  # suite -> lemma -> seconds
+        self.version = __version__
+        # set by stamp()
+        self.timestamp = None
+        self.elapsed_s = None           # suite -> wall-clock seconds
+        self.lemma_elapsed_s = None     # suite -> lemma -> seconds
         # lemma -> wall-clock seconds; each entry is charged the time since
         # the previous entry (or since the report was made).  Not compared.
         self.lemma_s = {}

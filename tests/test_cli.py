@@ -485,10 +485,29 @@ class TestAdams:
          '{"vars":[{"name":"u1","laurent":false}],"terms":[{"coeff":1,'
          '"exps":[1]}]}}]}',
          "poly uses the generator 'u1'; its exponent belongs in u_exps"),
+        # the fields of a poly document, each named by MultiPoly.from_obj
+        ('{"theory":"k","components":[{"poly":{"vars":[{"laurent":true}],'
+         '"terms":[]}}]}', "name must be a string, got null"),
+        ('{"theory":"k","components":[{"poly":{"vars":[{"name":7,'
+         '"laurent":true}],"terms":[]}}]}', "name must be a string, got 7"),
+        ('{"theory":"k","components":[{"poly":{"vars":["beta"],'
+         '"terms":[]}}]}', "each var must be a JSON object"),
+        ('{"theory":"k","components":[{"poly":{"vars":[{"name":"beta"}],'
+         '"terms":[]}}]}', "laurent must be true or false, got null"),
+        ('{"theory":"k","components":[{"poly":{"vars":[{"name":"beta",'
+         '"laurent":true}],"terms":[5]}}]}', "each term must be a JSON object"),
+        ('{"theory":"k","components":[{"poly":{"vars":[{"name":"beta",'
+         '"laurent":true}],"terms":[{"coeff":1}]}}]}', "exps must be a list"),
+        ('{"theory":"k","components":[{"poly":{"vars":[{"name":"beta",'
+         '"laurent":true}],"terms":[{"coeff":1,"exps":5}]}}]}',
+         "exps must be a list"),
+        ('{"theory":"k","components":[{"poly":{"vars":[{"name":"beta",'
+         '"laurent":true}],"terms":[{"exps":[1]}]}}]}',
+         "a coefficient must be an integer, got null"),
     ])
     def test_component_fields_named(self, runner, doc, msg):
-        # these leaked a KeyError or TypeError repr, or read "12" digit by
-        # digit
+        # these leaked a KeyError or TypeError repr, read "12" digit by
+        # digit, or took the name 7
         r = run(runner, "adams", "2", "--target", doc)
         assert r.exit_code == 2
         assert "cannot parse target: %s\n" % msg in r.output

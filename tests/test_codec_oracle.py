@@ -31,7 +31,9 @@ from gwadams.gwring import (
     context_ring,
 )
 from gwadams.lambdaring import adams
-from gwadams.polyring import MultiPoly, read_bool, read_int, read_list
+from gwadams.polyring import (
+    ContextError, ExponentError, MultiPoly, read_bool, read_int, read_list,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -420,3 +422,50 @@ def test_intended_differences(doc, old, new):
     assert outcome(lambda d: oracle_from_obj(d, read_generators=True),
                    doc) == old
     assert outcome(SymClass.from_obj, doc) == (ValueError, new)
+
+
+def _k_doc(poly: dict, gens=("u1",)) -> dict:
+    return {"theory": "k", "gens": list(gens),
+            "components": [{"u_exps": [1] * len(gens), "poly": poly}]}
+
+
+BETA = {"name": "beta", "laurent": True}
+X, U1 = ({"name": n, "laurent": False} for n in ("x", "u1"))
+
+
+@pytest.mark.parametrize("doc, want", [
+    # the first used variable outside the base ring decides the error
+    (_k_doc({"vars": [X, U1], "terms": [{"coeff": 1, "exps": [1, 1]}]}),
+     (ContextError, "variable 'x' absent from target")),
+    (_k_doc({"vars": [U1, X], "terms": [{"coeff": 1, "exps": [1, 1]}]}),
+     (ValueError,
+      "poly uses the generator 'u1'; its exponent belongs in u_exps")),
+    # a non-Laurent beta past the Laurent range is refused by rename; the
+    # reader before MultiPoly.rename said "exponent 3000000000 of beta
+    # outside -2147483648..2147483647, the range of a Laurent variable"
+    (_k_doc({"vars": [{"name": "beta", "laurent": False}],
+             "terms": [{"coeff": 1, "exps": [3000000000]}]}, ("u",)),
+     (ExponentError, "exponent outside its packed field in Ring(beta^±, u): "
+                     "each exponent lies in 0..4294967295, or in "
+                     "-2147483648..2147483647 for a Laurent variable")),
+    # a poly field of the wrong type or missing is named
+    (_k_doc({"vars": [{"laurent": True}], "terms": []}),
+     (ValueError, "name must be a string, got null")),
+    (_k_doc({"vars": [{"name": 7, "laurent": True}], "terms": []}),
+     (ValueError, "name must be a string, got 7")),
+    (_k_doc({"vars": ["beta"], "terms": []}),
+     (ValueError, "each var must be a JSON object")),
+    (_k_doc({"vars": [{"name": "beta"}], "terms": []}),
+     (ValueError, "laurent must be true or false, got null")),
+    (_k_doc({"vars": [BETA], "terms": [5]}),
+     (ValueError, "each term must be a JSON object")),
+    (_k_doc({"vars": [BETA], "terms": [{"coeff": 1}]}),
+     (ValueError, "exps must be a list")),
+    (_k_doc({"vars": [BETA], "terms": [{"coeff": 1, "exps": 5}]}),
+     (ValueError, "exps must be a list")),
+    (_k_doc({"vars": [BETA], "terms": [{"exps": [1]}]}),
+     (ValueError, "a coefficient must be an integer, got null")),
+])
+def test_poly_documents(doc, want):
+    assert outcome(SymClass.from_obj, doc) == outcome(oracle_from_obj,
+                                                      doc) == want

@@ -650,6 +650,33 @@ class TestConstructionOracle:
                                       for y in row))
                 assert gcd(x.den, *(y for row in x.rows for y in row)) == 1
 
+    def test_symmetry_kept(self):
+        # only GramForm checks that a matrix is sym-symmetric; every
+        # construction must return a form equal to its sym-transpose
+        rng = random.Random(914)
+        powers = set()
+        for _ in range(200):
+            sym = rng.choice((1, -1))
+            f = rand_gram(rng, rng.randint(0, 6), sym)
+            g = rand_gram(rng, rng.randint(0, 3), rng.choice((1, -1)))
+            outs = []
+            for n in range(min(f.rank, 3) + 1):
+                outs += [ext_power(f, n), sym_power(f, n)]
+                powers.add((sym, n % 2))
+            outs += [tensor(f, g), scale(rand_entry(rng) or 3, f)]
+            if g.sym == sym:
+                outs.append(direct_sum(f, g))
+            if f.is_nondegenerate():
+                outs.append(dual(f))
+            Bi, d = _integral(rand_matrix(rng, f.rank, rng.randint(0, 4)))
+            outs.append(_base_change(Bi, d, f))
+            for r in range(1, 4):
+                outs += [hyperbolic(r, "+"), hyperbolic(r, "-")]
+            for x in outs:
+                assert tuple(zip(*x.rows)) == tuple(
+                    tuple(x.sym * y for y in row) for row in x.rows), x
+        assert powers == {(1, 0), (1, 1), (-1, 0), (-1, 1)}
+
 
 class TestIntegerKernel:
     def test_det(self):

@@ -10,7 +10,7 @@ from gwadams.gwring import (
     check_coefficient_identities, context_ring, normalize,
 )
 from gwadams.lambdaring import adams, psi_tau_closed
-from gwadams.polyring import GradingError, MultiPoly, Ring
+from gwadams.polyring import GradingError, MultiPoly
 
 
 def raw(terms):
@@ -319,22 +319,6 @@ class TestJson:
                      {"a": [1], "gmin": 0.5}, {"c": [1], "gmin": "1"}):
             with pytest.raises(ValueError):
                 GWElem.from_obj({"components": [comp]})
-
-    @pytest.mark.parametrize("theory", [KTH, WITT])
-    def test_poly_components_share_one_ring(self, theory, monkeypatch):
-        # a K or Witt document holds one base-ring poly per component; the
-        # reader builds a Ring per distinct variable list, not per component
-        gens = ("u1", "u2", "u3")
-        x = adams(6, SymClass.gen("u1", theory, gens)
-                  * SymClass.gen("u2", theory, gens)
-                  * SymClass.gen("u3", theory, gens))
-        doc = x.to_json()
-        built = []
-        init = Ring.__init__
-        monkeypatch.setattr(Ring, "__init__",
-                            lambda self, vs: built.append(1) or init(self, vs))
-        assert SymClass.from_json(doc) == x
-        assert doc.count('"poly"') == 64 and len(built) == 1
 
 
 class TestBattery:

@@ -4,10 +4,10 @@ are unhashable."""
 
 import pytest
 
+from gwadams import __version__
 from gwadams.borel import OmegaClass, TernaryLaw, ternary_laws
 from gwadams.forms import GWQInvariants
 from gwadams.gwring import GW, GWElem, Theory
-from gwadams.lambdaring import adams_on_hyperbolic
 from gwadams.report import ReportEntry, VerificationReport, check
 
 LAW = ternary_laws("gw")[1]
@@ -44,7 +44,7 @@ def test_defaults():
     a.add(e)
     assert b.entries == [] and a.entries == [e]
     assert (a.version, a.timestamp, a.elapsed_s, a.lemma_elapsed_s) == (
-        b.version, None, None, None)
+        __version__, None, None, None)
 
 
 def test_omega_degree_check():
@@ -73,10 +73,5 @@ def test_mutable_by_value():
     assert a == b
     b.stamp({})
     assert a != b
-    c, d = adams_on_hyperbolic(3, 1), adams_on_hyperbolic(3, 1)
-    assert c == d and c.match
-    d.match = False
-    assert c != d
-    for rec in (a, c):
-        with pytest.raises(TypeError):
-            hash(rec)
+    with pytest.raises(TypeError):
+        hash(a)
