@@ -31,14 +31,12 @@ import json
 from collections import defaultdict
 from functools import cache
 from itertools import product
-from math import prod
 
 from .polyring import (EXP_MASK, FIELD_BITS, GradingError, MultiPoly, Ring,
                        negative_exponent, read_bool, read_int, read_list)
 from .report import VerificationReport, check
 
 COEFF_VARS = [("eps", False), ("tau", False), ("gamma", True)]
-COEFF_RING = Ring(COEFF_VARS)
 
 
 def normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
@@ -161,6 +159,10 @@ THEORIES = {t.name: t for t in (GW, KTH, WITT)}
 def context_ring(theory: Theory, gens: tuple) -> Ring:
     """theory.base_ring()[gens], one shared instance per context."""
     return Ring(list(theory.base) + [(g, False) for g in gens])
+
+
+COEFF_RING = context_ring(GW, ())
+INTEGERS = Ring(())     # the target of SymClass.rank
 
 
 @cache
@@ -319,9 +321,8 @@ class SymClass:
         return out
 
     def _lift(self, poly: MultiPoly) -> "SymClass":
-        """The class of poly in self's context."""
-        if poly.ring != self.poly.ring:
-            return type(self)(poly, self.theory, self.gens, self.quotient)
+        """The class of poly, a polynomial of self's ring, in self's
+        context."""
         if self.theory.rank2:
             poly = normalize(poly, self.gens if self.quotient else ())
         return self._wrap(poly)
@@ -365,12 +366,7 @@ class SymClass:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        out = self._wrap(self.poly.ring.one())
-        for _ in range(n):
-            out = out * self
-        return out
+        return self._lift(self.poly ** n)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -393,16 +389,14 @@ class SymClass:
         return self.poly.graded_degree(context_weights(self.theory, self.gens))
 
     def rank(self) -> int:
+        """The image under the ring map to Z that sends each base variable
+        to its rank_subs value and each generator to 2."""
         if self.degree() is None:
             raise GradingError("rank requires homogeneous input: %s" % self)
-        ring = self.poly.ring
-        # v ** e only where v != 1: 1 ** -1 is the float 1.0
-        subs = [(ring.shifts[i], ring.offsets[i], v) for i, v in (
-            [(ring.index(n), v) for n, v in self.theory.rank_subs.items()
-             if v != 1] + [(ring.index(g), 2) for g in self.gens])]
-        return sum(c * prod(v ** ((key >> s & EXP_MASK) - off)
-                            for s, off, v in subs)
-                   for key, c in self.poly.terms.items())
+        subs = {g: INTEGERS.const(2) for g in self.gens}
+        subs.update((n, INTEGERS.const(v))
+                    for n, v in self.theory.rank_subs.items())
+        return self.poly.substitute(subs, INTEGERS).const_value()
 
     # -- ring maps ----------------------------------------------------------
 

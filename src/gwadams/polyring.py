@@ -28,7 +28,9 @@ variables are valid by construction and skip validation
 (MultiPoly._trusted); every product goes through one multiply-accumulate
 kernel, _mul_into, which sum_of_products also uses to accumulate a sum of
 products in place, and substitute to multiply out its multi-term bindings.
-Text and LaTeX are written by one term writer, MultiPoly._render.
+Every power, of a MultiPoly or of a TruncSeries (a negative one through its
+inverse), is one square-and-multiply loop, _power.  Text and LaTeX are
+written by one term writer, MultiPoly._render.
 """
 
 from __future__ import annotations
@@ -361,16 +363,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        return _power(self, n, self.ring.one())
 
     # -- structure ----------------------------------------------------------
 
@@ -642,6 +635,8 @@ class MultiPoly:
         """The polynomial of a document {"vars": [{"name", "laurent"}],
         "terms": [{"coeff", "exps"}]}, the coefficients of a repeated
         exponent tuple added; ValueError names the first bad field."""
+        if not isinstance(obj, dict):
+            raise ValueError("a polynomial document must be a JSON object")
         variables = []
         for v in read_list(obj, "vars"):
             if not isinstance(v, dict):
@@ -738,6 +733,19 @@ def _mul_into(ring: Ring, out: dict, a: dict, b: dict) -> None:
                 del out[e]
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, starting from one, the
+    identity of base's multiplication."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def sum_of_products(ring: Ring, triples) -> MultiPoly:
     """sum of c * a * b over (c, a, b) in triples, c an int and a, b
     polynomials of the ring, accumulated into one term dict."""
@@ -813,15 +821,7 @@ class TruncSeries:
 
     def __pow__(self, n: int) -> "TruncSeries":
         base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = TruncSeries.one(self.ring, self.order)
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(base, abs(n), TruncSeries.one(self.ring, self.order))
 
     def __repr__(self):
         return "TruncSeries([%s]; O(t^%d))" % (

@@ -3,9 +3,16 @@ somewhere in the package, its tests or its benchmark.  A reference is a
 name, an attribute, an import alias or a string constant (the benchmark
 wraps functions by their names).  Dunder methods are called by Python,
 and functions with a call decorator, such as `@app.command("x")`, by the
-framework that decorator registers them with."""
+framework that decorator registers them with.
+
+Every parameter with a default is passed, by position or by keyword, by
+some call of that name in the package, its tests or its benchmark: a
+default that no call overrides is a constant.  Calls are matched by name,
+as references are; a class's `__init__` is called by the class's name."""
 
 import ast
+import math
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -52,6 +59,69 @@ def unreferenced(source: str, used: set[str]) -> list[str]:
             for line, name in definitions(source) if name not in used]
 
 
+def defaulted(source: str) -> list[tuple[int, str, str, int | None]]:
+    """(line, function, parameter, position) of every parameter with a
+    default of a function the package defines; position counts the
+    positional parameters a caller passes (a method's self or cls left
+    out), None for a keyword-only parameter.  Dunder methods other than
+    __init__ are called by Python and left out."""
+    out = []
+    tree = ast.parse(source)
+    methods = {id(f): c.name for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) for f in c.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name, a = node.name, node.args
+        if name.startswith("__") and name.endswith("__"):
+            if name != "__init__":
+                continue
+            name = methods[id(node)]
+        positional = a.posonlyargs + a.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        skip = 1 if id(node) in methods and not static else 0
+        first = len(positional) - len(a.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            out.append((node.lineno, name, arg.arg, i - skip))
+        for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                out.append((node.lineno, name, arg.arg, None))
+    return sorted(out)
+
+
+def passed(sources) -> dict[str, list]:
+    """Callee name -> [the most positional arguments a call of that name
+    passes, the keywords they pass], over the calls in sources; a *args
+    call passes every position and a **kwargs call every keyword, the
+    latter marked by None."""
+    calls: dict = defaultdict(lambda: [0, set()])
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = (f.id if isinstance(f, ast.Name) else
+                    f.attr if isinstance(f, ast.Attribute) else None)
+            if name is None:
+                continue
+            entry = calls[name]
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            entry[0] = max(entry[0], math.inf if starred else len(node.args))
+            entry[1].update(k.arg for k in node.keywords)
+    return calls
+
+
+def never_passed(source: str, calls: dict) -> list[str]:
+    out = []
+    for line, name, param, pos in defaulted(source):
+        n, kws = calls.get(name, (0, ()))
+        if not (param in kws or None in kws
+                or pos is not None and pos < n):
+            out.append("line %d: %s(%s)" % (line, name, param))
+    return out
+
+
 @pytest.fixture(scope="module")
 def used():
     return set().union(*(references(p.read_text(encoding="utf-8"))
@@ -61,6 +131,16 @@ def used():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_dead_code(path, used):
     assert unreferenced(path.read_text(encoding="utf-8"), used) == []
+
+
+@pytest.fixture(scope="module")
+def calls():
+    return passed(p.read_text(encoding="utf-8") for p in REFERENCING)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_default_is_passed(path, calls):
+    assert never_passed(path.read_text(encoding="utf-8"), calls) == []
 
 
 def test_detects_dead_code():
@@ -74,3 +154,18 @@ def test_detects_dead_code():
            "A().used()\n")
     assert unreferenced(src, references(src)) == ["line 4: dead",
                                                   "line 7: unused"]
+
+
+def test_detects_unpassed_default():
+    src = ("class A:\n"
+           "    def __init__(self, a, b=1, c=2): pass\n"
+           "    def m(self, x=0, *, y=1): pass\n"
+           "    @staticmethod\n"
+           "    def s(x=0): pass\n"
+           "    def __eq__(self, other=None): pass\n"
+           "def f(a, b=1, c=2, d=3): pass\n"
+           "A(0, 1).m(y=2)\n"
+           "A.s(5)\n"
+           "f(1, *xs)\n")
+    assert never_passed(src, passed([src])) == ["line 2: A(c)",
+                                                "line 3: m(x)"]

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from gwadams import lambdaring, symfunc
@@ -5,9 +7,9 @@ from gwadams.borel import ternary_laws
 from gwadams.gwring import GW, WITT, GWElem, context_ring
 from gwadams.lambdaring import (
     KTH, SymClass, adams, check_adams_hyperbolic, check_lambda_axioms,
-    l1_samples, lambda_op, lambda_series,
+    l1_samples, l2_samples, lambda_op, lambda_series,
 )
-from gwadams.polyring import GradingError, Ring, TruncSeries
+from gwadams.polyring import EXP_MASK, GradingError, Ring, TruncSeries
 from test_symfunc import symmetric_reduce
 
 
@@ -139,6 +141,116 @@ class TestAdamsOracle:
         sign = -1 if x.degree() % 4 == 2 else 1
         for n in range(1, 5):
             assert adams(-n, x) == sign * p[n], (name, -n)
+
+
+def kernel_samples() -> dict:
+    """oracle_samples and coefficient-ring classes: zero and negative
+    coefficients, gamma^-2, h, <-1>, and their K and Witt images."""
+    tau, gamma, eps = GWElem.tau(), GWElem.gamma(), GWElem.eps()
+    g3 = ("u1", "u2", "u3")
+    v = [SymClass.gen(g, gens=g3) for g in g3]
+    gw = {"0": GWElem.from_int(0), "-3": GWElem.from_int(-3),
+          "gamma^-2": GWElem.gamma(-2), "h": GWElem.h(),
+          "<-1> (coefficient)": GWElem.minus_one_class(),
+          "-2*tau*gamma^-1": -2 * tau * GWElem.gamma(-1),
+          "3*gamma - 5*eps*gamma": 3 * gamma - 5 * eps * gamma}
+    out = dict(oracle_samples(), **gw)
+    for name in ("-2*tau*gamma^-1", "3*gamma - 5*eps*gamma", "h"):
+        out["forget(%s)" % name] = gw[name].specialize(KTH)
+        out["witt(%s)" % name] = gw[name].specialize(WITT)
+    out["-u1*u2 + 2*tau*u3"] = (-v[0] * v[1] + 2 * SymClass.from_gw(
+        tau, gens=g3) * v[2])
+    return out
+
+
+def packed_rank(x) -> int:
+    """rank read from the packed fields, as SymClass.rank computed it
+    before it became a substitution: each term's coefficient times
+    rank_subs[v] ** e over the base variables and 2 ** e over the
+    generators."""
+    ring = x.poly.ring
+    subs = [(ring.shifts[i], ring.offsets[i], v) for i, v in (
+        [(ring.index(n), v) for n, v in x.theory.rank_subs.items()
+         if v != 1] + [(ring.index(g), 2) for g in x.gens])]
+    return sum(c * prod(v ** ((key >> s & EXP_MASK) - off)
+                        for s, off, v in subs)
+               for key, c in x.poly.terms.items())
+
+
+def linear_power(x, n: int):
+    """x ** n as n normalized products."""
+    out = x._wrap(x.poly.ring.one())
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def rescaled_lambda_series(x, N: int) -> list:
+    """lambda_series as it was computed before each term's series started
+    at its line factor L: from 1 + t, fold in the rank-2 factors, then
+    scale the n-th coefficient by L ** n."""
+    theory, ring = x.theory, x.poly.ring
+    one = ring.one()
+    result = TruncSeries.one(ring, N)
+    for exps, c in reversed(x.poly.sorted_terms()):
+        s = TruncSeries(ring, N, [one, one])
+        for g in theory.rank2 + x.gens:
+            for _ in range(exps[ring.index(g)]):
+                s = lambdaring._fold_rank2(s, g, x)
+        unit = ring.var(theory.twist, exps[ring.index(theory.twist)])
+        if theory.line and exps[ring.index(theory.line)]:
+            unit, c = -ring.var(theory.line) * unit, -c
+        s = TruncSeries(ring, N, [a * unit ** n
+                                  for n, a in enumerate(s.coeffs)])
+        result = lambdaring._normal(
+            result * lambdaring._normal(s ** c, x), x)
+    return [x._wrap(a) for a in result.coeffs]
+
+
+class TestKernelOracles:
+    """Class powers, ranks and lambda-series against the kernels they
+    replaced: n normalized products, the packed-field rank and the series
+    rescaled by its line factor after the fold."""
+
+    @pytest.mark.parametrize("name", sorted(kernel_samples()))
+    def test_power_and_rank(self, name):
+        x = kernel_samples()[name]
+        for n in range(7):
+            got = x ** n
+            assert type(got) is type(x) and got == linear_power(x, n), n
+            assert got.rank() == packed_rank(got) == x.rank() ** n, n
+
+    @pytest.mark.parametrize("name", sorted(kernel_samples()))
+    def test_series_from_line_factor(self, name):
+        x = kernel_samples()[name]
+        assert lambda_series(x, 6) == rescaled_lambda_series(x, 6)
+        y = x * x - 2 * x
+        assert lambda_series(y, 4) == rescaled_lambda_series(y, 4)
+
+
+class TestDegreeLaw:
+    """psi^n multiplies the degree by |n| and lambda^i by i, on every
+    nonzero value: the grading is kept by construction, and this is its
+    one check."""
+
+    @pytest.mark.parametrize("name", sorted(kernel_samples()))
+    def test_adams_and_lambda(self, name):
+        x = kernel_samples()[name]
+        d = x.degree()
+        for n in range(-6, 7):
+            out = adams(n, x)
+            assert out.is_zero() or out.degree() == abs(n) * d, n
+        for i, out in enumerate(lambda_series(x, 8)):
+            assert out.is_zero() or out.degree() == i * d, i
+
+    @pytest.mark.parametrize("name", sorted(l2_samples()))
+    def test_lambda_of_lambda(self, name):
+        z = l2_samples()[name]
+        d = z.degree()
+        lz = lambda_series(z, 8)
+        for j in range(1, 9):
+            for i, out in enumerate(lambda_series(lz[j], 8 // j)):
+                assert out.is_zero() or out.degree() == i * j * d, (i, j)
 
 
 def gauss_fold_rank2(series, prim_name, ctx, rank_bound):

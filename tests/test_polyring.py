@@ -164,6 +164,12 @@ class TestJson:
             with pytest.raises(ValueError):
                 MultiPoly.from_obj(bad)
 
+    @pytest.mark.parametrize("doc", ["[]", "1", '"x"', "null"])
+    def test_non_object_document(self, doc):
+        with pytest.raises(ValueError,
+                           match="a polynomial document must be a JSON object"):
+            MultiPoly.from_json(doc)
+
     def test_laurent_flag_boolean_only(self):
         def doc(laurent):
             return {"vars": [{"name": "x", "laurent": laurent}],

@@ -1,12 +1,14 @@
 """Each `verify` lemma in the table must fail under a planted fault in the
 route it checks.  A row names the lemma, the suite that reports it and a
-fault, a replacement monkeypatched into the program for one run of that
-suite at its default bounds.  The fault must turn at least one of the
-lemma's cells into `fail`, while the unplanted run has none."""
+fault, planted into the program through pytest's monkeypatch for one run
+of that suite at its default bounds.  The fault must turn at least one of
+the lemma's cells into `fail`, while the unplanted run has none."""
 
 import pytest
 
-from gwadams import forms
+from gwadams import forms, polyring, symfunc
+from gwadams.gwring import GW, check_coefficient_identities
+from gwadams.lambdaring import check_lambda_axioms
 
 
 def flip_hasse_at(place):
@@ -20,15 +22,37 @@ def flip_hasse_at(place):
     def fault(v, diag):
         s = hasse(v, diag)
         return -s if v == place else s
-    return forms, "_hasse", fault
+    return lambda mp: mp.setattr(forms, "_hasse", fault)
+
+
+def rank_eps_plus_one(mp):
+    """The rank map with eps read as +1 instead of -1."""
+    mp.setitem(GW.rank_subs, "eps", 1)
+
+
+def short_odd_power(mp):
+    """Every power of odd n >= 3 one product short: base ** (n - 1)."""
+    power = polyring._power
+
+    def fault(base, n, one):
+        return power(base, n - 1 if n >= 3 and n % 2 else n, one)
+    mp.setattr(polyring, "_power", fault)
 
 
 FAULTS = [
-    # (lemma, suite, fault, plant: () -> (module, attribute, replacement))
+    # (lemma, suite, fault, plant: monkeypatch -> None)
     ("hilbert_product", forms.check_section2_and_hyp,
-     "Hasse symbol at 2 negated", lambda: flip_hasse_at(2)),
+     "Hasse symbol at 2 negated", flip_hasse_at(2)),
     ("hilbert_product", forms.check_section2_and_hyp,
-     "Hasse symbol at 3 negated", lambda: flip_hasse_at(3)),
+     "Hasse symbol at 3 negated", flip_hasse_at(3)),
+    ("psi_rank", check_lambda_axioms, "rank reads eps as +1 (psi_rank)",
+     rank_eps_plus_one),
+    ("proj_h", check_coefficient_identities,
+     "rank reads eps as +1 (proj_h)", rank_eps_plus_one),
+    ("omega_loc_odd", check_coefficient_identities,
+     "odd powers one product short (omega_loc_odd)", short_odd_power),
+    ("RB", symfunc.check_appendix_b, "odd powers one product short (RB)",
+     short_odd_power),
 ]
 
 
@@ -47,5 +71,5 @@ def test_lemma_passes_unplanted(lemma, suite):
 @pytest.mark.parametrize("lemma, suite, fault, plant", FAULTS,
                          ids=[fault for _, _, fault, _ in FAULTS])
 def test_fault_fails_lemma(lemma, suite, fault, plant, monkeypatch):
-    monkeypatch.setattr(*plant())
+    plant(monkeypatch)
     assert failed_cells(suite, lemma) > 0
