@@ -1,9 +1,11 @@
 import json
 import random
+import re
+import time
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -869,6 +871,31 @@ class TestDiagonalizeOracle:
                 assert _diagonalize(f) == as_pairs(want)
 
 
+# -- the trial division over 2 and every odd d that forms._odd_primes used
+# before its 6k +- 1 wheel
+
+def odd_step_primes(n: int) -> list:
+    """_odd_primes with trial division by 2 and every odd d up to the bound.
+    A cofactor with no prime factor up to the bound goes on to
+    forms._odd_primes, whose trial division finds nothing in it and whose
+    Miller-Rabin, perfect-power and rho path is unchanged."""
+    out = []
+    d, limit = 2, min(isqrt(n), TRIAL_DIVISION_MAX)
+    while d <= limit:
+        if not n % d:
+            e = 0
+            while not n % d:
+                n //= d
+                e += 1
+            if e % 2:
+                out.append(d)
+            limit = min(isqrt(n), TRIAL_DIVISION_MAX)
+        d += 1 if d == 2 else 2
+    if d * d > n:   # n is 1 or a prime
+        return out + [n] if n > 1 else out
+    return out + _odd_primes(n)
+
+
 class TestFactoring:
     """_odd_primes past trial division: numbers built from known primes
     below and above TRIAL_DIVISION_MAX, split by Pollard's rho or
@@ -911,6 +938,55 @@ class TestFactoring:
             with pytest.raises(ValueError, match="cannot factor %d: %s"
                                % (n, why)):
                 _odd_primes(n)
+
+    def test_wheel_oracle(self):
+        # the 6k +- 1 wheel against the odd-step loop it replaced
+        corpus = list(range(1, 50001))
+        corpus += [b ** k for b in (2, 3) for k in range(41)]
+        corpus += [5 ** a * 7 ** b for a in range(21) for b in range(21)]
+        # primes on both sides of 6k: 5, 11, 1999979 = -1 and 7, 13,
+        # 1999993 = +1 mod 6, the last two the largest below the bound;
+        # 2000003 is the first prime above it
+        corpus += [p ** k for p in (5, 7, 11, 13, 1999979, 1999993)
+                   for k in (2, 3)] + [2000003]
+        for n in corpus:
+            assert _odd_primes(n) == odd_step_primes(n), n
+        rng = random.Random(929)
+        for i in range(300):
+            # 1999993 to the first power is found by the d * d > n test;
+            # only the first few numbers carry a factor above the bound, as
+            # each costs a full trial division on both sides
+            exps = {p: rng.randint(1, 4)
+                    for p in rng.sample(self.SMALL[:-1], rng.randint(0, 5))}
+            if rng.random() < 0.5:
+                exps[self.SMALL[-1]] = 1
+            if i < 6:
+                exps[rng.choice(self.MID + self.LARGE)] = rng.randint(1, 2)
+            n = prod(p ** e for p, e in exps.items())
+            want = sorted(p for p, e in exps.items() if e % 2)
+            assert _odd_primes(n) == odd_step_primes(n) == want, exps
+
+    def test_rho_budget(self):
+        # one budget of RHO_STEPS for all the splits of a number: sixteen
+        # primes in 10^9..3*10^9 took 534,760 steps over 15 splits (2.0 s)
+        # with a budget per split, and are now refused within about 1 s
+        rng = random.Random(1)
+        ps = []
+        while len(ps) < 16:
+            p = rng.randrange(10 ** 9, 3 * 10 ** 9) | 1
+            if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+                ps.append(p)
+        n = prod(ps)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            _odd_primes(n)
+        assert time.perf_counter() - start < 2
+        # the message names the composite being split when the budget ran out
+        m = int(re.fullmatch(r"cannot factor (\d+): no factor in 131072 steps "
+                             r"of Pollard's rho", str(err.value))[1])
+        assert n % m == 0 and sum(m % p == 0 for p in ps) >= 2
+        # a product that needs two small splits stays within the budget
+        assert _odd_primes(prod(self.MID)) == sorted(self.MID)
 
     def test_hilbert_reciprocity_large_primes(self):
         rng = random.Random(915)

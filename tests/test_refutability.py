@@ -4,6 +4,9 @@ fault, planted into the program through pytest's monkeypatch for one run
 of that suite at its default bounds.  The fault must turn at least one of
 the lemma's cells into `fail`, while the unplanted run has none."""
 
+from itertools import chain, count
+from math import isqrt
+
 import pytest
 
 from gwadams import forms, polyring, symfunc
@@ -39,6 +42,31 @@ def short_odd_power(mp):
     mp.setattr(polyring, "_power", fault)
 
 
+def wheel_without_6k_plus_1(mp):
+    """Trial division on 2, 3 and the 6k - 1 candidates only: a number whose
+    smallest prime factors are 7, 13, 19, ... can read as a prime.
+
+    hilbert_product cannot catch it: its entries lie in -20..20, so trial
+    division never reaches a 6k + 1 candidate there."""
+    odd_primes = forms._odd_primes
+
+    def fault(n):
+        out = []
+        for d in chain((2, 3), count(5, 6)):
+            if d > min(isqrt(n), forms.TRIAL_DIVISION_MAX):
+                break
+            e = 0
+            while not n % d:
+                n //= d
+                e += 1
+            if e % 2:
+                out.append(d)
+        if d * d > n:
+            return out + [n] if n > 1 else out
+        return out + odd_primes(n)
+    mp.setattr(forms, "_odd_primes", fault)
+
+
 FAULTS = [
     # (lemma, suite, fault, plant: monkeypatch -> None)
     ("hilbert_product", forms.check_section2_and_hyp,
@@ -51,6 +79,10 @@ FAULTS = [
      "rank reads eps as +1 (proj_h)", rank_eps_plus_one),
     ("omega_loc_odd", check_coefficient_identities,
      "odd powers one product short (omega_loc_odd)", short_odd_power),
+    ("lambda_22", forms.check_section2_and_hyp,
+     "trial division skips 6k + 1 (lambda_22)", wheel_without_6k_plus_1),
+    ("lambda_22_n4", forms.check_section2_and_hyp,
+     "trial division skips 6k + 1 (lambda_22_n4)", wheel_without_6k_plus_1),
     ("RB", symfunc.check_appendix_b, "odd powers one product short (RB)",
      short_odd_power),
 ]
