@@ -662,8 +662,7 @@ def s_v_matrix(m: int):
     return image
 
 
-def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
-                           functorial_count: int = 20) -> VerificationReport:
+def check_section2_and_hyp() -> VerificationReport:
     rep = VerificationReport("forms")
     rng = random.Random(20240823)
 
@@ -745,7 +744,7 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
 
     # class equation for ext^n of a product of two symplectic planes
     one_one = GramForm.diagonal([1, 1])
-    for k in range(lambda22_pairs):
+    for k in range(10):
         E = _random_symplectic(rng)
         F = _random_symplectic(rng)
         EF = tensor(E, F)
@@ -766,7 +765,7 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
                   str(disc2), "-1"))
 
     # Hilbert reciprocity on random diagonal forms
-    for k in range(hilbert_count):
+    for k in range(120):
         n = rng.randrange(1, 6)
         entries = [rng.choice([x for x in range(-20, 21) if x])
                    for _ in range(n)]
@@ -778,7 +777,7 @@ def check_section2_and_hyp(lambda22_pairs: int = 10, hilbert_count: int = 120,
                       str(prod), "1", note=str(entries)))
 
     # functoriality of ext_power under base change
-    for k in range(functorial_count):
+    for k in range(20):
         f = _random_form(rng)
         B = _random_invertible(rng, f.rank)
         g = _base_change(B, 1, f)

@@ -151,19 +151,18 @@ def psi_tau_closed(n: int) -> GWElem:
             * GWElem.gamma(n // 2))
 
 
-def check_adams_hyperbolic(n_max: int = 5, i_values=(0, 1, 2),
-                           tau_max: int = 10) -> VerificationReport:
+def check_adams_hyperbolic() -> VerificationReport:
     """Engine psi^n against the closed forms.  For even n >= 2 with even i the
     closed form's torsion bookkeeping is documented as untrusted: those cells
     are reported as mismatch-documented with both values in the payload,
     regardless of incidental agreement."""
     rep = VerificationReport("adams-hyperbolic")
-    for n in range(0, tau_max + 1):
+    for n in range(0, 11):
         got = adams(n, GWElem.tau())
         want = psi_tau_closed(n)
         rep.add(check("psi_tau", (n,), got == want, got, want))
-    for n in range(0, n_max + 1):
-        for i in i_values:
+    for n in range(0, 6):
+        for i in (0, 1, 2):
             engine = adams(n, GWElem.hyperbolic_unit(i))
             closed = psi_h_closed(n, i) if n else GWElem.from_int(2)
             match = engine == closed
@@ -206,13 +205,16 @@ def l2_samples() -> dict:
     return {"u1": u1, "u1+u2": u1 + u2, "tau+u1": tau + u1}
 
 
-def check_lambda_axioms(l1_max: int = 6, l2_max: int = 8,
-                        psi_max: int = 4) -> VerificationReport:
+# check_lambda_axioms's bounds: n of lambda^n in L1, i*j in L2, n of psi^n
+L1_MAX, L2_MAX, PSI_MAX = 6, 8, 4
+
+
+def check_lambda_axioms() -> VerificationReport:
     rep = VerificationReport("lambda-axioms")
     samples = l1_samples()
     names = sorted(samples)
-    series = {xn: lambda_series(x, l1_max) for xn, x in samples.items()}
-    psi = {(n, xn): adams(n, x) for n in range(psi_max + 1)
+    series = {xn: lambda_series(x, L1_MAX) for xn, x in samples.items()}
+    psi = {(n, xn): adams(n, x) for n in range(PSI_MAX + 1)
            for xn, x in samples.items()}
 
     # L1: lambda^n(xy) = P_n(lambda(x), lambda(y))
@@ -220,27 +222,27 @@ def check_lambda_axioms(l1_max: int = 6, l2_max: int = 8,
         for yn in names[xi:]:
             x, y = samples[xn], samples[yn]
             lx, ly = series[xn], series[yn]
-            lxy = lambda_series(x * y, l1_max)
+            lxy = lambda_series(x * y, L1_MAX)
             xs, ys = [c.poly for c in lx[1:]], [c.poly for c in ly[1:]]
-            for n in range(1, l1_max + 1):
+            for n in range(1, L1_MAX + 1):
                 rhs = x._lift(symfunc.evaluate(symfunc.universal_P(n),
                                                x.poly.ring, X=xs, Y=ys))
                 rep.add(check("L1", (n, xn, yn), lxy[n] == rhs, lxy[n], rhs))
 
     # L2: lambda^i(lambda^j(z)) = Q_{i,j}(lambda(z))
     for zn, z in sorted(l2_samples().items()):
-        lz = lambda_series(z, l2_max)
+        lz = lambda_series(z, L2_MAX)
         zs = [c.poly for c in lz[1:]]
-        for j in range(1, l2_max + 1):
-            llz = lambda_series(lz[j], l2_max // j)
-            for i in range(1, l2_max // j + 1):
+        for j in range(1, L2_MAX + 1):
+            llz = lambda_series(lz[j], L2_MAX // j)
+            for i in range(1, L2_MAX // j + 1):
                 lhs = llz[i]
                 rhs = z._lift(symfunc.evaluate(symfunc.universal_Q(i, j),
                                                z.poly.ring, X=zs))
                 rep.add(check("L2", (i, j, zn), lhs == rhs, lhs, rhs))
 
     # Adams: additivity, multiplicativity, composition, rank compatibility
-    for n in range(0, psi_max + 1):
+    for n in range(0, PSI_MAX + 1):
         for xi, xn in enumerate(names):
             for yn in names[xi:]:
                 x, y = samples[xn], samples[yn]
@@ -250,8 +252,8 @@ def check_lambda_axioms(l1_max: int = 6, l2_max: int = 8,
                 if x.degree() == y.degree():
                     ps = adams(n, x + y)
                     rep.add(check("psi_add", (n, xn, yn), ps == px + py))
-    for m in range(1, psi_max + 1):
-        for n in range(1, psi_max + 1):
+    for m in range(1, PSI_MAX + 1):
+        for n in range(1, PSI_MAX + 1):
             for xn in ("u1", "tau", "u1*u2", "<-1>"):
                 x = samples[xn]
                 lhs = adams(m, psi[n, xn])
@@ -259,14 +261,14 @@ def check_lambda_axioms(l1_max: int = 6, l2_max: int = 8,
                 rep.add(check("psi_comp", (m, n, xn), lhs == rhs, lhs, rhs))
     for xn in names:
         x = samples[xn]
-        for n in range(0, psi_max + 1):
+        for n in range(0, PSI_MAX + 1):
             rep.add(check("psi_rank", (n, xn), psi[n, xn].rank() == x.rank()))
 
     # forgetful specialization intertwines the two engines
     for xn in ("u1", "tau", "u1+tau", "u1*u2"):
         x = samples[xn]
         fx = x.specialize(KTH)
-        for n in range(0, psi_max + 1):
+        for n in range(0, PSI_MAX + 1):
             lhs = psi[n, xn].specialize(KTH)
             rhs = adams(n, fx)
             rep.add(check("forgetful_psi", (n, xn), lhs == rhs, lhs, rhs))

@@ -734,16 +734,16 @@ def _mul_into(ring: Ring, out: dict, a: dict, b: dict) -> None:
 
 
 def _power(base, n: int, one):
-    """base ** n for n >= 0 by square-and-multiply, starting from one, the
-    identity of base's multiplication."""
-    result = one
+    """base ** n for n >= 0 by square-and-multiply, the first factor taken
+    as it is; one, the identity of base's multiplication, is base ** 0."""
+    result = None
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base
-    return result
+    return one if result is None else result
 
 
 def sum_of_products(ring: Ring, triples) -> MultiPoly:

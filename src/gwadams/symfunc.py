@@ -269,12 +269,15 @@ def universal_R(n: int, method: str = "composed", m: int | None = None) -> Multi
     F(s) = prod_{j,k}(1+s V_j W_k), whose coefficient F_k reduces in V and
     W to universal_P(k, m) in (Y, Z); Gauss's reduction in U of the dominant
     part, U^lambda carrying prod_i F_{lambda_i}.  method "composed":
-    R_n = P_n(X, P_1(Y,Z), ..., P_n(Y,Z)).
+    R_n = P_n(X, P_1(Y,Z), ..., P_n(Y,Z)), which takes no arity m.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if method not in ("direct", "composed"):
         raise ValueError("method must be 'direct' or 'composed'")
+    if method == "composed" and m is not None:
+        raise ValueError("arity m=%d with method 'composed': only method "
+                         "'direct' takes an arity" % m)
     if n == 0:
         return ring_R(0).one()
     mm = n if m is None else m
@@ -384,15 +387,13 @@ def _pi_poly(ring: Ring, unit_names: list[str]) -> MultiPoly:
     return out
 
 
-def check_appendix_b(max_n: int = 4) -> VerificationReport:
+def check_appendix_b() -> VerificationReport:
     """Verify the universal-polynomial lemmas: closed forms, degree bounds,
     composition, stability, and the Laurent-substitution cross-routes."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
     rep = VerificationReport("appendix-b")
 
     # stability of the defining reduction in the arity
-    for n in range(1, min(max_n, 4) + 1):
+    for n in range(1, 5):
         hi = universal_P(n, m=n + 1)
         rep.add(check("P_stability", (n,), hi == universal_P(n),
                       universal_P(n), hi))
@@ -400,12 +401,12 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
                        if 1 <= i * j <= 6):
         rep.add(check("Q_stability", (i, j),
                       universal_Q(i, j, m=i * j + 1) == universal_Q(i, j)))
-    for n in range(1, min(max_n, 3) + 1):
+    for n in range(1, 4):
         rep.add(check("R_stability", (n,), universal_R(n, "direct", m=n + 1)
                       == universal_R(n, "direct")))
 
     # round-trip: re-expanding the reduced form reproduces the product
-    for n in range(1, min(max_n, 3) + 1):
+    for n in range(1, 4):
         src = _join_rings(_family_ring("U", n), _family_ring("V", n))
         unames = ["U%d" % k for k in range(1, n + 1)]
         vnames = ["V%d" % k for k in range(1, n + 1)]
@@ -421,7 +422,7 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
         rep.add(check("P_round_trip", (n,), direct[n] == back))
 
     # R_P: direct vs composed
-    for n in range(1, min(max_n, 3) + 1):
+    for n in range(1, 4):
         d = universal_R(n, "direct")
         c = universal_R(n, "composed")
         rep.add(check("R_P", (n,), d == c, d, c))
@@ -445,9 +446,8 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
 
     # RXY: P_n at ell-values, symbolic route and Laurent route
     rxy = Ring([("x", False), ("y", False)])
-    xs = ell_args(rxy.var("x"), max(max_n, 2))
-    ys = ell_args(rxy.var("y"), max(max_n, 2))
-    for n in range(0, min(max_n, 4) + 1):
+    xs, ys = (ell_args(rxy.var(v), 4) for v in "xy")
+    for n in range(0, 5):
         got = evaluate(universal_P(n), rxy, X=xs, Y=ys)
         want = rxy_closed(n, rxy.var("x"), rxy.var("y"))
         rep.add(check("RXY", (n,), got == want, got, want))
@@ -460,7 +460,7 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
         rep.add(check("RXY_laurent", (n,), got == want))
 
     # RB: P_n(r, ell(B)) - B^n r_n has B-degree <= n-1
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         rb = Ring([("r%d" % k, False) for k in range(1, n + 1)] + [("B", False)])
         rs = [rb.var("r%d" % k) for k in range(1, n + 1)]
         got = evaluate(universal_P(n), rb, X=rs, Y=ell_args(rb.var("B"), n))
@@ -477,12 +477,10 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
         want = rz_closed(i, j, rx.var("x"))
         rep.add(check("RZ", (i, j), got == want, got, want))
 
-    # R_abc: symbolic route for n <= max_n, pi-route for all n <= 8
+    # R_abc: symbolic route for n <= 4, pi-route for all n <= 8
     rxyz = Ring([("x", False), ("y", False), ("z", False)])
-    exs = ell_args(rxyz.var("x"), max(max_n, 2))
-    eys = ell_args(rxyz.var("y"), max(max_n, 2))
-    ezs = ell_args(rxyz.var("z"), max(max_n, 2))
-    for n in range(0, min(max_n, 4) + 1):
+    exs, eys, ezs = (ell_args(rxyz.var(v), 4) for v in "xyz")
+    for n in range(0, 5):
         got = evaluate(universal_R(n), rxyz, X=exs, Y=eys, Z=ezs)
         want = r_abc_closed(n, rxyz.var("x"), rxyz.var("y"), rxyz.var("z"))
         rep.add(check("R_abc", (n,), got == want, got, want))
@@ -501,7 +499,7 @@ def check_appendix_b(max_n: int = 4) -> VerificationReport:
         got = evaluate(universal_Q(i, j), rx, X=[rx.var("x")])
         want = rx.var("x") if (i == 1 and j == 1) else rx.zero()
         rep.add(check("lambda_dim1", (i, j), got == want, got, want))
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         rf = Ring([("f%d" % k, False) for k in range(1, n + 1)] + [("x", False)])
         fs = [rf.var("f%d" % k) for k in range(1, n + 1)]
         got = evaluate(universal_P(n), rf, X=fs, Y=[rf.var("x")])

@@ -25,7 +25,7 @@ from gwadams.symfunc import check_appendix_b
 
 def test_criterion_1_universal_polynomial_suite():
     t0 = time.monotonic()
-    rep = check_appendix_b(max_n=4)
+    rep = check_appendix_b()
     elapsed = time.monotonic() - t0
     assert rep.ok
     lemmas = {e.lemma for e in rep.entries}
@@ -39,7 +39,7 @@ def test_criterion_1_universal_polynomial_suite():
 
 
 def test_criterion_2_coefficient_ring_identities():
-    rep = check_coefficient_identities(i_bound=4, mn_bound=6)
+    rep = check_coefficient_identities()
     assert rep.ok
     lemmas = {e.lemma for e in rep.entries}
     assert {"tau_sq", "2_sigma", "product_h", "proj_h", "n_star_mult"} <= lemmas
@@ -48,7 +48,7 @@ def test_criterion_2_coefficient_ring_identities():
 
 
 def test_criterion_3_omega_laws():
-    rep = check_omega_laws(max_m=5, max_n=10, quotient_max=8, loc_bound=9)
+    rep = check_omega_laws()
     assert rep.ok
     by = {}
     for e in rep.entries:
@@ -82,7 +82,7 @@ def test_criterion_6_ternary_laws():
 
 
 def test_criterion_7_forms():
-    rep = check_section2_and_hyp(lambda22_pairs=10, hilbert_count=120)
+    rep = check_section2_and_hyp()
     assert rep.ok
     by = {}
     for e in rep.entries:
@@ -97,7 +97,7 @@ def test_criterion_7_forms():
 
 
 def test_criterion_8_documented_hyperbolic_mismatches():
-    rep = check_adams_hyperbolic(n_max=5, i_values=(0, 1, 2))
+    rep = check_adams_hyperbolic()
     assert rep.ok
     md = {e.params for e in rep.entries
           if e.status == "mismatch-documented"}

@@ -52,7 +52,7 @@ class TestOmega:
         assert omega_closed(5) == want == omega_recursive(5)
 
     def test_battery(self):
-        rep = check_omega_laws(max_m=3, max_n=6, quotient_max=4, loc_bound=5)
+        rep = check_omega_laws()
         assert rep.ok
         lemmas = {e.lemma for e in rep.entries}
         assert {"omega_closed", "omega_psi", "omega_quotient",

@@ -8,7 +8,9 @@ framework that decorator registers them with.
 Every parameter with a default is passed, by position or by keyword, by
 some call of that name in the package, its tests or its benchmark: a
 default that no call overrides is a constant.  Calls are matched by name,
-as references are; a class's `__init__` is called by the class's name."""
+as references are; a class's `__init__` is called by the class's name.
+A test is no caller for an option either: each default is also passed by
+some call in the package or its benchmark alone."""
 
 import ast
 import math
@@ -22,8 +24,8 @@ import gwadams
 PACKAGE = Path(gwadams.__file__).parent
 ROOT = PACKAGE.parent.parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
-REFERENCING = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted(
-    (ROOT / "perfbench").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+REFERENCING = SOURCES + sorted((ROOT / "tests").glob("*.py")) + BENCHMARK
 
 
 def definitions(source: str) -> list[tuple[int, str]]:
@@ -141,6 +143,16 @@ def calls():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_default_is_passed(path, calls):
     assert never_passed(path.read_text(encoding="utf-8"), calls) == []
+
+
+@pytest.fixture(scope="module")
+def non_test_calls():
+    return passed(p.read_text(encoding="utf-8") for p in SOURCES + BENCHMARK)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_default_is_passed_outside_tests(path, non_test_calls):
+    assert never_passed(path.read_text(encoding="utf-8"), non_test_calls) == []
 
 
 def test_detects_dead_code():

@@ -583,8 +583,7 @@ class TestIdentityCheck:
 
 class TestBattery:
     def test_full(self):
-        rep = check_section2_and_hyp(lambda22_pairs=4, hilbert_count=30,
-                                     functorial_count=6)
+        rep = check_section2_and_hyp()
         assert rep.ok
         lemmas = {e.lemma for e in rep.entries}
         assert {"lambda_n_rank_n", "pm_symlambda", "tens2_decomp",
@@ -593,10 +592,8 @@ class TestBattery:
                 "hilbert_product", "ext_functorial"} <= lemmas
 
     def test_deterministic(self):
-        a = check_section2_and_hyp(lambda22_pairs=2, hilbert_count=5,
-                                   functorial_count=2)
-        b = check_section2_and_hyp(lambda22_pairs=2, hilbert_count=5,
-                                   functorial_count=2)
+        a = check_section2_and_hyp()
+        b = check_section2_and_hyp()
         assert a.to_json() == b.to_json()
 
     def test_ext_matrix(self):

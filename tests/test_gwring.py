@@ -323,7 +323,7 @@ class TestJson:
 
 class TestBattery:
     def test_report_ok(self):
-        rep = check_coefficient_identities(i_bound=2, mn_bound=3, loc_bound=5)
+        rep = check_coefficient_identities()
         assert rep.ok
         lemmas = {e.lemma for e in rep.entries}
         assert {"tau_sq", "2_sigma", "product_h", "proj_h", "n_star_mult",

@@ -1,8 +1,8 @@
 """Each `verify` lemma in the table must fail under a planted fault in the
 route it checks.  A row names the lemma, the suite that reports it and a
 fault, planted into the program through pytest's monkeypatch for one run
-of that suite at its default bounds.  The fault must turn at least one of
-the lemma's cells into `fail`, while the unplanted run has none."""
+of that suite.  The fault must turn at least one of the lemma's cells into
+`fail`, while the unplanted run has none."""
 
 from itertools import chain, count
 from math import isqrt

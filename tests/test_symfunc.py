@@ -545,10 +545,15 @@ class TestUniversalR:
         with pytest.raises(ValueError):
             universal_R(2, "sideways")
 
+    def test_composed_takes_no_arity(self):
+        for n, m in ((2, 9), (3, 2)):
+            with pytest.raises(ValueError, match="method 'direct'"):
+                universal_R(n, "composed", m=m)
+
 
 class TestAppendixB:
     def test_battery_all_pass(self):
-        rep = check_appendix_b(4)
+        rep = check_appendix_b()
         assert rep.ok
         lemmas = {e.lemma for e in rep.entries}
         assert {"RXY", "RB", "RZ", "R_P", "R_abc", "lambda_dim1",
@@ -556,7 +561,7 @@ class TestAppendixB:
                 "pi_recursion"} <= lemmas
 
     def test_rxy_value_at_2(self):
-        rep = check_appendix_b(2)
+        rep = check_appendix_b()
         entry = next(e for e in rep.entries if e.lemma == "RXY" and e.params == (2,))
         assert entry.status == "pass"
         assert entry.rhs == "x^2 + y^2 - 2"
