@@ -455,7 +455,7 @@ def _add_commands(parser: _Parser, table: dict, args):
             sub.add_argument(flag, **kwargs)
 
 
-def _parser(prog: str, args=()) -> _Parser:
+def _parser(prog: str, args) -> _Parser:
     """The parser of `gwadams ARGS`, with the parsers of the command ARGS
     invokes, or of every command; see _add_commands."""
     parser = _Parser(prog=prog, allow_abbrev=False, description=(

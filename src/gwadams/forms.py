@@ -290,7 +290,7 @@ def dual(f: GramForm) -> GramForm:
     return _gram(cof, abs(D), f.sym)
 
 
-def hyperbolic(r: int, delta: str = "+") -> GramForm:
+def hyperbolic(r: int, delta: str) -> GramForm:
     """H_delta of a trivial rank-r bundle: [[0, I], [±I, 0]]."""
     if r < 1:
         raise ValueError("rank must be >= 1")

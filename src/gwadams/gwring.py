@@ -19,10 +19,12 @@ per generator monomial "u_exps" and, in GW, per degree: {"deg", "gmin",
 "a", "b", "c"} in GW, {"poly"} in K and Witt.  Only this module reads and
 writes it: GW's components straight from and into term dicts whose
 exponents end in the generators', a K or Witt "poly" through
-MultiPoly.to_obj, MultiPoly.from_obj and MultiPoly.rename.
-The ring maps between the theories (GW -> K, GW -> Witt) are data: each
-Theory lists the monomial image of every base variable per target, and
-SymClass.specialize applies it.
+MultiPoly.to_obj, MultiPoly.from_obj and MultiPoly.rename; each Theory
+holds its (writer, reader) pair.  The ring maps out of a theory (GW -> K,
+GW -> Witt, and each theory's rank map to Z) are data: each Theory lists
+the monomial image of every base variable per target, and
+SymClass.specialize, SymClass.rank and the ternary laws' rank check apply
+them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .report import VerificationReport, check
 COEFF_VARS = [("eps", False), ("tau", False), ("gamma", True)]
 
 
-def normalize(poly: MultiPoly, square_zero: tuple = ()) -> MultiPoly:
+def normalize(poly: MultiPoly, square_zero: tuple) -> MultiPoly:
     """Normal form in any ring containing eps, tau, gamma: every term has
     eps- plus tau-exponent at most 1, and exponent at most 1 in each
     variable named in square_zero, which obeys (u - tau)^2 = 0.  Other
@@ -110,24 +112,26 @@ class Theory:
 
     twist: the unit variable implementing the determinant twist;
     det_power: lambda^2 of a rank-2 generator is twist**det_power;
+    codec: (writer, reader) of the components of its class documents: base
+        terms -> components, (component, generator exponents) pairs ->
+        terms;
+    maps: ring maps, target -> {base variable: (coeff, {target base
+        variable: exponent})}, the monomial image of each base variable;
+        a target is a theory name or "rank", the map to Z;
     line: the base variable that is -(a line class): eps;
     rank2: the base variables of rank 2 with determinant twist**det_power:
-        tau; where there is one, normalize imposes the relations;
-    dense_json: components in GWElem's dense JSON format;
-    maps: ring maps, target theory name -> {base variable: (coeff, {target
-        base variable: exponent})}, the monomial image of each base variable.
+        tau; where there is one, normalize imposes the relations.
     """
 
-    __slots__ = ("name", "base", "weights", "twist", "det_power",
-                 "rank_subs", "line", "rank2", "dense_json", "maps")
+    __slots__ = ("name", "base", "weights", "twist", "det_power", "codec",
+                 "maps", "line", "rank2")
 
     def __init__(self, name: str, base: tuple, weights: dict, twist: str,
-                 det_power: int, rank_subs: dict, line: str | None = None,
-                 rank2: tuple = (), dense_json: bool = False,
-                 maps: dict | None = None):
+                 det_power: int, codec: tuple, maps: dict,
+                 line: str | None = None, rank2: tuple = ()):
         for field, value in zip(self.__slots__, (
-                name, base, weights, twist, det_power, rank_subs, line,
-                rank2, dense_json, {} if maps is None else maps)):
+                name, base, weights, twist, det_power, codec, maps, line,
+                rank2)):
             object.__setattr__(self, field, value)
 
     def __setattr__(self, name, value):
@@ -140,29 +144,10 @@ class Theory:
         return context_ring(self, ())
 
 
-GW = Theory("gw", tuple(COEFF_VARS), {"eps": 0, "tau": 2, "gamma": 4},
-            "gamma", 1, {"eps": -1, "tau": 2, "gamma": 1},
-            line="eps", rank2=("tau",), dense_json=True,
-            maps={"k": {"eps": (-1, {}), "tau": (2, {"beta": 2}),
-                        "gamma": (1, {"beta": 4})},
-                  "witt": {"eps": (1, {}), "tau": (0, {}),
-                           "gamma": (1, {"gamma": 1})}})
-KTH = Theory("k", (("beta", True),), {"beta": 1},
-             "beta", 4, {"beta": 1})
-WITT = Theory("witt", (("gamma", True),), {"gamma": 4},
-              "gamma", 1, {"gamma": 1})
-
-THEORIES = {t.name: t for t in (GW, KTH, WITT)}
-
-
 @cache
 def context_ring(theory: Theory, gens: tuple) -> Ring:
     """theory.base_ring()[gens], one shared instance per context."""
     return Ring(list(theory.base) + [(g, False) for g in gens])
-
-
-COEFF_RING = context_ring(GW, ())
-INTEGERS = Ring(())     # the target of SymClass.rank
 
 
 @cache
@@ -176,13 +161,6 @@ def _gens_ring(gens: tuple) -> Ring:
 def context_weights(theory: Theory, gens: tuple) -> tuple:
     """The grading weight of each variable of context_ring(theory, gens)."""
     return tuple(theory.weights[n] for n, _ in theory.base) + (2,) * len(gens)
-
-
-def _codec(theory: Theory) -> tuple:
-    """(writer, reader): base terms -> components, (component, generator
-    exponents) pairs -> terms."""
-    return ((_write_dense, _read_dense) if theory.dense_json
-            else (_write_poly, _read_poly))
 
 
 def _write_dense(theory: Theory, terms: dict) -> list:
@@ -248,6 +226,24 @@ def _read_poly(components, ring: Ring, total: dict) -> None:
             step = ring.pack((0,) * len(base) + ue) - ring.bias
             for key, c in poly.terms.items():
                 total[key + step] += c
+
+
+GW = Theory("gw", tuple(COEFF_VARS), {"eps": 0, "tau": 2, "gamma": 4},
+            "gamma", 1, (_write_dense, _read_dense),
+            {"k": {"eps": (-1, {}), "tau": (2, {"beta": 2}),
+                   "gamma": (1, {"beta": 4})},
+             "witt": {"eps": (1, {}), "tau": (0, {}),
+                      "gamma": (1, {"gamma": 1})},
+             "rank": {"eps": (-1, {}), "tau": (2, {}), "gamma": (1, {})}},
+            line="eps", rank2=("tau",))
+KTH = Theory("k", (("beta", True),), {"beta": 1}, "beta", 4,
+             (_write_poly, _read_poly), {"rank": {"beta": (1, {})}})
+WITT = Theory("witt", (("gamma", True),), {"gamma": 4}, "gamma", 1,
+              (_write_poly, _read_poly), {"rank": {"gamma": (1, {})}})
+
+THEORIES = {t.name: t for t in (GW, KTH, WITT)}
+COEFF_RING = context_ring(GW, ())
+INTEGERS = Ring(())     # the target of SymClass.rank
 
 
 def _components(obj: dict, ring: Ring, gens: tuple):
@@ -389,34 +385,41 @@ class SymClass:
         return self.poly.graded_degree(context_weights(self.theory, self.gens))
 
     def rank(self) -> int:
-        """The image under the ring map to Z that sends each base variable
-        to its rank_subs value and each generator to 2."""
+        """The image under the ring map to Z: theory.maps["rank"], with
+        each generator sent to 2."""
         if self.degree() is None:
             raise GradingError("rank requires homogeneous input: %s" % self)
-        subs = {g: INTEGERS.const(2) for g in self.gens}
-        subs.update((n, INTEGERS.const(v))
-                    for n, v in self.theory.rank_subs.items())
-        return self.poly.substitute(subs, INTEGERS).const_value()
+        return self._image("rank", INTEGERS, 2).const_value()
 
     # -- ring maps ----------------------------------------------------------
 
-    def specialize(self, target: Theory) -> "SymClass":
-        """The image under the ring map theory -> target of theory.maps:
-        each base variable goes to its monomial, the generators pass
-        through.  The identity when target is this class's theory."""
-        if target is self.theory:
-            return self
-        images = self.theory.maps.get(target.name)
+    def _image(self, target: str, ring: Ring,
+               gen: int | None = None) -> MultiPoly:
+        """The polynomial in ring that the ring map theory.maps[target]
+        makes of this class: each base variable goes to its monomial, each
+        generator to itself by name or, given gen, to the constant gen."""
+        images = self.theory.maps.get(target)
         if images is None:
             raise ValueError("no ring map from theory %s to %s"
-                             % (self.theory.name, target.name))
+                             % (self.theory.name, target))
+        subs = {v: ring.monomial(c, e) if e else ring.const(c)
+                for v, (c, e) in images.items()}
+        if gen is not None:
+            subs.update((g, ring.const(gen)) for g in self.gens)
+        return self.poly.substitute(subs, ring)
+
+    def specialize(self, target: Theory) -> "SymClass":
+        """The image under the ring map theory -> target of theory.maps;
+        the generators pass through.  The identity when target is this
+        class's theory."""
+        if target is self.theory:
+            return self
         if self.quotient:
             raise ValueError("the map %s -> %s is not a ring map on quotient-"
                              "mode classes: %s has no (u - tau)^2 = 0"
                              % (self.theory.name, target.name, target.name))
         ring = context_ring(target, self.gens)
-        subs = {v: ring.monomial(c, e) for v, (c, e) in images.items()}
-        return SymClass(self.poly.substitute(subs, ring), target, self.gens)
+        return SymClass(self._image(target.name, ring), target, self.gens)
 
     # -- rendering / JSON ---------------------------------------------------
 
@@ -447,7 +450,7 @@ class SymClass:
                         groups.values()))
 
     def to_obj(self) -> dict:
-        write = _codec(self.theory)[0]
+        write = self.theory.codec[0]
         components = [{**comp, "u_exps": list(ue)}
                       for ue, terms in sorted(self.split_terms().items())
                       for comp in write(self.theory, terms)]
@@ -473,7 +476,7 @@ class SymClass:
         gens = tuple(gens)
         quotient = read_bool(obj.get("quotient", False), "quotient")
         ring = context_ring(theory, gens)
-        read = _codec(theory)[1]
+        read = theory.codec[1]
         total: dict = defaultdict(int)
         read(_components(obj, ring, gens), ring, total)
         return SymClass(MultiPoly(ring, total), theory, gens, quotient)

@@ -410,7 +410,7 @@ class MultiPoly:
         return 0 if deg is None else deg
 
     def substitute(self, bindings: Mapping[str, "MultiPoly"],
-                   target: Ring | None = None) -> "MultiPoly":
+                   target: Ring) -> "MultiPoly":
         """Image under the evaluation homomorphism.
 
         Bound variables are replaced by the given polynomials (all in the
@@ -426,12 +426,6 @@ class MultiPoly:
         variables, sharing the products over common prefixes of those
         vectors.
         """
-        if target is None:
-            for v in bindings.values():
-                target = v.ring
-                break
-            else:
-                target = self.ring
         src = self.ring
         zmask = zero = 0    # the fields of the variables bound to 0, at 0
         mono = []           # (index, image monomial less 1, coeff)

@@ -29,8 +29,8 @@ class ReportEntry:
 
     __slots__ = ("lemma", "params", "status", "_lhs", "_rhs", "note")
 
-    def __init__(self, lemma: str, params: tuple, status: str, lhs="",
-                 rhs="", note: str = ""):
+    def __init__(self, lemma: str, params: tuple, status: str, lhs, rhs,
+                 note: str):
         for field, value in zip(self.__slots__, (lemma, params, status, lhs,
                                                  rhs, note)):
             object.__setattr__(self, field, value)
@@ -139,8 +139,7 @@ class VerificationReport:
             c[e.status] = c.get(e.status, 0) + 1
         return c
 
-    def stamp(self, elapsed_s: dict | None = None,
-              lemma_elapsed_s: dict | None = None):
+    def stamp(self, elapsed_s: dict, lemma_elapsed_s: dict):
         from datetime import datetime, timezone     # only --json pays for it
         self.timestamp = datetime.now(timezone.utc).isoformat()
         self.elapsed_s = elapsed_s

@@ -1327,14 +1327,14 @@ class TestParserPerCommand:
         monkeypatch.setenv("COLUMNS", "80")
         got = [_call(*args) for args in PARSE_CORPUS]
         build = cli._parser
-        monkeypatch.setattr(cli, "_parser", lambda prog, args=(): build(prog))
+        monkeypatch.setattr(cli, "_parser", lambda prog, args: build(prog, ()))
         for args, out in zip(PARSE_CORPUS, got):
             assert out == _call(*args), args
         assert sum(code == 2 for code, _, _ in got) >= 30
 
     def test_builds_the_invoked_command(self):
         full = ["universal", "omega", "adams", "ternary", "form", "verify"]
-        assert list(_commands(cli._parser("gwadams"))) == full
+        assert list(_commands(cli._parser("gwadams", ()))) == full
         for args in ([], ["-h"], ["--version"], ["bogus"], ["--", "adams"]):
             assert list(_commands(cli._parser("gwadams", args))) == full
         for name in full:

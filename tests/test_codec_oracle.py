@@ -86,7 +86,7 @@ def oracle_to_obj(x: SymClass) -> dict:
         groups.setdefault(ue, {})[base] = c
     components = []
     for ue in sorted(groups):
-        if x.theory.dense_json:
+        if x.theory is GW:
             base_elem = GWElem(MultiPoly.from_exps(ring, groups[ue]).rename(
                 COEFF_RING))
             for comp in oracle_gw_to_obj(base_elem)["components"]:
@@ -122,7 +122,7 @@ def oracle_from_obj(obj: dict, read_generators: bool = False) -> SymClass:
                 or not all(type(e) is int for e in ue)):
             raise ValueError("u_exps must list one integer per generator")
         umono = ring.monomial(1, dict(zip(gens, ue)))
-        if theory.dense_json:
+        if theory is GW:
             base = oracle_gw_from_obj({"components": [comp]}).poly
         else:
             if not isinstance(comp.get("poly"), dict):

@@ -10,9 +10,16 @@ some call of that name in the package, its tests or its benchmark: a
 default that no call overrides is a constant.  Calls are matched by name,
 as references are; a class's `__init__` is called by the class's name.
 A test is no caller for an option either: each default is also passed by
-some call in the package or its benchmark alone."""
+some call in the package or its benchmark alone.  And each default is
+used: some call in the package or its benchmark omits it.  A call of a
+package class that defines no `__init__` is a call of its base class, a
+call of a name bound by a plain assignment (`F = forms.GramForm`) is a
+call of what it names too, and a method that overrides a library's
+(argparse calls `parse_known_args`) is called by the library, so the
+program's calls do not decide it."""
 
 import ast
+import importlib
 import math
 from collections import defaultdict
 from pathlib import Path
@@ -102,9 +109,7 @@ def passed(sources) -> dict[str, list]:
         for node in ast.walk(ast.parse(source)):
             if not isinstance(node, ast.Call):
                 continue
-            f = node.func
-            name = (f.id if isinstance(f, ast.Name) else
-                    f.attr if isinstance(f, ast.Attribute) else None)
+            name = _callee(node.func)
             if name is None:
                 continue
             entry = calls[name]
@@ -112,6 +117,76 @@ def passed(sources) -> dict[str, list]:
             entry[0] = max(entry[0], math.inf if starred else len(node.args))
             entry[1].update(k.arg for k in node.keywords)
     return calls
+
+
+def call_shapes(sources) -> dict[str, list]:
+    """Callee name -> (positional arguments, keywords) of each call of that
+    name in sources, as passed() counts them.  A call of a class that
+    defines no __init__ and has one base class defined in sources is filed
+    under that base; a call of a name that an assignment `name = x` or
+    `name = m.x` binds is filed under x as well."""
+    trees = [ast.parse(source) for source in sources]
+    classes = {c.name: c for t in trees for c in ast.walk(t)
+               if isinstance(c, ast.ClassDef)}
+    alias = {a.targets[0].id: _callee(a.value) for t in trees
+             for a in ast.walk(t) if isinstance(a, ast.Assign)
+             and len(a.targets) == 1 and isinstance(a.targets[0], ast.Name)}
+    base = {name: c.bases[0].id for name, c in classes.items()
+            if len(c.bases) == 1 and isinstance(c.bases[0], ast.Name)
+            and c.bases[0].id in classes
+            and not any(isinstance(f, ast.FunctionDef)
+                        and f.name == "__init__" for f in c.body)}
+    shapes = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _callee(node.func)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            shape = (math.inf if starred else len(node.args),
+                     {k.arg for k in node.keywords})
+            for callee in {name, alias.get(name)} - {None}:
+                while callee in base:
+                    callee = base[callee]
+                shapes[callee].append(shape)
+    return shapes
+
+
+def _callee(f) -> str | None:
+    return (f.id if isinstance(f, ast.Name) else
+            f.attr if isinstance(f, ast.Attribute) else None)
+
+
+def library_overrides(path: Path) -> set[int]:
+    """The lines of the methods of path's module that override a method of
+    a base class from outside the package."""
+    module = importlib.import_module("gwadams." + path.stem)
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        mro = getattr(getattr(module, node.name, None), "__mro__", ())
+        library = [b for b in mro[1:] if b is not object
+                   and not b.__module__.startswith("gwadams")]
+        out.update(f.lineno for f in node.body
+                   if isinstance(f, ast.FunctionDef)
+                   and not f.name.startswith("__")
+                   and any(hasattr(b, f.name) for b in library))
+    return out
+
+
+def never_omitted(source: str, shapes: dict, exempt=()) -> list[str]:
+    out = []
+    for line, name, param, pos in defaulted(source):
+        if line in exempt:
+            continue
+        if not any(param not in kws and None not in kws
+                   and (pos is None or pos >= n)
+                   for n, kws in shapes.get(name, ())):
+            out.append("line %d: %s(%s)" % (line, name, param))
+    return out
 
 
 def never_passed(source: str, calls: dict) -> list[str]:
@@ -155,6 +230,18 @@ def test_every_default_is_passed_outside_tests(path, non_test_calls):
     assert never_passed(path.read_text(encoding="utf-8"), non_test_calls) == []
 
 
+@pytest.fixture(scope="module")
+def non_test_shapes():
+    return call_shapes(p.read_text(encoding="utf-8")
+                       for p in SOURCES + BENCHMARK)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_default_is_omitted_outside_tests(path, non_test_shapes):
+    assert never_omitted(path.read_text(encoding="utf-8"), non_test_shapes,
+                         library_overrides(path)) == []
+
+
 def test_detects_dead_code():
     src = ("class A:\n"
            "    def __init__(self): pass\n"
@@ -181,3 +268,27 @@ def test_detects_unpassed_default():
            "f(1, *xs)\n")
     assert never_passed(src, passed([src])) == ["line 2: A(c)",
                                                 "line 3: m(x)"]
+
+
+def test_detects_unomitted_default():
+    src = ("class A:\n"
+           "    def __init__(self, a, b=1, c=2): pass\n"
+           "    def m(self, x=0, *, y=1): pass\n"
+           "class B(A):\n"
+           "    pass\n"
+           "def f(a, b=1, c=2): pass\n"
+           "B(0).m(0)\n"
+           "g = f\n"
+           "g(1, 2)\n"
+           "A(0, 1, c=3).m(1, y=2)\n"
+           "f(1, 2, c=3)\n"
+           "f(*xs)\n")
+    assert never_omitted(src, call_shapes([src]), exempt={3}) == [
+        "line 6: f(b)"]
+
+
+def test_library_override_exempt():
+    lines = library_overrides(PACKAGE / "cli.py")
+    assert [name for line, name, _, _ in defaulted(
+        (PACKAGE / "cli.py").read_text(encoding="utf-8"))
+        if line in lines] == ["parse_known_args", "parse_known_args"]

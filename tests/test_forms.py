@@ -404,7 +404,7 @@ class TestConstructions:
         assert hyperbolic(1, "-").matrix == ((0, 1), (-1, 0))
         assert hyperbolic(2, "+").rank == 4
         with pytest.raises(ValueError):
-            hyperbolic(0)
+            hyperbolic(0, "+")
         with pytest.raises(ValueError):
             hyperbolic(1, "x")
 

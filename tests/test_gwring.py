@@ -101,11 +101,12 @@ class TestNormalForm:
                          rng.randrange(-3, 4)]): rng.randrange(-9, 10)
                   for _ in range(rng.randrange(1, 5))}
             p, q = raw(t1), raw(t2)
-            a = normalize(p * q)
-            b = normalize(normalize(p) * normalize(q))
-            c = normalize(normalize(q) * normalize(p))
+            a = normalize(p * q, ())
+            b = normalize(normalize(p, ()) * normalize(q, ()), ())
+            c = normalize(normalize(q, ()) * normalize(p, ()), ())
             assert a == b == c
-            assert normalize(p + q) == normalize(normalize(p) + normalize(q))
+            assert normalize(p + q, ()) == normalize(
+                normalize(p, ()) + normalize(q, ()), ())
 
     @pytest.mark.parametrize("gens", [("u",), ("u1", "u2")])
     def test_quotient_confluence_random(self, gens):

@@ -163,15 +163,20 @@ def kernel_samples() -> dict:
     return out
 
 
+# theory name -> the base variables whose rank is not 1 -> rank, written
+# out apart from the theories' rank maps
+RANKS = {"gw": {"eps": -1, "tau": 2}, "k": {}, "witt": {}}
+
+
 def packed_rank(x) -> int:
     """rank read from the packed fields, as SymClass.rank computed it
     before it became a substitution: each term's coefficient times
-    rank_subs[v] ** e over the base variables and 2 ** e over the
+    its rank ** e over the base variables (RANKS) and 2 ** e over the
     generators."""
     ring = x.poly.ring
     subs = [(ring.shifts[i], ring.offsets[i], v) for i, v in (
-        [(ring.index(n), v) for n, v in x.theory.rank_subs.items()
-         if v != 1] + [(ring.index(g), 2) for g in x.gens])]
+        [(ring.index(n), v) for n, v in RANKS[x.theory.name].items()]
+        + [(ring.index(g), 2) for g in x.gens])]
     return sum(c * prod(v ** ((key >> s & EXP_MASK) - off)
                         for s, off, v in subs)
                for key, c in x.poly.terms.items())
@@ -479,6 +484,15 @@ class TestTheoryMaps:
             with pytest.raises(ValueError):
                 uq.specialize(target)
         assert uq.specialize(GW) is uq
+
+    def test_rank_factors_through_k(self):
+        # the rank row of GW is its K row followed by K's rank row
+        k_rank = KTH.maps["rank"]
+        for v, (c, exps) in GW.maps["k"].items():
+            want = c * prod(k_rank[w][0] ** e for w, e in exps.items())
+            assert all(not k_rank[w][1] for w in exps)
+            assert GW.maps["rank"][v] == (want, {}), v
+        assert GW.maps["rank"].keys() == GW.maps["k"].keys()
 
     def test_forget(self):
         tau = SymClass.from_gw(GWElem.tau())

@@ -15,8 +15,8 @@ LAW = ternary_laws("gw")[1]
 # (record, an equal record built anew, a record differing in one field,
 # that field)
 FROZEN = [
-    (ReportEntry("l", (1, 2), "pass"), check("l", (1, 2), True),
-     ReportEntry("l", (1, 2), "pass", note="n"), "note"),
+    (ReportEntry("l", (1, 2), "pass", "", "", ""), check("l", (1, 2), True),
+     ReportEntry("l", (1, 2), "pass", "", "", "n"), "note"),
     (GWQInvariants(2, 0, -1, ((2, 1), ("inf", 1))),
      GWQInvariants(2, 0, -1, ((2, 1), ("inf", 1))),
      GWQInvariants(2, 0, -1, ((2, -1), ("inf", 1))), "hasse"),
@@ -38,7 +38,7 @@ def test_frozen_by_value(rec, same, other, field):
 
 
 def test_defaults():
-    e = ReportEntry("l", (), "fail")
+    e = check("l", (), False)
     assert (e.lhs, e.rhs, e.note) == ("", "", "")
     a, b = VerificationReport("s"), VerificationReport("s")
     a.add(e)
@@ -55,9 +55,10 @@ def test_omega_degree_check():
 
 def test_theory_identity():
     twin = Theory(GW.name, GW.base, GW.weights, GW.twist, GW.det_power,
-                  GW.rank_subs, GW.line, GW.rank2, GW.dense_json, GW.maps)
+                  GW.codec, GW.maps, GW.line, GW.rank2)
     assert twin != GW and GW == GW and {GW: 1}.get(twin) is None
-    assert Theory("t", (), {}, "x", 1, {}).maps == {}
+    t = Theory("t", (), {}, "x", 1, GW.codec, {})
+    assert (t.line, t.rank2) == (None, ())
     with pytest.raises(AttributeError):
         GW.name = "k"
     with pytest.raises(AttributeError):
@@ -71,7 +72,7 @@ def test_mutable_by_value():
     b.add(check("l", (), True))
     a.lemma_s["l"] = 99.0     # timings are not compared
     assert a == b
-    b.stamp({})
+    b.stamp({}, {})
     assert a != b
     with pytest.raises(TypeError):
         hash(a)

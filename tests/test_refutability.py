@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from gwadams import forms, polyring, symfunc
+from gwadams import borel, forms, polyring, symfunc
 from gwadams.gwring import GW, check_coefficient_identities
 from gwadams.lambdaring import check_lambda_axioms
 
@@ -30,7 +30,12 @@ def flip_hasse_at(place):
 
 def rank_eps_plus_one(mp):
     """The rank map with eps read as +1 instead of -1."""
-    mp.setitem(GW.rank_subs, "eps", 1)
+    mp.setitem(GW.maps["rank"], "eps", (1, {}))
+
+
+def forget_tau_halved(mp):
+    """The map GW -> K with tau sent to beta^2 instead of 2*beta^2."""
+    mp.setitem(GW.maps["k"], "tau", (1, {"beta": 2}))
 
 
 def short_odd_power(mp):
@@ -77,6 +82,10 @@ FAULTS = [
      rank_eps_plus_one),
     ("proj_h", check_coefficient_identities,
      "rank reads eps as +1 (proj_h)", rank_eps_plus_one),
+    ("rank_compat", borel.check_ternary,
+     "rank reads eps as +1 (rank_compat)", rank_eps_plus_one),
+    ("k_F", borel.check_ternary, "GW -> K sends tau to beta^2 (k_F)",
+     forget_tau_halved),
     ("omega_loc_odd", check_coefficient_identities,
      "odd powers one product short (omega_loc_odd)", short_odd_power),
     ("lambda_22", forms.check_section2_and_hyp,
