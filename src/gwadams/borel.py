@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import gwring, symfunc
 from .gwring import GW, KTH, THEORIES, GWElem, SymClass, context_ring
 from .lambdaring import adams, lambda_series
-from .polyring import GradingError, MultiPoly, Ring, signed_join
+from .polyring import GradingError, MultiPoly, Ring, RingMap, signed_join
 from .report import Template, VerificationReport, check
 
 
@@ -343,8 +343,9 @@ def _gw_values() -> tuple:
     b = borel_triple_classes()
     vring = context_ring(GW, _LAW_GENS)
     tau = vring.var("tau")
-    subs = {"u%d" % j: vring.var("v%d" % j) + tau for j in (1, 2, 3)}
-    return tuple(SymClass(b[i].poly.substitute(subs, vring), GW, _LAW_GENS)
+    to_v = RingMap(_triple_ring(), vring, {
+        "u%d" % j: vring.var("v%d" % j) + tau for j in (1, 2, 3)})
+    return tuple(SymClass(to_v(b[i].poly), GW, _LAW_GENS)
                  for i in range(1, 5))
 
 
@@ -457,17 +458,20 @@ def check_ternary() -> VerificationReport:
         rep.add(check("witt_F", (law.index,), law.value == w.value, law, w))
 
     # S3 invariance and grading of each law
-    for law in ternary_laws("gw") + ternary_laws("k"):
-        ring = law.value.poly.ring
-        for perm in sorted(permutations(_LAW_GENS)):
-            subs = {g: ring.var(p) for g, p in zip(_LAW_GENS, perm)}
-            img = law.value.poly.substitute(subs, ring)
-            rep.add(check("F_symmetric",
-                          (law.theory, law.index, "".join(p[-1] for p in perm)),
-                          img == law.value.poly))
-        deg = law.value.degree()
-        rep.add(check("F_degree", (law.theory, law.index),
-                      deg == 2 * law.index, str(deg), str(2 * law.index)))
+    perms = sorted(permutations(_LAW_GENS))
+    for theory in (GW, KTH):
+        ring = context_ring(theory, _LAW_GENS)
+        swaps = [RingMap(ring, ring, {g: ring.var(p)
+                                      for g, p in zip(_LAW_GENS, perm)})
+                 for perm in perms]
+        for law in ternary_laws(theory.name):
+            for perm, swap in zip(perms, swaps):
+                rep.add(check("F_symmetric", (law.theory, law.index,
+                                              "".join(p[-1] for p in perm)),
+                              swap(law.value.poly) == law.value.poly))
+            deg = law.value.degree()
+            rep.add(check("F_degree", (law.theory, law.index),
+                          deg == 2 * law.index, str(deg), str(2 * law.index)))
 
     # the rank map of the gw laws equals that of the k laws
     target = Ring([(g, False) for g in _LAW_GENS])

@@ -277,7 +277,7 @@ class SymClass:
             raise ValueError("quotient mode (u - tau)^2 = 0 needs a rank-2 "
                              "base class; theory %s has none" % theory.name)
         ring = context_ring(theory, gens)
-        if poly.ring != ring:
+        if poly.ring is not ring and poly.ring != ring:
             poly = poly.rename(ring)
         if theory.rank2:
             poly = normalize(poly, gens if quotient else ())

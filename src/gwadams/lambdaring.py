@@ -19,17 +19,19 @@ Adams operations do not go through the lambda-series.  In a special
 lambda-ring each psi^k is a ring endomorphism, so psi^k(x) is x with every
 generator replaced by its image: psi^k(twist) = twist^k, psi^k(eps) =
 -(-eps)^k, and for tau and each u_i the k-th power sum of the two roots of
-1 + y*t + det*t^2.
+1 + y*t + det*t^2.  Each image, and each map (one per k, context and set
+of generators in use), is built once per process and cached.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 from . import symfunc
-from .gwring import KTH, GWElem, SymClass
+from .gwring import KTH, GWElem, SymClass, context_ring
 from .polyring import (
-    GradingError, MultiPoly, Ring, TruncSeries, sum_of_products,
+    GradingError, MultiPoly, Ring, RingMap, TruncSeries, sum_of_products,
 )
 from .report import (
     MISMATCH, PASS, ReportEntry, Template, VerificationReport, check,
@@ -90,6 +92,7 @@ def lambda_op(n: int, x: SymClass) -> SymClass:
     return lambda_series(x, n)[n]
 
 
+@cache
 def _waring(ring: Ring, name: str, theory, k: int):
     """p_k (k >= 1), the k-th power sum of the roots of
     1 + y*t + det*t^2, y the variable `name` and det = twist**det_power, by
@@ -103,17 +106,38 @@ def _waring(ring: Ring, name: str, theory, k: int):
         (-1) ** j * k * comb(k - j, j) // (k - j) for j in range(k // 2 + 1)})
 
 
-def _adams_images(k: int, x: SymClass) -> dict:
-    """psi^k of the twist and of every other variable occurring in x, in
-    normal form."""
-    theory, ring = x.theory, x.poly.ring
-    used = {ring.names[i] for i in x.poly.support()}
-    images = {theory.twist: ring.var(theory.twist, k)}
-    if theory.line in used:
-        images[theory.line] = -((-ring.var(theory.line)) ** k)
-    for name in used.intersection(theory.rank2 + x.gens):
-        images[name] = _waring(ring, name, theory, k)
-    return {n: x._lift(v).poly for n, v in images.items()}
+@cache
+def _adams_image(k: int, theory, gens: tuple, quotient: bool,
+                 name: str) -> MultiPoly:
+    """psi^k of the variable name of context_ring(theory, gens), in the
+    normal form of that context: twist^k for the twist, -(-eps)^k for the
+    line variable eps, and p_k (_waring) for a rank-2 variable."""
+    ring = context_ring(theory, gens)
+    if gens and name not in gens:
+        # a base variable's image uses no generator: build it in the base
+        # ring, whose monomials are short ints, once for every context
+        return _adams_image(k, theory, (), False, name).rename(ring)
+    if name == theory.twist:
+        image = ring.var(name, k)
+    elif name == theory.line:
+        image = -((-ring.var(name)) ** k)
+    else:
+        image = _waring(ring, name, theory, k)
+    return SymClass(image, theory, gens, quotient).poly
+
+
+@cache
+def _adams_map(k: int, theory, gens: tuple, quotient: bool,
+               used: tuple) -> RingMap:
+    """psi^k on the classes of a context whose terms use no generator
+    outside used: the twist, the line variable, the rank-2 base variables
+    and the generators in used go to their images, the other generators
+    to themselves."""
+    ring = context_ring(theory, gens)
+    names = ((theory.twist,) + ((theory.line,) if theory.line else ())
+             + theory.rank2 + used)
+    return RingMap(ring, ring, {
+        name: _adams_image(k, theory, gens, quotient, name) for name in names})
 
 
 def adams(n: int, x: SymClass) -> SymClass:
@@ -127,7 +151,11 @@ def adams(n: int, x: SymClass) -> SymClass:
     k = abs(n)
     if k == 0:
         return type(x).const(x.rank(), x.theory, x.gens, x.quotient)
-    out = x._lift(x.poly.substitute(_adams_images(k, x), x.poly.ring))
+    support = x.poly.support()
+    used = tuple(g for i, g in enumerate(x.gens, len(x.theory.base))
+                 if i in support)
+    psi = _adams_map(k, x.theory, x.gens, x.quotient, used)
+    out = x._lift(psi(x.poly))
     return -out if n < 0 and d % 4 == 2 else out
 
 

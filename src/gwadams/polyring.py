@@ -27,7 +27,8 @@ monomial.  Results of ring operations and the Ring's constants and
 variables are valid by construction and skip validation
 (MultiPoly._trusted); every product goes through one multiply-accumulate
 kernel, _mul_into, which sum_of_products also uses to accumulate a sum of
-products in place, and substitute to multiply out its multi-term bindings.
+products in place, and RingMap, behind substitute, to multiply out its
+multi-term bindings.
 Every power, of a MultiPoly or of a TruncSeries (a negative one through its
 inverse), is one square-and-multiply loop, _power.  Text and LaTeX are
 written by one term writer, MultiPoly._render.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import json
 import operator
 import re
-from functools import reduce
+from functools import cache, reduce
 from itertools import repeat
 from struct import Struct, error as StructError
 from typing import Iterable, Mapping
@@ -239,6 +240,13 @@ class Ring:
         return MultiPoly.from_exps(self, {tuple(e): int(coeff)})
 
 
+@cache
+def _document_ring(variables: tuple) -> Ring:
+    """The Ring of a (name, laurent) list read from a document, one shared
+    instance per list."""
+    return Ring(variables)
+
+
 class MultiPoly:
     """Sparse polynomial: dict of packed monomial -> nonzero int coefficient.
 
@@ -300,7 +308,8 @@ class MultiPoly:
     def __eq__(self, other):
         if isinstance(other, int):
             return self.is_const() and self.const_value() == other
-        return (isinstance(other, MultiPoly) and self.ring == other.ring
+        return (isinstance(other, MultiPoly)
+                and (self.ring is other.ring or self.ring == other.ring)
                 and self.terms == other.terms)
 
     def __hash__(self):
@@ -417,136 +426,9 @@ class MultiPoly:
         target ring); unbound variables must exist in the target ring by name.
         A variable carrying a negative exponent may only be bound to a unit
         monomial (single term, coefficient ±1, Laurent-variable support).
-
-        A zero binding drops every term that uses its variable.  An unbound
-        variable is the single-term image of itself in the target, and a
-        single-term image adds a multiple of its exponent vector to the
-        monomial and scales the coefficient.  Only the multi-term bindings
-        are multiplied out: once per distinct exponent vector on their
-        variables, sharing the products over common prefixes of those
-        vectors.
+        A map applied to many polynomials is built once as a RingMap.
         """
-        src = self.ring
-        zmask = zero = 0    # the fields of the variables bound to 0, at 0
-        mono = []           # (index, image monomial less 1, coeff)
-        multi = []          # (index, binding terms)
-        bad = {}            # Laurent variable -> error for a negative exponent
-        for i, name in enumerate(src.names):
-            err = None
-            if name not in bindings:
-                j = target.index(name)
-                mono.append((i, 1 << target.shifts[j], 1))
-                if not target.laurent[j]:
-                    err = ExponentError(
-                        "variable %r is not Laurent in the target" % name)
-            else:
-                v = bindings[name]
-                if v.ring != target:
-                    raise ContextError("binding for %r not in target ring"
-                                       % name)
-                if len(v.terms) == 1:
-                    (key, c), = v.terms.items()
-                    mono.append((i, key - target.bias, c))
-                    if c not in (1, -1):
-                        err = SubstitutionError(
-                            "unit monomial must have coefficient ±1")
-                    elif src.laurent[i] and any(
-                            x > 0 and not target.laurent[j]
-                            for j, x in enumerate(target.unpack(key))):
-                        err = ExponentError("inverse of the binding for %r "
-                                            "is not Laurent" % name)
-                else:
-                    if v.terms:
-                        multi.append((i, v.terms))
-                    else:
-                        zmask |= EXP_MASK << src.shifts[i]
-                        zero |= src.offsets[i] << src.shifts[i]
-                    err = SubstitutionError(
-                        "need a unit monomial for %r, got %d terms"
-                        % (name, len(v.terms)))
-            if err and src.laurent[i]:  # only these have negative exponents
-                bad[i] = err
-        terms = self.terms
-        if bad:
-            # the first offending term, unbound variables before bound
-            # ones; a Laurent exponent is negative where its field's top bit
-            # is clear
-            order = sorted(bad, key=lambda i: (src.names[i] in bindings, i))
-            for key in terms:
-                for i in order:
-                    if not key >> src.shifts[i] + 31 & 1:
-                        raise bad[i]
-
-        # each term's monomial image, grouped by its exponents on `multi`
-        scales = _scales(src, target, mono, terms)
-        bias, guard = target.bias, target.guard
-        mmask = sum(EXP_MASK << src.shifts[i] for i, _ in multi)
-        groups: dict = {}
-        for key, c in terms.items():
-            if key & zmask != zero:
-                continue
-            te = bias
-            for s, off, step, cv in scales:
-                k = (key >> s & EXP_MASK) - off
-                if k:
-                    te += k * step
-                    if cv != 1:     # a unit when k < 0
-                        c *= cv ** abs(k)
-            if te & guard:
-                raise out_of_range(target)
-            g = key & mmask
-            group = groups.get(g)
-            if group is None:
-                group = groups[g] = {}
-            s = group.get(te, 0) + c
-            if s:
-                group[te] = s
-            else:
-                del group[te]
-        if not multi:
-            return MultiPoly._trusted(target, groups.get(0, {}))
-
-        # powers of each multi-term binding, grown one factor at a time
-        one = {target.bias: 1}
-        powers = [[one, v] for _, v in multi]
-
-        def power(p: int, k: int) -> dict:
-            table = powers[p]
-            while len(table) <= k:
-                nxt: dict = {}
-                _mul_into(target, nxt, table[-1], table[1])
-                table.append(nxt)
-            return table[k]
-
-        # depth-first over the exponent vectors in lexicographic (int)
-        # order: stack[d] is the product of the first d factors of the
-        # previous vector
-        fields = [(src.shifts[i], src.offsets[i]) for i, _ in multi]
-        out: dict = {}
-        prev: list = []
-        stack = [one]
-        for g in sorted(groups):
-            group = groups[g]
-            if not group:
-                continue
-            vec = [(g >> s & EXP_MASK) - off for s, off in fields]
-            d = 0
-            while d < len(prev) and vec[d] == prev[d]:
-                d += 1
-            del stack[d + 1:]
-            for p in range(d, len(vec)):
-                k, base = vec[p], stack[-1]
-                if k:
-                    f = power(p, k)
-                    if base is not one:
-                        acc: dict = {}
-                        _mul_into(target, acc, base, f)
-                        f = acc
-                    base = f
-                stack.append(base)
-            prev = vec
-            _mul_into(target, out, group, stack[-1])
-        return MultiPoly._trusted(target, out)
+        return RingMap(self.ring, target, bindings)(self)
 
     def rename(self, target: Ring,
                mapping: Mapping[str, str] | None = None) -> "MultiPoly":
@@ -640,7 +522,7 @@ class MultiPoly:
                                  % json.dumps(v.get("name")))
             variables.append((v["name"], read_bool(v.get("laurent"),
                                                    "laurent")))
-        ring = Ring(variables)
+        ring = _document_ring(tuple(variables))
         terms: dict = {}
         for t in read_list(obj, "terms"):
             if not isinstance(t, dict):
@@ -683,30 +565,6 @@ def signed_join(parts: list) -> str:
                               for p in parts[1:])
 
 
-def _scales(src: Ring, target: Ring, mono: list, terms: dict) -> list:
-    """(shift, offset, step, coeff) for each single-term image of
-    substitute whose variable occurs in some term: a term with exponent k
-    on that variable gains k * step and the factor coeff ** |k|.  The OR
-    and the AND of the terms show which variables occur and bound each
-    field, so each |k|, so each image exponent; where that bound could
-    leave the window in which the guard test is exact, ExponentError."""
-    if not mono or not terms:
-        return []
-    hi = reduce(operator.or_, terms)
-    lo = reduce(operator.and_, terms)
-    out, bound = [], [0] * target.nvars
-    for i, step, c in mono:
-        s, off = src.shifts[i], src.offsets[i]
-        k = max((hi >> s & EXP_MASK) - off, off - (lo >> s & EXP_MASK))
-        if k:
-            out.append((s, off, step, c))
-            for j, x in enumerate(target.unpack(step + target.bias)):
-                bound[j] += k * abs(x)
-    if max(bound, default=0) >> FIELD_BITS - 2:
-        raise out_of_range(target)
-    return out
-
-
 def _mul_into(ring: Ring, out: dict, a: dict, b: dict) -> None:
     """out += a*b on term dicts of ring, deleting the terms that cancel to
     zero.  The shorter operand drives the outer loop; a product monomial
@@ -745,7 +603,8 @@ def sum_of_products(ring: Ring, triples) -> MultiPoly:
     polynomials of the ring, accumulated into one term dict."""
     out: dict = {}
     for c, a, b in triples:
-        if a.ring != ring or b.ring != ring:
+        if (a.ring is not ring or b.ring is not ring) and (
+                a.ring != ring or b.ring != ring):
             raise ContextError("product of %r and %r outside %r"
                                % (a.ring, b.ring, ring))
         if c:
@@ -754,6 +613,190 @@ def sum_of_products(ring: Ring, triples) -> MultiPoly:
                 at = {e: c * x for e, x in at.items()}
             _mul_into(ring, out, at, bt)
     return MultiPoly._trusted(ring, out)
+
+
+def _negative_exponent_error(name: str, v: MultiPoly | None,
+                             target: Ring) -> tuple | None:
+    """(error type, message) for a negative exponent on the variable name
+    bound to v (None: unbound), or None where its image is a unit of
+    target."""
+    if v is None:
+        if not target.laurent[target.index(name)]:
+            return (ExponentError,
+                    "variable %r is not Laurent in the target" % name)
+    elif len(v.terms) != 1:
+        return (SubstitutionError, "need a unit monomial for %r, got %d terms"
+                % (name, len(v.terms)))
+    else:
+        (key, c), = v.terms.items()
+        if c not in (1, -1):
+            return SubstitutionError, "unit monomial must have coefficient ±1"
+        if any(x > 0 and not target.laurent[j]
+               for j, x in enumerate(target.unpack(key))):
+            return (ExponentError,
+                    "inverse of the binding for %r is not Laurent" % name)
+    return None
+
+
+class RingMap:
+    """The evaluation homomorphism of MultiPoly.substitute from src to
+    target, built once and applied to any number of polynomials of src.
+
+    A zero binding drops every term that uses its variable.  An unbound
+    variable is the single-term image of itself in the target, and a
+    single-term image adds a multiple of its exponent vector to the
+    monomial and scales the coefficient.  Only the multi-term bindings are
+    multiplied out: once per distinct exponent vector on their variables,
+    sharing the products over common prefixes of those vectors.  Their
+    power tables persist between applications, and no result shares a
+    term dict with them.
+
+    A Laurent variable of src whose image cannot take a negative exponent
+    raises its error at the first term that carries one, unbound variables
+    before bound ones."""
+
+    __slots__ = ("src", "target", "_mono", "_bad", "_zmask", "_zero",
+                 "_mmask", "_fields", "_powers")
+
+    def __init__(self, src: Ring, target: Ring,
+                 bindings: Mapping[str, MultiPoly]):
+        zmask = zero = 0    # the fields of the variables bound to 0, at 0
+        mono = []           # (shift, offset, image monomial less 1, coeff)
+        multi = []          # (index, binding terms)
+        bad = []            # ((bound, index), error type, message)
+        for i, name in enumerate(src.names):
+            s, off, v = src.shifts[i], src.offsets[i], bindings.get(name)
+            if v is None:
+                j = target.index(name)
+                mono.append((s, off, 1 << target.shifts[j], 1))
+            elif v.ring is not target and v.ring != target:
+                raise ContextError("binding for %r not in target ring" % name)
+            elif len(v.terms) == 1:
+                (key, c), = v.terms.items()
+                mono.append((s, off, key - target.bias, c))
+            elif v.terms:
+                multi.append((i, v.terms))
+            else:
+                zmask |= EXP_MASK << s
+                zero |= off << s
+            if src.laurent[i]:  # only these have negative exponents
+                err = _negative_exponent_error(name, v, target)
+                if err:
+                    bad.append(((v is not None, i), *err))
+        self.src, self.target = src, target
+        self._mono = mono
+        # a Laurent exponent is negative where its field's top bit is clear
+        self._bad = [(src.shifts[i] + 31, exc, msg)
+                     for (_, i), exc, msg in sorted(bad)]
+        self._zmask, self._zero = zmask, zero
+        self._mmask = sum(EXP_MASK << src.shifts[i] for i, _ in multi)
+        self._fields = [(src.shifts[i], src.offsets[i]) for i, _ in multi]
+        # powers of each multi-term binding, grown one factor at a time
+        self._powers = [[{target.bias: 1}, v] for _, v in multi]
+
+    def _scales(self, terms: dict) -> list:
+        """(shift, offset, step, coeff) for each single-term image whose
+        variable occurs in some term: a term with exponent k on that
+        variable gains k * step and the factor coeff ** |k|.  The OR and
+        the AND of the terms show which variables occur and bound each
+        field, so each |k|, so each image exponent; where that bound could
+        leave the window in which the guard test is exact,
+        ExponentError."""
+        target = self.target
+        hi = reduce(operator.or_, terms)
+        lo = reduce(operator.and_, terms)
+        out, bound = [], [0] * target.nvars
+        for s, off, step, c in self._mono:
+            k = max((hi >> s & EXP_MASK) - off, off - (lo >> s & EXP_MASK))
+            if k:
+                out.append((s, off, step, c))
+                for j, x in enumerate(target.unpack(step + target.bias)):
+                    bound[j] += k * abs(x)
+        if max(bound, default=0) >> FIELD_BITS - 2:
+            raise out_of_range(target)
+        return out
+
+    def _power(self, p: int, k: int) -> dict:
+        """The terms of the k-th power of multi-term binding p."""
+        table = self._powers[p]
+        while len(table) <= k:
+            nxt: dict = {}
+            _mul_into(self.target, nxt, table[-1], table[1])
+            table.append(nxt)
+        return table[k]
+
+    def __call__(self, poly: MultiPoly) -> MultiPoly:
+        if poly.ring is not self.src and poly.ring != self.src:
+            raise ContextError("%r is not the source %r of the map"
+                               % (poly.ring, self.src))
+        target, terms = self.target, poly.terms
+        if not terms:
+            return target.zero()
+        if self._bad:
+            for key in terms:
+                for bit, exc, msg in self._bad:
+                    if not key >> bit & 1:
+                        raise exc(msg)
+
+        # each term's monomial image, grouped by its exponents on the
+        # multi-term bindings' variables
+        scales = self._scales(terms)
+        bias, guard = target.bias, target.guard
+        zmask, zero, mmask = self._zmask, self._zero, self._mmask
+        groups: dict = {}
+        for key, c in terms.items():
+            if key & zmask != zero:
+                continue
+            te = bias
+            for s, off, step, cv in scales:
+                k = (key >> s & EXP_MASK) - off
+                if k:
+                    te += k * step
+                    if cv != 1:     # a unit when k < 0
+                        c *= cv ** abs(k)
+            if te & guard:
+                raise out_of_range(target)
+            g = key & mmask
+            group = groups.get(g)
+            if group is None:
+                group = groups[g] = {}
+            s = group.get(te, 0) + c
+            if s:
+                group[te] = s
+            else:
+                del group[te]
+        if not self._fields:
+            return MultiPoly._trusted(target, groups.get(0, {}))
+
+        # depth-first over the exponent vectors in lexicographic (int)
+        # order: stack[d] is the product of the first d factors of the
+        # previous vector
+        one = {bias: 1}
+        out: dict = {}
+        prev: list = []
+        stack = [one]
+        for g in sorted(groups):
+            group = groups[g]
+            if not group:
+                continue
+            vec = [(g >> s & EXP_MASK) - off for s, off in self._fields]
+            d = 0
+            while d < len(prev) and vec[d] == prev[d]:
+                d += 1
+            del stack[d + 1:]
+            for p in range(d, len(vec)):
+                k, base = vec[p], stack[-1]
+                if k:
+                    f = self._power(p, k)
+                    if base is not one:
+                        acc: dict = {}
+                        _mul_into(target, acc, base, f)
+                        f = acc
+                    base = f
+                stack.append(base)
+            prev = vec
+            _mul_into(target, out, group, stack[-1])
+        return MultiPoly._trusted(target, out)
 
 
 class TruncSeries:
@@ -768,7 +811,7 @@ class TruncSeries:
         while len(coeffs) < order + 1:
             coeffs.append(ring.zero())
         for c in coeffs:
-            if c.ring != ring:
+            if c.ring is not ring and c.ring != ring:
                 raise ContextError("series coefficient in wrong ring")
         self.ring = ring
         self.order = order

@@ -406,9 +406,35 @@ class TestAdamsImagesOracle:
     def test_waring_matches_recurrence(self, name):
         x = images_samples()[name]
         for k in range(1, 41):
-            got = lambdaring._adams_images(k, x)
-            assert got == recurrence_adams_images(k, x), (name, k)
-        assert set(x.gens) <= set(got)
+            want = recurrence_adams_images(k, x)
+            got = {n: lambdaring._adams_image(k, x.theory, x.gens, x.quotient,
+                                              n) for n in want}
+            assert got == want, (name, k)
+        assert set(x.gens) <= set(want)
+
+
+class TestAdamsMaps:
+    """psi^k maps are built once per (k, context, generators in use)."""
+
+    def test_second_battery_builds_no_map(self):
+        check_lambda_axioms()
+        misses = lambdaring._adams_map.cache_info().misses
+        check_lambda_axioms()
+        assert lambdaring._adams_map.cache_info().misses == misses
+
+    def test_unused_generators_unbound(self):
+        """psi^256 of a class that uses one of its n declared generators
+        builds the images of the twist, eps, tau and that generator, for
+        any n."""
+        def images_built(n):
+            gens = tuple("w%d" % i for i in range(n))
+            x = SymClass.gen("w0", gens=gens, quotient=True)
+            before = lambdaring._adams_image.cache_info().misses
+            assert adams(256, x).rank() == 2
+            return lambdaring._adams_image.cache_info().misses - before
+
+        images_built(1)     # also builds the base ring's images, once
+        assert images_built(21) == images_built(41) == 4
 
 
 class TestAdamsWellDefined:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwadams.polyring import (
-    ContextError, ExponentError, InvertibilityError, MultiPoly, Ring,
+    ContextError, ExponentError, InvertibilityError, MultiPoly, Ring, RingMap,
     SubstitutionError, TruncSeries,
 )
 
@@ -169,6 +169,10 @@ class TestJson:
         with pytest.raises(ValueError,
                            match="a polynomial document must be a JSON object"):
             MultiPoly.from_json(doc)
+
+    def test_one_ring_per_variable_list(self):
+        doc = (R6.var("x") * 3 - R6.var("a", -2) * R6.var("y")).to_json()
+        assert MultiPoly.from_json(doc).ring is MultiPoly.from_json(doc).ring
 
     def test_laurent_flag_boolean_only(self):
         def doc(laurent):
@@ -600,3 +604,51 @@ class TestSubstituteOracle:
             q = p * (src.var("a") - src.var("b"))
             assert q.substitute(bind, T) == termwise_substitute(q, bind, T)
             assert (p * (src.var("y") + 1)).substitute(bind, T).terms == {}
+
+
+class TestRingMap:
+    def test_one_map_many_polys(self):
+        """One map, applied to a shuffled sequence of polynomials (repeats
+        and growing and shrinking exponents among them), gives for each
+        what the oracle and a fresh substitution give, errors included,
+        and never hands out one of its power tables as a result."""
+        rng = random.Random(14)
+        seen: dict = {}
+        for it in range(240):
+            target = SUB_T if it % 3 else SUB_S
+            bind = {}
+            for name in SUB_S.names:
+                v = random_binding(rng, target, name)
+                if v is not None:
+                    bind[name] = v
+            try:
+                psi = RingMap(SUB_S, target, bind)
+            except ContextError:
+                assert outcome(termwise_substitute, SUB_S.one(), bind,
+                               target) is ContextError
+                continue
+            polys = [random_poly(rng, SUB_S, maxterms=6,
+                                 maxexp=rng.randint(1, 4)) for _ in range(8)]
+            polys += polys[:3]
+            rng.shuffle(polys)
+            for p in polys:
+                want = outcome(termwise_substitute, p, bind, target)
+                got = outcome(psi, p)
+                assert outcome(p.substitute, bind, target) == want
+                key = want if isinstance(want, type) else "poly"
+                seen[key] = seen.get(key, 0) + 1
+                if isinstance(want, type):
+                    assert got is want, (p, bind)
+                    continue
+                assert_clean(got)
+                assert got == want and got.ring == want.ring
+                tables = [t for table in psi._powers for t in table]
+                assert all(got.terms is not t for t in tables)
+        assert seen["poly"] > 300, seen
+        for exc in (ExponentError, SubstitutionError):
+            assert seen.get(exc, 0) > 100, seen
+
+    def test_source_ring_checked(self):
+        psi = RingMap(R2, R2, {"x": R2.var("y")})
+        with pytest.raises(ContextError):
+            psi(R6.var("x"))

@@ -4,14 +4,35 @@ fault, planted into the program through pytest's monkeypatch for one run
 of that suite.  The fault must turn at least one of the lemma's cells into
 `fail`, while the unplanted run has none."""
 
+import hashlib
+import sys
 from itertools import chain, count
 from math import isqrt
 
 import pytest
 
-from gwadams import borel, forms, polyring, symfunc
+from gwadams import borel, forms, lambdaring, polyring, symfunc
 from gwadams.gwring import GW, check_coefficient_identities
 from gwadams.lambdaring import check_lambda_axioms
+
+
+def clear_caches():
+    """Empty every functools.cache of the package's modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "gwadams" or name.startswith("gwadams."):
+            for obj in list(vars(module).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    """Each test starts and ends with empty caches: a warm cache could hide
+    a plant, and values cached under a plant (the psi maps, omega(n), the
+    universal polynomials) must not outlive it."""
+    clear_caches()
+    yield
+    clear_caches()
 
 
 def flip_hasse_at(place):
@@ -72,6 +93,20 @@ def wheel_without_6k_plus_1(mp):
     mp.setattr(forms, "_odd_primes", fault)
 
 
+def waring_p3_off(mp):
+    """p_3 = y^3 - 2*y*det instead of y^3 - 3*y*det.  The psi^3 image of
+    every rank-2 variable and the lambda-series folds read it; the psi maps
+    are cached, so the row also checks that they are built from _waring."""
+    waring = lambdaring._waring
+
+    def fault(ring, name, theory, k):
+        p = waring(ring, name, theory, k)
+        if k == 3:
+            p = p + ring.var(name) * ring.var(theory.twist, theory.det_power)
+        return p
+    mp.setattr(lambdaring, "_waring", fault)
+
+
 FAULTS = [
     # (lemma, suite, fault, plant: monkeypatch -> None)
     ("hilbert_product", forms.check_section2_and_hyp,
@@ -94,6 +129,8 @@ FAULTS = [
      "trial division skips 6k + 1 (lambda_22_n4)", wheel_without_6k_plus_1),
     ("RB", symfunc.check_appendix_b, "odd powers one product short (RB)",
      short_odd_power),
+    ("psi_comp", check_lambda_axioms, "p_3 = y^3 - 2y*det (psi_comp)",
+     waring_p3_off),
 ]
 
 
@@ -114,3 +151,17 @@ def test_lemma_passes_unplanted(lemma, suite):
 def test_fault_fails_lemma(lemma, suite, fault, plant, monkeypatch):
     plant(monkeypatch)
     assert failed_cells(suite, lemma) > 0
+
+
+def test_plant_then_verify_all(runner):
+    """A planted run fills the caches under its fault.  Once the plant is
+    undone and the caches are cleared, as between any two tests here,
+    `verify all` in the same process prints its pinned output."""
+    with pytest.MonkeyPatch.context() as mp:
+        short_odd_power(mp)
+        assert failed_cells(check_coefficient_identities, "omega_loc_odd") > 0
+    clear_caches()
+    out = runner("verify", "all")
+    assert out.exit_code == 0
+    assert hashlib.sha256(out.output.encode()).hexdigest() == (
+        "3d034ef28e340c336f47eb0f9defc3481657589e613f613abfb94c3b617c6e8b")
