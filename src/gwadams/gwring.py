@@ -146,15 +146,10 @@ class Theory:
 
 @cache
 def context_ring(theory: Theory, gens: tuple) -> Ring:
-    """theory.base_ring()[gens], one shared instance per context."""
+    """theory.base_ring()[gens].  Ring itself shares one instance per
+    variable list; the cache only spares SymClass, on its hot path,
+    rebuilding the list."""
     return Ring(list(theory.base) + [(g, False) for g in gens])
-
-
-@cache
-def _gens_ring(gens: tuple) -> Ring:
-    """The ring of the generators alone: its monomials are the generator
-    fields of a context ring's monomials."""
-    return Ring((g, False) for g in gens)
 
 
 @cache
@@ -277,7 +272,7 @@ class SymClass:
             raise ValueError("quotient mode (u - tau)^2 = 0 needs a rank-2 "
                              "base class; theory %s has none" % theory.name)
         ring = context_ring(theory, gens)
-        if poly.ring is not ring and poly.ring != ring:
+        if poly.ring is not ring:
             poly = poly.rename(ring)
         if theory.rank2:
             poly = normalize(poly, gens if quotient else ())
@@ -439,15 +434,16 @@ class SymClass:
 
     def split_terms(self) -> dict:
         """u_exps -> {base monomial: coefficient}: each monomial split into
-        its trailing generator fields, read as a tuple, and its base
-        fields, a monomial of the theory's base ring."""
+        its trailing generator fields, a monomial of the generators' ring
+        read as a tuple, and its base fields, a monomial of the theory's
+        base ring."""
         bits = FIELD_BITS * len(self.gens)
         low = (1 << bits) - 1
         groups: dict[int, dict] = {}
         for key, c in self.poly.terms.items():
             groups.setdefault(key & low, {})[key >> bits] = c
-        return dict(zip(_gens_ring(self.gens).unpack_all(groups),
-                        groups.values()))
+        gens_ring = Ring((g, False) for g in self.gens)
+        return dict(zip(gens_ring.unpack_all(groups), groups.values()))
 
     def to_obj(self) -> dict:
         write = self.theory.codec[0]

@@ -20,7 +20,7 @@ lambda-ring each psi^k is a ring endomorphism, so psi^k(x) is x with every
 generator replaced by its image: psi^k(twist) = twist^k, psi^k(eps) =
 -(-eps)^k, and for tau and each u_i the k-th power sum of the two roots of
 1 + y*t + det*t^2.  Each image, and each map (one per k, context and set
-of generators in use), is built once per process and cached.
+of variables in use), is built once per process and cached.
 """
 
 from __future__ import annotations
@@ -129,15 +129,12 @@ def _adams_image(k: int, theory, gens: tuple, quotient: bool,
 @cache
 def _adams_map(k: int, theory, gens: tuple, quotient: bool,
                used: tuple) -> RingMap:
-    """psi^k on the classes of a context whose terms use no generator
-    outside used: the twist, the line variable, the rank-2 base variables
-    and the generators in used go to their images, the other generators
+    """psi^k on the classes of a context whose terms use no variable
+    outside used: the variables in used go to their images, the others
     to themselves."""
     ring = context_ring(theory, gens)
-    names = ((theory.twist,) + ((theory.line,) if theory.line else ())
-             + theory.rank2 + used)
     return RingMap(ring, ring, {
-        name: _adams_image(k, theory, gens, quotient, name) for name in names})
+        name: _adams_image(k, theory, gens, quotient, name) for name in used})
 
 
 def adams(n: int, x: SymClass) -> SymClass:
@@ -152,7 +149,7 @@ def adams(n: int, x: SymClass) -> SymClass:
     if k == 0:
         return type(x).const(x.rank(), x.theory, x.gens, x.quotient)
     support = x.poly.support()
-    used = tuple(g for i, g in enumerate(x.gens, len(x.theory.base))
+    used = tuple(name for i, name in enumerate(x.poly.ring.names)
                  if i in support)
     psi = _adams_map(k, x.theory, x.gens, x.quotient, used)
     out = x._lift(psi(x.poly))

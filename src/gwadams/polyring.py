@@ -1,9 +1,12 @@
 """Exact sparse multivariate Laurent polynomial arithmetic over the integers.
 
 Polynomials live in a Ring context: an ordered tuple of named variables, each
-flagged as Laurent (negative exponents allowed) or not.  Terms are stored as a
-dict mapping packed monomials to nonzero integer coefficients.  The monomial
-order used everywhere is graded lexicographic by declared variable order.
+flagged as Laurent (negative exponents allowed) or not.  Ring keeps one
+instance per variable list, so two contexts are the same exactly when they
+are the same object, and every context check is an identity test.  Terms
+are stored as a dict mapping packed monomials to nonzero integer
+coefficients.  The monomial order used everywhere is graded lexicographic
+by declared variable order.
 
 A packed monomial is one int with a FIELD_BITS-bit field per variable, the
 first variable in the most significant field.  A field holds the exponent
@@ -39,7 +42,7 @@ from __future__ import annotations
 import json
 import operator
 import re
-from functools import cache, reduce
+from functools import reduce
 from itertools import repeat
 from struct import Struct, error as StructError
 from typing import Iterable, Mapping
@@ -114,29 +117,36 @@ def read_list(obj: dict, key: str, default=None) -> list:
     raise ValueError("%s must be a list" % key)
 
 
+_RINGS: dict = {}      # ((name, laurent), ...) -> its one Ring
+
+
 class Ring:
-    """Ordered variable context and its monomial layout.  Immutable;
-    equality by variable data.
+    """Ordered variable context and its monomial layout.  Immutable, and
+    one shared instance per variable list: Ring(variables) returns the
+    ring built for an equal list before, so rings compare and hash by
+    identity.
 
     shifts[i] and offsets[i] place variable i: its exponent e is stored as
     e + offsets[i] at bit shifts[i].  bias is the monomial 1 and guard the
     guard bytes of all fields."""
 
-    __slots__ = ("names", "laurent", "_index", "_hash", "shifts", "offsets",
+    __slots__ = ("names", "laurent", "_index", "shifts", "offsets",
                  "bias", "guard", "_struct")
 
-    def __init__(self, variables: Iterable[tuple[str, bool]]):
-        vs = tuple(variables)
-        names = tuple(name for name, _ in vs)
+    def __new__(cls, variables: Iterable[tuple[str, bool]]):
+        key = tuple((name, bool(l)) for name, l in variables)
+        self = _RINGS.get(key)
+        if self is not None:
+            return self
+        names = tuple(name for name, _ in key)
         if len(set(names)) != len(names):
             raise ContextError("duplicate variable names: %r" % (names,))
-        laurent = tuple(bool(l) for _, l in vs)
+        laurent = tuple(l for _, l in key)
         n = len(names)
         shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
         offsets = tuple(_LAURENT_OFFSET if l else 0 for l in laurent)
         fields = {"names": names, "laurent": laurent,
                   "_index": {name: i for i, name in enumerate(names)},
-                  "_hash": hash((names, laurent)),
                   "shifts": shifts, "offsets": offsets,
                   "bias": sum(o << s for o, s in zip(offsets, shifts)),
                   "guard": sum(_GUARD << s for s in shifts),
@@ -144,19 +154,14 @@ class Ring:
                   # once its offset bit is flipped
                   "_struct": Struct(">" + "".join("xi" if l else "xI"
                                                   for l in laurent))}
+        self = super().__new__(cls)
         for field, value in fields.items():
             object.__setattr__(self, field, value)
+        _RINGS[key] = self
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Ring is immutable")
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Ring) and self.names == other.names
-            and self.laurent == other.laurent)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "Ring(%s)" % ", ".join(
@@ -240,13 +245,6 @@ class Ring:
         return MultiPoly.from_exps(self, {tuple(e): int(coeff)})
 
 
-@cache
-def _document_ring(variables: tuple) -> Ring:
-    """The Ring of a (name, laurent) list read from a document, one shared
-    instance per list."""
-    return Ring(variables)
-
-
 class MultiPoly:
     """Sparse polynomial: dict of packed monomial -> nonzero int coefficient.
 
@@ -309,21 +307,17 @@ class MultiPoly:
         if isinstance(other, int):
             return self.is_const() and self.const_value() == other
         return (isinstance(other, MultiPoly)
-                and (self.ring is other.ring or self.ring == other.ring)
+                and self.ring is other.ring
                 and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    def _check_ring(self, other: "MultiPoly"):
-        if self.ring != other.ring:
-            raise ContextError("mixed ring contexts: %r vs %r"
-                               % (self.ring, other.ring))
-
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
             if other.ring is not self.ring:
-                self._check_ring(other)
+                raise ContextError("mixed ring contexts: %r vs %r"
+                                   % (self.ring, other.ring))
             return other
         if isinstance(other, int):
             return self.ring.const(other)
@@ -522,7 +516,7 @@ class MultiPoly:
                                  % json.dumps(v.get("name")))
             variables.append((v["name"], read_bool(v.get("laurent"),
                                                    "laurent")))
-        ring = _document_ring(tuple(variables))
+        ring = Ring(variables)
         terms: dict = {}
         for t in read_list(obj, "terms"):
             if not isinstance(t, dict):
@@ -603,8 +597,7 @@ def sum_of_products(ring: Ring, triples) -> MultiPoly:
     polynomials of the ring, accumulated into one term dict."""
     out: dict = {}
     for c, a, b in triples:
-        if (a.ring is not ring or b.ring is not ring) and (
-                a.ring != ring or b.ring != ring):
+        if a.ring is not ring or b.ring is not ring:
             raise ContextError("product of %r and %r outside %r"
                                % (a.ring, b.ring, ring))
         if c:
@@ -669,7 +662,7 @@ class RingMap:
             if v is None:
                 j = target.index(name)
                 mono.append((s, off, 1 << target.shifts[j], 1))
-            elif v.ring is not target and v.ring != target:
+            elif v.ring is not target:
                 raise ContextError("binding for %r not in target ring" % name)
             elif len(v.terms) == 1:
                 (key, c), = v.terms.items()
@@ -726,7 +719,7 @@ class RingMap:
         return table[k]
 
     def __call__(self, poly: MultiPoly) -> MultiPoly:
-        if poly.ring is not self.src and poly.ring != self.src:
+        if poly.ring is not self.src:
             raise ContextError("%r is not the source %r of the map"
                                % (poly.ring, self.src))
         target, terms = self.target, poly.terms
@@ -811,7 +804,7 @@ class TruncSeries:
         while len(coeffs) < order + 1:
             coeffs.append(ring.zero())
         for c in coeffs:
-            if c.ring is not ring and c.ring != ring:
+            if c.ring is not ring:
                 raise ContextError("series coefficient in wrong ring")
         self.ring = ring
         self.order = order
@@ -822,14 +815,14 @@ class TruncSeries:
         return TruncSeries(ring, order, [ring.one()])
 
     def __eq__(self, other):
-        return (isinstance(other, TruncSeries) and self.ring == other.ring
+        return (isinstance(other, TruncSeries) and self.ring is other.ring
                 and self.order == other.order and self.coeffs == other.coeffs)
 
     def __getitem__(self, n: int) -> MultiPoly:
         return self.coeffs[n]
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise ContextError("mixed ring contexts in series_mul")
         n = min(self.order, other.order)
         out = []

@@ -1,14 +1,13 @@
 import pytest
 
 from gwadams.borel import (
-    OmegaClass, TernaryLaw, borel_sum_classes, borel_triple_classes,
+    TernaryLaw, borel_sum_classes, borel_triple_classes,
     _TRIPLE_GENS, _triple_ring, _triple_via_R, check_borel_prop,
-    check_omega_laws, check_ternary, expected_laws, omega, omega_closed,
+    check_omega_laws, check_ternary, expected_laws, omega_closed,
     omega_recursive, ternary_laws, triple_product_closed,
 )
 from gwadams.gwring import GW, GWElem, SymClass, context_ring
 from gwadams.lambdaring import lambda_op
-from gwadams.polyring import GradingError
 
 
 def lambda_triple_product(i: int, cross_check: bool = True) -> SymClass:
@@ -27,11 +26,11 @@ def lambda_triple_product(i: int, cross_check: bool = True) -> SymClass:
 
 class TestOmega:
     def test_seed_values(self):
-        assert omega(0).value.is_zero()
-        assert omega(1).value == 1
-        assert omega(2).value == 2 * GWElem.tau()
-        assert omega(3).value.text() == "-6*eps*gamma + 3*gamma"
-        assert omega(4).value.text() == "8*tau*gamma"
+        assert omega_recursive(0).is_zero()
+        assert omega_recursive(1) == 1
+        assert omega_recursive(2) == 2 * GWElem.tau()
+        assert omega_recursive(3).text() == "-6*eps*gamma + 3*gamma"
+        assert omega_recursive(4).text() == "8*tau*gamma"
 
     def test_methods_agree(self):
         for n in range(0, 11):
@@ -39,12 +38,11 @@ class TestOmega:
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            omega(-1)
+            omega_recursive(-1)
 
     def test_degree_invariant(self):
-        assert omega(5).value.degree() == 8
-        with pytest.raises(GradingError):
-            OmegaClass(3, GWElem.tau())
+        for n in range(1, 13):
+            assert omega_recursive(n).degree() == 2 * n - 2
 
     def test_closed_odd_shape(self):
         # n=5: 5*(2h + <-1>^2)*gamma^2 = (15 - 10 eps) gamma^2

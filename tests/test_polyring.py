@@ -4,10 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gwadams import gwring
 from gwadams.polyring import (
     ContextError, ExponentError, InvertibilityError, MultiPoly, Ring, RingMap,
     SubstitutionError, TruncSeries,
 )
+from test_refutability import clear_caches
 
 R2 = Ring([("x", False), ("y", False)])
 R6 = Ring([("x", False), ("y", False), ("z", False),
@@ -62,6 +64,19 @@ class TestBasics:
     def test_context_error(self):
         with pytest.raises(ContextError):
             R2.var("x") + R6.var("x")
+
+    def test_one_ring_per_list(self):
+        """Ring(variables) is the one ring of its normalized list, however
+        it is reached: by the constructor, a document or a context, also
+        after every functools.cache of the package is cleared."""
+        assert Ring([("x", 1)]) is Ring([("x", True)])
+        doc = gwring.COEFF_RING.var("gamma", -1).to_json()
+        assert MultiPoly.from_json(doc).ring is gwring.COEFF_RING
+        clear_caches()
+        assert gwring.context_ring(gwring.GW, ()) is gwring.COEFF_RING
+        for _ in range(2):      # a bad list is refused, never stored
+            with pytest.raises(ContextError, match="duplicate"):
+                Ring([("x", False), ("x", True)])
 
 
 class TestSubstitute:

@@ -5,7 +5,9 @@ are unhashable."""
 import pytest
 
 from gwadams import __version__
-from gwadams.borel import OmegaClass, TernaryLaw, ternary_laws
+from gwadams.borel import (
+    OmegaClass, TernaryLaw, omega, omega_recursive, ternary_laws,
+)
 from gwadams.forms import GWQInvariants
 from gwadams.gwring import GW, GWElem, Theory
 from gwadams.report import ReportEntry, VerificationReport, check
@@ -48,9 +50,12 @@ def test_defaults():
 
 
 def test_omega_degree_check():
+    """omega(n) is defined for n >= 0 only; its degree law, 2n - 2, is
+    checked in test_borel."""
     with pytest.raises(ValueError):
-        OmegaClass(-1, GWElem.from_int(0))
-    assert OmegaClass(5, GWElem.from_int(0)).value.is_zero()
+        omega_recursive(-1)
+    with pytest.raises(ValueError):
+        omega(-1)
 
 
 def test_theory_identity():
