@@ -42,11 +42,12 @@ FORMATS = ("text", "latex", "json")
 # 0.07-0.09 s, most of it process start and import
 ADAMS_MAX = 256
 # `adams n` takes |n|*e <= ADAMS_MAX for each generator in the target, e its
-# largest exponent (u^128 at n = 2 and u^16 at n = 16 take 0.13-0.14 s,
-# u^3000 at n = 2 would take 16 s), and a product of these at most
-# ADAMS_SIZE_MAX, as the output grows like it: u1*u2*u3 at n = 64 takes
-# 0.3-0.5 s (2 MB out, two thirds of it rendering), at n = 128 3.2-3.6 s in
-# process (23 MB out)
+# largest exponent (u^128 at n = 2 and u^16 at n = 16 take 0.047-0.053 s
+# cold on a 2-vCPU machine where `python -c pass` takes 0.04 s and the
+# import 0.045 s; u^3000 at n = 2 would take 9 s in process), and a
+# product of these at most ADAMS_SIZE_MAX, as the output grows like it:
+# u1*u2*u3 at n = 64 takes 0.3-0.5 s (2 MB out, two thirds of it
+# rendering), at n = 128 3.2-3.6 s in process (23 MB out)
 ADAMS_SIZE_MAX = 64 ** 3
 # n in `omega n` and `omega --table n`: `omega --table 96` takes
 # 0.09-0.12 s

@@ -30,11 +30,11 @@ monomial.  Results of ring operations and the Ring's constants and
 variables are valid by construction and skip validation
 (MultiPoly._trusted); every product goes through one multiply-accumulate
 kernel, _mul_into, which sum_of_products also uses to accumulate a sum of
-products in place, and RingMap, behind substitute, to multiply out its
-multi-term bindings.
-Every power, of a MultiPoly or of a TruncSeries (a negative one through its
-inverse), is one square-and-multiply loop, _power.  Text and LaTeX are
-written by one term writer, MultiPoly._render.
+products in place, and RingMap, behind substitute, to multiply each group
+of terms by the powers of its multi-term bindings.
+Every power, of a MultiPoly (so of such a binding) or of a TruncSeries (a
+negative one through its inverse), is one square-and-multiply loop,
+_power.  Text and LaTeX are written by one term writer, MultiPoly._render.
 """
 
 from __future__ import annotations
@@ -640,22 +640,21 @@ class RingMap:
     single-term image adds a multiple of its exponent vector to the
     monomial and scales the coefficient.  Only the multi-term bindings are
     multiplied out: once per distinct exponent vector on their variables,
-    sharing the products over common prefixes of those vectors.  Their
-    power tables persist between applications, and no result shares a
-    term dict with them.
+    each power raised by _power once per application.  A map holds no
+    state after it is built.
 
     A Laurent variable of src whose image cannot take a negative exponent
     raises its error at the first term that carries one, unbound variables
     before bound ones."""
 
     __slots__ = ("src", "target", "_mono", "_bad", "_zmask", "_zero",
-                 "_mmask", "_fields", "_powers")
+                 "_mmask", "_multi")
 
     def __init__(self, src: Ring, target: Ring,
                  bindings: Mapping[str, MultiPoly]):
         zmask = zero = 0    # the fields of the variables bound to 0, at 0
         mono = []           # (shift, offset, image monomial less 1, coeff)
-        multi = []          # (index, binding terms)
+        multi = []          # (shift, offset, binding)
         bad = []            # ((bound, index), error type, message)
         for i, name in enumerate(src.names):
             s, off, v = src.shifts[i], src.offsets[i], bindings.get(name)
@@ -668,7 +667,7 @@ class RingMap:
                 (key, c), = v.terms.items()
                 mono.append((s, off, key - target.bias, c))
             elif v.terms:
-                multi.append((i, v.terms))
+                multi.append((s, off, v))
             else:
                 zmask |= EXP_MASK << s
                 zero |= off << s
@@ -682,10 +681,8 @@ class RingMap:
         self._bad = [(src.shifts[i] + 31, exc, msg)
                      for (_, i), exc, msg in sorted(bad)]
         self._zmask, self._zero = zmask, zero
-        self._mmask = sum(EXP_MASK << src.shifts[i] for i, _ in multi)
-        self._fields = [(src.shifts[i], src.offsets[i]) for i, _ in multi]
-        # powers of each multi-term binding, grown one factor at a time
-        self._powers = [[{target.bias: 1}, v] for _, v in multi]
+        self._mmask = sum(EXP_MASK << s for s, _, _ in multi)
+        self._multi = multi
 
     def _scales(self, terms: dict) -> list:
         """(shift, offset, step, coeff) for each single-term image whose
@@ -708,15 +705,6 @@ class RingMap:
         if max(bound, default=0) >> FIELD_BITS - 2:
             raise out_of_range(target)
         return out
-
-    def _power(self, p: int, k: int) -> dict:
-        """The terms of the k-th power of multi-term binding p."""
-        table = self._powers[p]
-        while len(table) <= k:
-            nxt: dict = {}
-            _mul_into(self.target, nxt, table[-1], table[1])
-            table.append(nxt)
-        return table[k]
 
     def __call__(self, poly: MultiPoly) -> MultiPoly:
         if poly.ring is not self.src:
@@ -758,37 +746,26 @@ class RingMap:
                 group[te] = s
             else:
                 del group[te]
-        if not self._fields:
+        if not self._multi:
             return MultiPoly._trusted(target, groups.get(0, {}))
 
-        # depth-first over the exponent vectors in lexicographic (int)
-        # order: stack[d] is the product of the first d factors of the
-        # previous vector
-        one = {bias: 1}
+        # each group times the product of its bindings' powers; powers[p]
+        # maps k to binding p ** k, computed once per call
+        powers: list = [{} for _ in self._multi]
         out: dict = {}
-        prev: list = []
-        stack = [one]
-        for g in sorted(groups):
-            group = groups[g]
+        for g, group in groups.items():
             if not group:
                 continue
-            vec = [(g >> s & EXP_MASK) - off for s, off in self._fields]
-            d = 0
-            while d < len(prev) and vec[d] == prev[d]:
-                d += 1
-            del stack[d + 1:]
-            for p in range(d, len(vec)):
-                k, base = vec[p], stack[-1]
+            factor = None
+            for (s, off, v), memo in zip(self._multi, powers):
+                k = (g >> s & EXP_MASK) - off
                 if k:
-                    f = self._power(p, k)
-                    if base is not one:
-                        acc: dict = {}
-                        _mul_into(target, acc, base, f)
-                        f = acc
-                    base = f
-                stack.append(base)
-            prev = vec
-            _mul_into(target, out, group, stack[-1])
+                    f = memo.get(k)
+                    if f is None:
+                        f = memo[k] = v ** k
+                    factor = f if factor is None else factor * f
+            _mul_into(target, out, group,
+                      {bias: 1} if factor is None else factor.terms)
         return MultiPoly._trusted(target, out)
 
 

@@ -1,10 +1,12 @@
+import copy
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwadams import gwring
+from gwadams import gwring, polyring
 from gwadams.polyring import (
     ContextError, ExponentError, InvertibilityError, MultiPoly, Ring, RingMap,
     SubstitutionError, TruncSeries,
@@ -626,7 +628,7 @@ class TestRingMap:
         """One map, applied to a shuffled sequence of polynomials (repeats
         and growing and shrinking exponents among them), gives for each
         what the oracle and a fresh substitution give, errors included,
-        and never hands out one of its power tables as a result."""
+        and never hands out the term dict of a binding as a result."""
         rng = random.Random(14)
         seen: dict = {}
         for it in range(240):
@@ -657,11 +659,50 @@ class TestRingMap:
                     continue
                 assert_clean(got)
                 assert got == want and got.ring == want.ring
-                tables = [t for table in psi._powers for t in table]
-                assert all(got.terms is not t for t in tables)
+                assert all(got.terms is not v.terms for v in bind.values())
         assert seen["poly"] > 300, seen
         for exc in (ExponentError, SubstitutionError):
             assert seen.get(exc, 0) > 100, seen
+
+    def test_application_leaves_map_unchanged(self):
+        """A map with multi-term bindings, applied to a shuffled sequence
+        of polynomials (repeats among them), gives what the oracle gives
+        and changes none of its slots: it holds no state after it is
+        built."""
+        rng = random.Random(15)
+        x, g, d, s = (SUB_T.var(n) for n in ("x", "g", "d", "s"))
+        bind = {"x": x + s ** 2, "y": 1 - 2 * d + g * SUB_T.var("h", -1),
+                "z": x * d + 3, "g": SUB_T.var("k", -1)}
+        psi = RingMap(SUB_S, SUB_T, bind)
+        rings = {id(r): r for r in (SUB_S, SUB_T)}   # copied by identity
+        before = {slot: copy.deepcopy(getattr(psi, slot), dict(rings))
+                  for slot in RingMap.__slots__}
+        polys = [random_poly(rng, SUB_S, maxterms=6, maxexp=4)
+                 for _ in range(12)]
+        polys += polys[:4]
+        rng.shuffle(polys)
+        for p in polys:
+            assert psi(p) == termwise_substitute(p, bind, SUB_T)
+        assert {slot: getattr(psi, slot)
+                for slot in RingMap.__slots__} == before
+
+    def test_binding_power_by_squaring(self, monkeypatch):
+        """x -> x + y applied to x^128 raises the binding to its power by
+        repeated squaring: a few products, not one per factor."""
+        x, y = R2.var("x"), R2.var("y")
+        p = x ** 128
+        calls = []
+        mul_into = polyring._mul_into
+
+        def counted(*args):
+            calls.append(args)
+            mul_into(*args)
+
+        monkeypatch.setattr(polyring, "_mul_into", counted)
+        got = RingMap(R2, R2, {"x": x + y})(p)
+        assert len(calls) <= 16, len(calls)
+        assert got == MultiPoly.from_exps(
+            R2, {(k, 128 - k): math.comb(128, k) for k in range(129)})
 
     def test_source_ring_checked(self):
         psi = RingMap(R2, R2, {"x": R2.var("y")})
