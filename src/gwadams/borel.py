@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import gwring, symfunc
 from .gwring import GW, KTH, THEORIES, GWElem, SymClass, context_ring
 from .lambdaring import adams, lambda_series
-from .polyring import GradingError, MultiPoly, Ring, RingMap, signed_join
+from .polyring import GradingError, MultiPoly, Ring, signed_join
 from .report import Template, VerificationReport, check
 
 
@@ -335,9 +335,8 @@ def _gw_values() -> tuple:
     b = borel_triple_classes()
     vring = context_ring(GW, _LAW_GENS)
     tau = vring.var("tau")
-    to_v = RingMap(_triple_ring(), vring, {
-        "u%d" % j: vring.var("v%d" % j) + tau for j in (1, 2, 3)})
-    return tuple(SymClass(to_v(b[i].poly), GW, _LAW_GENS)
+    to_v = {"u%d" % j: vring.var("v%d" % j) + tau for j in (1, 2, 3)}
+    return tuple(SymClass(b[i].poly.substitute(to_v, vring), GW, _LAW_GENS)
                  for i in range(1, 5))
 
 
@@ -453,14 +452,14 @@ def check_ternary() -> VerificationReport:
     perms = sorted(permutations(_LAW_GENS))
     for theory in (GW, KTH):
         ring = context_ring(theory, _LAW_GENS)
-        swaps = [RingMap(ring, ring, {g: ring.var(p)
-                                      for g, p in zip(_LAW_GENS, perm)})
+        swaps = [{g: ring.var(p) for g, p in zip(_LAW_GENS, perm)}
                  for perm in perms]
         for law in ternary_laws(theory.name):
+            poly = law.value.poly
             for perm, swap in zip(perms, swaps):
                 rep.add(check("F_symmetric", (law.theory, law.index,
                                               "".join(p[-1] for p in perm)),
-                              swap(law.value.poly) == law.value.poly))
+                              poly.substitute(swap, ring) == poly))
             deg = law.value.degree()
             rep.add(check("F_degree", (law.theory, law.index),
                           deg == 2 * law.index, str(deg), str(2 * law.index)))

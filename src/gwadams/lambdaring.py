@@ -19,8 +19,9 @@ Adams operations do not go through the lambda-series.  In a special
 lambda-ring each psi^k is a ring endomorphism, so psi^k(x) is x with every
 generator replaced by its image: psi^k(twist) = twist^k, psi^k(eps) =
 -(-eps)^k, and for tau and each u_i the k-th power sum of the two roots of
-1 + y*t + det*t^2.  Each image, and each map (one per k, context and set
-of variables in use), is built once per process and cached.
+1 + y*t + det*t^2.  Each image is built once per k and context and
+cached; psi^k(x) substitutes the images of the variables x uses, in one
+MultiPoly.substitute.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import comb
 from . import symfunc
 from .gwring import KTH, GWElem, SymClass, context_ring
 from .polyring import (
-    GradingError, MultiPoly, Ring, RingMap, TruncSeries, sum_of_products,
+    GradingError, MultiPoly, Ring, TruncSeries, sum_of_products,
 )
 from .report import (
     MISMATCH, PASS, ReportEntry, Template, VerificationReport, check,
@@ -111,12 +112,9 @@ def _adams_image(k: int, theory, gens: tuple, quotient: bool,
                  name: str) -> MultiPoly:
     """psi^k of the variable name of context_ring(theory, gens), in the
     normal form of that context: twist^k for the twist, -(-eps)^k for the
-    line variable eps, and p_k (_waring) for a rank-2 variable."""
+    line variable eps, and p_k (_waring) for a rank-2 variable.  Built once
+    per context, base variables included."""
     ring = context_ring(theory, gens)
-    if gens and name not in gens:
-        # a base variable's image uses no generator: build it in the base
-        # ring, whose monomials are short ints, once for every context
-        return _adams_image(k, theory, (), False, name).rename(ring)
     if name == theory.twist:
         image = ring.var(name, k)
     elif name == theory.line:
@@ -126,33 +124,22 @@ def _adams_image(k: int, theory, gens: tuple, quotient: bool,
     return SymClass(image, theory, gens, quotient).poly
 
 
-@cache
-def _adams_map(k: int, theory, gens: tuple, quotient: bool,
-               used: tuple) -> RingMap:
-    """psi^k on the classes of a context whose terms use no variable
-    outside used: the variables in used go to their images, the others
-    to themselves."""
-    ring = context_ring(theory, gens)
-    return RingMap(ring, ring, {
-        name: _adams_image(k, theory, gens, quotient, name) for name in used})
-
-
 def adams(n: int, x: SymClass) -> SymClass:
-    """psi^n, a ring endomorphism: x with each generator replaced by its
-    image under psi^n (see the module docstring).  Negative n is the
-    duality extension: psi^n = psi^{-n} in degrees 0 mod 4, -psi^{-n} in
-    degrees 2 mod 4."""
+    """psi^n, a ring endomorphism: x with each variable in its support
+    replaced by its image under psi^n (_adams_image, see the module
+    docstring), in one MultiPoly.substitute.  Negative n is the duality
+    extension: psi^n = psi^{-n} in degrees 0 mod 4, -psi^{-n} in degrees
+    2 mod 4."""
     d = x.degree()
     if d is None:
         raise GradingError("adams requires homogeneous input: %s" % x)
     k = abs(n)
     if k == 0:
         return type(x).const(x.rank(), x.theory, x.gens, x.quotient)
-    support = x.poly.support()
-    used = tuple(name for i, name in enumerate(x.poly.ring.names)
-                 if i in support)
-    psi = _adams_map(k, x.theory, x.gens, x.quotient, used)
-    out = x._lift(psi(x.poly))
+    ring, support = x.poly.ring, x.poly.support()
+    images = {name: _adams_image(k, x.theory, x.gens, x.quotient, name)
+              for i, name in enumerate(ring.names) if i in support}
+    out = x._lift(x.poly.substitute(images, ring))
     return -out if n < 0 and d % 4 == 2 else out
 
 

@@ -30,8 +30,9 @@ monomial.  Results of ring operations and the Ring's constants and
 variables are valid by construction and skip validation
 (MultiPoly._trusted); every product goes through one multiply-accumulate
 kernel, _mul_into, which sum_of_products also uses to accumulate a sum of
-products in place, and RingMap, behind substitute, to multiply each group
-of terms by the powers of its multi-term bindings.
+products in place, and MultiPoly.substitute, the one substitution kernel
+(renames, the maps between theories and psi^k all go through it), to
+multiply each group of terms by the powers of its multi-term bindings.
 Every power, of a MultiPoly (so of such a binding) or of a TruncSeries (a
 negative one through its inverse), is one square-and-multiply loop,
 _power.  Text and LaTeX are written by one term writer, MultiPoly._render.
@@ -419,10 +420,101 @@ class MultiPoly:
         Bound variables are replaced by the given polynomials (all in the
         target ring); unbound variables must exist in the target ring by name.
         A variable carrying a negative exponent may only be bound to a unit
-        monomial (single term, coefficient ±1, Laurent-variable support).
-        A map applied to many polynomials is built once as a RingMap.
+        monomial (single term, coefficient ±1, Laurent-variable support):
+        else its error is raised at the first term that carries one,
+        unbound variables before bound ones.
+
+        A zero binding drops every term that uses its variable.  An unbound
+        variable is the single-term image of itself in the target, and a
+        single-term image adds a multiple of its exponent vector to the
+        monomial and scales the coefficient.  Only the multi-term bindings
+        are multiplied out: once per distinct exponent vector on their
+        variables, each power raised by _power once.
         """
-        return RingMap(self.ring, target, bindings)(self)
+        src, terms = self.ring, self.terms
+        zmask = zero = 0    # the fields of the variables bound to 0, at 0
+        mmask = 0           # the fields of the multi-term bindings' variables
+        mono = []           # (shift, offset, image monomial less 1, coeff)
+        multi = []          # (shift, offset, binding)
+        bad = []            # ((bound, index), error type, message)
+        for i, name in enumerate(src.names):
+            s, off, v = src.shifts[i], src.offsets[i], bindings.get(name)
+            if v is None:
+                j = target.index(name)
+                mono.append((s, off, 1 << target.shifts[j], 1))
+            elif v.ring is not target:
+                raise ContextError("binding for %r not in target ring" % name)
+            elif len(v.terms) == 1:
+                (key, c), = v.terms.items()
+                mono.append((s, off, key - target.bias, c))
+            elif v.terms:
+                multi.append((s, off, v))
+                mmask |= EXP_MASK << s
+            else:
+                zmask |= EXP_MASK << s
+                zero |= off << s
+            if src.laurent[i]:  # only these have negative exponents
+                err = _negative_exponent_error(name, v, target)
+                if err:
+                    bad.append(((v is not None, i), *err))
+        if not terms:
+            return target.zero()
+        if bad:
+            # a Laurent exponent is negative where its field's top bit is clear
+            bad = [(src.shifts[i] + 31, exc, msg)
+                   for (_, i), exc, msg in sorted(bad)]
+            for key in terms:
+                for bit, exc, msg in bad:
+                    if not key >> bit & 1:
+                        raise exc(msg)
+
+        # each term's monomial image, grouped by its exponents on the
+        # multi-term bindings' variables
+        scales = _scales(mono, terms, target)
+        bias, guard = target.bias, target.guard
+        groups: dict = {}
+        for key, c in terms.items():
+            if key & zmask != zero:
+                continue
+            te = bias
+            for s, off, step, cv in scales:
+                k = (key >> s & EXP_MASK) - off
+                if k:
+                    te += k * step
+                    if cv != 1:     # a unit when k < 0
+                        c *= cv ** abs(k)
+            if te & guard:
+                raise out_of_range(target)
+            g = key & mmask
+            group = groups.get(g)
+            if group is None:
+                group = groups[g] = {}
+            s = group.get(te, 0) + c
+            if s:
+                group[te] = s
+            else:
+                del group[te]
+        if not multi:
+            return MultiPoly._trusted(target, groups.get(0, {}))
+
+        # each group times the product of its bindings' powers; powers[p]
+        # maps k to binding p ** k
+        powers: list = [{} for _ in multi]
+        out: dict = {}
+        for g, group in groups.items():
+            if not group:
+                continue
+            factor = None
+            for (s, off, v), memo in zip(multi, powers):
+                k = (g >> s & EXP_MASK) - off
+                if k:
+                    f = memo.get(k)
+                    if f is None:
+                        f = memo[k] = v ** k
+                    factor = f if factor is None else factor * f
+            _mul_into(target, out, group,
+                      {bias: 1} if factor is None else factor.terms)
+        return MultiPoly._trusted(target, out)
 
     def rename(self, target: Ring,
                mapping: Mapping[str, str] | None = None) -> "MultiPoly":
@@ -631,142 +723,25 @@ def _negative_exponent_error(name: str, v: MultiPoly | None,
     return None
 
 
-class RingMap:
-    """The evaluation homomorphism of MultiPoly.substitute from src to
-    target, built once and applied to any number of polynomials of src.
-
-    A zero binding drops every term that uses its variable.  An unbound
-    variable is the single-term image of itself in the target, and a
-    single-term image adds a multiple of its exponent vector to the
-    monomial and scales the coefficient.  Only the multi-term bindings are
-    multiplied out: once per distinct exponent vector on their variables,
-    each power raised by _power once per application.  A map holds no
-    state after it is built.
-
-    A Laurent variable of src whose image cannot take a negative exponent
-    raises its error at the first term that carries one, unbound variables
-    before bound ones."""
-
-    __slots__ = ("src", "target", "_mono", "_bad", "_zmask", "_zero",
-                 "_mmask", "_multi")
-
-    def __init__(self, src: Ring, target: Ring,
-                 bindings: Mapping[str, MultiPoly]):
-        zmask = zero = 0    # the fields of the variables bound to 0, at 0
-        mono = []           # (shift, offset, image monomial less 1, coeff)
-        multi = []          # (shift, offset, binding)
-        bad = []            # ((bound, index), error type, message)
-        for i, name in enumerate(src.names):
-            s, off, v = src.shifts[i], src.offsets[i], bindings.get(name)
-            if v is None:
-                j = target.index(name)
-                mono.append((s, off, 1 << target.shifts[j], 1))
-            elif v.ring is not target:
-                raise ContextError("binding for %r not in target ring" % name)
-            elif len(v.terms) == 1:
-                (key, c), = v.terms.items()
-                mono.append((s, off, key - target.bias, c))
-            elif v.terms:
-                multi.append((s, off, v))
-            else:
-                zmask |= EXP_MASK << s
-                zero |= off << s
-            if src.laurent[i]:  # only these have negative exponents
-                err = _negative_exponent_error(name, v, target)
-                if err:
-                    bad.append(((v is not None, i), *err))
-        self.src, self.target = src, target
-        self._mono = mono
-        # a Laurent exponent is negative where its field's top bit is clear
-        self._bad = [(src.shifts[i] + 31, exc, msg)
-                     for (_, i), exc, msg in sorted(bad)]
-        self._zmask, self._zero = zmask, zero
-        self._mmask = sum(EXP_MASK << s for s, _, _ in multi)
-        self._multi = multi
-
-    def _scales(self, terms: dict) -> list:
-        """(shift, offset, step, coeff) for each single-term image whose
-        variable occurs in some term: a term with exponent k on that
-        variable gains k * step and the factor coeff ** |k|.  The OR and
-        the AND of the terms show which variables occur and bound each
-        field, so each |k|, so each image exponent; where that bound could
-        leave the window in which the guard test is exact,
-        ExponentError."""
-        target = self.target
-        hi = reduce(operator.or_, terms)
-        lo = reduce(operator.and_, terms)
-        out, bound = [], [0] * target.nvars
-        for s, off, step, c in self._mono:
-            k = max((hi >> s & EXP_MASK) - off, off - (lo >> s & EXP_MASK))
-            if k:
-                out.append((s, off, step, c))
-                for j, x in enumerate(target.unpack(step + target.bias)):
-                    bound[j] += k * abs(x)
-        if max(bound, default=0) >> FIELD_BITS - 2:
-            raise out_of_range(target)
-        return out
-
-    def __call__(self, poly: MultiPoly) -> MultiPoly:
-        if poly.ring is not self.src:
-            raise ContextError("%r is not the source %r of the map"
-                               % (poly.ring, self.src))
-        target, terms = self.target, poly.terms
-        if not terms:
-            return target.zero()
-        if self._bad:
-            for key in terms:
-                for bit, exc, msg in self._bad:
-                    if not key >> bit & 1:
-                        raise exc(msg)
-
-        # each term's monomial image, grouped by its exponents on the
-        # multi-term bindings' variables
-        scales = self._scales(terms)
-        bias, guard = target.bias, target.guard
-        zmask, zero, mmask = self._zmask, self._zero, self._mmask
-        groups: dict = {}
-        for key, c in terms.items():
-            if key & zmask != zero:
-                continue
-            te = bias
-            for s, off, step, cv in scales:
-                k = (key >> s & EXP_MASK) - off
-                if k:
-                    te += k * step
-                    if cv != 1:     # a unit when k < 0
-                        c *= cv ** abs(k)
-            if te & guard:
-                raise out_of_range(target)
-            g = key & mmask
-            group = groups.get(g)
-            if group is None:
-                group = groups[g] = {}
-            s = group.get(te, 0) + c
-            if s:
-                group[te] = s
-            else:
-                del group[te]
-        if not self._multi:
-            return MultiPoly._trusted(target, groups.get(0, {}))
-
-        # each group times the product of its bindings' powers; powers[p]
-        # maps k to binding p ** k, computed once per call
-        powers: list = [{} for _ in self._multi]
-        out: dict = {}
-        for g, group in groups.items():
-            if not group:
-                continue
-            factor = None
-            for (s, off, v), memo in zip(self._multi, powers):
-                k = (g >> s & EXP_MASK) - off
-                if k:
-                    f = memo.get(k)
-                    if f is None:
-                        f = memo[k] = v ** k
-                    factor = f if factor is None else factor * f
-            _mul_into(target, out, group,
-                      {bias: 1} if factor is None else factor.terms)
-        return MultiPoly._trusted(target, out)
+def _scales(mono: list, terms: dict, target: Ring) -> list:
+    """(shift, offset, step, coeff) for each single-term image in mono whose
+    variable occurs in some of the terms: a term with exponent k on that
+    variable gains k * step and the factor coeff ** |k|.  The OR and the
+    AND of the terms show which variables occur and bound each field, so
+    each |k|, so each image exponent; where that bound could leave the
+    window in which the guard test is exact, ExponentError."""
+    hi = reduce(operator.or_, terms)
+    lo = reduce(operator.and_, terms)
+    out, bound = [], [0] * target.nvars
+    for s, off, step, c in mono:
+        k = max((hi >> s & EXP_MASK) - off, off - (lo >> s & EXP_MASK))
+        if k:
+            out.append((s, off, step, c))
+            for j, x in enumerate(target.unpack(step + target.bias)):
+                bound[j] += k * abs(x)
+    if max(bound, default=0) >> FIELD_BITS - 2:
+        raise out_of_range(target)
+    return out
 
 
 class TruncSeries:

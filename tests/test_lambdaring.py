@@ -414,26 +414,24 @@ class TestAdamsImagesOracle:
 
 
 class TestAdamsMaps:
-    """psi^k maps are built once per (k, context, generators in use)."""
-
-    def test_second_battery_builds_no_map(self):
-        check_lambda_axioms()
-        misses = lambdaring._adams_map.cache_info().misses
-        check_lambda_axioms()
-        assert lambdaring._adams_map.cache_info().misses == misses
+    """psi^k binds only the variables a class uses."""
 
     def test_unused_generators_unbound(self):
-        """psi^256 of a class that uses one of its n declared generators
-        builds the image of that generator alone, for any n: the map binds
-        only the variables the class uses."""
-        def images_built(n):
+        """psi^256 of a class that uses one of its n declared generators, or
+        of tau, builds the image of that variable alone, for any n: the
+        substitution binds only the variables the class uses, and a base
+        variable's image is built in its own context."""
+        def images_built(n, name):
             gens = tuple("w%d" % i for i in range(n))
-            x = SymClass.gen("w0", gens=gens, quotient=True)
+            x = (SymClass.gen(name, gens=gens, quotient=True) if name in gens
+                 else SymClass.from_gw(GWElem.tau(), gens=gens, quotient=True))
             before = lambdaring._adams_image.cache_info().misses
             assert adams(256, x).rank() == 2
             return lambdaring._adams_image.cache_info().misses - before
 
-        assert images_built(1) == images_built(21) == images_built(41) == 1
+        lambdaring._adams_image.cache_clear()
+        for name in ("w0", "tau"):
+            assert [images_built(n, name) for n in (1, 21, 41)] == [1, 1, 1]
 
 
 class TestAdamsWellDefined:

@@ -12,7 +12,9 @@ from math import isqrt
 import pytest
 
 from gwadams import borel, forms, lambdaring, polyring, symfunc
-from gwadams.gwring import GW, check_coefficient_identities
+from gwadams.gwring import (
+    GW, SymClass, check_coefficient_identities, context_ring,
+)
 from gwadams.lambdaring import check_lambda_axioms
 
 
@@ -28,8 +30,8 @@ def clear_caches():
 @pytest.fixture(autouse=True)
 def fresh_caches():
     """Each test starts and ends with empty caches: a warm cache could hide
-    a plant, and values cached under a plant (the psi maps, omega(n), the
-    universal polynomials) must not outlive it."""
+    a plant, and values cached under a plant (the psi images, omega(n),
+    the universal polynomials) must not outlive it."""
     clear_caches()
     yield
     clear_caches()
@@ -93,10 +95,24 @@ def wheel_without_6k_plus_1(mp):
     mp.setattr(forms, "_odd_primes", fault)
 
 
+def psi_gen_power(mp):
+    """psi^k(u) := u^k on each generator u, in place of the power sum p_k
+    of its roots; the images of the base variables stay right."""
+    image = lambdaring._adams_image
+
+    def fault(k, theory, gens, quotient, name):
+        if name not in gens:
+            return image(k, theory, gens, quotient, name)
+        ring = context_ring(theory, gens)
+        return SymClass(ring.var(name, k), theory, gens, quotient).poly
+    mp.setattr(lambdaring, "_adams_image", fault)
+
+
 def waring_p3_off(mp):
     """p_3 = y^3 - 2*y*det instead of y^3 - 3*y*det.  The psi^3 image of
-    every rank-2 variable and the lambda-series folds read it; the psi maps
-    are cached, so the row also checks that they are built from _waring."""
+    every rank-2 variable and the lambda-series folds read it; the psi
+    images are cached, so the row also checks that they are built from
+    _waring."""
     waring = lambdaring._waring
 
     def fault(ring, name, theory, k):
@@ -131,6 +147,10 @@ FAULTS = [
      short_odd_power),
     ("psi_comp", check_lambda_axioms, "p_3 = y^3 - 2y*det (psi_comp)",
      waring_p3_off),
+    ("psi_rank", check_lambda_axioms, "psi^k(u) = u^k (psi_rank)",
+     psi_gen_power),
+    ("omega_quotient", borel.check_omega_laws,
+     "psi^k(u) = u^k (omega_quotient)", psi_gen_power),
 ]
 
 
