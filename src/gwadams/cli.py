@@ -2,22 +2,20 @@
 verification suites.
 
 Exit codes: 0 all checks pass (documented mismatches allowed), 1 at least
-one failure, 2 usage or parse error.  Stdout is deterministic for a fixed
-invocation; the timestamp, the per-suite elapsed_s and the per-lemma
+one failure, 2 usage, parse or output error.  Stdout is deterministic for a
+fixed invocation; the timestamp, the per-suite elapsed_s and the per-lemma
 lemma_elapsed_s times appear only in --json report files and are suppressed
 by --no-timestamp.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from math import comb
 
-from . import __version__
 from .borel import (
     check_borel_prop, check_omega_laws, check_ternary, omega, ternary_laws,
 )
@@ -36,18 +34,17 @@ from .symfunc import (
 FORMATS = ("text", "latex", "json")
 
 # input bounds: each call at the bound finishes in about a second (cold
-# process, 2 vCPU, Python 3.11, where `python -c pass` takes 0.05-0.07 s and
-# `python -c "import gwadams.cli"` 0.06-0.08 s; dense seeded forms)
+# process, 2 vCPU, Python 3.11, where `python -c pass` takes 0.03-0.04 s and
+# `python -c "import gwadams.cli"` 0.035-0.045 s; dense seeded forms)
 # |n| in `adams n`: `adams 256 --target u` and `--target u-tau` take
-# 0.07-0.09 s, most of it process start and import
+# 0.037-0.045 s, nearly all of it process start and import
 ADAMS_MAX = 256
 # `adams n` takes |n|*e <= ADAMS_MAX for each generator in the target, e its
-# largest exponent (u^128 at n = 2 and u^16 at n = 16 take 0.047-0.053 s
-# cold on a 2-vCPU machine where `python -c pass` takes 0.04 s and the
-# import 0.045 s; u^3000 at n = 2 would take 9 s in process), and a
-# product of these at most ADAMS_SIZE_MAX, as the output grows like it:
-# u1*u2*u3 at n = 64 takes 0.3-0.5 s (2 MB out, two thirds of it
-# rendering), at n = 128 3.2-3.6 s in process (23 MB out)
+# largest exponent (u^128 at n = 2 and u^16 at n = 16 take 0.04-0.045 s
+# cold; u^3000 at n = 2 would take 9 s in process), and a product of these
+# at most ADAMS_SIZE_MAX, as the output grows like it: u1*u2*u3 at n = 64
+# takes 0.3-0.5 s (2 MB out, two thirds of it rendering), at n = 128
+# 3.2-3.6 s in process (23 MB out)
 ADAMS_SIZE_MAX = 64 ** 3
 # n in `omega n` and `omega --table n`: `omega --table 96` takes
 # 0.09-0.12 s
@@ -136,12 +133,8 @@ def cmd_universal(kind, indices, fmt, max_override, method):
         b = universal_R(n, "composed")
         print(_render_poly(a, fmt))
         print(_render_poly(b, fmt))
-        if a == b:
-            print("agree")
-        else:
-            print("disagree")
-            raise SystemExit(1)
-        return
+        print("agree" if a == b else "disagree")
+        return 0 if a == b else 1
     print(_render_poly(universal_R(n, method), fmt))
 
 
@@ -305,8 +298,7 @@ def form_gw_equal(path_a, path_b):
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc))
     print("equal" if same else "not-equal")
-    if not same:
-        raise SystemExit(1)
+    return 0 if same else 1
 
 
 SUITES = {
@@ -320,9 +312,6 @@ SUITES = {
     "ternary": check_ternary,
     "forms": check_section2_and_hyp,
 }
-
-SUITE_ORDER = list(SUITES) + ["all"]
-
 
 def cmd_verify(suite, json_path, no_timestamp):
     """Run a verification suite and report pass/fail per identity."""
@@ -344,27 +333,12 @@ def cmd_verify(suite, json_path, no_timestamp):
             rep.stamp(elapsed, {
                 name: {k: round(v, 6) for k, v in r.lemma_s.items()}
                 for name, r in zip(names, reports)})
-        with fh:
-            fh.write(rep.to_json())
-    if not rep.ok:
-        raise SystemExit(1)
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that also takes options between the values of a
-    variable-length positional, as in `universal Q --max 9 2 4`.  Parsers
-    with subcommands parse as usual: argparse cannot intermix those."""
-
-    _mixing = False
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._subparsers is not None or self._mixing:
-            return super().parse_known_args(args, namespace)
-        self._mixing = True     # parse_known_intermixed_args calls back here
         try:
-            return self.parse_known_intermixed_args(args, namespace)
-        finally:
-            self._mixing = False
+            with fh:
+                fh.write(rep.to_json())
+        except OSError as exc:
+            raise UsageError("cannot write --json: %s" % exc)
+    return 0 if rep.ok else 1
 
 
 _FORMAT = ("--format", dict(dest="fmt", choices=FORMATS, default="text",
@@ -427,63 +401,82 @@ COMMANDS = {
         "gw-equal": (form_gw_equal, _PATHS),
     }),
     "verify": (cmd_verify, [
-        ("suite", dict(choices=SUITE_ORDER)),
+        ("suite", dict(choices=list(SUITES) + ["all"])),
         ("--json", dict(dest="json_path", default=None, metavar="FILE",
                         help="Also write the report as JSON.")),
-        ("--no-timestamp", dict(action="store_true", help=(
+        ("--no-timestamp", dict(action="store_true", default=False, help=(
             "Omit the timestamp and elapsed times from the JSON report."))),
     ]),
 }
 
 
-def _add_commands(parser: _Parser, table: dict, args):
-    """Add the commands of table under parser.  When args starts with one of
-    them, only that one: the call parses nothing else, and a command's help
-    and errors come from its own parser alone.  All of them otherwise (no
-    command, an option or an unknown name), for the help and the errors
-    that list them."""
-    subs = parser.add_subparsers(metavar="COMMAND", required=True)
-    for name in [args[0]] if args and args[0] in table else table:
-        run, arguments = table[name]
-        doc = run if isinstance(run, str) else run.__doc__
-        sub = subs.add_parser(name, help=doc, description=doc,
-                              allow_abbrev=False)
-        if isinstance(arguments, dict):
-            _add_commands(sub, arguments, args[1:])
-            continue
-        sub.set_defaults(run=run, parser=sub)
-        for flag, kwargs in arguments:
-            sub.add_argument(flag, **kwargs)
+def _value(kw: dict, token: str):
+    """token as kw's value, or ValueError where argparse would refuse it."""
+    value = kw.get("type", str)(token)     # "-" alone is a value, "-3" not
+    if token[:1] == "-" != token or value not in kw.get("choices", [value]):
+        raise ValueError(token)
+    return value
 
 
-def _parser(prog: str, args) -> _Parser:
-    """The parser of `gwadams ARGS`, with the parsers of the command ARGS
-    invokes, or of every command; see _add_commands."""
-    parser = _Parser(prog=prog, allow_abbrev=False, description=(
-        "Exact verification toolkit for lambda-operation identities."))
-    parser.add_argument("--version", action="version",
-                        version="%(prog)s, version " + __version__)
-    _add_commands(parser, COMMANDS, args)
-    return parser
+def _read_call(args) -> dict | None:
+    """argparse's namespace of `gwadams ARGS` less `parser`, read from
+    COMMANDS; None for help, --version, an unknown command or option (--,
+    --opt=x, a negative number), a missing or refused value, a wrong count."""
+    table, ns, given, values = COMMANDS, {}, {}, []
+    try:
+        while isinstance(table, dict):
+            (ns["run"], table), args = table[args[0]], args[1:]
+        flags = {name: kw for name, kw in table if name[0] == "-"}
+        tokens = iter(args)
+        for token in tokens:    # options may sit between positionals
+            if token not in flags:
+                values.append(token)
+            else:   # a store_true flag, or one whose value is the next token
+                given[token] = ("action" in flags[token]
+                                or _value(flags[token], next(tokens)))
+        for name, kw in table:
+            if name in flags:
+                ns[kw.get("dest", name[2:].replace("-", "_"))] = given.get(
+                    name, kw.get("default"))
+            elif kw.get("nargs") == "*":
+                ns[name], values = [_value(kw, v) for v in values], []
+            elif values or "nargs" not in kw:
+                ns[name] = _value(kw, values.pop(0))
+            else:
+                ns[name] = kw.get("default")
+    except (KeyError, IndexError, ValueError, StopIteration):
+        return None
+    return None if values else ns
+
+
+def _argparse(prog: str, args) -> dict:
+    """argparse's namespace of `PROG ARGS`, or its help or error and exit."""
+    from .cliparse import build
+    return vars(build(prog, COMMANDS).parse_args(args))
 
 
 def main(args=None, prog_name: str = "gwadams"):
     """Run `gwadams ARGS` (default: the process arguments) and exit with its
     code: 0 all checks pass, 1 a failure, `disagree` or `not-equal`, 2 a
-    usage error."""
+    usage, parse or output error."""
     args = sys.argv[1:] if args is None else list(args)
-    ns = vars(_parser(prog_name, args).parse_args(args))
-    run, parser = ns.pop("run"), ns.pop("parser")
+    ns = _read_call(args) or _argparse(prog_name, args)
+    run, _ = ns.pop("run"), ns.pop("parser", None)
     try:
-        run(**ns)
+        code = run(**ns)
+        sys.stdout.flush()
     except UsageError as exc:
-        parser.error(str(exc))
-    except BrokenPipeError:
-        # the reader left (`gwadams ... | head`): exit 1 with no traceback,
-        # and point stdout at devnull so the final flush cannot fail again
+        _argparse(prog_name, args)["parser"].error(str(exc))
+    except OSError as exc:
+        # the reader left (`gwadams ... | head`: exit 1, silently) or a write
+        # failed; point stdout at devnull so the last flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise SystemExit(1)
-    raise SystemExit(0)
+        if isinstance(exc, BrokenPipeError):
+            raise SystemExit(1)
+        sys.stderr.write("%s: error: cannot write output: %s\n"
+                         % (prog_name, exc))
+        raise SystemExit(2)
+    raise SystemExit(code or 0)
 
 
 # perfbench/tracing.py runs one call as main.main(args=..., prog_name=...)

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import io
 import json
@@ -10,6 +9,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gwadams
 from gwadams import cli
@@ -1258,6 +1258,33 @@ class TestEntryPoint:
         assert proc.stderr.read() == b""
         proc.stderr.close()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [["universal", "P", "3"],
+                                      ["verify", "borel"],
+                                      ["universal", "R", "8", "--max", "8"]])
+    def test_full_stdout(self, args):
+        # a failed write to stdout, buffered or not, exits 2 with one line
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gwadams.cli", *args],
+                env=dict(os.environ, PYTHONPATH=SRC), stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            2, "gwadams: error: cannot write output: [Errno 28] No space "
+               "left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_full_json(self):
+        proc = _python("-m", "gwadams.cli", "verify", "borel", "--json",
+                       "/dev/full")
+        assert proc.returncode == 2 and "PASS" in proc.stdout
+        assert proc.stderr.endswith(
+            "gwadams verify: error: cannot write --json: [Errno 28] No space "
+            "left on device\n"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_version(self, runner):
         assert runner("--version") == (0, "gwadams, version %s\n"
                                        % gwadams.__version__)
@@ -1314,46 +1341,142 @@ PARSE_CORPUS = [
 ]
 
 
-def _commands(parser) -> dict:
-    """The commands parser was built with: name -> parser."""
-    return next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)).choices
-
-
 class TestParserPerCommand:
     def test_same_as_full_parser(self, monkeypatch):
-        # a call builds only its command's parser; what it prints and its
-        # exit code are those of the parser with every command
+        # a call read straight from the table prints what argparse's reading
+        # prints, with the same exit code, also where a command refuses it
         monkeypatch.setenv("COLUMNS", "80")
         got = [_call(*args) for args in PARSE_CORPUS]
-        build = cli._parser
-        monkeypatch.setattr(cli, "_parser", lambda prog, args: build(prog, ()))
+        monkeypatch.setattr(cli, "_read_call", lambda args: None)
         for args, out in zip(PARSE_CORPUS, got):
             assert out == _call(*args), args
         assert sum(code == 2 for code, _, _ in got) >= 30
-
-    def test_builds_the_invoked_command(self):
-        full = ["universal", "omega", "adams", "ternary", "form", "verify"]
-        assert list(_commands(cli._parser("gwadams", ()))) == full
-        for args in ([], ["-h"], ["--version"], ["bogus"], ["--", "adams"]):
-            assert list(_commands(cli._parser("gwadams", args))) == full
-        for name in full:
-            assert list(_commands(cli._parser("gwadams", [name, "x"]))) == [
-                name]
-        for args, leaves in ((["invariants", "f.json"], ["invariants"]),
-                             (["bogus"], list(cli.COMMANDS["form"][1]))):
-            form = _commands(cli._parser("gwadams", ["form"] + args))["form"]
-            assert list(_commands(form)) == leaves
-        assert len(cli.COMMANDS["form"][1]) == 6
 
     @pytest.mark.parametrize("args, digest", [
         (("-h",), "902b319a523791bd"),
         (("adams", "-h"), "b93cd9a3ef0f5b66"),
         (("form", "invariants", "-h"), "5836c1a8adb27747"),
+        (("universal", "-h"), "94083724ff9d91d9"),
+        (("omega", "-h"), "9337b161fa1b7bec"),
+        (("ternary", "-h"), "e9778a00c01ebc60"),
+        (("verify", "-h"), "55ea6f864bcfaecc"),
+        (("form", "-h"), "2032f8b628c12b28"),
+        (("form", "ext-power", "-h"), "f9e315f1d0733250"),
+        (("form", "sym-power", "-h"), "91b610ad41c4e731"),
+        (("form", "tensor", "-h"), "28778692f97dc493"),
+        (("form", "hyperbolic", "-h"), "108e9519b5a98ec7"),
+        (("form", "gw-equal", "-h"), "e873fef9556e81c3"),
     ])
     def test_help_golden(self, monkeypatch, args, digest):
-        # sha256 of the help text before a call built one command's parser
+        # sha256 of every help text, recorded while argparse read every call
         monkeypatch.setenv("COLUMNS", "80")
         code, out, err = _call(*args)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def _namespace(args) -> dict | None:
+    """argparse's namespace of `gwadams ARGS` less `parser`; None where
+    argparse prints help or an error and exits."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            ns = cli._argparse("gwadams", list(args))
+    except SystemExit:
+        return None
+    ns.pop("parser")
+    return ns
+
+
+def _read(args) -> bool:
+    """Whether the table reader reads `gwadams ARGS`; where it does, it
+    gives argparse's namespace less `parser`."""
+    got = cli._read_call(list(args))
+    if got is not None:
+        assert got == _namespace(args), args
+    return got is not None
+
+
+def _leaves(table=cli.COMMANDS, prefix=()):
+    for name, (_, arguments) in table.items():
+        if isinstance(arguments, dict):
+            yield from _leaves(arguments, prefix + (name,))
+        else:
+            yield prefix + (name,), arguments
+
+
+def _token(kw: dict):
+    """A strategy for one value token of the argument kw: mostly valid,
+    sometimes a negative integer, `-`, an option or junk."""
+    valid = (st.sampled_from(kw["choices"]) if "choices" in kw
+             else st.integers(0, 300).map(str) if "type" in kw
+             else st.sampled_from(["f.json", "-", "", "a=b", "x y"]))
+    return st.one_of(valid, valid, valid, st.sampled_from(
+        ["-", "-3", "--", "-h", "--format", "x", "", "3", "P"]))
+
+
+@st.composite
+def _argvs(draw):
+    """argv for a leaf of COMMANDS: positionals and options in any order,
+    options repeated or in the `--opt=value` form, and stray tokens."""
+    names, arguments = draw(st.sampled_from(list(_leaves())))
+    units = []
+    for name, kw in arguments:
+        if name[0] != "-":
+            low, high = {"*": (0, 3), "?": (0, 1)}.get(kw.get("nargs"), (1, 1))
+            # the right number of values, or now and then one more or less
+            n = draw(st.integers(low, high)
+                     | st.integers(max(low - 1, 0), high + 1))
+            units += [[draw(_token(kw))] for _ in range(n)]
+            continue
+        for _ in range(draw(st.integers(0, 2))):
+            if "action" in kw:
+                units.append([name])
+            elif draw(st.integers(0, 9)) == 0:
+                units.append(["%s=%s" % (name, draw(_token(kw)))])
+            else:
+                units.append([name, draw(_token(kw))])
+    if draw(st.integers(0, 9)) == 0:
+        units.append([draw(st.sampled_from(["-h", "--", "-1", "--bogus"]))])
+    units = draw(st.permutations(units))
+    return list(names) + [t for unit in units for t in unit]
+
+
+class TestTableReader:
+    # the reader either declines a call, which argparse then reads, or gives
+    # exactly argparse's namespace, less `parser`
+
+    def test_parse_corpus(self):
+        # the calls that name a command and parse; `omega` alone parses and
+        # is then refused by the command
+        assert [args for args in PARSE_CORPUS if _read(args)] == [
+            ("omega",), ("form", "hyperbolic", "2"), ("omega", "4"),
+            ("ternary", "--class", "2")]
+
+    def test_golden_calls(self):
+        calls = [["universal", *c.split(), "--max", "8"]
+                 for c in TestUniversal.GOLDEN]
+        calls += [[TestRenderGolden.K if a == "K" else a for a in c.split()]
+                  for c in TestRenderGolden.GOLDEN]
+        calls += [["form", *c.split()] for c in TestForm.GOLDEN]
+        read = [_read(args) for args in calls]
+        # only a negative n, as in `adams -7 ...`, leaves the table reader
+        negative = [any(a[:1] == "-" and a[1:].isdigit() for a in args)
+                    for args in calls]
+        assert read == [not n for n in negative] and any(negative)
+
+    def test_benchmark_decks(self, monkeypatch):
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        import gen
+        import refmath
+        for seed in (501, 502):
+            deck = next(gen.cli_decks(seed))
+            for call in deck:
+                args = [json.dumps(refmath.U1U2U3) if a == "@u1u2u3"
+                        else a[1:] + ".json" if a.startswith("@") else a
+                        for a in call["args"]]
+                assert _read(args), args
+
+    @settings(max_examples=400, deadline=None)
+    @given(_argvs())
+    def test_generated(self, args):
+        _read(args)

@@ -288,7 +288,7 @@ def test_detects_unomitted_default():
 
 
 def test_library_override_exempt():
-    lines = library_overrides(PACKAGE / "cli.py")
+    lines = library_overrides(PACKAGE / "cliparse.py")
     assert [name for line, name, _, _ in defaulted(
-        (PACKAGE / "cli.py").read_text(encoding="utf-8"))
+        (PACKAGE / "cliparse.py").read_text(encoding="utf-8"))
         if line in lines] == ["parse_known_args", "parse_known_args"]

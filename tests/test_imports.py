@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-a cold CLI call imports the rational-number modules only for rational
-input or output."""
+"""Every name a module of the package imports is used in that module, a
+cold CLI call imports the rational-number modules only for rational input
+or output, and argparse only for help and errors."""
 
 import ast
 import os
@@ -46,15 +46,15 @@ RATIONALS = ("fractions", "decimal", "numbers")
 SRC = str(Path(gwadams.__file__).parent.parent)
 
 
-def loaded_after(code: str) -> list[str]:
-    """The modules of RATIONALS loaded after running code in a fresh
+def loaded_after(code: str, modules=RATIONALS) -> list[str]:
+    """The modules of modules loaded after running code in a fresh
     interpreter, its output and the CLI's exit caught."""
     probe = ("import io, sys\nfrom contextlib import redirect_stdout\n"
              "try:\n    with redirect_stdout(io.StringIO()):\n%s\n"
              "except SystemExit:\n    pass\n"
              "print(' '.join(m for m in %r if m in sys.modules))"
              % ("\n".join(" " * 8 + line for line in code.splitlines()),
-                RATIONALS))
+                modules))
     proc = subprocess.run([sys.executable, "-c", probe],
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=120)
@@ -87,3 +87,17 @@ def test_rational_form_entries(tmp_path):
     assert (proc.returncode, proc.stdout) == (
         0, '{"disc":3,"hasse":{"2":1,"3":1,"inf":1},"rank":1,'
            '"signature":1}\n')
+
+
+PARSERS = ("argparse", "gettext", "locale")
+
+
+def test_argparse_only_for_help_and_errors():
+    # a well-formed call is read straight from the command table
+    fast = ("import gwadams.cli\nfrom gwadams.cli import main\n"
+            "main(['adams', '3', '--target', 'tau', '--format', 'json'])")
+    assert loaded_after(fast, PARSERS) == []
+    assert "argparse" in loaded_after(
+        "from gwadams.cli import main\nmain(['adams', '-h'])", PARSERS)
+    assert "argparse" in loaded_after(
+        "from gwadams.cli import main\nmain(['adams', 'x'])", PARSERS)
