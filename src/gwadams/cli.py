@@ -174,7 +174,7 @@ def cmd_adams(n, target, fmt):
     else:
         try:
             x = SymClass.from_json(target)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise UsageError("cannot parse target: %s" % exc)
     size = 1
     for gen in x.gens if x.poly else ():
@@ -223,7 +223,7 @@ def _read_form(path: str) -> GramForm:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         return GramForm.from_json(text)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError("cannot read Gram form %s: %s" % (path, exc))
 
 
@@ -315,29 +315,37 @@ SUITES = {
 
 def cmd_verify(suite, json_path, no_timestamp):
     """Run a verification suite and report pass/fail per identity."""
-    try:    # opened before any suite runs: a bad path costs no run
-        fh = json_path if json_path is None else open(
-            json_path, "w", encoding="utf-8")
+    try:    # opened before any suite runs, so a bad path costs no run, and
+            # emptied only once stdout is written, so a failed run keeps an
+            # old report
+        fh = None if json_path is None else open(
+            json_path, "a", encoding="utf-8")
     except OSError as exc:
         raise UsageError("cannot write --json: %s" % exc)
-    names = list(SUITES) if suite == "all" else [suite]
-    reports, elapsed = [], {}
-    for name in names:
-        start = time.perf_counter()
-        reports.append(SUITES[name]())
-        elapsed[name] = round(time.perf_counter() - start, 6)
-    rep = merge("all", reports) if suite == "all" else reports[0]
-    sys.stdout.write(rep.render_text())
-    if fh is not None:
-        if not no_timestamp:
-            rep.stamp(elapsed, {
-                name: {k: round(v, 6) for k, v in r.lemma_s.items()}
-                for name, r in zip(names, reports)})
-        try:
-            with fh:
+    try:
+        reports, elapsed = [], {}
+        for name in SUITES if suite == "all" else [suite]:
+            start = time.perf_counter()
+            reports.append(SUITES[name]())
+            elapsed[name] = round(time.perf_counter() - start, 6)
+        rep = merge(suite, reports)
+        sys.stdout.write(rep.render_text())
+        sys.stdout.flush()
+        if fh is not None:
+            if not no_timestamp:
+                rep.stamp(elapsed, {
+                    name: {k: round(v, 6) for k, v in r.lemma_s.items()}
+                    for name, r in zip(elapsed, reports)})
+            try:
+                if os.path.isfile(json_path):
+                    fh.truncate(0)
                 fh.write(rep.to_json())
-        except OSError as exc:
-            raise UsageError("cannot write --json: %s" % exc)
+                fh.close()
+            except OSError as exc:
+                raise UsageError("cannot write --json: %s" % exc)
+    finally:
+        if fh is not None:
+            fh.close()
     return 0 if rep.ok else 1
 
 

@@ -22,47 +22,20 @@ class Template(NamedTuple):
         return self.form % tuple(a.text() for a in self.args)
 
 
-class ReportEntry:
-    """A frozen record.  lhs and rhs are given as strings or as objects with
-    a text() method, rendered on first read: a passing entry's values are
-    printed only in the JSON report.  Entries compare by the texts."""
+def _text(value) -> str:
+    return value if type(value) is str else value.text()
 
-    __slots__ = ("lemma", "params", "status", "_lhs", "_rhs", "note")
 
-    def __init__(self, lemma: str, params: tuple, status: str, lhs, rhs,
-                 note: str):
-        for field, value in zip(self.__slots__, (lemma, params, status, lhs,
-                                                 rhs, note)):
-            object.__setattr__(self, field, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r of a ReportEntry"
-                             % name)
-
-    def _text(self, slot: str) -> str:
-        value = getattr(self, slot)
-        if type(value) is not str:
-            value = value.text()
-            object.__setattr__(self, slot, value)
-        return value
-
-    lhs = property(lambda self: self._text("_lhs"))
-    rhs = property(lambda self: self._text("_rhs"))
-
-    def _fields(self) -> tuple:
-        return (self.lemma, self.params, self.status, self.lhs, self.rhs,
-                self.note)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "ReportEntry%r" % (self._fields(),)
+class ReportEntry(NamedTuple):
+    """One checked identity.  lhs and rhs are kept as given, strings or
+    objects with a text() method, and rendered only where printed: on a
+    FAIL line and in the JSON report."""
+    lemma: str
+    params: tuple
+    status: str
+    lhs: object
+    rhs: object
+    note: str
 
     def params_str(self) -> str:
         return "(" + ",".join(str(p) for p in self.params) + ")"
@@ -70,12 +43,11 @@ class ReportEntry:
     def to_obj(self) -> dict:
         obj = {"lemma": self.lemma, "params": list(self.params),
                "status": self.status}
-        if self.lhs:
-            obj["lhs"] = self.lhs
-        if self.rhs:
-            obj["rhs"] = self.rhs
-        if self.note:
-            obj["note"] = self.note
+        # by the text: a zero polynomial is falsy but renders as "0"
+        for key, text in (("lhs", _text(self.lhs)), ("rhs", _text(self.rhs)),
+                          ("note", self.note)):
+            if text:
+                obj[key] = text
         return obj
 
 
@@ -85,7 +57,7 @@ def check(lemma: str, params: tuple, ok: bool, lhs="", rhs="", note="") -> Repor
 
 class VerificationReport:
     __slots__ = ("suite", "entries", "version", "timestamp", "elapsed_s",
-                 "lemma_elapsed_s", "lemma_s", "_last", "_sorted")
+                 "lemma_elapsed_s", "lemma_s", "_last")
 
     def __init__(self, suite: str, entries: list | None = None):
         self.suite = suite
@@ -96,19 +68,9 @@ class VerificationReport:
         self.elapsed_s = None           # suite -> wall-clock seconds
         self.lemma_elapsed_s = None     # suite -> lemma -> seconds
         # lemma -> wall-clock seconds; each entry is charged the time since
-        # the previous entry (or since the report was made).  Not compared.
+        # the previous entry (or since the report was made)
         self.lemma_s = {}
         self._last = time.perf_counter()
-        self._sorted = False
-
-    def _compared(self) -> tuple:
-        return (self.suite, self.entries, self.version, self.timestamp,
-                self.elapsed_s, self.lemma_elapsed_s)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
 
     def add(self, entry: ReportEntry):
         now = time.perf_counter()
@@ -116,18 +78,14 @@ class VerificationReport:
                                      + now - self._last)
         self._last = now
         self.entries.append(entry)
-        self._sorted = False
 
     def extend(self, entries):
         for e in entries:
             self.add(e)
 
-    def sort(self):
-        """Entries in (lemma, params) order, sorted once after each add."""
-        if not self._sorted:
-            self.entries.sort(key=lambda e: (e.lemma, e.params_str()))
-            self._sorted = True
-        return self
+    def _ordered(self) -> list:
+        """The entries in (lemma, params) order, a new list."""
+        return sorted(self.entries, key=lambda e: (e.lemma, e.params_str()))
 
     @property
     def ok(self) -> bool:
@@ -147,11 +105,10 @@ class VerificationReport:
         return self
 
     def to_obj(self) -> dict:
-        self.sort()
         obj = {
             "suite": self.suite,
             "version": self.version,
-            "entries": [e.to_obj() for e in self.entries],
+            "entries": [e.to_obj() for e in self._ordered()],
             "summary": self.counts(),
         }
         if self.timestamp is not None:
@@ -166,12 +123,11 @@ class VerificationReport:
         return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
 
     def render_text(self) -> str:
-        self.sort()
         lines = ["suite: %s" % self.suite]
-        for e in self.entries:
+        for e in self._ordered():
             line = "%-19s %s%s" % (e.status.upper(), e.lemma, e.params_str())
             if e.status == FAIL:
-                line += "  lhs=%s rhs=%s" % (e.lhs, e.rhs)
+                line += "  lhs=%s rhs=%s" % (_text(e.lhs), _text(e.rhs))
             if e.note and e.status != PASS:
                 line += "  [%s]" % e.note
             lines.append(line)

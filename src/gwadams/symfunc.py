@@ -319,25 +319,13 @@ def ell_args(x: MultiPoly, count: int) -> list[MultiPoly]:
     return out[:count]
 
 
-@cache
-def _slots(ring: Ring) -> tuple:
-    """(name, family, index) of each variable F<k> of ring."""
-    out = []
-    for name in ring.names:
-        head = name.rstrip("0123456789")
-        out.append((name, head, int(name[len(head):])))
-    return tuple(out)
-
-
 def evaluate(p: MultiPoly, target: Ring, **families) -> MultiPoly:
     """A universal polynomial at classes of `target`: each variable F<k> of
     p (X1, Y2, Z3, ...) goes to families[F][k - 1], or to 0 where that
     list is shorter or F is not given."""
-    zero = target.zero()
-    bind = {}
-    for name, head, k in _slots(p.ring):
-        vals = families.get(head, ())
-        bind[name] = vals[k - 1] if k <= len(vals) else zero
+    bind = dict.fromkeys(p.ring.names, target.zero())
+    for family, vals in families.items():
+        bind.update(("%s%d" % (family, k), v) for k, v in enumerate(vals, 1))
     return p.substitute(bind, target)
 
 

@@ -20,6 +20,11 @@ def run(runner, *args):
     return runner(*args)
 
 
+# json's message for a document nested past the recursion limit
+DEEP = ("maximum recursion depth exceeded while decoding a JSON array from a "
+        "unicode string")
+
+
 class TestUniversal:
     def test_p1(self, runner):
         r = run(runner, "universal", "P", "1", "--format", "text")
@@ -504,10 +509,12 @@ class TestAdams:
         ('{"theory":"k","components":[{"poly":{"vars":[{"name":"beta",'
          '"laurent":true}],"terms":[{"exps":[1]}]}}]}',
          "a coefficient must be an integer, got null"),
+        pytest.param("[" * 30000 + "]" * 30000, DEEP, id="deep"),
     ])
     def test_component_fields_named(self, runner, doc, msg):
         # these leaked a KeyError or TypeError repr, read "12" digit by
-        # digit, or took the name 7
+        # digit, took the name 7 or, nested past the recursion limit, raised
+        # RecursionError with a traceback
         r = run(runner, "adams", "2", "--target", doc)
         assert r.exit_code == 2
         assert "cannot parse target: %s\n" % msg in r.output
@@ -903,9 +910,11 @@ class TestForm:
          'sym must be "symmetric" or "skew", got "x"'),
         ('{"sym":"symmetric"}', "matrix must be a list of rows"),
         ("[1]", "a Gram form document must be a JSON object"),
+        pytest.param("[" * 200000, DEEP, id="deep"),
     ])
     def test_document_fields_named(self, runner, doc, msg):
-        # these leaked a KeyError or TypeError repr ('sym', 'x', 1)
+        # these leaked a KeyError or TypeError repr ('sym', 'x', 1) or, nested
+        # past the recursion limit, a RecursionError traceback
         r = runner("form", "invariants", "-", input=doc)
         assert r.exit_code == 2
         assert "cannot read Gram form -: %s\n" % msg in r.output
@@ -1284,6 +1293,24 @@ class TestEntryPoint:
             "gwadams verify: error: cannot write --json: [Errno 28] No space "
             "left on device\n"), proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_full_stdout_keeps_json(self, tmp_path):
+        # stdout fails before the report is written: the old report stays
+        # and the file is closed
+        out = tmp_path / "r.json"
+        out.write_text("old report\n")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "gwadams.cli", "verify",
+                 "all", "--json", str(out)],
+                env=dict(os.environ, PYTHONPATH=SRC), stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "cannot write output" in proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
+        assert out.read_text() == "old report\n"
 
     def test_version(self, runner):
         assert runner("--version") == (0, "gwadams, version %s\n"

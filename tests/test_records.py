@@ -1,6 +1,5 @@
-"""The package's record classes: frozen records compare and hash by value,
-a Theory equals only itself, and the mutable records compare by value and
-are unhashable."""
+"""The package's record classes: frozen records compare and hash by value
+and a Theory equals only itself."""
 
 import pytest
 
@@ -70,14 +69,3 @@ def test_theory_identity():
         del GW.maps
     assert GW.name == "gw"
 
-
-def test_mutable_by_value():
-    a, b = VerificationReport("s"), VerificationReport("s")
-    a.add(check("l", (), True))
-    b.add(check("l", (), True))
-    a.lemma_s["l"] = 99.0     # timings are not compared
-    assert a == b
-    b.stamp({}, {})
-    assert a != b
-    with pytest.raises(TypeError):
-        hash(a)

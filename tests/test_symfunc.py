@@ -564,7 +564,7 @@ class TestAppendixB:
         rep = check_appendix_b()
         entry = next(e for e in rep.entries if e.lemma == "RXY" and e.params == (2,))
         assert entry.status == "pass"
-        assert entry.rhs == "x^2 + y^2 - 2"
+        assert entry.to_obj()["rhs"] == "x^2 + y^2 - 2"
 
 
 def _fresh_process(code, cache_path):
