@@ -342,6 +342,8 @@ def _odd_primes(n: int) -> list:
             e += 1
         if e % 2:
             out.append(d)
+    if n < 25:      # no prime factor below 5: 1 or a prime
+        return out + [n] if n > 1 else out
     # then the 6k +- 1 wheel: 5, 7, 11, 13, ... (steps 2, 4, 2, 4, ...)
     d, step, limit = 5, 2, min(isqrt(n), TRIAL_DIVISION_MAX)
     while d <= limit:
@@ -467,10 +469,11 @@ def _diagonalize(f: GramForm) -> list:
     The trailing block T runs on integers: with f = rows / d, T is prev
     times the rational Schur complement of rows, so every zero test and
     every pivot T[0][0] / (prev*d) is that of the rational elimination."""
-    T, d = [list(r) for r in f.rows], f.den
+    T, d = f.rows, f.den
     prev, diag = 1, []
     while T:
-        if not T[0][0]:
+        if not T[0][0]:     # the only path that writes into T
+            T = [list(r) for r in T]
             j = next((j for j in range(1, len(T)) if T[j][j]), None)
             if j is not None:
                 T[0], T[j] = T[j], T[0]
@@ -484,10 +487,12 @@ def _diagonalize(f: GramForm) -> list:
                 T[0] = [a + b for a, b in zip(T[0], T[j])]
                 for row in T:
                     row[0] += row[j]
-        p, t = T[0][0], T[0][1:]
-        q = prev * d
+        p, q = T[0][0], prev * d
         g = gcd(p, q) if q > 0 else -gcd(p, q)
         diag.append((p // g, q // g))
+        if len(T) == 1:
+            break
+        t = T[0][1:]
         T = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], t)]
              for row in T[1:]]
         prev = p
@@ -516,10 +521,6 @@ class GWQInvariants(NamedTuple):
                 "hasse": {str(p): v for p, v in self.hasse}}
 
 
-def _place_key(p):
-    return (1, 0) if p == "inf" else (0, p)
-
-
 def invariants(f: GramForm) -> GWQInvariants:
     if f.sym != 1:
         raise TypeError("invariants require a symmetric form")
@@ -532,19 +533,20 @@ def _invariants(pivots) -> GWQInvariants:
     # each pivot is factored once; the diagonalization is a congruence by a
     # matrix of determinant +-1, so det(f) is the product of the pivots and
     # its square class comes from theirs
-    signs = [1 if n > 0 else -1 for n, _ in pivots]
-    primes = [_odd_primes(abs(n * d)) for n, d in pivots]
-    diag = [s * prod(ps) for s, ps in zip(signs, primes)]
-    odd = set()
-    for ps in primes:
+    diag, neg, odd, places = [], 0, set(), set()
+    for n, d in pivots:
+        ps = _odd_primes(abs(n * d))
+        diag.append(prod(ps) if n > 0 else -prod(ps))
+        neg += n < 0
         odd.symmetric_difference_update(ps)
+        places.update(ps)
+    places.discard(2)
     # each place's symbol is evaluated on its own: none may be derived from
     # Hilbert reciprocity or from the other places, because the
     # hilbert_product lemma checks exactly their product
-    hasse = tuple((v, _hasse(v, diag))
-                  for v in sorted({2, "inf"}.union(*primes), key=_place_key))
-    return GWQInvariants(len(pivots), sum(signs), prod(signs) * prod(odd),
-                         hasse)
+    hasse = tuple((v, _hasse(v, diag)) for v in (2, *sorted(places), "inf"))
+    return GWQInvariants(len(diag), len(diag) - 2 * neg,
+                         -prod(odd) if neg % 2 else prod(odd), hasse)
 
 
 def _hasse(v, diag) -> int:
@@ -556,17 +558,24 @@ def _hasse(v, diag) -> int:
     that of the n1 others, bimultiplicativity and (u, w)_p = 1,
     (u, p)_p = (u/p), (p, p)_p = (-1/p) for units u, w give
     (d_A/p)^n1 * (d_B/p)^(n1-1) * (-1/p)^(n1(n1-1)/2).  At 2 it is the
-    product prod_j (d_1 ... d_{j-1}, d_j)_2, the prefix kept mod 16 with
-    any factor 4 divided out: the same 2-adic square class."""
+    product prod_j (a, d_j)_2 with a = d_1 ... d_{j-1}, walked on the square
+    classes of Q_2: a = 2^alpha * u is kept as alpha mod 2 and the unit u
+    mod 8, and for d_j = 2^beta * w,
+    (a, d_j)_2 = (-1)^(eps(u)eps(w) + alpha*omega(w) + beta*omega(u)),
+    eps(u) = (u - 1)/2 and omega(u) = (u^2 - 1)/8 mod 2 (Serre, A Course
+    in Arithmetic, III.1)."""
     if v == "inf":     # k(k-1)/2 is odd for k = 2, 3 mod 4
         return -1 if sum(d < 0 for d in diag) % 4 > 1 else 1
     if v == 2:
-        s, a = 1, diag[0] % 16 if diag else 1
-        for b in diag[1:]:
-            s *= hilbert_symbol(a, b, 2)
-            a *= b
-            a = (a if a % 4 else a // 4) % 16
-        return s
+        # for odd u, eps(u) is bit 1 of u and omega(u) is bit 1 of u ^ u >> 1
+        e, alpha, u = 0, 0, 1
+        for d in diag:
+            beta = 1 - d % 2    # d is squarefree
+            w = (d >> beta) % 8
+            e ^= ((u & w) ^ alpha * (w ^ w >> 1) ^ beta * (u ^ u >> 1)) & 2
+            alpha ^= beta
+            u = u * w % 8
+        return -1 if e else 1
     d_A, n1, d_B = 1, 0, 1
     for d in diag:
         if d % v:
@@ -587,16 +596,18 @@ def gw_identity_check(lhs, rhs) -> bool:
     """
     left, right = [], []
     for coeff, f in lhs:
-        (left if coeff >= 0 else right).extend([f] * abs(coeff))
+        (left if coeff >= 0 else right).append((abs(coeff), f))
     for coeff, f in rhs:
-        (right if coeff >= 0 else left).extend([f] * abs(coeff))
+        (right if coeff >= 0 else left).append((abs(coeff), f))
 
-    def pivots(forms):
+    def pivots(terms):
         diag = []
-        for f in forms:
+        for c, f in terms:
+            if not c:
+                continue
             if f.sym != 1:
                 raise TypeError("class comparison requires symmetric forms")
-            diag.extend(_diagonalize(f))
+            diag.extend(_diagonalize(f) * c)
         return diag
 
     a, b = pivots(left), pivots(right)

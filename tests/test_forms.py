@@ -4,7 +4,9 @@ import re
 import time
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (
+    combinations, combinations_with_replacement, permutations, product,
+)
 from math import gcd, isqrt, lcm, prod
 
 import pytest
@@ -14,7 +16,7 @@ import gwadams.forms
 from gwadams.forms import (
     TRIAL_DIVISION_MAX, DegeneracyError, GramForm, GWQInvariants,
     WitnessError, _base_change, _compound, _diagonalize, _frac, _int_det,
-    _int_mul, _integral, _invariants, _odd_primes, _place_key, _transpose,
+    _hasse, _int_mul, _integral, _invariants, _odd_primes, _transpose,
     check_congruence, check_section2_and_hyp, direct_sum, dual, ext_matrix,
     ext_power, gw_identity_check, hilbert_symbol, hyperbolic, invariants,
     scale, squarefree, sym_power, symplectic_plane, tensor,
@@ -126,6 +128,10 @@ def fraction_permanent(rows) -> Fraction:
             p *= rows[i][j]
         total += p
     return total
+
+
+def _place_key(p):
+    return (1, 0) if p == "inf" else (0, p)
 
 
 def pairwise_invariants(pivots, odd_primes=_odd_primes) -> GWQInvariants:
@@ -444,6 +450,20 @@ class TestInvariants:
         assert hilbert_symbol(3, 3, 3) == -1
         assert hilbert_symbol(5, 5, 5) == 1
 
+    def test_hasse_at_2_on_square_classes(self):
+        # every class of Q_2* / Q_2*^2 (valuation mod 2, unit mod 8) with
+        # both signs, in every sequence of one to three entries
+        classes = (1, 2, 3, 5, 6, 7, 10, 14)
+        values = classes + tuple(-d for d in classes)
+        count = 0
+        for n in (1, 2, 3):
+            for diag in product(values, repeat=n):
+                want = prod(hilbert_symbol(a, b, 2)
+                            for a, b in combinations(diag, 2))
+                assert _hasse(2, list(diag)) == want, diag
+                count += 1
+        assert count == 4368
+
     def test_split_plane(self):
         inv = invariants(hyperbolic(1, "+"))
         assert (inv.rank, inv.signature, inv.disc) == (2, 0, -1)
@@ -579,6 +599,20 @@ class TestIdentityCheck:
         with pytest.raises(TypeError):
             gw_identity_check([(1, symplectic_plane())],
                               [(1, symplectic_plane())])
+
+    def test_each_term_diagonalized_once(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return _diagonalize(f)
+        monkeypatch.setattr(gwadams.forms, "_diagonalize", counted)
+        f, g, h = (GramForm.diagonal(d) for d in ([1, 1], [2, 2], [5, 5]))
+        # a term with coefficient 0 is skipped, even a skew one
+        lhs, rhs = [(3, f), (0, symplectic_plane())], [(1, g), (2, h)]
+        assert gw_identity_check(lhs, rhs)
+        assert calls == [f, g, h]
+        assert fraction_identity_check(lhs, rhs)
 
 
 class TestBattery:

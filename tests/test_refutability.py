@@ -129,6 +129,8 @@ FAULTS = [
      "Hasse symbol at 2 negated", flip_hasse_at(2)),
     ("hilbert_product", forms.check_section2_and_hyp,
      "Hasse symbol at 3 negated", flip_hasse_at(3)),
+    ("hilbert_product", forms.check_section2_and_hyp,
+     "Hasse symbol at inf negated", flip_hasse_at("inf")),
     ("psi_rank", check_lambda_axioms, "rank reads eps as +1 (psi_rank)",
      rank_eps_plus_one),
     ("proj_h", check_coefficient_identities,
