@@ -427,10 +427,10 @@ def _rho(m: int, steps: int) -> tuple:
 def squarefree(a) -> int:
     """Signed squarefree representative of the square class of a."""
     a = _frac(a)
-    n = a.numerator * a.denominator
-    if n == 0:
+    if a == 0:
         raise ValueError("zero has no square class")
-    return (-1 if n < 0 else 1) * prod(_odd_primes(abs(n)))
+    s = prod(_odd_primes(abs(a.numerator)) + _odd_primes(a.denominator))
+    return s if a > 0 else -s
 
 
 def hilbert_symbol(a: int, b: int, place) -> int:
@@ -530,12 +530,12 @@ def invariants(f: GramForm) -> GWQInvariants:
 def _invariants(pivots) -> GWQInvariants:
     """The invariants of the diagonal form <pivots>, nonzero rationals as
     (numerator, denominator) pairs."""
-    # each pivot is factored once; the diagonalization is a congruence by a
-    # matrix of determinant +-1, so det(f) is the product of the pivots and
-    # its square class comes from theirs
+    # n and d are coprime and factored apart, each within its own budget;
+    # the diagonalization is a congruence of determinant +-1, so det(f) is
+    # the product of the pivots and its square class comes from theirs
     diag, neg, odd, places = [], 0, set(), set()
     for n, d in pivots:
-        ps = _odd_primes(abs(n * d))
+        ps = _odd_primes(abs(n)) + (_odd_primes(d) if d > 1 else [])
         diag.append(prod(ps) if n > 0 else -prod(ps))
         neg += n < 0
         odd.symmetric_difference_update(ps)

@@ -6,16 +6,15 @@ their closed-form specializations.
 
 P_n and Q_{i,j} come from power sums through Newton's identities.  The
 Gauss reduction of the defining product stays as an independent route:
-it computes universal_R(n, "direct") and P_n, Q_{i,j} at an explicit arity,
-each from the dominant part of its defining product, which is built
-directly (_dominant_product, _dominant_Q) in the output ring and never
-expanded.  The reduction multiplies no polynomials: it reads each product
-of elementary polynomials from a table of counts of 0-1 matrices.
+it computes universal_R(n, "direct") and P_n at an explicit arity from the
+dominant part of the product, built directly (_dominant_product) in the
+output ring and never expanded, and multiplies no polynomials: it reads
+each product of elementary polynomials from a table of counts of 0-1
+matrices.  Q_{i,j} is checked against its product expanded (Q_stability).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from itertools import combinations, groupby, product
 from math import comb, prod
@@ -75,10 +74,6 @@ def _reduce_dominant(work: dict, ring: Ring, targets: list[str],
                     for rest, c in coeffs.items():
                         group[rest] = group.get(rest, 0) - c * count
     return MultiPoly(ring, out)     # which drops the cancelled terms
-
-
-def _is_partition(a: tuple) -> bool:
-    return a == tuple(sorted(a, reverse=True))
 
 
 def _partitions(n: int, largest: int, parts: int):
@@ -209,25 +204,18 @@ def universal_P(n: int, m: int | None = None) -> MultiPoly:
     return _reduce_dominant(work, ring, _family_ring("X", n).names, m)
 
 
-def universal_Q(i: int, j: int, m: int | None = None) -> MultiPoly:
+def universal_Q(i: int, j: int) -> MultiPoly:
     """Q_{i,j} with prod_{a1<..<aj<=m}(1+U_{a1}..U_{aj} t) = sum t^i Q_{i,j}.
 
-    By default Q_{i,j} = e_i(lambda^j X) comes from power sums,
+    Q_{i,j} = e_i(lambda^j X) comes from power sums,
     p_k(lambda^j X) = e_j(X^k), with e_j(X^k) built by Newton's identities
-    from p_k, p_2k, .., p_jk of X.  Given an arity m >= ij, it is instead
-    Gauss's reduction of the product's dominant part (_dominant_Q).  Result
-    lives in ring_Q(ij).
+    from p_k, p_2k, .., p_jk of X.  Result lives in ring_Q(ij).
     """
     if i < 0 or j < 1:
         raise ValueError("need i >= 0 and j >= 1")
     if i == 0:
         return ring_Q(i * j).one()
-    if m is None:
-        return _newton_Q(i, j)
-    if m < i * j:
-        raise ValueError("arity m=%d below ij=%d" % (m, i * j))
-    ring = ring_Q(i * j)
-    return _reduce_dominant(_dominant_Q(i, j, m), ring, ring.names, m)
+    return _newton_Q(i, j)
 
 
 @cache
@@ -245,20 +233,6 @@ def _newton_Q(i: int, j: int) -> MultiPoly:
     pl = [ring.zero()] + [_elementary_from_power_sums(px[0:j * k + 1:k])
                           for k in range(1, i + 1)]
     return _elementary_from_power_sums(pl)
-
-
-def _dominant_Q(i: int, j: int, m: int) -> dict:
-    """The dominant part of the t^i coefficient of prod_S(1 + U^S t), S over
-    the j-subsets of U_1..U_m, in _reduce_dominant's layout: one monomial
-    per i-set of j-subsets, kept and counted where it is a partition."""
-    base = i + 1    # an exponent is at most i: digits in this base never carry
-    codes = [sum(base ** a for a in s) for s in combinations(range(m), j)]
-    count = Counter(map(sum, combinations(codes, i)))
-    exps = ((tuple(c // base ** k % base for k in range(m)), n)
-            for c, n in count.items())
-    one = ring_Q(i * j).bias
-    return {tuple(filter(None, a)): {one: n}
-            for a, n in exps if _is_partition(a)}
 
 
 def universal_R(n: int, method: str = "composed", m: int | None = None) -> MultiPoly:
@@ -373,6 +347,14 @@ def rz_closed(i: int, j: int, x: MultiPoly) -> MultiPoly:
     return ring.zero()
 
 
+def _line_product(ring: Ring, monos, order: int) -> TruncSeries:
+    """prod_x (1 + x t) mod t^(order+1) over the polynomials monos of ring."""
+    out = TruncSeries.one(ring, order)
+    for x in monos:
+        out = out * TruncSeries(ring, order, [ring.one(), x])
+    return out
+
+
 def _pi_poly(ring: Ring, unit_names: list[str]) -> MultiPoly:
     """pi_{a_1..a_r}(t): the product of (1 + t * a_1^{e_1}...a_r^{e_r}) over
     all sign vectors e in {1,-1}^r, a polynomial in the ring's variable t."""
@@ -388,15 +370,21 @@ def check_appendix_b() -> VerificationReport:
     composition, stability, and the Laurent-substitution cross-routes."""
     rep = VerificationReport("appendix-b")
 
-    # stability of the defining reduction in the arity
+    # stability in the arity; Q_{i,j} against its product at arity ij, which
+    # fixes it at every arity, as setting variables to 0 is injective on
+    # symmetric polynomials of degree d in d or more variables (Macdonald I.2)
     for n in range(1, 5):
         hi = universal_P(n, m=n + 1)
         rep.add(check("P_stability", (n,), hi == universal_P(n),
                       universal_P(n), hi))
     for i, j in sorted((i, j) for i in range(1, 7) for j in range(1, 7)
                        if 1 <= i * j <= 6):
-        rep.add(check("Q_stability", (i, j),
-                      universal_Q(i, j, m=i * j + 1) == universal_Q(i, j)))
+        src = _family_ring("U", i * j)
+        us = [src.var(u) for u in src.names]
+        direct = _line_product(src, [prod(c) for c in combinations(us, j)], i)
+        es = _line_product(src, us, i * j)
+        back = evaluate(universal_Q(i, j), src, X=es.coeffs[1:])
+        rep.add(check("Q_stability", (i, j), direct[i] == back))
     for n in range(1, 4):
         rep.add(check("R_stability", (n,), universal_R(n, "direct", m=n + 1)
                       == universal_R(n, "direct")))
@@ -404,14 +392,9 @@ def check_appendix_b() -> VerificationReport:
     # round-trip: re-expanding the reduced form reproduces the product
     for n in range(1, 4):
         src = _join_rings(_family_ring("U", n), _family_ring("V", n))
-        unames = ["U%d" % k for k in range(1, n + 1)]
-        vnames = ["V%d" % k for k in range(1, n + 1)]
-        direct = TruncSeries.one(src, n)
-        for u in unames:
-            for v in vnames:
-                direct = direct * TruncSeries(
-                    src, n, [src.one(), src.var(u) * src.var(v)])
-        us, vs = ([src.var(x) for x in names] for names in (unames, vnames))
+        us, vs = ([src.var("%s%d" % (f, k)) for k in range(1, n + 1)]
+                  for f in "UV")
+        direct = _line_product(src, [u * v for u in us for v in vs], n)
         back = universal_P(n).substitute(
             {"X%d" % k: elementary(us, k) for k in range(1, n + 1)}
             | {"Y%d" % k: elementary(vs, k) for k in range(1, n + 1)}, src)
@@ -541,25 +524,20 @@ def check_appendix_a() -> VerificationReport:
 
     for k in range(1, 5):
         lines = _family_ring("x", k)
-        prod = TruncSeries.one(lines, k + 1)
-        for j in range(1, k + 1):
-            prod = prod * TruncSeries(lines, k + 1,
-                                      [lines.one(), lines.var("x%d" % j)])
+        xs = [lines.var(x) for x in lines.names]
+        got = _line_product(lines, xs, k + 1)
         for n in range(0, k + 2):
-            want = elementary([lines.var(x) for x in lines.names], n)
-            rep.add(check("line_product", (k, n), prod[n] == want,
-                          prod[n], want))
+            want = elementary(xs, n)
+            rep.add(check("line_product", (k, n), got[n] == want,
+                          got[n], want))
 
     for i in (1, 2, -1):
         amb = _join_rings(_family_ring("y", 3), Ring([("x", True)]))
         x = amb.var("x", i)
-        prod = TruncSeries.one(amb, 3)
-        for j in range(1, 4):
-            prod = prod * TruncSeries(amb, 3,
-                                      [amb.one(), amb.var("y%d" % j) * x])
+        ys = [amb.var("y%d" % j) for j in range(1, 4)]
+        got = _line_product(amb, [y * x for y in ys], 3)
         for n in range(1, 4):
-            want = (elementary([amb.var(y) for y in ("y1", "y2", "y3")], n)
-                    * amb.var("x", n * i))
-            rep.add(check("power_scaling", (n, i), prod[n] == want,
-                          prod[n], want))
+            want = elementary(ys, n) * amb.var("x", n * i)
+            rep.add(check("power_scaling", (n, i), got[n] == want,
+                          got[n], want))
     return rep

@@ -924,12 +924,17 @@ class TestForm:
         # each call ends within 2 s, with the invariants or with exit 2
         ap1 = [["900000000028", "-5", "1/6"], ["-5", "8/5", "-3/4"],
                ["1/6", "-3/4", "-1/2"]]     # 900000000028 = 9*p + 1
+        # the last pivot of ap1 is -551812500011*100 / (9638554217*6723):
+        # trial division factors each half, while n*d taken whole leaves the
+        # cofactor 551812500011*9638554217, beyond the rho budget
+        hard = [["5318674698974336596387"]]     # 551812500011*9638554217
         cases = [
             (("invariants",), [["1000000000000000003"]], 0,
              '"disc":1000000000000000003'),
-            (("invariants",), ap1, 2,
+            (("invariants",), ap1, 0, '"disc":-2759062500055,'),
+            (("invariants",), hard, 2,
              "cannot factor 5318674698974336596387: no factor in"),
-            (("gw-equal", "-"), ap1, 2, "cannot factor"),
+            (("gw-equal", "-"), hard, 2, "cannot factor"),
             (("invariants",), [["10000000000000000000000013"]], 2,
              "cannot factor 10000000000000000000000013: a probable prime"),
             # 3 * 1000000000039^2: the cofactor is the square of a prime
@@ -944,6 +949,27 @@ class TestForm:
             r = runner("form", *cmd, str(p), input=doc)
             assert time.perf_counter() - start < 2, (cmd, m)
             assert r.exit_code == code and text in r.output, r.output
+
+    def test_pivot_halves_factored_apart(self, runner, tmp_path):
+        # n*d of the entry n/d exhausts the rho budget; n and d, taken
+        # apart, factor within it
+        n, d = -2244671116682553091, 295377785478078120
+        paths = []
+        for i, (a, b) in enumerate(((n, d), (n, 4 * d), (7 * n, d))):
+            paths.append(tmp_path / ("f%d.json" % i))
+            paths[-1].write_text(json.dumps(
+                {"sym": "symmetric", "matrix": [["%d/%d" % (a, b)]]}))
+        r = run(runner, "form", "invariants", str(paths[0]))
+        assert r.exit_code == 0
+        inv = json.loads(r.output)
+        assert (inv["rank"], inv["signature"], inv["disc"]) == (
+            1, -1, -2 * 3 * 5 * 13 * 167 * 199 * 5195649173279
+            * 273497949516739)
+        # n/(4d) is in the square class of n/d, 7n/d is not
+        for other, code, out in ((paths[1], 0, "equal\n"),
+                                 (paths[2], 1, "not-equal\n")):
+            r = run(runner, "form", "gw-equal", str(paths[0]), str(other))
+            assert (r.exit_code, r.output) == (code, out)
 
     def test_long_entry_bounded(self, runner, tmp_path):
         # a cofactor above COFACTOR_DIGITS_MAX digits is refused as soon as

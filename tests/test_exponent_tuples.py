@@ -16,7 +16,6 @@ SOURCES = sorted(Path(gwadams.__file__).parent.glob("*.py"))
 ALLOWED = {
     "monomial": "the boundary: one exponent tuple, packed by from_exps",
     "_write_dense": "the codec's (slot, gamma exponent) -> coefficient",
-    "_dominant_Q": "partitions -> the coefficient of U^a",
     "check_lambda_axioms": "(n, sample name) -> psi^n of the sample",
     "plane_image": "forms: a subset of one plane's basis -> its image",
 }

@@ -439,6 +439,11 @@ class TestInvariants:
         assert squarefree(-18) == -2
         assert squarefree(Fraction(4, 9)) == 1
         assert squarefree(Fraction(-2, 3)) == -6
+        # numerator and denominator factored apart: their product is
+        # beyond the rho budget
+        assert squarefree(Fraction(-2244671116682553091,
+                                   295377785478078120)) == (
+            -2 * 3 * 5 * 13 * 167 * 199 * 5195649173279 * 273497949516739)
         with pytest.raises(ValueError):
             squarefree(0)
 

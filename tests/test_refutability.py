@@ -123,6 +123,17 @@ def waring_p3_off(mp):
     mp.setattr(lambdaring, "_waring", fault)
 
 
+def q22_coefficient_off(mp):
+    """Newton's Q_{2,2} = X1*X3 - X4 with the coefficient of X4 raised by
+    one, to 0.  RZ and lambda_dim1 cannot catch it: they read Q at X4 = 0."""
+    newton_Q = symfunc._newton_Q
+
+    def fault(i, j):
+        q = newton_Q(i, j)
+        return q + q.ring.var("X4") if (i, j) == (2, 2) else q
+    mp.setattr(symfunc, "_newton_Q", fault)
+
+
 FAULTS = [
     # (lemma, suite, fault, plant: monkeypatch -> None)
     ("hilbert_product", forms.check_section2_and_hyp,
@@ -153,6 +164,9 @@ FAULTS = [
      psi_gen_power),
     ("omega_quotient", borel.check_omega_laws,
      "psi^k(u) = u^k (omega_quotient)", psi_gen_power),
+    ("Q_stability", symfunc.check_appendix_b,
+     "Q_{2,2} coefficient of X4 off by one (Q_stability)",
+     q22_coefficient_off),
 ]
 
 

@@ -449,12 +449,7 @@ class TestReduceOracle:
         for i, j in ((i, j) for i in range(1, 7) for j in range(1, 7)
                      if i * j <= 6):
             for m in (i * j, i * j + 1, i * j + 2):
-                want = dominant_part(q_product(i, j, m), family("U", m))
-                assert symfunc._dominant_Q(i, j, m) == {
-                    a: {ring_Q(i * j).pack((0,) * (i * j)): c
-                        for c in t.values()}
-                    for a, t in want.items()}, (i, j, m)
-                assert universal_Q(i, j, m) == oracle_Q(i, j, m), (i, j, m)
+                assert universal_Q(i, j) == oracle_Q(i, j, m), (i, j, m)
 
     def test_universal_R_direct(self):
         for n in range(1, 4):
@@ -604,7 +599,8 @@ class TestNoDiskCache:
 
 
 class TestNewtonRoute:
-    """The power-sum route against the Gauss expansion and closed forms."""
+    """The power-sum route against the Gauss reduction, the expanded
+    products and closed forms."""
 
     def test_p5_matches_expansion(self):
         assert universal_P(5) == universal_P(5, m=5)
@@ -612,7 +608,7 @@ class TestNewtonRoute:
     def test_q_matches_expansion(self):
         for i, j in ((i, j) for i in range(1, 9) for j in range(1, 9)
                      if i * j <= 8):
-            assert universal_Q(i, j) == universal_Q(i, j, m=i * j), (i, j)
+            assert universal_Q(i, j) == oracle_Q(i, j, i * j), (i, j)
 
     def test_rxy_beyond_four(self):
         R = Ring([("x", False), ("y", False)])
