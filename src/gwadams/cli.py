@@ -10,6 +10,7 @@ by --no-timestamp.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -34,32 +35,33 @@ from .symfunc import (
 FORMATS = ("text", "latex", "json")
 
 # input bounds: each call at the bound finishes in about a second (cold
-# process, 2 vCPU, Python 3.11, where `python -c pass` takes 0.03-0.04 s and
-# `python -c "import gwadams.cli"` 0.035-0.045 s; dense seeded forms)
+# process, 2 vCPU, Python 3.11, quartiles of 9 runs, where `python -c pass`
+# takes 0.038-0.044 s and `python -c "import gwadams.cli"` 0.043-0.044 s;
+# the dense seeded forms of FORM_INPUT_RANK_MAX)
 # |n| in `adams n`: `adams 256 --target u` and `--target u-tau` take
-# 0.037-0.045 s, nearly all of it process start and import
+# 0.042-0.045 s, nearly all of it process start and import
 ADAMS_MAX = 256
 # `adams n` takes |n|*e <= ADAMS_MAX for each generator in the target, e its
-# largest exponent (u^128 at n = 2 and u^16 at n = 16 take 0.04-0.045 s
+# largest exponent (u^128 at n = 2 and u^16 at n = 16 take 0.043-0.048 s
 # cold; u^3000 at n = 2 would take 9 s in process), and a product of these
 # at most ADAMS_SIZE_MAX, as the output grows like it: u1*u2*u3 at n = 64
-# takes 0.3-0.5 s (2 MB out, two thirds of it rendering), at n = 128
+# takes 0.20-0.31 s (2 MB out, two thirds of it rendering), at n = 128
 # 3.2-3.6 s in process (23 MB out)
 ADAMS_SIZE_MAX = 64 ** 3
 # n in `omega n` and `omega --table n`: `omega --table 96` takes
-# 0.09-0.12 s
+# 0.052-0.060 s
 OMEGA_MAX = 96
 # rank of the form printed by `form ext-power`, `sym-power`, `tensor` and
 # `hyperbolic`: C(r, n), C(r+n-1, n), r_a*r_b or 2r.  At or near the bound:
-# ext-power of a rank-10 form n = 4 (210) 0.82-0.85 s, rank-12 n = 3 (220)
-# 0.54-0.63 s; sym-power rank-7 n = 4 (210) 1.04-1.13 s, rank-10 n = 3 (220)
-# 0.42-0.57 s; the slowest shape inside it is sym-power rank-5 n = 5 (126)
-# at 1.4-1.7 s, since a permanent costs n!*n.  ext-power rank-10 n = 5 (252)
-# takes 1.9 s.
+# ext-power of a rank-10 form n = 4 (210) 0.27-0.30 s, rank-12 n = 3 (220)
+# 0.20-0.21 s; sym-power rank-7 n = 4 (210) 0.33-0.44 s, rank-10 n = 3 (220)
+# 0.20-0.21 s; the slowest sym-power shape inside it is rank-5 n = 5 (126)
+# at 0.46-0.47 s, since a permanent costs n!*n.  ext-power rank-10 n = 5
+# (252) takes 1.9 s.
 FORM_RANK_MAX = 220
 # n in `form ext-power n`: each output entry is an n x n minor, so the
 # output rank alone does not bound the time (rank-20 n = 18 has output rank
-# 190 and takes 19.7 s); rank-10 n = 6 (210) takes 1.4-1.9 s.  sym-power
+# 190 and takes 19.7 s); rank-10 n = 6 (210) takes 0.53-0.61 s.  sym-power
 # needs no such bound: n <= r and C(2n-1, n) > FORM_RANK_MAX for n > 5.
 FORM_MINOR_MAX = 6
 # rank of each form read by `form invariants` and `gw-equal`: the symmetric
@@ -67,18 +69,18 @@ FORM_MINOR_MAX = 6
 # On seeded dense integer forms B^T*D*B (B unit upper triangular with entries
 # in -2..2, D diagonal with entries in +-1..30) `invariants` takes 0.04 s in
 # process at rank 64, 0.05 s at rank 70 and 0.09 s at rank 80; cold, `form
-# invariants` of a rank-64 form takes 0.15-0.18 s and `gw-equal` of two
-# 0.20-0.24 s.  The limit stays at 64 because factoring the pivots is not
+# invariants` of a rank-64 form takes 0.066-0.071 s and `gw-equal` of two
+# 0.089-0.092 s.  The limit stays at 64 because factoring the pivots is not
 # bounded by the rank.
 FORM_INPUT_RANK_MAX = 64
 # limits of `universal` whatever --max says:
-# P_12 0.43-0.46 s, P_13 0.5-0.95 s
+# P_12 0.12 s, P_13 0.21-0.23 s
 UNIVERSAL_P_MAX = 13
-# R_n for every --method; cold, R_9 takes 0.39-0.58 s composed, 0.62-0.67 s
-# direct and 0.85-1.15 s both, and composed R_10 1.8 s
+# R_n for every --method; cold, R_9 takes 0.20-0.21 s composed, 0.25-0.26 s
+# direct and 0.42-0.57 s both, and composed R_10 0.55 s in process
 UNIVERSAL_R_MAX = 9
-# i*j in Q_{i,j}; the slowest shape at i*j = 28 is Q_{14,2} at 0.79-0.97 s,
-# at i*j = 30 Q_{15,2} at about 1.4 s
+# i*j in Q_{i,j}; the slowest shape at i*j = 28 is Q_{14,2} at 0.21-0.22 s,
+# at i*j = 30 Q_{15,2} at 0.33 s in process
 UNIVERSAL_Q_MAX = 28
 
 
@@ -467,7 +469,12 @@ def main(args=None, prog_name: str = "gwadams"):
     """Run `gwadams ARGS` (default: the process arguments) and exit with its
     code: 0 all checks pass, 1 a failure, `disagree` or `not-equal`, 2 a
     usage, parse or output error."""
-    args = sys.argv[1:] if args is None else list(args)
+    if args is None:    # the process's entry point: `-m` or the script
+        try:
+            main(sys.argv[1:], prog_name)
+        finally:    # the shutdown collections skip the frozen objects
+            gc.freeze()
+    args = list(args)
     ns = _read_call(args) or _argparse(prog_name, args)
     run, _ = ns.pop("run"), ns.pop("parser", None)
     try:

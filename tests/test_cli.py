@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -1279,6 +1280,45 @@ class TestEntryPoint:
                        "gw-equal", str(a), str(b), cwd=ROOT)
         assert (proc.returncode, proc.stdout) == (1, "not-equal\n"), \
             proc.stderr
+
+    # a `-c` program that reports the interpreter's freeze count from an
+    # atexit hook, after the CLI call ends
+    FREEZE_COUNT = ("import atexit, gc, sys; atexit.register(lambda: print("
+                    "'freeze count', gc.get_freeze_count())); "
+                    "sys.argv = ['gwadams', 'omega', '4']; ")
+
+    @pytest.mark.parametrize("call", [
+        "import runpy; runpy.run_module('gwadams.cli', run_name='__main__')",
+        "from gwadams.cli import main; main()"], ids=["-m", "script"])
+    def test_entry_point_exits_frozen(self, call):
+        # `python -m gwadams.cli` and the `gwadams` console script freeze
+        # the process's objects as the call ends, so the shutdown
+        # collections skip them; atexit hooks still run
+        proc = _python("-c", self.FREEZE_COUNT + call)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out, count = proc.stdout.rsplit("freeze count ", 1)
+        assert out == "8*tau*gamma\n"
+        assert int(count) > 0
+
+    def test_in_process_call_not_frozen(self, capsys):
+        # cli.main(args), as in these tests and perfbench/tracing.py, leaves
+        # the caller's objects to the collector
+        before = gc.get_freeze_count()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["omega", "4"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "8*tau*gamma\n"
+        assert gc.get_freeze_count() == before
+
+    def test_full_output_through_pipe(self):
+        # the frozen exit flushes all 257 KB of `universal R 8`, more than a
+        # pipe buffer holds
+        from gwadams.symfunc import universal_R
+        proc = _python("-m", "gwadams.cli", "universal", "R", "8", "--max",
+                       "8")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout) > 65536
+        assert proc.stdout == universal_R(8).text() + "\n"
 
     def test_closed_pipe(self):
         # `gwadams universal R 8 --max 8 | head -c 2`: the 257 KB of output

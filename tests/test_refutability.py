@@ -134,6 +134,21 @@ def q22_coefficient_off(mp):
     mp.setattr(symfunc, "_newton_Q", fault)
 
 
+def f1_extra_orbit(mp):
+    """F_1 of GW with one more gamma^-1*S(1,1,1), a symmetric term of
+    weighted degree 2, so F_symmetric and F_degree still hold; the K and
+    Witt laws are its images and change with it."""
+    gw_values = borel._gw_values
+
+    def fault():
+        f1, *rest = gw_values()
+        ring = f1.poly.ring
+        extra = ring.var("gamma", -1) * borel.orbit_sum(
+            ring, borel._LAW_GENS, 1, 1, 1)
+        return (SymClass(f1.poly + extra, f1.theory, f1.gens), *rest)
+    mp.setattr(borel, "_gw_values", fault)
+
+
 FAULTS = [
     # (lemma, suite, fault, plant: monkeypatch -> None)
     ("hilbert_product", forms.check_section2_and_hyp,
@@ -150,6 +165,10 @@ FAULTS = [
      "rank reads eps as +1 (rank_compat)", rank_eps_plus_one),
     ("k_F", borel.check_ternary, "GW -> K sends tau to beta^2 (k_F)",
      forget_tau_halved),
+    ("gw_F", borel.check_ternary, "F_1 gains gamma^-1*S(1,1,1) (gw_F)",
+     f1_extra_orbit),
+    ("witt_F", borel.check_ternary, "F_1 gains gamma^-1*S(1,1,1) (witt_F)",
+     f1_extra_orbit),
     ("omega_loc_odd", check_coefficient_identities,
      "odd powers one product short (omega_loc_odd)", short_odd_power),
     ("lambda_22", forms.check_section2_and_hyp,
