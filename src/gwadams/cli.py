@@ -34,10 +34,10 @@ from .symfunc import (
 
 FORMATS = ("text", "latex", "json")
 
-# input bounds: each call at the bound finishes in about a second (cold
-# process, 2 vCPU, Python 3.11, quartiles of 9 runs, where `python -c pass`
-# takes 0.038-0.044 s and `python -c "import gwadams.cli"` 0.043-0.044 s;
-# the dense seeded forms of FORM_INPUT_RANK_MAX)
+# input bounds: each call at the bound finishes in about a second, but a form
+# entry of thousands of digits takes longer (FORM_INPUT_RANK_MAX).  Cold
+# process, 2 vCPU, Python 3.11, quartiles of 9 runs; `python -c pass` takes
+# 0.038-0.044 s and `python -c "import gwadams.cli"` 0.043-0.044 s.
 # |n| in `adams n`: `adams 256 --target u` and `--target u-tau` take
 # 0.042-0.045 s, nearly all of it process start and import
 ADAMS_MAX = 256
@@ -71,7 +71,8 @@ FORM_MINOR_MAX = 6
 # process at rank 64, 0.05 s at rank 70 and 0.09 s at rank 80; cold, `form
 # invariants` of a rank-64 form takes 0.066-0.071 s and `gw-equal` of two
 # 0.089-0.092 s.  The limit stays at 64 because factoring the pivots is not
-# bounded by the rank.
+# bounded by the rank: `form invariants` of <1999993^680> takes 2.2 s cold,
+# of diag(1999993^680*k), k = 1, 2, 3, 5, 8.7 s in process (ROADMAP 8, 17).
 FORM_INPUT_RANK_MAX = 64
 # limits of `universal` whatever --max says:
 # P_12 0.12 s, P_13 0.21-0.23 s

@@ -277,19 +277,6 @@ def scale(a, f: GramForm) -> GramForm:
                  a.denominator * f.den, f.sym)
 
 
-def dual(f: GramForm) -> GramForm:
-    """The form (F^-1)^T: for F = rows / den it is den * cof(rows) / det(rows),
-    cof the matrix of cofactors."""
-    D = _int_det(list(f.rows))
-    if not D:
-        raise DegeneracyError("dual of a degenerate form")
-    s = f.den if D > 0 else -f.den
-    cof = [[(-1) ** (i + j) * s * _int_det(
-        [r[:j] + r[j + 1:] for k, r in enumerate(f.rows) if k != i])
-        for j in range(f.rank)] for i in range(f.rank)]
-    return _gram(cof, abs(D), f.sym)
-
-
 def hyperbolic(r: int, delta: str) -> GramForm:
     """H_delta of a trivial rank-r bundle: [[0, I], [±I, 0]]."""
     if r < 1:
@@ -422,44 +409,6 @@ def _rho(m: int, steps: int) -> tuple:
             return g, steps
     raise ValueError("cannot factor %d: no factor in %d steps of Pollard's "
                      "rho" % (m, RHO_STEPS))
-
-
-def squarefree(a) -> int:
-    """Signed squarefree representative of the square class of a."""
-    a = _frac(a)
-    if a == 0:
-        raise ValueError("zero has no square class")
-    s = prod(_odd_primes(abs(a.numerator)) + _odd_primes(a.denominator))
-    return s if a > 0 else -s
-
-
-def hilbert_symbol(a: int, b: int, place) -> int:
-    """(a, b)_v for v a prime or the real-place marker "inf"."""
-    if a == 0 or b == 0:
-        raise ValueError("arguments must be nonzero")
-    if place == "inf":
-        return -1 if a < 0 and b < 0 else 1
-    p = place
-    alpha, u = 0, a
-    while u % p == 0:
-        u //= p
-        alpha += 1
-    beta, w = 0, b
-    while w % p == 0:
-        w //= p
-        beta += 1
-    if p == 2:
-        e = ((u - 1) // 2) * ((w - 1) // 2)
-        e += alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
-        return -1 if e % 2 else 1
-    s = 1
-    if alpha % 2 and beta % 2 and p % 4 == 3:
-        s = -s
-    if beta % 2 and pow(u, (p - 1) // 2, p) != 1:
-        s = -s
-    if alpha % 2 and pow(w, (p - 1) // 2, p) != 1:
-        s = -s
-    return s
 
 
 def _diagonalize(f: GramForm) -> list:
@@ -798,13 +747,6 @@ def check_section2_and_hyp() -> VerificationReport:
               and ef.rank == comb(f.rank, n) and ef.sym == f.sym ** n)
         rep.add(check("ext_functorial", (k,), ok))
     return rep
-
-
-def ext_matrix(B, n: int):
-    """n-th exterior power (compound matrix) of a square matrix."""
-    Bi, d = _integral([[_frac(x) for x in row] for row in B])
-    from fractions import Fraction
-    return [[Fraction(x, d ** n) for x in row] for row in _compound(Bi, n)]
 
 
 def _random_symplectic(rng) -> GramForm:

@@ -158,6 +158,12 @@ def context_weights(theory: Theory, gens: tuple) -> tuple:
     return tuple(theory.weights[n] for n, _ in theory.base) + (2,) * len(gens)
 
 
+def quoted(x) -> str:
+    """str(x) for an error message, cut after 200 characters."""
+    s = str(x)
+    return s if len(s) <= 200 else s[:200] + "... (%d characters)" % len(s)
+
+
 def _write_dense(theory: Theory, terms: dict) -> list:
     """One component per degree 2*tau + 4*gamma: a, b and c list the
     coefficients of gamma^g, eps*gamma^g and tau*gamma^g from g = gmin."""
@@ -383,7 +389,8 @@ class SymClass:
         """The image under the ring map to Z: theory.maps["rank"], with
         each generator sent to 2."""
         if self.degree() is None:
-            raise GradingError("rank requires homogeneous input: %s" % self)
+            raise GradingError("rank requires homogeneous input: %s"
+                               % quoted(self))
         return self._image("rank", INTEGERS, 2).const_value()
 
     # -- ring maps ----------------------------------------------------------

@@ -30,7 +30,7 @@ from functools import cache
 from math import comb
 
 from . import symfunc
-from .gwring import KTH, GWElem, SymClass, context_ring
+from .gwring import KTH, GWElem, SymClass, context_ring, quoted
 from .polyring import (
     GradingError, MultiPoly, Ring, TruncSeries, sum_of_products,
 )
@@ -89,10 +89,6 @@ def lambda_series(x: SymClass, N: int) -> list:
     return [x._wrap(a) for a in result.coeffs]     # normal forms already
 
 
-def lambda_op(n: int, x: SymClass) -> SymClass:
-    return lambda_series(x, n)[n]
-
-
 @cache
 def _waring(ring: Ring, name: str, theory, k: int):
     """p_k (k >= 1), the k-th power sum of the roots of
@@ -132,7 +128,7 @@ def adams(n: int, x: SymClass) -> SymClass:
     2 mod 4."""
     d = x.degree()
     if d is None:
-        raise GradingError("adams requires homogeneous input: %s" % x)
+        raise GradingError("adams requires homogeneous input: %s" % quoted(x))
     k = abs(n)
     if k == 0:
         return type(x).const(x.rank(), x.theory, x.gens, x.quotient)

@@ -7,7 +7,7 @@ from gwadams.borel import (
     omega_recursive, ternary_laws, triple_product_closed,
 )
 from gwadams.gwring import GW, GWElem, SymClass, context_ring
-from gwadams.lambdaring import lambda_op
+from gwadams.lambdaring import lambda_series
 
 
 def lambda_triple_product(i: int, cross_check: bool = True) -> SymClass:
@@ -18,7 +18,7 @@ def lambda_triple_product(i: int, cross_check: bool = True) -> SymClass:
     ring = _triple_ring()
     x = SymClass(ring.var("u1") * ring.var("u2") * ring.var("u3"),
                  GW, _TRIPLE_GENS)
-    out = lambda_op(i, x)
+    out = lambda_series(x, i)[i]
     if cross_check and 1 <= i <= 4 and out != _triple_via_R(i):
         raise ValueError("triple-product routes disagree at i=%d" % i)
     return out

@@ -455,14 +455,21 @@ class TestAdams:
             r = run(runner, "adams", "2", "--target", doc)
             assert r.exit_code == 2, doc
             assert "cannot parse target" in r.output
-        # inhomogeneous classes parse but have no Adams image
+        # inhomogeneous classes parse but have no Adams image; the message
+        # quotes the class cut short (the 729-term sum u1^a*u2^b*u3^c,
+        # a, b, c <= 8, made a 10.7 kB line)
+        dense = json.dumps({"gens": ["u1", "u2", "u3"], "components": [
+            {"a": [1], "u_exps": [a, b, c]}
+            for a in range(9) for b in range(9) for c in range(9)]})
         for n, doc in (("2", '{"components":[{"a":[1,1]}]}'),
                        ("-3", '{"components":[{"a":[1,1]}]}'),
                        ("2", '{"gens":["u"],"components":[{"a":[1],'
-                             '"u_exps":[1]},{"a":[1],"u_exps":[0]}]}')):
+                             '"u_exps":[1]},{"a":[1],"u_exps":[0]}]}'),
+                       ("2", dense)):
             r = run(runner, "adams", n, "--target", doc)
             assert r.exit_code == 2, doc
-            assert "homogeneous" in r.output
+            line, = [x for x in r.output.splitlines() if "homogeneous" in x]
+            assert len(line.encode()) < 300
 
     def test_theory_and_components_named(self, runner):
         # these leaked a KeyError or TypeError repr ('ko', 'components')

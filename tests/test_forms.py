@@ -17,9 +17,9 @@ from gwadams.forms import (
     TRIAL_DIVISION_MAX, DegeneracyError, GramForm, GWQInvariants,
     WitnessError, _base_change, _compound, _diagonalize, _frac, _int_det,
     _hasse, _int_mul, _integral, _invariants, _odd_primes, _transpose,
-    check_congruence, check_section2_and_hyp, direct_sum, dual, ext_matrix,
-    ext_power, gw_identity_check, hilbert_symbol, hyperbolic, invariants,
-    scale, squarefree, sym_power, symplectic_plane, tensor,
+    check_congruence, check_section2_and_hyp, direct_sum, ext_power,
+    gw_identity_check, hyperbolic, invariants, scale, sym_power,
+    symplectic_plane, tensor,
 )
 
 
@@ -134,6 +134,37 @@ def _place_key(p):
     return (1, 0) if p == "inf" else (0, p)
 
 
+def hilbert_symbol(a: int, b: int, place) -> int:
+    """(a, b)_v for v a prime or the real-place marker "inf", read off the
+    valuations and units of a and b (Serre, A Course in Arithmetic,
+    III.1.2): the oracle for forms._hasse."""
+    if a == 0 or b == 0:
+        raise ValueError("arguments must be nonzero")
+    if place == "inf":
+        return -1 if a < 0 and b < 0 else 1
+    p = place
+    alpha, u = 0, a
+    while u % p == 0:
+        u //= p
+        alpha += 1
+    beta, w = 0, b
+    while w % p == 0:
+        w //= p
+        beta += 1
+    if p == 2:
+        e = ((u - 1) // 2) * ((w - 1) // 2)
+        e += alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
+        return -1 if e % 2 else 1
+    s = 1
+    if alpha % 2 and beta % 2 and p % 4 == 3:
+        s = -s
+    if beta % 2 and pow(u, (p - 1) // 2, p) != 1:
+        s = -s
+    if alpha % 2 and pow(w, (p - 1) // 2, p) != 1:
+        s = -s
+    return s
+
+
 def pairwise_invariants(pivots, odd_primes=_odd_primes) -> GWQInvariants:
     """The invariants of the diagonal form <pivots>, (numerator,
     denominator) pairs, with each Hasse symbol a product of Hilbert symbols
@@ -212,23 +243,6 @@ def fraction_hyperbolic(r: int, s: int):
         rows[i][r + i] = Fraction(1)
         rows[r + i][i] = Fraction(s)
     return rows
-
-
-def fraction_inverse(a):
-    """Gauss-Jordan inverse of a nonsingular Fraction matrix."""
-    n = len(a)
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for i in range(n):
-        pivot = next(r for r in range(i, n) if m[r][i] != 0)
-        m[i], m[pivot] = m[pivot], m[i]
-        inv = 1 / m[i][i]
-        m[i] = [x * inv for x in m[i]]
-        for r in range(n):
-            if r != i and m[r][i]:
-                c = m[r][i]
-                m[r] = [x - c * y for x, y in zip(m[r], m[i])]
-    return [row[n:] for row in m]
 
 
 def fraction_json(M, sym: int) -> str:
@@ -396,14 +410,11 @@ class TestConstructions:
         with pytest.raises(TypeError):
             direct_sum(a, symplectic_plane())
 
-    def test_scale_dual(self):
+    def test_scale(self):
         a = GramForm.diagonal([2, -3])
         assert scale("1/2", a) == GramForm.diagonal([1, "-3/2"])
-        assert dual(a) == GramForm.diagonal(["1/2", "-1/3"])
         with pytest.raises(ValueError):
             scale(0, a)
-        with pytest.raises(DegeneracyError):
-            dual(GramForm.diagonal([1, 0]))
 
     def test_hyperbolic(self):
         assert hyperbolic(1, "+").matrix == ((0, 1), (1, 0))
@@ -435,17 +446,20 @@ class TestCongruence:
 
 class TestInvariants:
     def test_squarefree(self):
-        assert squarefree(12) == 3
-        assert squarefree(-18) == -2
-        assert squarefree(Fraction(4, 9)) == 1
-        assert squarefree(Fraction(-2, 3)) == -6
+        # the discriminant of <a> is the signed squarefree representative
+        # of the square class of a
+        def disc(a):
+            return invariants(GramForm.diagonal([a])).disc
+        assert disc(12) == 3
+        assert disc(-18) == -2
+        assert disc(Fraction(4, 9)) == 1
+        assert disc(Fraction(-2, 3)) == -6
         # numerator and denominator factored apart: their product is
         # beyond the rho budget
-        assert squarefree(Fraction(-2244671116682553091,
-                                   295377785478078120)) == (
+        assert disc(Fraction(-2244671116682553091, 295377785478078120)) == (
             -2 * 3 * 5 * 13 * 167 * 199 * 5195649173279 * 273497949516739)
-        with pytest.raises(ValueError):
-            squarefree(0)
+        with pytest.raises(DegeneracyError):
+            disc(0)
 
     def test_hilbert_symbol(self):
         assert hilbert_symbol(-1, -1, "inf") == -1
@@ -636,8 +650,8 @@ class TestBattery:
         assert a.to_json() == b.to_json()
 
     def test_ext_matrix(self):
-        B = [[1, 2], [3, 4]]
-        assert ext_matrix(B, 2) == [[Fraction(-2)]]
+        # the compound matrix behind the ext_functorial witnesses
+        assert _compound([[1, 2], [3, 4]], 2) == [[-2]]
 
 
 class TestConstructionOracle:
@@ -668,8 +682,6 @@ class TestConstructionOracle:
             self.check(direct_sum(f, g), fraction_direct_sum(F, G), sym)
             a = rand_entry(rng) or Fraction(rng.choice((-1, 1)))
             self.check(scale(a, f), [[a * x for x in row] for row in F], sym)
-            if fraction_det(F) != 0:
-                self.check(dual(f), _transpose(fraction_inverse(F)), sym)
         for r in range(1, 6):
             for delta, s in (("+", 1), ("-", -1)):
                 self.check(hyperbolic(r, delta), fraction_hyperbolic(r, s), s)
@@ -704,8 +716,6 @@ class TestConstructionOracle:
             outs += [tensor(f, g), scale(rand_entry(rng) or 3, f)]
             if g.sym == sym:
                 outs.append(direct_sum(f, g))
-            if f.is_nondegenerate():
-                outs.append(dual(f))
             Bi, d = _integral(rand_matrix(rng, f.rank, rng.randint(0, 4)))
             outs.append(_base_change(Bi, d, f))
             for r in range(1, 4):
@@ -766,12 +776,16 @@ class TestIntegerKernel:
             assert sym_power(f, n) == GramForm(want, f.sym ** n)
 
     def test_ext_matrix(self):
+        # the compound matrix of B = Bi / d is that of Bi over d^n
         rng = random.Random(905)
         for _ in range(600):
             B = rand_matrix(rng, rng.randint(0, 5))
             n = rng.randint(0, len(B) + 1)
             basis = list(combinations(range(len(B)), n))
-            assert ext_matrix(B, n) == oracle_minors(B, basis, fraction_det)
+            Bi, d = _integral(B)
+            assert [[Fraction(x, d ** n) for x in row]
+                    for row in _compound(Bi, n)] == oracle_minors(
+                B, basis, fraction_det)
 
     def test_compound_of_nonsymmetric(self):
         # a matrix that is neither symmetric nor skew keeps every minor
@@ -786,7 +800,6 @@ class TestIntegerKernel:
             assert want != _transpose(want)
             assert want != [[-x for x in row] for row in _transpose(want)]
             assert _compound(B, n) == want
-            assert ext_matrix(B, n) == want
 
     def test_congruence(self):
         rng = random.Random(906)

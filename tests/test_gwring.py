@@ -290,6 +290,13 @@ class TestGrading:
     def test_rank_inhomogeneous(self):
         with pytest.raises(GradingError):
             (GWElem.tau() + 1).rank()
+        # the message quotes a long class cut short, its length marked
+        x = sum(GWElem.gamma(k) for k in range(1, 300))
+        text = x.text()
+        with pytest.raises(GradingError) as exc:
+            x.rank()
+        assert str(exc.value) == ("rank requires homogeneous input: %s... "
+                                  "(%d characters)" % (text[:200], len(text)))
 
     def test_components(self):
         # the dense JSON format has one component per degree

@@ -9,7 +9,10 @@ from gwadams.borel import (
 )
 from gwadams.forms import GWQInvariants
 from gwadams.gwring import GW, GWElem, Theory
-from gwadams.report import ReportEntry, VerificationReport, check
+from gwadams.polyring import Ring
+from gwadams.report import (
+    MISMATCH, ReportEntry, Template, VerificationReport, check,
+)
 
 LAW = ternary_laws("gw")[1]
 
@@ -69,3 +72,22 @@ def test_theory_identity():
         del GW.maps
     assert GW.name == "gw"
 
+
+def test_fail_line_text():
+    # a FAIL line renders lhs and rhs through text(), then the note; a
+    # mismatch shows only its note and a pass line neither
+    ring = Ring([("x", False), ("y", False)])
+    x, y = ring.var("x"), ring.var("y")
+    rep = VerificationReport("s")
+    rep.add(check("sq", (2, "a"), False, (x + y) ** 2,
+                  Template("%s + %s", (x * x + y * y, 2 * x * y)),
+                  note="seed 7"))
+    rep.add(ReportEntry("doc", (), MISMATCH, x, y, "known"))
+    rep.add(check("ok", (1,), True, x, x, note="hidden"))
+    assert rep.render_text() == (
+        "suite: s\n"
+        "MISMATCH-DOCUMENTED doc()  [known]\n"
+        "PASS                ok(1)\n"
+        "FAIL                sq(2,a)  lhs=x^2 + 2*x*y + y^2 "
+        "rhs=x^2 + y^2 + 2*x*y  [seed 7]\n"
+        "1 pass, 1 fail, 1 mismatch-documented\n")

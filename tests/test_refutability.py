@@ -13,7 +13,7 @@ import pytest
 
 from gwadams import borel, forms, lambdaring, polyring, symfunc
 from gwadams.gwring import (
-    GW, SymClass, check_coefficient_identities, context_ring,
+    GW, GWElem, SymClass, check_coefficient_identities, context_ring,
 )
 from gwadams.lambdaring import check_lambda_axioms
 
@@ -149,6 +149,41 @@ def f1_extra_orbit(mp):
     mp.setattr(borel, "_gw_values", fault)
 
 
+def compound_minor_negated(mp):
+    """The compound matrix with its minor in row 0, column 1 negated.
+    ext_power computes its minors without _compound, so only the
+    congruence witnesses of ext_functorial read it."""
+    compound = forms._compound
+
+    def fault(M, n):
+        out = [list(row) for row in compound(M, n)]
+        if len(out) > 1:
+            out[0][1] = -out[0][1]
+        return out
+    mp.setattr(forms, "_compound", fault)
+
+
+def n_star_4_off(mp):
+    """The quadratic integer 4* = 2h raised by <1>."""
+    n_star = GWElem.n_star
+
+    def fault(n):
+        return n_star(n) + 1 if n == 4 else n_star(n)
+    mp.setattr(GWElem, "n_star", staticmethod(fault))
+
+
+def inverse_t2_off(mp):
+    """Series inversion with 1 added to the t^2 coefficient."""
+    inverse = polyring.TruncSeries.inverse
+
+    def fault(self):
+        inv = inverse(self)
+        return polyring.TruncSeries(self.ring, self.order, [
+            c + self.ring.one() if k == 2 else c
+            for k, c in enumerate(inv.coeffs)])
+    mp.setattr(polyring.TruncSeries, "inverse", fault)
+
+
 FAULTS = [
     # (lemma, suite, fault, plant: monkeypatch -> None)
     ("hilbert_product", forms.check_section2_and_hyp,
@@ -186,6 +221,12 @@ FAULTS = [
     ("Q_stability", symfunc.check_appendix_b,
      "Q_{2,2} coefficient of X4 off by one (Q_stability)",
      q22_coefficient_off),
+    ("ext_functorial", forms.check_section2_and_hyp,
+     "compound matrix minor (0, 1) negated", compound_minor_negated),
+    ("n_star_mult", check_coefficient_identities, "4* raised by <1>",
+     n_star_4_off),
+    ("series_inverse", symfunc.check_appendix_a,
+     "series inverse t^2 coefficient off by one", inverse_t2_off),
 ]
 
 
