@@ -35,7 +35,7 @@ from .symfunc import (
 FORMATS = ("text", "latex", "json")
 
 # input bounds: each call at the bound finishes in about a second, but a form
-# entry of thousands of digits takes longer (FORM_INPUT_RANK_MAX).  Cold
+# with many long entries takes longer (FORM_INPUT_RANK_MAX).  Cold
 # process, 2 vCPU, Python 3.11, quartiles of 9 runs; `python -c pass` takes
 # 0.038-0.044 s and `python -c "import gwadams.cli"` 0.043-0.044 s.
 # |n| in `adams n`: `adams 256 --target u` and `--target u-tau` take
@@ -70,9 +70,10 @@ FORM_MINOR_MAX = 6
 # in -2..2, D diagonal with entries in +-1..30) `invariants` takes 0.04 s in
 # process at rank 64, 0.05 s at rank 70 and 0.09 s at rank 80; cold, `form
 # invariants` of a rank-64 form takes 0.066-0.071 s and `gw-equal` of two
-# 0.089-0.092 s.  The limit stays at 64 because factoring the pivots is not
-# bounded by the rank: `form invariants` of <1999993^680> takes 2.2 s cold,
-# of diag(1999993^680*k), k = 1, 2, 3, 5, 8.7 s in process (ROADMAP 8, 17).
+# 0.089-0.092 s.  Factoring the pivots adds up over the rank: trial division
+# costs no number more than a 150-digit one (0.13 s), so <1999993^680> and
+# diag(1999993^680*k), k = 1, 2, 3, 5, exit 2 in 0.16-0.18 s cold (2.4 and
+# 9.2 s before), but diag(1999993^23) of rank 64 takes 7.5-8.3 s (ROADMAP 17).
 FORM_INPUT_RANK_MAX = 64
 # limits of `universal` whatever --max says:
 # P_12 0.12 s, P_13 0.21-0.23 s

@@ -18,6 +18,7 @@ from math import comb, gcd, isqrt, lcm, prod
 from operator import getitem, mul
 from typing import NamedTuple
 
+from .polyring import quoted
 from .report import VerificationReport, check
 
 
@@ -47,8 +48,8 @@ def _frac(x):
         try:
             return Fraction(x)
         except ZeroDivisionError:
-            raise ValueError("zero denominator: %r" % (x,))
-    raise ValueError("not an exact rational: %r" % (x,))
+            raise ValueError("zero denominator: %s" % quoted(repr(x)))
+    raise ValueError("not an exact rational: %s" % quoted(repr(x)))
 
 
 class GramForm:
@@ -127,7 +128,7 @@ class GramForm:
         kind = obj.get("sym")
         if kind not in ("symmetric", "skew"):
             raise ValueError('sym must be "symmetric" or "skew"%s' % (
-                ", got %s" % json.dumps(kind) if "sym" in obj else ""))
+                ", got %s" % quoted(json.dumps(kind)) if "sym" in obj else ""))
         return GramForm(obj.get("matrix"), 1 if kind == "symmetric" else -1)
 
     @staticmethod
@@ -306,11 +307,11 @@ def check_congruence(B, f: GramForm, g: GramForm) -> bool:
 # invariants over Q
 
 # Trial division to TRIAL_DIVISION_MAX (0.06 s on 2, 3 and the 6k +- 1
-# wheel) factors every number below 4*10^12; a larger cofactor of at most
-# COFACTOR_DIGITS_MAX digits is tested by Miller-Rabin, exact below
-# MR_CERTAIN, then taken as a perfect power or split by Pollard's rho within
-# RHO_STEPS steps for all its splits together (spent in 0.4 s at 38 digits,
-# 1.2 s at 150).
+# wheel, sooner past COFACTOR_DIGITS_MAX digits) factors every number below
+# 4*10^12; a larger cofactor of at most COFACTOR_DIGITS_MAX digits is tested
+# by Miller-Rabin, exact below MR_CERTAIN, then taken as a perfect power or
+# split by Pollard's rho within RHO_STEPS steps for all its splits together
+# (spent in 0.4 s at 38 digits, 1.2 s at 150).
 TRIAL_DIVISION_MAX = 2 * 10 ** 6
 COFACTOR_DIGITS_MAX = 150
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -321,6 +322,8 @@ RHO_STEPS = 1 << 17
 def _odd_primes(n: int) -> list:
     """The primes dividing the positive integer n to an odd power, ascending;
     ValueError if n cannot be factored within the bounds above."""
+    if n == 1:
+        return []
     out = []
     for d in 2, 3:
         e = 0
@@ -331,8 +334,11 @@ def _odd_primes(n: int) -> list:
             out.append(d)
     if n < 25:      # no prime factor below 5: 1 or a prime
         return out + [n] if n > 1 else out
-    # then the 6k +- 1 wheel: 5, 7, 11, 13, ... (steps 2, 4, 2, 4, ...)
-    d, step, limit = 5, 2, min(isqrt(n), TRIAL_DIVISION_MAX)
+    # then the 6k +- 1 wheel 5, 7, 11, 13, ... (steps 2, 4, ...) to cap: a
+    # step costs about the digits of n, at least (bits - 1) * 3 // 10 + 1
+    cap = TRIAL_DIVISION_MAX * COFACTOR_DIGITS_MAX // max(
+        COFACTOR_DIGITS_MAX, (n.bit_length() - 1) * 3 // 10 + 1)
+    d, step, limit = 5, 2, min(isqrt(n), cap)
     while d <= limit:
         if not n % d:
             e = 0
@@ -341,7 +347,7 @@ def _odd_primes(n: int) -> list:
                 e += 1
             if e % 2:
                 out.append(d)
-            limit = min(isqrt(n), TRIAL_DIVISION_MAX)
+            limit = min(isqrt(n), cap)
         d += step
         step = 6 - step
     if d * d > n:   # n is 1 or a prime
@@ -478,62 +484,54 @@ def invariants(f: GramForm) -> GWQInvariants:
 
 def _invariants(pivots) -> GWQInvariants:
     """The invariants of the diagonal form <pivots>, nonzero rationals as
-    (numerator, denominator) pairs."""
+    (numerator, denominator) pairs.  Each Hasse symbol
+    prod_{i<j} (d_i, d_j)_v of the squarefree entries d_i is evaluated from
+    the entries alone, none from Hilbert reciprocity or the other places, as
+    the hilbert_product lemma checks their product.  At 2 it is
+    prod_j (a, d_j)_2, a = d_1 ... d_{j-1} walked on the square classes of
+    Q_2; at an odd p, with d_A the product of the entries p does not divide
+    and p*d_B that of the n1 others, it is
+    (d_A/p)^n1 * (d_B/p)^(n1-1) * (-1/p)^(n1(n1-1)/2); at inf, for k
+    negative entries, (-1)^(k(k-1)/2), which is -1 for k = 2, 3 mod 4
+    (Serre, A Course in Arithmetic, III.1)."""
     # n and d are coprime and factored apart, each within its own budget;
     # the diagonalization is a congruence of determinant +-1, so det(f) is
     # the product of the pivots and its square class comes from theirs
     diag, neg, odd, places = [], 0, set(), set()
     for n, d in pivots:
-        ps = _odd_primes(abs(n)) + (_odd_primes(d) if d > 1 else [])
-        diag.append(prod(ps) if n > 0 else -prod(ps))
+        ps = _odd_primes(abs(n))
+        if d > 1:
+            ps = ps + _odd_primes(d)
+        x = prod(ps) if ps else 1
+        diag.append(x if n > 0 else -x)
         neg += n < 0
         odd.symmetric_difference_update(ps)
         places.update(ps)
     places.discard(2)
-    # each place's symbol is evaluated on its own: none may be derived from
-    # Hilbert reciprocity or from the other places, because the
-    # hilbert_product lemma checks exactly their product
-    hasse = tuple((v, _hasse(v, diag)) for v in (2, *sorted(places), "inf"))
+    # a = d_1 ... d_{j-1} = 2^alpha * u is kept as alpha mod 2 and u mod 8;
+    # (a, 2^beta * w)_2 = (-1)^(eps(u)eps(w) + alpha*omega(w) + beta*omega(u))
+    # where eps(u) = (u-1)/2 is bit 1 of u, omega(u) = (u^2-1)/8 of u ^ u >> 1
+    e, alpha, u = 0, 0, 1
+    for x in diag:
+        beta = 1 - x % 2    # x is squarefree
+        w = (x >> beta) % 8
+        e ^= ((u & w) ^ alpha * (w ^ w >> 1) ^ beta * (u ^ u >> 1)) & 2
+        alpha ^= beta
+        u = u * w % 8
+    hasse = [(2, -1 if e else 1)]
+    for p in sorted(places):
+        d_A, n1, d_B = 1, 0, 1
+        for x in diag:
+            if x % p:
+                d_A = d_A * x % p
+            else:
+                n1, d_B = n1 + 1, d_B * (x // p) % p
+        # one of (d_A/p)^n1 and (d_B/p)^(n1-1) has an even exponent
+        s = 1 if pow(d_A if n1 % 2 else d_B, (p - 1) // 2, p) == 1 else -1
+        hasse.append((p, -s if n1 % 4 > 1 and p % 4 == 3 else s))
+    hasse.append(("inf", -1 if neg % 4 > 1 else 1))
     return GWQInvariants(len(diag), len(diag) - 2 * neg,
-                         -prod(odd) if neg % 2 else prod(odd), hasse)
-
-
-def _hasse(v, diag) -> int:
-    """The Hasse symbol prod_{i<j} (d_i, d_j)_v of the diagonal form <diag>,
-    nonzero squarefree integers, at the place v.
-
-    At inf only the k negative entries count: (-1)^(k(k-1)/2).  At an odd
-    prime p, with d_A the product of the entries p does not divide and p*d_B
-    that of the n1 others, bimultiplicativity and (u, w)_p = 1,
-    (u, p)_p = (u/p), (p, p)_p = (-1/p) for units u, w give
-    (d_A/p)^n1 * (d_B/p)^(n1-1) * (-1/p)^(n1(n1-1)/2).  At 2 it is the
-    product prod_j (a, d_j)_2 with a = d_1 ... d_{j-1}, walked on the square
-    classes of Q_2: a = 2^alpha * u is kept as alpha mod 2 and the unit u
-    mod 8, and for d_j = 2^beta * w,
-    (a, d_j)_2 = (-1)^(eps(u)eps(w) + alpha*omega(w) + beta*omega(u)),
-    eps(u) = (u - 1)/2 and omega(u) = (u^2 - 1)/8 mod 2 (Serre, A Course
-    in Arithmetic, III.1)."""
-    if v == "inf":     # k(k-1)/2 is odd for k = 2, 3 mod 4
-        return -1 if sum(d < 0 for d in diag) % 4 > 1 else 1
-    if v == 2:
-        # for odd u, eps(u) is bit 1 of u and omega(u) is bit 1 of u ^ u >> 1
-        e, alpha, u = 0, 0, 1
-        for d in diag:
-            beta = 1 - d % 2    # d is squarefree
-            w = (d >> beta) % 8
-            e ^= ((u & w) ^ alpha * (w ^ w >> 1) ^ beta * (u ^ u >> 1)) & 2
-            alpha ^= beta
-            u = u * w % 8
-        return -1 if e else 1
-    d_A, n1, d_B = 1, 0, 1
-    for d in diag:
-        if d % v:
-            d_A = d_A * d % v
-        else:
-            n1, d_B = n1 + 1, d_B * (d // v) % v
-    # one of (d_A/p)^n1 and (d_B/p)^(n1-1) has an even exponent
-    s = 1 if pow(d_A if n1 % 2 else d_B, (v - 1) // 2, v) == 1 else -1
-    return -s if n1 % 4 > 1 and v % 4 == 3 else s
+                         -prod(odd) if neg % 2 else prod(odd), tuple(hasse))
 
 
 def gw_identity_check(lhs, rhs) -> bool:
@@ -560,9 +558,7 @@ def gw_identity_check(lhs, rhs) -> bool:
         return diag
 
     a, b = pivots(left), pivots(right)
-    if len(a) != len(b):
-        return False
-    return _invariants(a).same_class(_invariants(b))
+    return len(a) == len(b) and _invariants(a).same_class(_invariants(b))
 
 
 # ---------------------------------------------------------------------------
@@ -730,11 +726,9 @@ def check_section2_and_hyp() -> VerificationReport:
         entries = [rng.choice([x for x in range(-20, 21) if x])
                    for _ in range(n)]
         inv = invariants(GramForm.diagonal(entries))
-        prod = 1
-        for _, v in inv.hasse:
-            prod *= v
-        rep.add(check("hilbert_product", (k,), prod == 1,
-                      str(prod), "1", note=str(entries)))
+        sign = prod(v for _, v in inv.hasse)
+        rep.add(check("hilbert_product", (k,), sign == 1,
+                      str(sign), "1", note=str(entries)))
 
     # functoriality of ext_power under base change
     for k in range(20):

@@ -35,7 +35,8 @@ from functools import cache
 from itertools import product
 
 from .polyring import (EXP_MASK, FIELD_BITS, GradingError, MultiPoly, Ring,
-                       negative_exponent, read_bool, read_int, read_list)
+                       negative_exponent, quoted, read_bool, read_int,
+                       read_list)
 from .report import VerificationReport, check
 
 COEFF_VARS = [("eps", False), ("tau", False), ("gamma", True)]
@@ -158,12 +159,6 @@ def context_weights(theory: Theory, gens: tuple) -> tuple:
     return tuple(theory.weights[n] for n, _ in theory.base) + (2,) * len(gens)
 
 
-def quoted(x) -> str:
-    """str(x) for an error message, cut after 200 characters."""
-    s = str(x)
-    return s if len(s) <= 200 else s[:200] + "... (%d characters)" % len(s)
-
-
 def _write_dense(theory: Theory, terms: dict) -> list:
     """One component per degree 2*tau + 4*gamma: a, b and c list the
     coefficients of gamma^g, eps*gamma^g and tau*gamma^g from g = gmin."""
@@ -219,8 +214,9 @@ def _read_poly(components, ring: Ring, total: dict) -> None:
         for i, name in enumerate(poly.ring.names):
             if i in used and name not in base:
                 if name in ring.names:
-                    raise ValueError("poly uses the generator %r; its "
-                                     "exponent belongs in u_exps" % name)
+                    raise ValueError("poly uses the generator %s; its "
+                                     "exponent belongs in u_exps"
+                                     % quoted(repr(name)))
                 break       # rename refuses it
         poly = poly.rename(ring)
         if poly.terms:      # u_exps is packed once a term uses it
@@ -469,8 +465,8 @@ class SymClass:
             raise ValueError("a class document must be a JSON object")
         name = obj.get("theory", "gw")
         if not isinstance(name, str) or name not in THEORIES:
-            raise ValueError("unknown theory %r; the theories are %s"
-                             % (name, ", ".join(THEORIES)))
+            raise ValueError("unknown theory %s; the theories are %s"
+                             % (quoted(repr(name)), ", ".join(THEORIES)))
         theory = THEORIES[name]
         gens = obj.get("gens", [])
         if (not isinstance(gens, list)
@@ -552,7 +548,7 @@ class GWElem(SymClass):
             if obj.get(field, want) != want:
                 raise ValueError("%s must be %s in a coefficient-ring class, "
                                  "got %s" % (field, json.dumps(want),
-                                             json.dumps(obj[field])))
+                                             quoted(json.dumps(obj[field]))))
         return GWElem(x.poly)
 
 

@@ -30,9 +30,9 @@ from functools import cache
 from math import comb
 
 from . import symfunc
-from .gwring import KTH, GWElem, SymClass, context_ring, quoted
+from .gwring import KTH, GWElem, SymClass, context_ring
 from .polyring import (
-    GradingError, MultiPoly, Ring, TruncSeries, sum_of_products,
+    GradingError, MultiPoly, Ring, TruncSeries, quoted, sum_of_products,
 )
 from .report import (
     MISMATCH, PASS, ReportEntry, Template, VerificationReport, check,

@@ -78,6 +78,12 @@ class GradingError(ValueError):
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
+def quoted(x) -> str:
+    """str(x) for an error message, cut after 200 characters."""
+    s = str(x)
+    return s if len(s) <= 200 else s[:200] + "... (%d characters)" % len(s)
+
+
 def read_int(value, what: str, decimal_str: bool = False) -> int:
     """A JSON integer: a true int (not a bool or a float), or with
     decimal_str also a decimal-integer string such as to_obj writes."""
@@ -85,7 +91,8 @@ def read_int(value, what: str, decimal_str: bool = False) -> int:
         return value
     if decimal_str and isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
-    raise ValueError("%s must be an integer, got %s" % (what, json.dumps(value)))
+    raise ValueError("%s must be an integer, got %s"
+                     % (what, quoted(json.dumps(value))))
 
 
 def negative_exponent(e: int, ring: "Ring") -> ExponentError:
@@ -107,7 +114,8 @@ def read_bool(value, what: str) -> bool:
     """A JSON boolean: true or false, not a number or a string."""
     if type(value) is bool:
         return value
-    raise ValueError("%s must be true or false, got %s" % (what, json.dumps(value)))
+    raise ValueError("%s must be true or false, got %s"
+                     % (what, quoted(json.dumps(value))))
 
 
 def read_list(obj: dict, key: str, default=None) -> list:
@@ -141,7 +149,8 @@ class Ring:
             return self
         names = tuple(name for name, _ in key)
         if len(set(names)) != len(names):
-            raise ContextError("duplicate variable names: %r" % (names,))
+            raise ContextError("duplicate variable names: %s"
+                               % quoted(repr(names)))
         laurent = tuple(l for _, l in key)
         n = len(names)
         shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
@@ -605,7 +614,7 @@ class MultiPoly:
                 raise ValueError("each var must be a JSON object")
             if not isinstance(v.get("name"), str):
                 raise ValueError("name must be a string, got %s"
-                                 % json.dumps(v.get("name")))
+                                 % quoted(json.dumps(v.get("name"))))
             variables.append((v["name"], read_bool(v.get("laurent"),
                                                    "laurent")))
         ring = Ring(variables)

@@ -927,6 +927,32 @@ class TestForm:
         assert r.exit_code == 2
         assert "cannot read Gram form -: %s\n" % msg in r.output
 
+    @pytest.mark.parametrize("argv, doc, prefix", [
+        (["adams", "2", "--target"], {"theory": "k", "gens": ["u1"],
+         "components": [{"u_exps": [1], "poly": {
+             "vars": [{"name": "beta", "laurent": True}],
+             "terms": [{"coeff": list(range(3000)), "exps": [0]}]}}]},
+         "cannot parse target: a coefficient must be an integer, got [0, 1"),
+        (["form", "invariants", "-"],
+         {"sym": list(range(3000)), "matrix": [[1]]},
+         'cannot read Gram form -: sym must be "symmetric" or "skew", got '
+         "[0, 1"),
+        (["form", "invariants", "-"],
+         {"sym": "symmetric", "matrix": [[list(range(3000))]]},
+         "cannot read Gram form -: not an exact rational: [0, 1"),
+    ], ids=["coeff", "sym", "entry"])
+    def test_long_values_quoted_short(self, runner, argv, doc, prefix):
+        # a value quoted from a document is cut after 200 characters; each
+        # of these made a 17 kB line
+        text = json.dumps(doc)
+        r = (runner(*argv, text) if argv[0] == "adams"
+             else runner(*argv, input=text))
+        assert r.exit_code == 2
+        line, = [x for x in r.output.splitlines() if prefix in x]
+        assert len(line.encode()) < 400
+        assert line.endswith("... (%d characters)"
+                             % len(json.dumps(list(range(3000)))))
+
     def test_factoring_bounded(self, runner, tmp_path):
         # pivots with prime factors far above the trial-division bound:
         # each call ends within 2 s, with the invariants or with exit 2
@@ -992,6 +1018,11 @@ class TestForm:
              "cannot factor a cofactor of 3993 digits: the limit is 150 "
              "digits"),
             (2 ** 13000, 5, 0, '"disc":1,'),
+            # trial division stops at 2*10^6 * 150 / digits: 1999993^680
+            # took 2.2 s cold, the rational entry 5.3 s, and both were read
+            (1999993 ** 680, 2, 2, "cannot factor a cofactor of 4285 digits"),
+            ("%d/%d" % (1999993 ** 680, 1999979 ** 680), 2, 2,
+             "cannot factor a cofactor of 4285 digits"),
         ]
         for entry, seconds, code, text in cases:
             p = tmp_path / "long.json"

@@ -16,7 +16,7 @@ import gwadams.forms
 from gwadams.forms import (
     TRIAL_DIVISION_MAX, DegeneracyError, GramForm, GWQInvariants,
     WitnessError, _base_change, _compound, _diagonalize, _frac, _int_det,
-    _hasse, _int_mul, _integral, _invariants, _odd_primes, _transpose,
+    _int_mul, _integral, _invariants, _odd_primes, _transpose,
     check_congruence, check_section2_and_hyp, direct_sum, ext_power,
     gw_identity_check, hyperbolic, invariants, scale, sym_power,
     symplectic_plane, tensor,
@@ -137,7 +137,7 @@ def _place_key(p):
 def hilbert_symbol(a: int, b: int, place) -> int:
     """(a, b)_v for v a prime or the real-place marker "inf", read off the
     valuations and units of a and b (Serre, A Course in Arithmetic,
-    III.1.2): the oracle for forms._hasse."""
+    III.1.2): the oracle of pairwise_invariants and prefix_invariants."""
     if a == 0 or b == 0:
         raise ValueError("arguments must be nonzero")
     if place == "inf":
@@ -163,6 +163,40 @@ def hilbert_symbol(a: int, b: int, place) -> int:
     if alpha % 2 and pow(w, (p - 1) // 2, p) != 1:
         s = -s
     return s
+
+
+def _hasse(v, diag) -> int:
+    """The Hasse symbol prod_{i<j} (d_i, d_j)_v of the diagonal form <diag>,
+    nonzero squarefree integers, at the place v alone: the per-place oracle
+    for the symbols that forms._invariants evaluates in one pass.
+
+    At inf only the k negative entries count: (-1)^(k(k-1)/2).  At an odd
+    prime p, with d_A the product of the entries p does not divide and p*d_B
+    that of the n1 others, it is
+    (d_A/p)^n1 * (d_B/p)^(n1-1) * (-1/p)^(n1(n1-1)/2).  At 2 it is the
+    product prod_j (a, d_j)_2 with a = d_1 ... d_{j-1}, walked on the square
+    classes of Q_2 (Serre, A Course in Arithmetic, III.1)."""
+    if v == "inf":     # k(k-1)/2 is odd for k = 2, 3 mod 4
+        return -1 if sum(d < 0 for d in diag) % 4 > 1 else 1
+    if v == 2:
+        # for odd u, eps(u) is bit 1 of u and omega(u) is bit 1 of u ^ u >> 1
+        e, alpha, u = 0, 0, 1
+        for d in diag:
+            beta = 1 - d % 2    # d is squarefree
+            w = (d >> beta) % 8
+            e ^= ((u & w) ^ alpha * (w ^ w >> 1) ^ beta * (u ^ u >> 1)) & 2
+            alpha ^= beta
+            u = u * w % 8
+        return -1 if e else 1
+    d_A, n1, d_B = 1, 0, 1
+    for d in diag:
+        if d % v:
+            d_A = d_A * d % v
+        else:
+            n1, d_B = n1 + 1, d_B * (d // v) % v
+    # one of (d_A/p)^n1 and (d_B/p)^(n1-1) has an even exponent
+    s = 1 if pow(d_A if n1 % 2 else d_B, (v - 1) // 2, v) == 1 else -1
+    return -s if n1 % 4 > 1 and v % 4 == 3 else s
 
 
 def pairwise_invariants(pivots, odd_primes=_odd_primes) -> GWQInvariants:
@@ -479,7 +513,8 @@ class TestInvariants:
             for diag in product(values, repeat=n):
                 want = prod(hilbert_symbol(a, b, 2)
                             for a, b in combinations(diag, 2))
-                assert _hasse(2, list(diag)) == want, diag
+                got = _invariants([(d, 1) for d in diag]).hasse[0]
+                assert got == (2, want), diag
                 count += 1
         assert count == 4368
 
@@ -540,6 +575,10 @@ class TestInvariants:
             got = _invariants(pivots)
             assert got == prefix_invariants(pivots, odd_primes), pivots
             assert got == pairwise_invariants(pivots, odd_primes), pivots
+            # the one-pass symbols against the per-place oracle
+            diag = [prod(odd_primes(abs(n * d))) * (1 if n > 0 else -1)
+                    for n, d in pivots]
+            assert all(s == _hasse(v, diag) for v, s in got.hasse), pivots
             primes = [set(odd_primes(abs(n * d))) for n, d in pivots]
             seen.add(len(pivots))
             seen.update(("negative entry" for n, _ in pivots if n < 0))
@@ -1014,6 +1053,21 @@ class TestFactoring:
             n = prod(p ** e for p, e in exps.items())
             want = sorted(p for p, e in exps.items() if e % 2)
             assert _odd_primes(n) == odd_step_primes(n) == want, exps
+
+    def test_walk_scaled_to_length(self):
+        # past COFACTOR_DIGITS_MAX digits trial division stops sooner, at
+        # TRIAL_DIVISION_MAX * COFACTOR_DIGITS_MAX / digits: 1999993^680
+        # (4,285 digits) took 2.4 s walking to 2*10^6 and is refused after a
+        # walk to about 70,000
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot factor a cofactor of "
+                           "4285 digits: the limit is 150 digits"):
+            _odd_primes(1999993 ** 680)
+        assert time.perf_counter() - start < 1
+        # 145 digits walk to 2*10^6 as before, 152 digits stop just short
+        assert _odd_primes(1999993 ** 23) == [1999993]
+        with pytest.raises(ValueError, match="cofactor of 152 digits"):
+            _odd_primes(1999993 ** 24)
 
     def test_rho_budget(self):
         # one budget of RHO_STEPS for all the splits of a number: sixteen

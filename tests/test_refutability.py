@@ -38,17 +38,17 @@ def fresh_caches():
 
 
 def flip_hasse_at(place):
-    """The per-place Hasse evaluation with the symbol at place negated.
+    """The invariants with the Hasse symbol at place negated.
 
-    hilbert_product checks exactly the product of every place's symbol,
-    so it refutes this fault only as long as no place's symbol is derived
-    from reciprocity or from the other places."""
-    hasse = forms._hasse
+    hilbert_product checks exactly the product of every place's symbol, so
+    it refutes a wrong symbol at any one place of a form."""
+    invariants = forms._invariants
 
-    def fault(v, diag):
-        s = hasse(v, diag)
-        return -s if v == place else s
-    return lambda mp: mp.setattr(forms, "_hasse", fault)
+    def fault(pivots):
+        inv = invariants(pivots)
+        return inv._replace(hasse=tuple(
+            (v, -s if v == place else s) for v, s in inv.hasse))
+    return lambda mp: mp.setattr(forms, "_invariants", fault)
 
 
 def rank_eps_plus_one(mp):
